@@ -1,0 +1,10 @@
+"""Make the benchmark's modules importable by their plain names, as the
+worker process imports them."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parents[1] / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
