@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test faults chaos bench bench-eval bench-spice bench-surrogate bench-light bench-heavy examples lint devlint verify erc ingest all
+.PHONY: install test faults chaos bench bench-eval bench-spice bench-light bench-heavy examples lint devlint verify erc ingest all
 
 install:
 	pip install -e . --no-build-isolation
@@ -91,17 +91,7 @@ BENCH_SPICE_FLAGS ?=
 bench-spice:
 	python benchmarks/bench_spice.py --out $(BENCH_SPICE_OUT) $(BENCH_SPICE_FLAGS)
 
-# Surrogate-guided search benchmark: cold (recording, full-sweep) vs
-# warm (pruned) library passes sharing one corpus, asserting equal
-# chosen costs, journal determinism across --jobs, and the >=40%
-# simulation reduction (full mode).
-BENCH_SURROGATE_OUT ?= BENCH_surrogate.json
-BENCH_SURROGATE_FLAGS ?=
-
-bench-surrogate:
-	python benchmarks/bench_surrogate.py --out $(BENCH_SURROGATE_OUT) $(BENCH_SURROGATE_FLAGS)
-
-bench: bench-eval bench-spice bench-surrogate
+bench: bench-eval bench-spice
 	pytest benchmarks/ --benchmark-only -s
 
 bench-light:

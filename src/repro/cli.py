@@ -29,15 +29,9 @@ Commands:
   by subgraph matching, emit matching/symmetry constraints and report
   coverage/ambiguities as ``TOPO-*`` lint findings; ``--format json``
   prints a byte-deterministic machine-readable summary,
-* ``cache stats|export`` — inspect the evalcache disk tier and the
-  surrogate training corpus (``stats``), or dump the corpus rows as
-  deterministic JSON (``export``),
+* ``cache stats --cache-dir DIR`` — print the evalcache disk tier's
+  entry count, total bytes and directory as deterministic JSON,
 * ``list`` — list the primitive library and the benchmark circuits.
-
-``optimize``, ``flow`` and ``profile`` accept ``--surrogate`` (or the
-``REPRO_SURROGATE`` environment variable) to enable surrogate-guided
-sweep pruning, with ``--surrogate-topk``, ``--explore`` and
-``--surrogate-corpus`` tuning the budget and corpus location.
 
 ``flow`` also accepts ``--netlist <file.sp>`` instead of a circuit
 name: the netlist is ingested and every recognized primitive with a
@@ -113,19 +107,6 @@ def _jobs_from_args(args: argparse.Namespace) -> int:
     return resolve_jobs(args.jobs, default=os.cpu_count())
 
 
-def _surrogate_kwargs(args: argparse.Namespace) -> dict:
-    """Surrogate knobs shared by optimize/flow (unset flags omitted)."""
-    kwargs: dict = {
-        "surrogate": getattr(args, "surrogate", None),
-        "surrogate_corpus": getattr(args, "surrogate_corpus", None),
-    }
-    if getattr(args, "surrogate_topk", None) is not None:
-        kwargs["surrogate_topk"] = args.surrogate_topk
-    if getattr(args, "explore", None) is not None:
-        kwargs["explore"] = args.explore
-    return kwargs
-
-
 def _apply_solver(args: argparse.Namespace) -> None:
     """Pin the MNA solver backend for the process (``--solver``)."""
     if getattr(args, "solver", None) is not None:
@@ -153,7 +134,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
-        **_surrogate_kwargs(args),
     )
     from repro.runtime import graceful_shutdown
 
@@ -184,12 +164,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(
             f"cache: {report.cache_stats['hits']} evaluations answered "
             f"from content cache"
-        )
-    if report.surrogate_stats:
-        s = report.surrogate_stats
-        print(
-            f"surrogate: {s['sel_pruned'] + s['tune_pruned']} candidates "
-            f"pruned, {s['recorded']} corpus rows recorded"
         )
     if report.failures:
         print(f"absorbed: {report.failures.summary()}")
@@ -237,7 +211,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
-        **_surrogate_kwargs(args),
     )
     from repro.runtime import graceful_shutdown
 
@@ -251,12 +224,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if result.reconciled:
         print("  reconciled routes: "
               + ", ".join(f"{n}={r.wires}" for n, r in result.reconciled.items()))
-    if result.surrogate_stats:
-        s = result.surrogate_stats
-        print(
-            f"  surrogate: {s['sel_pruned'] + s['tune_pruned']} candidates "
-            f"pruned, {s['recorded']} corpus rows recorded"
-        )
     if result.failures:
         print(f"  absorbed: {result.failures.summary()}")
     return 0
@@ -287,21 +254,6 @@ def _render_profile(profile: dict, title: str) -> str:
     return format_table(["counter", "value"], rows, title=title)
 
 
-def _render_surrogate_stats(stats: dict, title: str) -> str:
-    """Surrogate-guide counter table (see ``SurrogateStats.as_dict``)."""
-    rows = [
-        ["models trained", str(stats.get("models_trained", 0))],
-        ["predictions", str(stats.get("predictions", 0))],
-        ["selection kept", str(stats.get("sel_kept", 0))],
-        ["selection pruned", str(stats.get("sel_pruned", 0))],
-        ["tuning points pruned", str(stats.get("tune_pruned", 0))],
-        ["corpus rows recorded", str(stats.get("recorded", 0))],
-    ]
-    for reason, count in stats.get("fallbacks", {}).items():
-        rows.append([f"fallback: {reason}", str(count)])
-    return format_table(["counter", "value"], rows, title=title)
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile the solver kernel across one optimization or flow run.
 
@@ -318,11 +270,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
             max_wires=args.max_wires,
             jobs=1,
             batch=getattr(args, "batch", None),
-            **_surrogate_kwargs(args),
         )
         result = flow.run(circuit, measure=args.target != "vco")
         profile = result.solver_profile
-        surrogate_stats = result.surrogate_stats
     else:
         library = PrimitiveLibrary()
         if args.target not in library:
@@ -336,21 +286,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
             max_wires=args.max_wires,
             jobs=1,
             batch=getattr(args, "batch", None),
-            **_surrogate_kwargs(args),
         )
         report = optimizer.optimize(primitive)
         profile = report.solver_profile
-        surrogate_stats = report.surrogate_stats
     if not profile:
         print(f"{args.target}: no solver activity recorded")
         return 1
     print(_render_profile(profile, title=f"solver profile: {args.target}"))
-    if surrogate_stats:
-        print(
-            _render_surrogate_stats(
-                surrogate_stats, title=f"surrogate profile: {args.target}"
-            )
-        )
     return 0
 
 
@@ -539,43 +481,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or export the evalcache disk tier and surrogate corpus.
+    """Print evalcache disk-tier accounting as deterministic JSON.
 
-    ``stats`` prints order-independent accounting (disk-tier entries and
-    bytes, corpus rows per family, skipped lines) as JSON; ``export``
-    dumps every corpus row as deterministic JSON for offline analysis
-    or corpus transplants.  Both read only — nothing is mutated.
+    Counts only the tier's ``*.json`` entries (the same files its size
+    cap evicts); anything else in the directory is ignored.  Reads
+    only — nothing is mutated.
     """
     import json
     from pathlib import Path
 
-    from repro.surrogate import CorpusStore
-
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    corpus_path = args.corpus
-    if corpus_path is None and cache_dir is not None:
-        candidate = cache_dir / "corpus.jsonl"
-        corpus_path = str(candidate) if candidate.exists() else None
-    store = CorpusStore(corpus_path)
-    if args.action == "stats":
-        disk: dict = {}
-        if cache_dir is not None and cache_dir.is_dir():
-            entries = sorted(cache_dir.glob("*.json"))
-            disk = {
-                "entries": len(entries),
-                "bytes": sum(p.stat().st_size for p in entries),
-                "dir": str(cache_dir),
-            }
-        payload = {"corpus": store.stats(), "evalcache": disk}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    rows = store.export_rows()
-    text = json.dumps(rows, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {len(rows)} corpus rows to {args.out}")
-    else:
-        print(text)
+    cache_dir = Path(args.cache_dir)
+    entries = sorted(cache_dir.glob("*.json")) if cache_dir.is_dir() else []
+    payload = {
+        "entries": len(entries),
+        "bytes": sum(p.stat().st_size for p in entries),
+        "dir": str(cache_dir),
+    }
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -659,43 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
             "evaluation hangs past it is SIGKILLed and the task recorded "
             "as EVAL-TIMEOUT (default: no watchdog)",
         )
-        add_surrogate_args(p)
         add_solver_arg(p)
-
-    def add_surrogate_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--surrogate",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="surrogate-guided sweep pruning: rank candidates with a "
-            "model trained on previously measured sweeps and simulate "
-            "only the predicted top-k plus an exploration budget "
-            "(default: REPRO_SURROGATE, else off; metrics always come "
-            "from real simulation)",
-        )
-        p.add_argument(
-            "--surrogate-topk",
-            type=int,
-            default=None,
-            metavar="K",
-            help="predicted-best candidates kept per selection sweep "
-            "(default: 4)",
-        )
-        p.add_argument(
-            "--explore",
-            type=int,
-            default=None,
-            metavar="N",
-            help="exploration budget per pruned sweep: extra seeded "
-            "picks beyond the predicted top-k (default: 2)",
-        )
-        p.add_argument(
-            "--surrogate-corpus",
-            default=None,
-            metavar="FILE",
-            help="surrogate training-corpus JSONL (default: "
-            "corpus.jsonl next to the evalcache disk tier)",
-        )
 
     def add_solver_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -884,39 +770,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("--bins", type=int, default=2)
     p_prof.add_argument("--max-wires", type=int, default=5)
-    add_surrogate_args(p_prof)
     add_solver_arg(p_prof)
 
-    p_cache = sub.add_parser(
-        "cache",
-        help="inspect/export the evaluation cache and surrogate corpus",
-    )
+    p_cache = sub.add_parser("cache", help="inspect the evaluation cache")
     cache_sub = p_cache.add_subparsers(dest="action", required=True)
-    for action, blurb in (
-        ("stats", "print disk-tier and corpus accounting as JSON"),
-        ("export", "dump the surrogate corpus rows as JSON"),
-    ):
-        p_action = cache_sub.add_parser(action, help=blurb)
-        p_action.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="DIR",
-            help="evalcache disk-tier directory (its corpus.jsonl is "
-            "used when --corpus is not given)",
-        )
-        p_action.add_argument(
-            "--corpus",
-            default=None,
-            metavar="FILE",
-            help="surrogate corpus JSONL to read",
-        )
-        if action == "export":
-            p_action.add_argument(
-                "--out",
-                default=None,
-                metavar="FILE",
-                help="write the JSON here instead of stdout",
-            )
+    p_stats = cache_sub.add_parser(
+        "stats", help="print disk-tier accounting as JSON"
+    )
+    p_stats.add_argument(
+        "--cache-dir",
+        required=True,
+        metavar="DIR",
+        help="evalcache disk-tier directory",
+    )
 
     p_render = sub.add_parser("render", help="render a primitive layout")
     p_render.add_argument("primitive")

@@ -35,8 +35,6 @@ from repro.runtime import (
     RetryPolicy,
     SweepJournal,
 )
-from repro.surrogate import SurrogateGuide, resolve_surrogate
-from repro.surrogate.guide import DEFAULT_EXPLORE, DEFAULT_TOP_K
 from repro.verify import verify_circuit
 
 #: Wall time the paper attributes to one primitive simulation (seconds).
@@ -80,12 +78,6 @@ class OptimizationReport:
             :meth:`repro.spice.kernel.SolverStats.as_dict`).  A
             profiling view only — wall-clock timings vary run to run and
             the dict is excluded from determinism fingerprints.
-        surrogate_stats: Surrogate-guide counters
-            (:meth:`repro.surrogate.SurrogateStats.as_dict`) when the
-            surrogate was enabled: models trained, predictions made,
-            candidates kept/pruned, corpus rows recorded, and per-reason
-            full-sweep fallbacks.  Accounting only — predictions never
-            reach metrics, payloads or cache values.
     """
 
     primitive_name: str
@@ -98,7 +90,6 @@ class OptimizationReport:
     cached_evaluations: int = 0
     cache_stats: dict[str, int] = field(default_factory=dict)
     solver_profile: dict = field(default_factory=dict)
-    surrogate_stats: dict = field(default_factory=dict)
 
     @property
     def best(self) -> LayoutOption:
@@ -154,16 +145,6 @@ class OptimizationReport:
                 f"  cache: {self.cache_stats['hits']} evaluations answered "
                 f"from content cache"
             )
-        if self.surrogate_stats:
-            pruned = (
-                self.surrogate_stats.get("sel_pruned", 0)
-                + self.surrogate_stats.get("tune_pruned", 0)
-            )
-            lines.append(
-                f"  surrogate: {pruned} candidates pruned, "
-                f"{self.surrogate_stats.get('recorded', 0)} corpus rows "
-                f"recorded"
-            )
         return "\n".join(lines)
 
 
@@ -205,27 +186,6 @@ class PrimitiveOptimizer:
         cache_max_mb: Size cap in MiB for the disk tier
             (``--cache-max-mb``); stalest entries are evicted once the
             tier exceeds it.  None leaves it unbounded.
-        surrogate: Surrogate-guided sweep pruning (``--surrogate``):
-            rank selection candidates and truncate tuning sweeps with a
-            model trained on previously measured candidates, simulating
-            only the predicted top-k plus an exploration budget.  None
-            reads ``REPRO_SURROGATE``, else off.  Predictions decide
-            order and pruning only; all reported metrics come from real
-            simulation, and decisions are deterministic for a fixed
-            corpus across ``jobs``/``batch``/resume.
-        surrogate_topk: Predicted-best candidates kept per selection
-            sweep (``--surrogate-topk``).
-        explore: Exploration budget (``--explore``): extra seeded picks
-            per pruned selection sweep and extra points past a
-            truncated tuning sweep's predicted stop.
-        surrogate_corpus: Explicit corpus JSONL path
-            (``--surrogate-corpus``), overriding the
-            ``<cache-dir>/corpus.jsonl`` default; pass a dedicated path
-            to decouple surrogate training from evaluation caching.
-        quality_abs: Absolute cost allowance added to the per-bin
-            quality threshold in
-            :func:`~repro.core.selection.select_best_per_bin` (default
-            keeps the historical ``5.0``).
     """
 
     def __init__(
@@ -242,11 +202,6 @@ class PrimitiveOptimizer:
         cache: "bool | EvalCache" = True,
         cache_dir: str | os.PathLike | None = None,
         cache_max_mb: float | None = None,
-        surrogate: bool | None = None,
-        surrogate_topk: int = DEFAULT_TOP_K,
-        explore: int = DEFAULT_EXPLORE,
-        surrogate_corpus: str | os.PathLike | None = None,
-        quality_abs: float = 5.0,
     ):
         self.n_bins = n_bins
         self.max_wires = max_wires
@@ -257,7 +212,6 @@ class PrimitiveOptimizer:
         self.erc = erc
         self.jobs = jobs
         self.batch = batch
-        self.quality_abs = quality_abs
         if isinstance(cache, EvalCache):
             self.cache: EvalCache | None = cache
         elif cache:
@@ -276,19 +230,6 @@ class PrimitiveOptimizer:
             self.cache = EvalCache(disk_dir=disk, max_disk_bytes=max_bytes)
         else:
             self.cache = None
-        self.guide: SurrogateGuide | None = None
-        if resolve_surrogate(surrogate):
-            corpus = surrogate_corpus
-            if corpus is None and self.cache is not None:
-                if self.cache.disk_dir is not None:
-                    corpus = self.cache.disk_dir / "corpus.jsonl"
-            if corpus is None and self.run_dir is not None:
-                corpus = Path(self.run_dir) / "corpus.jsonl"
-            self.guide = SurrogateGuide(
-                corpus_path=corpus,
-                top_k=surrogate_topk,
-                explore=explore,
-            )
 
     def _runtime_for(self, primitive) -> EvalRuntime:
         journal = None
@@ -331,11 +272,6 @@ class PrimitiveOptimizer:
                 primitive, runtime, variants, patterns, routes, tune
             )
         finally:
-            if self.guide is not None:
-                # Run-boundary corpus flush (never from signal
-                # handlers): a killed run leaves the corpus untouched,
-                # so a resumed run trains on what the original saw.
-                self.guide.flush()
             if owns_runtime and runtime.journal is not None:
                 runtime.journal.close()
 
@@ -370,13 +306,9 @@ class PrimitiveOptimizer:
             patterns=patterns,
             weight_override=self.weight_override,
             runtime=runtime,
-            guide=self.guide,
-            n_bins=self.n_bins,
         )
         selection_sims = sum(o.simulations for o in report.options)
-        report.selected = select_best_per_bin(
-            report.options, self.n_bins, quality_abs=self.quality_abs
-        )
+        report.selected = select_best_per_bin(report.options, self.n_bins)
         report.stages.append(StageCount("selection", selection_sims))
 
         # Stage 2: primitive tuning.
@@ -389,7 +321,6 @@ class PrimitiveOptimizer:
                     max_wires=self.max_wires,
                     weight_override=self.weight_override,
                     runtime=runtime,
-                    guide=self.guide,
                 )
                 tuning_sims += result.simulations
                 report.tuned.append(result)
@@ -427,8 +358,6 @@ class PrimitiveOptimizer:
                 report.failures.mark_downgrade(runtime.cache.downgrade_reason)
         if runtime.solver_stats:
             report.solver_profile = runtime.solver_stats.as_dict()
-        if self.guide is not None:
-            report.surrogate_stats = self.guide.stats.as_dict()
         return report
 
     def _erc_gate(self, primitive) -> None:

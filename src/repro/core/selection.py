@@ -21,7 +21,6 @@ from repro.errors import LayoutError, OptimizationError
 from repro.geometry.layout import Layout
 from repro.runtime import BatchSpec, BatchTask, EvalRuntime
 from repro.runtime.evalcache import EvalCache, evaluate_circuit_cached
-from repro.surrogate import SelectionCandidate, SurrogateGuide, option_features
 
 
 @dataclass
@@ -222,65 +221,6 @@ def option_task(
     )
 
 
-def _plan_selection(
-    primitive,
-    tasks: list[BatchTask],
-    metas: list[tuple[MosGeometry, str]],
-    wires: WireConfig,
-    weight_override: dict[str, float] | None,
-    guide: SurrogateGuide,
-    family: str,
-    runtime: EvalRuntime,
-    n_bins: int,
-) -> list[int]:
-    """Surrogate pruning plan for a selection sweep: kept task indices.
-
-    Builds simulation-free feature vectors (one cheap layout generation
-    per candidate, no extraction/SPICE), bins candidates by aspect ratio
-    over the *full* sweep, and asks the guide which to keep.  Pruned
-    candidates are journaled as ``pruned`` before anything dispatches,
-    so a crash mid-sweep resumes to the identical plan.
-    """
-    journal = runtime.journal
-    candidates: list[SelectionCandidate] = []
-    aspects: dict[int, float] = {}
-    for index, (task, (base, pattern)) in enumerate(zip(tasks, metas)):
-        journaled = None
-        if journal is not None:
-            if journal.lookup(task.key) is not None:
-                journaled = "done"
-            elif journal.is_pruned(task.key):
-                journaled = "pruned"
-        try:
-            layout = primitive.generate(base, pattern, wires, verify=False)
-            features = option_features(
-                primitive, base, pattern, wires, layout=layout
-            )
-            aspects[index] = layout.aspect_ratio
-        except LayoutError:
-            features = None
-        candidates.append(
-            SelectionCandidate(
-                index=index,
-                key=task.key,
-                features=features,
-                journaled=journaled,
-            )
-        )
-    if aspects:
-        groups = bin_by_aspect_ratio(
-            sorted(aspects), n_bins, lambda i: aspects[i]
-        )
-        for bin_index, group in enumerate(groups):
-            for index in group:
-                candidates[index].bin_index = bin_index
-    keep, pruned = guide.prune_selection(family, candidates)
-    if journal is not None:
-        for index in sorted(pruned):
-            journal.record_pruned(tasks[index].key)
-    return sorted(keep)
-
-
 def evaluate_options(
     primitive,
     variants: list[MosGeometry] | None = None,
@@ -288,8 +228,6 @@ def evaluate_options(
     wires: WireConfig | None = None,
     weight_override: dict[str, float] | None = None,
     runtime: EvalRuntime | None = None,
-    guide: SurrogateGuide | None = None,
-    n_bins: int = 3,
 ) -> list[LayoutOption]:
     """Evaluate all requested (sizing x pattern) layout options.
 
@@ -302,21 +240,12 @@ def evaluate_options(
     deadline overruns) are absorbed by the ``runtime``: the failed option
     is dropped from the sweep and recorded on ``runtime.failures``.  The
     sweep raises only when *zero* options survive.
-
-    With a :class:`~repro.surrogate.SurrogateGuide` (``guide``), the
-    sweep is pruned to the predicted top-k plus the predicted-best of
-    each of the ``n_bins`` aspect bins plus an exploration draw; pruned
-    candidates are journaled as ``pruned`` and never simulated.  Every
-    surviving evaluation is recorded to the guide's corpus with its
-    *measured* cost.
     """
     runtime = runtime if runtime is not None else EvalRuntime()
     variants = variants if variants is not None else primitive.variants()
     options: list[LayoutOption] = []
     matched = list(primitive.matched_group())
     tasks: list[BatchTask] = []
-    metas: list[tuple[MosGeometry, str]] = []
-    sweep_wires = wires or WireConfig()
     for base in variants:
         if patterns is None:
             counts = {
@@ -328,35 +257,18 @@ def evaluate_options(
         else:
             todo = patterns
         for pattern in todo:
-            metas.append((base, pattern))
             tasks.append(
                 option_task(
                     "sel",
                     primitive,
                     base,
                     pattern,
-                    sweep_wires,
+                    wires or WireConfig(),
                     weight_override,
                     cache=runtime.cache,
                     absorb=(LayoutError,),
                 )
             )
-    family = None
-    if guide is not None:
-        family = guide.family(primitive, weight_override)
-        journal = runtime.journal
-        has_pruned = journal is not None and any(
-            journal.is_pruned(t.key) for t in tasks
-        )
-        if guide.ready(family, "sel") or has_pruned:
-            keep = _plan_selection(
-                primitive, tasks, metas, sweep_wires, weight_override,
-                guide, family, runtime, n_bins,
-            )
-            tasks = [tasks[i] for i in keep]
-            metas = [metas[i] for i in keep]
-        else:
-            guide.stats.fallback("corpus-too-small")
     batch = runtime.evaluate_batch(tasks, stage="selection")
     for index in range(len(tasks)):
         try:
@@ -365,20 +277,6 @@ def evaluate_options(
             continue
         if option is not None:
             options.append(option)
-            if guide is not None and family is not None:
-                guide.record(
-                    family,
-                    "sel",
-                    tasks[index].key,
-                    option_features(
-                        primitive,
-                        option.base,
-                        option.pattern,
-                        option.wires,
-                        layout=option.layout,
-                    ),
-                    option.cost,
-                )
     if not options:
         raise OptimizationError(
             f"{primitive.name}: no feasible layout options "
@@ -401,9 +299,9 @@ def select_best_per_bin(
     the ``quality_abs`` absolute allowance is dropped — the placer
     optimizes area and wirelength and must be free to pick any offered
     option without wrecking performance.  The global best always
-    survives.  Benchmarks tighten ``quality_abs`` to compare selection
-    strategies at a fixed quality bar; the default keeps the historical
-    allowance.
+    survives.  A caller comparing selection strategies at a fixed
+    quality bar can tighten ``quality_abs``; the default keeps the
+    historical allowance.
     """
     bins = bin_by_aspect_ratio(options, n_bins, lambda o: o.aspect_ratio)
     winners = [min(group, key=lambda o: o.cost) for group in bins]

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from repro.cellgen.generator import WireConfig
-from repro.core.selection import LayoutOption, option_key, option_task
-from repro.errors import LayoutError, OptimizationError
+from repro.core.selection import LayoutOption, option_task
+from repro.errors import OptimizationError
 from repro.runtime import EvalRuntime
-from repro.surrogate import SurrogateGuide, option_features
 
 #: Wire-range points dispatched per batch: the early-stop break usually
 #: fires within three points, so dispatching the whole range up front
@@ -143,75 +142,12 @@ def _with_counts(wires: WireConfig, terminals, counts) -> WireConfig:
     return updated
 
 
-def _sweep_prefix(
-    primitive,
-    option: LayoutOption,
-    wires: WireConfig,
-    group,
-    limit: int,
-    weight_override: dict[str, float] | None,
-    runtime: EvalRuntime,
-    guide: SurrogateGuide | None,
-) -> int:
-    """How many leading wire counts of a singleton sweep to evaluate.
-
-    Journal decisions win: a journaled pruned tail pins the prefix a
-    previous run chose (so resume repeats it even after the corpus
-    grew).  Otherwise the surrogate predicts the sweep's cost curve and
-    truncates at the predicted minimum plus the exploration margin; the
-    pruned tail is journaled as ``pruned`` before anything dispatches.
-    Without a usable model the full ``limit`` is kept.
-    """
-    if guide is None:
-        # Surrogate off: the full sweep runs even over a journal holding
-        # pruning decisions from an earlier surrogate run (pruned
-        # entries read as not-completed and are simply re-evaluated).
-        return limit
-    journal = runtime.journal
-    keys = [
-        option_key(
-            "tune", option.base, option.pattern,
-            _with_counts(wires, group, (count,)),
-        )
-        for count in range(1, limit + 1)
-    ]
-    if journal is not None:
-        pruned_counts = [
-            count
-            for count, key in zip(range(1, limit + 1), keys)
-            if journal.is_pruned(key)
-        ]
-        if pruned_counts:
-            return min(pruned_counts) - 1
-    family = guide.family(primitive, weight_override)
-    if not guide.ready(family, "tune"):
-        guide.stats.fallback("corpus-too-small")
-        return limit
-    features: list[list[float] | None] = []
-    for count in range(1, limit + 1):
-        candidate = _with_counts(wires, group, (count,))
-        try:
-            features.append(
-                option_features(
-                    primitive, option.base, option.pattern, candidate
-                )
-            )
-        except LayoutError:
-            features.append(None)
-    keep = guide.plan_prefix(family, features, limit)
-    if journal is not None:
-        for key in keys[keep:]:
-            journal.record_pruned(key)
-    return keep
-
-
 def tune_option(
     primitive,
     option: LayoutOption,
     max_wires: int = 8,
     weight_override: dict[str, float] | None = None,
     runtime: EvalRuntime | None = None,
-    guide: SurrogateGuide | None = None,
 ) -> TuningResult:
     """Tune one selected layout option (Algorithm 1, lines 8-15).
 
@@ -219,37 +155,12 @@ def tune_option(
     ``runtime.failures``) so they can never be chosen; a terminal whose
     sweep fails entirely keeps its untuned wire count, so tuning always
     returns a usable result for a selectable option.
-
-    With a :class:`~repro.surrogate.SurrogateGuide` (``guide``),
-    singleton terminal sweeps are truncated to a predicted prefix (see
-    :func:`_sweep_prefix`); every evaluated point is recorded to the
-    guide's corpus with its measured cost.
     """
     runtime = runtime if runtime is not None else EvalRuntime()
     sweeps: list[TerminalSweep] = []
     simulations = 0
     wires = option.wires
     best_option = option
-    family = (
-        guide.family(primitive, weight_override) if guide is not None else None
-    )
-
-    def record_point(key: str, candidate: LayoutOption) -> None:
-        if guide is None or family is None:
-            return
-        guide.record(
-            family,
-            "tune",
-            key,
-            option_features(
-                primitive,
-                candidate.base,
-                candidate.pattern,
-                candidate.wires,
-                layout=candidate.layout,
-            ),
-            candidate.cost,
-        )
 
     def sweep_batch(candidates: list[WireConfig]):
         tasks = [
@@ -276,11 +187,7 @@ def tune_option(
             terminal = group[0]
             sweep = TerminalSweep(terminal=terminal.name)
             options_at = {}
-            prefix = _sweep_prefix(
-                primitive, option, wires, group, limit,
-                weight_override, runtime, guide,
-            )
-            counts = list(range(1, prefix + 1))
+            counts = list(range(1, limit + 1))
             # The range dispatches in chunks of TUNE_CHUNK: the
             # early-stop break below usually fires within three points,
             # and chunking keeps eager runtimes (``--batch``, worker
@@ -305,13 +212,6 @@ def tune_option(
                         SweepPoint(count, candidate.cost, candidate.values)
                     )
                     options_at[count] = candidate
-                    record_point(
-                        option_key(
-                            "tune", option.base, option.pattern,
-                            candidate.wires,
-                        ),
-                        candidate,
-                    )
                     if len(sweep.points) >= 3 and (
                         sweep.points[-1].cost > sweep.points[-2].cost
                         and sweep.points[-2].cost > sweep.points[-3].cost
@@ -351,12 +251,6 @@ def tune_option(
                 simulations += candidate.simulations
                 sweep.points.append(
                     SweepPoint(sum(counts), candidate.cost, candidate.values)
-                )
-                record_point(
-                    option_key(
-                        "tune", option.base, option.pattern, candidate.wires
-                    ),
-                    candidate,
                 )
                 if candidate.cost < best_cost:
                     best_cost = candidate.cost

@@ -103,10 +103,6 @@ class FlowResult:
             bias calibration and the final top-level measurement (see
             :meth:`repro.spice.kernel.SolverStats.as_dict`).  Profiling
             only; excluded from determinism fingerprints.
-        surrogate_stats: Surrogate-guide counters accumulated across
-            every primitive optimization of the run (see
-            :meth:`repro.surrogate.SurrogateStats.as_dict`); empty when
-            the surrogate is off.
     """
 
     circuit_name: str
@@ -124,7 +120,6 @@ class FlowResult:
     wall_time: float = 0.0
     modeled_runtime: float = 0.0
     solver_profile: dict = field(default_factory=dict)
-    surrogate_stats: dict = field(default_factory=dict)
 
 
 class HierarchicalFlow:
@@ -167,16 +162,6 @@ class HierarchicalFlow:
             share between concurrent flows.
         cache_max_mb: Size cap in MiB for the disk tier
             (``--cache-max-mb``); None leaves it unbounded.
-        surrogate: Surrogate-guided sweep pruning across every
-            primitive optimization of the run (``--surrogate``); None
-            reads ``REPRO_SURROGATE``, else off.  See
-            :class:`~repro.core.PrimitiveOptimizer`.
-        surrogate_topk: Predicted-best candidates kept per selection
-            sweep (``--surrogate-topk``).
-        explore: Exploration budget per pruned sweep (``--explore``).
-        surrogate_corpus: Explicit corpus JSONL path
-            (``--surrogate-corpus``); defaults next to the evalcache
-            disk tier.
     """
 
     def __init__(
@@ -197,10 +182,6 @@ class HierarchicalFlow:
         cache: bool = True,
         cache_dir: str | None = None,
         cache_max_mb: float | None = None,
-        surrogate: bool | None = None,
-        surrogate_topk: int | None = None,
-        explore: int | None = None,
-        surrogate_corpus: str | None = None,
     ):
         self.tech = tech
         self.n_bins = n_bins
@@ -215,10 +196,6 @@ class HierarchicalFlow:
         self.waivers = waivers
         self.jobs = jobs
         self.batch = batch
-        self.surrogate = surrogate
-        self.surrogate_topk = surrogate_topk
-        self.explore = explore
-        self.surrogate_corpus = surrogate_corpus
         if cache:
             disk = (
                 Path(cache_dir)
@@ -324,8 +301,6 @@ class HierarchicalFlow:
     def _optimize_primitives(
         self, result: FlowResult, unique: dict[str, object], exhaustive: bool
     ) -> None:
-        from repro.surrogate.guide import DEFAULT_EXPLORE, DEFAULT_TOP_K
-
         optimizer = PrimitiveOptimizer(
             n_bins=1 if exhaustive else self.n_bins,
             max_wires=self.max_wires + (2 if exhaustive else 0),
@@ -335,23 +310,11 @@ class HierarchicalFlow:
             jobs=self.jobs,
             batch=self.batch,
             cache=self.cache if self.cache is not None else False,
-            surrogate=self.surrogate,
-            surrogate_topk=(
-                self.surrogate_topk
-                if self.surrogate_topk is not None
-                else DEFAULT_TOP_K
-            ),
-            explore=(
-                self.explore if self.explore is not None else DEFAULT_EXPLORE
-            ),
-            surrogate_corpus=self.surrogate_corpus,
         )
         for name, primitive in unique.items():
             report = optimizer.optimize(primitive)
             result.reports[name] = report
             result.failures.extend(report.failures)
-        if optimizer.guide is not None:
-            result.surrogate_stats = optimizer.guide.stats.as_dict()
 
     def _assign_choices(
         self, result: FlowResult, bindings, exhaustive: bool

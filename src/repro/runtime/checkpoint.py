@@ -15,13 +15,6 @@ keys without re-simulating and re-records journaled failures into the
 live :class:`~repro.runtime.failures.FailureLog` so resumed reports
 account for every failure of the whole logical run.
 
-A third status, ``"pruned"``, records candidates the surrogate guide
-(:mod:`repro.surrogate`) skipped without simulating.  Pruned entries are
-decisions, not results: :meth:`SweepJournal.lookup` reports them as
-not-completed (so a surrogate-off rerun evaluates them normally) and
-:meth:`SweepJournal.is_pruned` answers them separately so a resumed
-surrogate run repeats the pruning without re-consulting the model.
-
 A crash mid-append leaves a *torn tail*: a final line that is not valid
 JSON.  Resume **truncates** the torn tail (recording how many bytes were
 cut on :attr:`SweepJournal.truncated_tail`) before reopening the file
@@ -44,6 +37,10 @@ from repro.runtime.failures import EvalFailure
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
+#: Status of lines older journals wrote for candidates a since-removed
+#: learned sweep pruner skipped without simulating.  They carry no
+#: result, so replay drops them: the key reads as not-completed and a
+#: resumed run evaluates it.
 STATUS_PRUNED = "pruned"
 
 
@@ -106,7 +103,8 @@ class SweepJournal:
                 raise CheckpointError(
                     f"{self.path}:{i + 1}: unknown status {status!r}"
                 )
-            self._entries[key] = entry
+            if status != STATUS_PRUNED:
+                self._entries[key] = entry
             offset = end
             good_end = end
         if self.truncated_tail:
@@ -122,22 +120,8 @@ class SweepJournal:
         return key in self._entries
 
     def lookup(self, key: str) -> dict | None:
-        """The journal entry for ``key``, or None if not completed.
-
-        Pruned entries are *not* completed evaluations — they carry no
-        payload and no failures — so they are reported as None here and
-        answered through :meth:`is_pruned` instead.  A later run with
-        the surrogate disabled therefore evaluates them normally.
-        """
-        entry = self._entries.get(key)
-        if entry is not None and entry["status"] == STATUS_PRUNED:
-            return None
-        return entry
-
-    def is_pruned(self, key: str) -> bool:
-        """True when ``key`` was journaled as surrogate-pruned."""
-        entry = self._entries.get(key)
-        return entry is not None and entry["status"] == STATUS_PRUNED
+        """The journal entry for ``key``, or None if not completed."""
+        return self._entries.get(key)
 
     def journaled_failures(self, key: str) -> list[EvalFailure]:
         """Failures journaled for ``key`` (empty for successes)."""
@@ -177,18 +161,6 @@ class SweepJournal:
                 "failures": [f.to_dict() for f in failures],
             }
         )
-
-    def record_pruned(self, key: str) -> None:
-        """Journal a candidate the surrogate pruned without simulating.
-
-        Pruned entries carry no payload: they record only the *decision*
-        so a resumed run repeats it without re-consulting the model.
-        Idempotent — re-recording an already-pruned key is a no-op, and a
-        key with a completed (``ok``/``failed``) entry is never
-        downgraded to pruned.
-        """
-        if key not in self._entries:
-            self._append({"key": key, "status": STATUS_PRUNED})
 
     def flush(self) -> None:
         """Force buffered appends to disk (signal-handler durability hook).

@@ -133,3 +133,62 @@ def test_last_entry_wins(tmp_path):
         journal.record_success("k", {"cost": 3.0})
     with SweepJournal(path, resume=True) as journal:
         assert journal.lookup("k")["status"] == "ok"
+
+
+def test_pruned_lines_read_as_not_completed(tmp_path):
+    # Journals written by an older learned sweep pruner hold payload-free
+    # "pruned" lines.  Replay drops them; unknown statuses still raise
+    # (see test_unknown_status_raises).
+    path = tmp_path / "sweep.jsonl"
+    lines = [
+        {"key": "a", "status": "ok", "payload": {"cost": 1.0}},
+        {"key": "b", "status": "pruned"},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with SweepJournal(path, resume=True) as journal:
+        assert len(journal) == 1
+        assert "b" not in journal
+        assert journal.lookup("b") is None
+        assert journal.journaled_failures("b") == []
+        journal.record_success("b", {"cost": 2.0})
+    with SweepJournal(path, resume=True) as journal:
+        assert journal.lookup("b")["payload"] == {"cost": 2.0}
+
+
+def test_journal_with_pruned_lines_resumes_to_the_clean_result(tmp_path):
+    from repro import PrimitiveOptimizer, Technology
+    from repro.primitives import DifferentialPair
+
+    def optimize(run_dir, resume=False):
+        primitive = DifferentialPair(
+            Technology.default(), base_fins=8, name="pr_dp"
+        )
+        optimizer = PrimitiveOptimizer(
+            n_bins=2, max_wires=3, run_dir=run_dir, resume=resume,
+            jobs=1, batch=1, cache=False,
+        )
+        return optimizer.optimize(primitive)
+
+    clean = optimize(tmp_path / "clean")
+    journal = tmp_path / "clean" / "pr_dp.jsonl"
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    # Rewrite every other selection and tuning result as an old-style
+    # "pruned" decision, as a pruning run would have left them.
+    for index, entry in enumerate(entries):
+        if entry["key"].startswith(("sel:", "tune:")) and index % 2:
+            entries[index] = {"key": entry["key"], "status": "pruned"}
+    pruned = [e["key"] for e in entries if e["status"] == "pruned"]
+    assert pruned
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "pr_dp.jsonl").write_text(
+        "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
+    )
+
+    resumed = optimize(old, resume=True)
+    assert resumed.best.describe() == clean.best.describe()
+    assert resumed.best.cost == clean.best.cost
+    assert resumed.cached_evaluations == len(entries) - len(pruned)
+    # The pruned keys were re-evaluated and journaled as results.
+    with SweepJournal(old / "pr_dp.jsonl", resume=True) as replayed:
+        assert all(replayed.lookup(key)["status"] == "ok" for key in pruned)

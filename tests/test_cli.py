@@ -47,3 +47,38 @@ def test_parser_requires_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args([])
+
+
+def test_cache_stats_counts_only_evalcache_entries(tmp_path, capsys):
+    import json
+
+    from repro.runtime import EvalCache
+
+    entry = {"gm": 1.0e-3, "gain_db": 20.0}
+    cache = EvalCache(disk_dir=tmp_path)
+    cache.put("a" * 16, entry, 1)
+    size = (tmp_path / f"{'a' * 16}.json").stat().st_size
+    # A leftover corpus file larger than the whole size cap: the disk
+    # tier globs *.json, so it is neither counted nor evicted.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"family": "x", "cost": 1.0}\n' * 64)
+    capped = EvalCache(disk_dir=tmp_path, max_disk_bytes=size + size // 2)
+    capped.put("b" * 16, entry, 1)
+    assert capped.stats.disk_evicted == 1
+    assert corpus.is_file()
+
+    argv = ["cache", "stats", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first) == {
+        "entries": 1,
+        "bytes": size,
+        "dir": str(tmp_path),
+    }
+
+
+def test_cache_stats_requires_cache_dir():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["cache", "stats"])

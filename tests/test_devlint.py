@@ -265,58 +265,3 @@ def test_batch_loop_solve_suppressible():
         """
     )
     assert findings == []
-
-
-def test_surrogate_prediction_into_journal_is_flagged():
-    findings = _lint(
-        """
-        def persist(journal, key, predicted_cost):
-            journal.record_success(key, {"cost": predicted_cost})
-        """
-    )
-    assert [f.code for f in findings] == ["DEV-SURROGATE-LEAK"]
-    assert "measured simulation results" in findings[0].message
-
-
-def test_surrogate_prediction_into_cache_put_is_flagged():
-    findings = _lint(
-        """
-        def store(cache, key, guide, rows):
-            cache.put(key, guide.predict(rows), 0)
-        """
-    )
-    assert [f.code for f in findings] == ["DEV-SURROGATE-LEAK"]
-
-
-def test_surrogate_prediction_bound_to_cost_keyword_is_flagged():
-    findings = _lint(
-        """
-        def report(point_cls, count, surrogate_estimate):
-            return point_cls(count, cost=surrogate_estimate, values={})
-        """
-    )
-    assert [f.code for f in findings] == ["DEV-SURROGATE-LEAK"]
-
-
-def test_surrogate_pruning_and_measured_values_are_fine():
-    findings = _lint(
-        """
-        def plan(journal, cache, key, candidate, predicted_rank):
-            if predicted_rank > 4:
-                journal.record_pruned(key)
-            else:
-                journal.record_success(key, {"cost": candidate.cost})
-                cache.put(key, candidate.values, candidate.simulations)
-        """
-    )
-    assert findings == []
-
-
-def test_surrogate_leak_suppressible():
-    findings = _lint(
-        """
-        def debug_dump(journal, key, predicted):
-            journal.record_success(key, {"cost": predicted})  # devlint: ok
-        """
-    )
-    assert findings == []

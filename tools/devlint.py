@@ -4,10 +4,9 @@
 The repository promises byte-deterministic artifacts: journals resume,
 evaluation caches hash their keys, and `repro verify/ingest --format
 json` output must be identical across runs and ``--jobs`` values.
-Five source-level hazards quietly break that promise — or, for the
-last two, the performance and measurement contracts next to it — and
-this tool flags them with a small AST walk (stdlib only, no
-third-party deps):
+Four source-level hazards quietly break that promise — or, for the
+last one, the performance contract next to it — and this tool flags
+them with a small AST walk (stdlib only, no third-party deps):
 
 * ``DEV-RANDOM`` — a call to the *module-level* :mod:`random` API
   (``random.random()``, ``random.shuffle()``, a bare ``shuffle()``
@@ -33,15 +32,6 @@ third-party deps):
   solves is exactly what the stacked ``(K, N, N)`` fast path exists to
   replace; stack the systems into one call, or mask the members, and
   route deliberate serial fallbacks through the member's thunk.
-* ``DEV-SURROGATE-LEAK`` — a surrogate prediction flowing into a
-  journaled, cached or reported value: an argument mentioning
-  ``predict``/``surrogate`` identifiers passed to a journal/cache write
-  (``record_success``, ``record_failure``, ``put``) or bound to a
-  result-bearing keyword (``values=``, ``cost=``, ``payload=``,
-  ``metrics=``) of any call.  The surrogate contract is that
-  predictions decide *order and pruning only* — every journaled
-  payload, cache value and reported metric must come from real
-  simulation.
 
 A finding can be suppressed for one line with a trailing
 ``# devlint: ok`` comment (reviewed, understood, deliberate).
@@ -59,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,27 +76,7 @@ CLOCK_SCOPES = ("cache", "journal", "checkpoint")
 #: the DEV-BATCH-SOLVE scope.
 BATCH_SCOPES = ("batch",)
 
-#: Journal/cache write methods that must never receive surrogate
-#: predictions as data.
-SURROGATE_SINKS = frozenset({"record_success", "record_failure", "put"})
-
-#: Result-bearing keyword arguments that must carry measured values.
-SURROGATE_VALUE_KEYWORDS = frozenset({"values", "cost", "payload", "metrics"})
-
-#: Identifier fragments marking a value as surrogate-derived.
-SURROGATE_TAINT = re.compile(r"predict|surrogate", re.IGNORECASE)
-
 SUPPRESS_MARK = "devlint: ok"
-
-
-def _mentions_surrogate(node: ast.expr) -> bool:
-    """True when any identifier in the expression looks surrogate-derived."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and SURROGATE_TAINT.search(sub.id):
-            return True
-        if isinstance(sub, ast.Attribute) and SURROGATE_TAINT.search(sub.attr):
-            return True
-    return False
 
 
 @dataclass(frozen=True, order=True)
@@ -271,34 +240,7 @@ class _Checker(ast.NodeVisitor):
                 "the members, and route deliberate serial fallbacks "
                 "through the member's thunk",
             )
-        self._check_surrogate_leak(node, func)
         self.generic_visit(node)
-
-    def _check_surrogate_leak(self, node: ast.Call, func: ast.expr) -> None:
-        """Flag surrogate-derived values handed to a result sink."""
-        tainted_sink = (
-            isinstance(func, ast.Attribute)
-            and func.attr in SURROGATE_SINKS
-            and (
-                any(_mentions_surrogate(arg) for arg in node.args)
-                or any(
-                    _mentions_surrogate(kw.value) for kw in node.keywords
-                )
-            )
-        )
-        tainted_keyword = any(
-            kw.arg in SURROGATE_VALUE_KEYWORDS
-            and _mentions_surrogate(kw.value)
-            for kw in node.keywords
-        )
-        if tainted_sink or tainted_keyword:
-            self._flag(
-                node, "DEV-SURROGATE-LEAK",
-                "surrogate prediction flows into a journaled/cached/"
-                "reported value; predictions may only order and prune "
-                "sweeps — journals, caches and metrics must carry "
-                "measured simulation results",
-            )
 
     # -- set iteration -------------------------------------------------
 
