@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test faults chaos bench bench-eval bench-spice bench-light bench-heavy examples lint devlint verify erc ingest all
+.PHONY: install test faults chaos bench bench-eval bench-spice bench-flow bench-light bench-heavy examples lint devlint verify erc ingest all
 
 install:
 	pip install -e . --no-build-isolation
@@ -90,6 +90,15 @@ BENCH_SPICE_FLAGS ?=
 
 bench-spice:
 	python benchmarks/bench_spice.py --out $(BENCH_SPICE_OUT) $(BENCH_SPICE_FLAGS)
+
+# Flow benchmark smoke: tiny versions of the four flowbench workloads
+# (library sweep, csamp/OTA/StrongARM flows, VCO flow, warm library),
+# end to end.  Fails on any correctness check; the record is written to
+# $(BENCH_FLOW_OUT) for CI to upload.
+BENCH_FLOW_OUT ?= out/BENCH_flow.json
+
+bench-flow:
+	python3 -m benchmarks.flowbench --smoke --out $(BENCH_FLOW_OUT)
 
 bench: bench-eval bench-spice
 	pytest benchmarks/ --benchmark-only -s

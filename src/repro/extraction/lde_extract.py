@@ -24,6 +24,7 @@ from __future__ import annotations
 from repro.devices.lde import LdeContext
 from repro.errors import ExtractionError
 from repro.geometry.layout import DevicePlacement, Layout
+from repro.geometry.shapes import Rect
 from repro.tech.finfet import MosModelCard
 from repro.tech.pdk import Technology
 
@@ -56,8 +57,14 @@ def extract_lde(
     device: str,
     card: MosModelCard,
     tech: Technology,
+    *,
+    bbox: Rect | None = None,
 ) -> LdeContext:
-    """Extract the combined LDE context for one schematic device."""
+    """Extract the combined LDE context for one schematic device.
+
+    ``bbox`` is ``layout.bbox()``; callers extracting several devices of
+    one layout compute it once and pass it in.
+    """
     placements = [p for p in layout.devices if p.device == device]
     if not placements:
         raise ExtractionError(
@@ -76,7 +83,8 @@ def extract_lde(
 
     # Systematic across-die gradient at the unit centroid, relative to the
     # cell centre so that symmetric patterns cancel exactly.
-    bbox = layout.bbox()
+    if bbox is None:
+        bbox = layout.bbox()
     cx = sum(p.rect.center.x for p in placements) / len(placements)
     cy = sum(p.rect.center.y for p in placements) / len(placements)
     vth_gradient = tech.vth_gradient_x * (cx - bbox.center.x) + tech.vth_gradient_y * (

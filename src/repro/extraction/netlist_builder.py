@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.cellgen.generator import CellSpec
 from repro.devices.lde import LdeContext
 from repro.extraction.lde_extract import extract_lde, junction_capacitances
-from repro.extraction.rc import NetParasitics, extract_net_parasitics
+from repro.extraction.rc import NetParasitics, extract_all_nets
 from repro.geometry.layout import Layout
 from repro.spice.netlist import Circuit, is_ground
 from repro.tech.pdk import Technology
@@ -124,13 +124,18 @@ def extract_primitive(
     layout: Layout, spec: CellSpec, tech: Technology
 ) -> ExtractedPrimitive:
     """Run full extraction (RC + LDE + junctions) on a primitive layout."""
-    extracted = ExtractedPrimitive(layout=layout, spec=spec, tech=tech)
-    for net in layout.nets():
-        if layout.wires_on_net(net):
-            extracted.net_parasitics[net] = extract_net_parasitics(layout, net, tech)
+    extracted = ExtractedPrimitive(
+        layout=layout,
+        spec=spec,
+        tech=tech,
+        net_parasitics=extract_all_nets(layout, tech),
+    )
+    bbox = layout.bbox()
     for dev in spec.devices:
         card = tech.card(dev.polarity)
-        extracted.device_lde[dev.name] = extract_lde(layout, dev.name, card, tech)
+        extracted.device_lde[dev.name] = extract_lde(
+            layout, dev.name, card, tech, bbox=bbox
+        )
         extracted.device_junctions[dev.name] = junction_capacitances(
             layout, dev.name, card
         )

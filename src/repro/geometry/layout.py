@@ -122,18 +122,35 @@ class Layout:
     def bbox(self) -> Rect:
         """Bounding box over all shapes, including via positions.
 
-        Vias are points, so each contributes a degenerate rectangle; a
-        via placed at the cell edge therefore cannot sit outside the
-        reported bounding box even if no wire reaches it.
+        Vias are points, so each widens the box to its position; a via
+        placed at the cell edge therefore cannot sit outside the reported
+        bounding box even if no wire reaches it.
+
+        Recomputed on every call: cell generation appends shapes to a
+        layout after creating it, so a cached box would go stale.
         """
         rects = [d.rect for d in self.devices]
         rects += [w.rect for w in self.wires]
         rects += [p.rect for p in self.ports]
-        rects += [Rect(v.position.x, v.position.y, v.position.x, v.position.y)
-                  for v in self.vias]
-        if not rects:
+        if not rects and not self.vias:
             raise LayoutError(f"layout {self.name!r} is empty")
-        return bounding_box(rects)
+        if rects:
+            box = bounding_box(rects)
+            x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
+        else:
+            first = self.vias[0].position
+            x0, y0, x1, y1 = first.x, first.y, first.x, first.y
+        for via in self.vias:
+            x, y = via.position.x, via.position.y
+            if x < x0:
+                x0 = x
+            elif x > x1:
+                x1 = x
+            if y < y0:
+                y0 = y
+            elif y > y1:
+                y1 = y
+        return Rect(x0, y0, x1, y1)
 
     @property
     def width(self) -> int:

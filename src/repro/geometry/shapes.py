@@ -110,11 +110,23 @@ class Rect:
 
 
 def bounding_box(rects: Iterable[Rect]) -> Rect:
-    """Bounding box of a non-empty collection of rectangles."""
-    rects = list(rects)
-    if not rects:
+    """Bounding box of a non-empty collection of rectangles.
+
+    One min/max pass over the corner coordinates; no intermediate
+    rectangles are built.
+    """
+    it = iter(rects)
+    first = next(it, None)
+    if first is None:
         raise LayoutError("bounding box of an empty collection")
-    box = rects[0]
-    for rect in rects[1:]:
-        box = box.union(rect)
-    return box
+    x0, y0, x1, y1 = first.x0, first.y0, first.x1, first.y1
+    for r in it:
+        if r.x0 < x0:
+            x0 = r.x0
+        if r.y0 < y0:
+            y0 = r.y0
+        if r.x1 > x1:
+            x1 = r.x1
+        if r.y1 > y1:
+            y1 = r.y1
+    return Rect(x0, y0, x1, y1)

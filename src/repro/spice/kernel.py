@@ -14,9 +14,13 @@ pieces the analyses build on:
   part is accumulated a single time; each Newton iteration or time step
   only writes device values into a preallocated array.  The sparse
   backend additionally reuses the symbolic CSC pattern (index/indptr
-  arrays and the triplet→slot scatter map) across every solve, and both
-  backends can return a reusable :class:`Factorization` for systems
-  whose matrix is iteration-invariant (linear networks at fixed ``dt``).
+  arrays and the triplet→slot scatter map) across every solve, and
+  SuperLU's fill-reducing column order: the first successful
+  factorization records ``perm_c`` and every later one factors the
+  matrix relabelled into that order with ``permc_spec="NATURAL"``,
+  bitwise identical to re-running COLAMD.  Both backends can return a
+  reusable :class:`Factorization` for systems whose matrix is
+  iteration-invariant (linear networks at fixed ``dt``).
 * **:class:`SolverStats`** — lightweight per-analysis profiling counters
   (stamp/factor/solve/device-eval time, Newton iterations, transient
   steps versus the fixed-step baseline), collected through a context
@@ -378,7 +382,8 @@ class SystemTemplate:
     (symbolic reuse): per solve it copies the prefilled static data
     vector, scatters the dynamic values through a precomputed slot map,
     wraps the arrays in a ``csc_matrix`` without re-sorting, and calls
-    SuperLU.  The dense backend keeps a prefilled base matrix and
+    SuperLU, reusing the column order of the first factorization (see
+    :meth:`_splu`).  The dense backend keeps a prefilled base matrix and
     scatters dynamic values with ``np.add.at``.
     """
 
@@ -440,6 +445,73 @@ class SystemTemplate:
         if n_static:
             np.add.at(static_data, self._static_slots, s_vals)
         self._static_data = static_data
+        # SuperLU column order, recorded by the first successful
+        # factorization (see :meth:`_splu`); ``None`` until then.
+        self._perm_c: np.ndarray | None = None
+
+    def _record_order(self, perm_c: np.ndarray) -> None:
+        """Precompute the symmetrically permuted CSC pattern for ``perm_c``.
+
+        SuperLU's ``perm_c[j]`` is the position of unknown ``j`` in its
+        column order, so position ``k`` holds column ``order[k]`` with
+        ``order = argsort(perm_c)``.  Rows are relabelled the same way
+        (row ``r`` becomes ``perm_c[r]``) but keep their stored order
+        within each column; see :meth:`_splu` for why both matter.
+        """
+        order = np.argsort(perm_c)
+        starts = self._indptr[order]
+        counts = self._indptr[order + 1] - starts
+        self._perm_indptr = np.concatenate(([0], np.cumsum(counts))).astype(
+            np.int32
+        )
+        self._perm_gather = np.repeat(
+            starts - self._perm_indptr[:-1], counts
+        ) + np.arange(self._nnz)
+        self._perm_indices = perm_c[self._indices[self._perm_gather]].astype(
+            np.int32
+        )
+        self._perm_order = order
+        self._perm_c = perm_c
+
+    def _splu(self, data: np.ndarray):
+        """SuperLU-factor the assembled matrix; returns a solve function.
+
+        The column order (COLAMD plus SuperLU's elimination-tree
+        postorder) depends only on the sparsity pattern, so the first
+        successful factorization records it, and every later one hands
+        SuperLU the matrix already in that order with
+        ``permc_spec="NATURAL"``, skipping the ordering step.  To make
+        SuperLU repeat the fresh elimination bit for bit, two things of
+        the original run must survive the permutation:
+
+        * the entry it prefers on a pivot tie — the row whose label
+          equals the column's original index — which is why rows are
+          relabelled along with the columns;
+        * the order in which it visits each column's rows, which fixes
+          the order of its floating-point updates — which is why the
+          relabelled rows keep their stored order, and why the matrix is
+          flagged canonical so that ``splu`` does not re-sort them
+          (SuperLU itself does not need sorted row indices).
+
+        The right-hand side is gathered into the new labels and the
+        solution gathered back.
+
+        Raises:
+            RuntimeError: SuperLU's report of an exactly singular matrix.
+        """
+        if self._perm_c is None:
+            lu = scipy.sparse.linalg.splu(self._csc(data))
+            self._record_order(lu.perm_c)
+            return lu.solve
+        n = self.size
+        mat = scipy.sparse.csc_matrix(
+            (data[self._perm_gather], self._perm_indices, self._perm_indptr),
+            shape=(n, n),
+        )
+        mat.has_canonical_format = True
+        lu = scipy.sparse.linalg.splu(mat, permc_spec="NATURAL")
+        order, perm_c = self._perm_order, self._perm_c
+        return lambda rhs: lu.solve(rhs[order])[perm_c]
 
     # -- assembly -------------------------------------------------------
 
@@ -525,12 +597,12 @@ class SystemTemplate:
         try:
             if stats is not None:
                 t0 = _clock()
-            lu = scipy.sparse.linalg.splu(self._csc(data))
+            lu_solve = self._splu(data)
             if stats is not None:
                 t1 = _clock()
                 stats.factor_s += t1 - t0
                 stats.factorizations += 1
-            x = lu.solve(rhs)
+            x = lu_solve(rhs)
             if stats is not None:
                 stats.solve_s += _clock() - t1
                 stats.solves += 1
@@ -579,14 +651,14 @@ class SystemTemplate:
         if len(self._dyn_slots):
             np.add.at(data, self._dyn_slots, dyn_vals)
         try:
-            lu = scipy.sparse.linalg.splu(self._csc(data))
+            lu_solve = self._splu(data)
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
         if stats is not None:
             stats.factor_s += _clock() - t0
             stats.factorizations += 1
         return Factorization(
-            lambda rhs: lu.solve(np.asarray(rhs[: self.size], dtype=self.dtype)),
+            lambda rhs: lu_solve(np.asarray(rhs[: self.size], dtype=self.dtype)),
             SPARSE,
         )
 

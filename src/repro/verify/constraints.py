@@ -273,11 +273,12 @@ def _check_lde_matching(
 ) -> None:
     """CONST-MATCH-LDE: equivalent LDE environments for matched devices."""
     contexts = {}
+    bbox = layout.bbox()
     for name in spec.matched_group:
         dev = spec.device(name)
         try:
             card = tech.card(dev.polarity)
-            contexts[name] = extract_lde(layout, name, card, tech)
+            contexts[name] = extract_lde(layout, name, card, tech, bbox=bbox)
         except ExtractionError:
             # Missing placements / wells are CONST-MATCH-SIZE or DRC
             # territory; LDE equivalence is undefined for them.

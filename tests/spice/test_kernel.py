@@ -200,6 +200,140 @@ def test_factorization_rejects_nonfinite_solutions():
         factorization.solve(np.array([1.0, 2.0]))
 
 
+# -- reused SuperLU column order -------------------------------------------
+
+
+def _mna_chain(n=160, seed=0, dtype=float, scale=1.0):
+    """A ``n``-unknown MNA-like system above the sparse crossover.
+
+    A resistor chain over all nodes but the last, two voltage-source
+    branch rows (structurally zero diagonal), grounded dynamic
+    conductances on every chain node, dynamic transconductances,
+    ghost-index stamps, and a last node reachable only through one
+    dynamic conductance.  That leaf's column holds ``g`` and ``-g``, an
+    exact pivot tie, and all-zero dynamic values leave it floating, i.e.
+    singular.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = n - 2
+    a = np.arange(nodes - 2)
+    g = scale * rng.uniform(0.5, 2.0, len(a))
+    rows = [a, a + 1, a, a + 1]
+    cols = [a, a + 1, a + 1, a]
+    vals = [g, g, -g, -g]
+    for k, node in enumerate((0, nodes // 2)):
+        branch = nodes + k
+        rows.append(np.array([node, branch]))
+        cols.append(np.array([branch, node]))
+        vals.append(np.ones(2))
+    static_vals = np.concatenate(vals).astype(dtype)
+    if dtype is complex:
+        static_vals[: 2 * len(a)] += 1j * scale * rng.uniform(0.1, 1.0, 2 * len(a))
+    static = (np.concatenate(rows), np.concatenate(cols), static_vals)
+    idx = np.arange(nodes - 1)
+    last, prev = nodes - 1, nodes - 2
+    dyn_rows = np.concatenate(
+        [idx, (idx + 5) % nodes, [n, 3], [last, prev, last, prev]]
+    )
+    dyn_cols = np.concatenate(
+        [idx, (idx + 11) % nodes, [3, n], [last, prev, prev, last]]
+    )
+    return n, static, dyn_rows, dyn_cols
+
+
+def _chain_values(dyn_rows, seed, dtype=float):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(1e-3, 1.0, len(dyn_rows)).astype(dtype)
+    g = vals[-4]  # the last node's conductance: a two-terminal stamp
+    vals[-4:] = [g, g, -g, -g]
+    if dtype is complex:
+        vals += 1j * rng.uniform(0.0, 0.5, len(dyn_rows))
+    return vals
+
+
+def _sparse(n, static, dyn_rows, dyn_cols, dtype=float):
+    return SystemTemplate(
+        n, static, dyn_rows, dyn_cols, dtype=dtype, backend=kernel.SPARSE
+    )
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_reused_column_order_solves_bitwise_like_fresh_splu(dtype):
+    n, static, dyn_rows, dyn_cols = _mna_chain(dtype=dtype)
+    rhs = np.random.default_rng(1).normal(size=n).astype(dtype)
+    warm = _sparse(n, static, dyn_rows, dyn_cols, dtype)
+    warm.solve(_chain_values(dyn_rows, 99, dtype), rhs)
+    assert warm._perm_c is not None
+    assert not np.array_equal(warm._perm_c, np.arange(n))
+    for seed in range(4):
+        vals = _chain_values(dyn_rows, seed, dtype)
+        x, tag = warm.solve(vals, rhs)
+        # A new template's first solve is a plain COLAMD splu.
+        ref, ref_tag = _sparse(n, static, dyn_rows, dyn_cols, dtype).solve(
+            vals, rhs
+        )
+        assert tag is None and ref_tag is None
+        assert np.array_equal(x, ref)
+
+
+def test_recorded_column_order_is_value_independent():
+    n, static, dyn_rows, dyn_cols = _mna_chain()
+    rhs = np.ones(n)
+    orders = []
+    for seed in (0, 7, 21):
+        template = _sparse(n, static, dyn_rows, dyn_cols)
+        template.solve(_chain_values(dyn_rows, seed), rhs)
+        orders.append(template._perm_c)
+    assert all(np.array_equal(orders[0], order) for order in orders[1:])
+
+
+def test_singular_first_factorization_records_no_order():
+    n, static, dyn_rows, dyn_cols = _mna_chain()
+    rhs = np.ones(n)
+    template = _sparse(n, static, dyn_rows, dyn_cols)
+    x, tag = template.solve(np.zeros(len(dyn_rows)), rhs)
+    assert tag == kernel.RECOVERY_TIKHONOV
+    assert np.all(np.isfinite(x))
+    assert template._perm_c is None
+    _, tag = template.solve(_chain_values(dyn_rows, 3), rhs)
+    assert tag is None
+    assert template._perm_c is not None
+    vals = _chain_values(dyn_rows, 4)
+    x, tag = template.solve(vals, rhs)
+    ref, _ = _sparse(n, static, dyn_rows, dyn_cols).solve(vals, rhs)
+    assert tag is None
+    assert np.array_equal(x, ref)
+    # A singular matrix on the reused order still takes the rescue.
+    _, tag = template.solve(np.zeros(len(dyn_rows)), rhs)
+    assert tag == kernel.RECOVERY_TIKHONOV
+
+
+def test_reused_order_factor_and_batched_match_serial():
+    n, static, dyn_rows, dyn_cols = _mna_chain()
+    rhs = np.random.default_rng(2).normal(size=n)
+    template = _sparse(n, static, dyn_rows, dyn_cols)
+    template.factor(_chain_values(dyn_rows, 50))  # records the order
+    assert template._perm_c is not None
+    vals = _chain_values(dyn_rows, 5)
+    ref, _ = _sparse(n, static, dyn_rows, dyn_cols).solve(vals, rhs)
+    factorization = template.factor(vals)
+    for _ in range(2):
+        assert np.array_equal(factorization.solve(rhs), ref)
+
+    systems = [_mna_chain(scale=s) for s in (1.0, 1.5, 3.0)]
+    members = [_sparse(*system) for system in systems]
+    batch = kernel.BatchedSystemTemplate(members)
+    dyn = np.stack([_chain_values(dyn_rows, 10 + k) for k in range(3)])
+    rhs_k = np.stack([rhs, 2.0 * rhs, -rhs])
+    for _ in range(2):  # first pass records each member's order
+        x, recoveries, errors = batch.solve(dyn, rhs_k)
+        assert recoveries == [None] * 3 and errors == [None] * 3
+        for k, system in enumerate(systems):
+            serial, _ = _sparse(*system).solve(dyn[k], rhs_k[k])
+            assert np.array_equal(x[k], serial)
+    assert all(member._perm_c is not None for member in members)
+
+
 # -- profiling stats -----------------------------------------------------
 
 
