@@ -14,9 +14,9 @@ ring-oscillator VCO) under three solver/stepper configurations --
 
 -- and writes wall-clock, solver counters (steps, rejections, LU reuses)
 and measured metrics to ``BENCH_spice.json``.  It also times the 5T-OTA
-primitive-selection sweep serial vs ``--batch 8`` (the vectorized
-multi-variant fast path).  Three properties are asserted, not just
-recorded:
+primitive-selection sweep serial vs stacked (the vectorized
+multi-variant engine at ``STACK_WIDTH = 8``).  Three properties are
+asserted, not just recorded:
 
 * every configuration reproduces the baseline metrics within the cost
   function's noise tolerance,
@@ -202,7 +202,8 @@ def bench_batched_selection(tech: Technology, smoke: bool) -> dict:
     """Time the 5T-OTA primitive-selection sweep serial vs batched.
 
     Runs the full (sizing x pattern) selection sweep of every OTA
-    binding with ``batch=1`` and ``batch=8`` and asserts the batched
+    binding with the stacked engine's ``STACK_WIDTH`` set to 1 (the
+    lazy-serial reference) and to 8, and asserts the batched
     sweep reproduces every option's metric values *bitwise* — the
     batched solvers replay the serial arithmetic, so agreement is exact,
     far inside the 1% acceptance tolerance.  The full run also asserts
@@ -211,6 +212,7 @@ def bench_batched_selection(tech: Technology, smoke: bool) -> dict:
     """
     from repro.core.selection import evaluate_options
     from repro.runtime import EvalRuntime
+    from repro.runtime import batched as engine
     from repro.runtime.evalcache import EvalCache
 
     rows = {}
@@ -222,6 +224,7 @@ def bench_batched_selection(tech: Technology, smoke: bool) -> dict:
         "batch_members",
         "batch_fallbacks",
     )
+    default_width = engine.STACK_WIDTH
     for width in (1, 8):
         ota = FiveTransistorOta(tech)
         wall = 0.0
@@ -233,11 +236,15 @@ def bench_batched_selection(tech: Technology, smoke: bool) -> dict:
             variants = primitive.variants()
             if smoke:
                 variants = variants[:2]
-            runtime = EvalRuntime(cache=EvalCache(), batch=width)
+            runtime = EvalRuntime(cache=EvalCache())
+            engine.STACK_WIDTH = width
             start = time.perf_counter()
-            opts = evaluate_options(
-                primitive, variants=variants, runtime=runtime
-            )
+            try:
+                opts = evaluate_options(
+                    primitive, variants=variants, runtime=runtime
+                )
+            finally:
+                engine.STACK_WIDTH = default_width
             wall += time.perf_counter() - start
             # Solver work runs under the runtime's own collector; sum
             # its counters across bindings.

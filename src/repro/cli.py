@@ -22,8 +22,8 @@ Commands:
 * ``profile <target>`` — run a primitive optimization (or a circuit
   flow) single-process and print the solver-kernel profile: per-phase
   timings (device eval / stamp / factor / solve), Newton iteration and
-  factorization counts, LU reuses, and adaptive-vs-fixed transient step
-  counts,
+  factorization counts, LU reuses, stacked-solve counts and
+  adaptive-vs-fixed transient step counts,
 * ``ingest <file.sp>`` — parse a raw SPICE netlist, recognize analog
   primitives (diff pairs, mirrors, cascodes, cross-coupled pairs, ...)
   by subgraph matching, emit matching/symmetry constraints and report
@@ -130,7 +130,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         jobs=_jobs_from_args(args),
-        batch=args.batch,
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
@@ -207,7 +206,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         jobs=_jobs_from_args(args),
-        batch=args.batch,
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
@@ -258,7 +256,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Profile the solver kernel across one optimization or flow run.
 
     Runs single-process (``jobs=1``) so every evaluation executes in
-    this process and the kernel counters cover the whole run.
+    this process — sweeps on the stacked engine — and the kernel
+    counters cover the whole run.
     """
     _apply_solver(args)
     tech = Technology.default()
@@ -269,7 +268,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             n_bins=args.bins,
             max_wires=args.max_wires,
             jobs=1,
-            batch=getattr(args, "batch", None),
         )
         result = flow.run(circuit, measure=args.target != "vco")
         profile = result.solver_profile
@@ -285,7 +283,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             n_bins=args.bins,
             max_wires=args.max_wires,
             jobs=1,
-            batch=getattr(args, "batch", None),
         )
         report = optimizer.optimize(primitive)
         profile = report.solver_profile
@@ -541,15 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
             "any value)",
         )
         p.add_argument(
-            "--batch",
-            type=int,
-            default=None,
-            metavar="K",
-            help="vectorized-sweep width: same-pattern variants per "
-            "stacked solver call (default: REPRO_BATCH, else 1; results "
-            "are identical for any value; engages when --jobs is 1)",
-        )
-        p.add_argument(
             "--cache",
             action=argparse.BooleanOptionalAction,
             default=True,
@@ -761,13 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="primitive name or circuit name",
     )
     p_prof.add_argument("--fins", type=int, default=96)
-    p_prof.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="K",
-        help="vectorized-sweep width (default: REPRO_BATCH, else 1)",
-    )
     p_prof.add_argument("--bins", type=int, default=2)
     p_prof.add_argument("--max-wires", type=int, default=5)
     add_solver_arg(p_prof)

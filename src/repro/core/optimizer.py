@@ -168,12 +168,10 @@ class PrimitiveOptimizer:
             broken netlist would corrupt every downstream score).
         jobs: Worker processes for batched evaluations (None reads
             ``REPRO_JOBS``, else 1).  Any value produces byte-identical
-            reports; >1 adds wall-clock parallelism only.
-        batch: Vectorized-sweep width — how many same-pattern variants
-            one stacked solver call covers (None reads ``REPRO_BATCH``,
-            else 1).  Like ``jobs``, any value is byte-identical; >1
-            trades peak memory for wall-clock.  Engages only on the
-            in-process path (``jobs <= 1``).
+            reports; >1 adds wall-clock parallelism only.  In process
+            (``jobs <= 1``), sweeps of same-pattern variants run on the
+            stacked engine (:mod:`repro.runtime.batched`), also
+            byte-identical.
         cache: Content-addressed evaluation cache: ``True`` builds one
             (with an on-disk tier under ``<run_dir>/evalcache`` when
             checkpointing), ``False`` disables caching, or pass an
@@ -198,7 +196,6 @@ class PrimitiveOptimizer:
         resume: bool = False,
         erc: bool = True,
         jobs: int | None = None,
-        batch: int | None = None,
         cache: "bool | EvalCache" = True,
         cache_dir: str | os.PathLike | None = None,
         cache_max_mb: float | None = None,
@@ -211,7 +208,6 @@ class PrimitiveOptimizer:
         self.resume = resume
         self.erc = erc
         self.jobs = jobs
-        self.batch = batch
         if isinstance(cache, EvalCache):
             self.cache: EvalCache | None = cache
         elif cache:
@@ -243,7 +239,6 @@ class PrimitiveOptimizer:
             journal=journal,
             cache=self.cache,
             jobs=self.jobs,
-            batch=self.batch,
         )
 
     def optimize(

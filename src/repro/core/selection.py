@@ -175,10 +175,10 @@ def option_task(
     Shared by the selection sweep and the tuning sweeps so both fan out
     through the same batch machinery with identical keys and payloads.
     The attached :class:`~repro.runtime.BatchSpec` decomposes the
-    evaluation for the ``--batch`` fast path: ``build`` is the layout →
-    extract → netlist pipeline, ``finish`` reassembles the
-    :class:`LayoutOption` from measured values exactly as
-    :func:`evaluate_option` would.
+    evaluation for the stacked engine (:mod:`repro.runtime.batched`):
+    ``build`` is the layout → extract → netlist pipeline, ``finish``
+    reassembles the :class:`LayoutOption` from measured values exactly
+    as :func:`evaluate_option` would.
     """
 
     def build():

@@ -24,7 +24,7 @@ from repro.runtime import EvalRuntime
 
 #: Wire-range points dispatched per batch: the early-stop break usually
 #: fires within three points, so dispatching the whole range up front
-#: would make eager runtimes (``--batch``, worker pools) simulate past
+#: would make eager runtimes (the stacked engine, worker pools) simulate past
 #: the stop.  Chunked dispatch keeps journal keys, consume order and
 #: chosen wires identical while never evaluating unconsumed points.
 TUNE_CHUNK = 3
@@ -190,8 +190,8 @@ def tune_option(
             counts = list(range(1, limit + 1))
             # The range dispatches in chunks of TUNE_CHUNK: the
             # early-stop break below usually fires within three points,
-            # and chunking keeps eager runtimes (``--batch``, worker
-            # pools) from simulating points the loop never consumes.
+            # and chunking keeps eager runtimes (the stacked engine,
+            # worker pools) from simulating points the loop never consumes.
             # Journal keys, consume order and chosen wires are identical
             # to a single-batch dispatch.
             stopped_early = False

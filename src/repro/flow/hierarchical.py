@@ -149,10 +149,8 @@ class HierarchicalFlow:
         resume: Replay existing journals instead of starting fresh.
         jobs: Worker processes for batched evaluations (None reads
             ``REPRO_JOBS``, else 1).  Results are byte-identical for any
-            value; see ``docs/performance.md``.
-        batch: Vectorized-sweep width for the stacked-solver fast path
-            (None reads ``REPRO_BATCH``, else 1).  Byte-identical for
-            any value; engages on the in-process path (``jobs <= 1``).
+            value; in process (``jobs <= 1``) sweeps run on the stacked
+            engine.  See ``docs/performance.md``.
         cache: Content-addressed evaluation cache shared across every
             stage of the run (with an on-disk tier under
             ``<run_dir>/evalcache`` when checkpointing); ``False``
@@ -178,7 +176,6 @@ class HierarchicalFlow:
         resume: bool = False,
         waivers: WaiverSet | None = None,
         jobs: int | None = None,
-        batch: int | None = None,
         cache: bool = True,
         cache_dir: str | None = None,
         cache_max_mb: float | None = None,
@@ -195,7 +192,6 @@ class HierarchicalFlow:
         self.resume = resume
         self.waivers = waivers
         self.jobs = jobs
-        self.batch = batch
         if cache:
             disk = (
                 Path(cache_dir)
@@ -308,7 +304,6 @@ class HierarchicalFlow:
             run_dir=self.run_dir,
             resume=self.resume,
             jobs=self.jobs,
-            batch=self.batch,
             cache=self.cache if self.cache is not None else False,
         )
         for name, primitive in unique.items():
@@ -470,7 +465,6 @@ class HierarchicalFlow:
             failures=result.failures,
             cache=self.cache,
             jobs=self.jobs,
-            batch=self.batch,
         )
 
         constraints_by_net: dict[str, list[PortConstraint]] = {}

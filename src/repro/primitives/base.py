@@ -275,8 +275,8 @@ class MosPrimitive(ABC):
     def evaluate_many(self, duts: list[Circuit]) -> list:
         """Run every metric testbench against many DUT netlists at once.
 
-        The vectorized counterpart of :meth:`evaluate` for the
-        ``--batch`` fast path: metrics that declare a
+        The vectorized counterpart of :meth:`evaluate` for the stacked
+        sweep engine (:mod:`repro.runtime.batched`): metrics that declare a
         :attr:`~MetricSpec.batch_evaluate` measure the whole batch
         through the stacked solver paths, the rest run serially per
         member.  Returns one entry per DUT — ``(values, n_sims)``

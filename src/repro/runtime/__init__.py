@@ -12,7 +12,7 @@ See ``docs/robustness.md`` for the failure-code catalog and the
 degradation ladder.
 """
 
-from repro.runtime.batched import BatchSpec, resolve_batch
+from repro.runtime.batched import BatchSpec
 from repro.runtime.checkpoint import SweepJournal
 from repro.runtime.evalcache import (
     EvalCache,
@@ -73,6 +73,5 @@ __all__ = [
     "inject",
     "is_eval_failure",
     "register_flushable",
-    "resolve_batch",
     "resolve_jobs",
 ]

@@ -1,20 +1,21 @@
-"""Vectorized multi-variant evaluation — the ``--batch`` fast path.
+"""Vectorized multi-variant evaluation — the in-process sweep engine.
 
 Selection and tuning sweeps evaluate many *same-pattern* variants: the
-netlists share one MNA structure and differ only in device values.  The
-serial path rebuilds and resolves each variant independently; this module
-lets a call site describe each evaluation as *build circuit → simulate →
-finish* (a :class:`BatchSpec` on its
-:class:`~repro.runtime.policy.BatchTask`) so the simulate step can run
+netlists share one MNA structure and differ only in device values.
+Evaluated one at a time, each variant is rebuilt and resolved
+independently; this module lets a call site describe each evaluation as
+*build circuit → simulate → finish* (a :class:`BatchSpec` on its
+:class:`~repro.runtime.policy.BatchTask`) so the simulate step runs
 **stacked across variants**: one
 :class:`~repro.spice.kernel.BatchedSystemTemplate` Newton solve per
 iteration instead of K, one stacked AC sweep instead of K (see
-docs/performance.md, "Batched solves").
+docs/performance.md, "Batched solves").  It is the default engine of
+every in-process sweep, :data:`STACK_WIDTH` variants per stack.
 
 Determinism contract: everything observable — metric values, journals,
 failure logs, evalcache keys and hit/store sequences, reports — is
-byte-identical to the serial path for any batch size.  The machinery
-guarantees this by construction:
+byte-identical to the lazy-serial path (``STACK_WIDTH = 1``).  The
+machinery guarantees this by construction:
 
 * the batched solvers replay the serial floating-point operations
   exactly (stacked LAPACK ``gesv`` is bitwise equal to per-slice solves;
@@ -39,8 +40,6 @@ not model.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -49,36 +48,9 @@ from repro.runtime import context, faults
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.policy import BatchTask, EvalRuntime
 
-#: Environment hook for the vectorized-sweep width (like ``REPRO_JOBS``).
-BATCH_ENV = "REPRO_BATCH"
-
-_warned_bad_batch_env = False
-
-
-def resolve_batch(batch: int | None = None, default: int | None = 1) -> int:
-    """Resolve the vectorized-sweep width: explicit arg, then
-    ``REPRO_BATCH``, then ``default`` (all clamped to >= 1).
-
-    Width 1 disables the fast path entirely; any larger width changes
-    only wall-clock, never results.  An unparseable environment value is
-    ignored with a one-time warning.
-    """
-    global _warned_bad_batch_env
-    if batch is not None:
-        return max(1, int(batch))
-    env = os.environ.get(BATCH_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            if not _warned_bad_batch_env:
-                _warned_bad_batch_env = True
-                warnings.warn(
-                    f"{BATCH_ENV}={env!r} is not an integer; ignoring it",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return max(1, int(default or 1))
+#: Same-pattern variants per stacked solve.  Any width gives the same
+#: results; 1 turns the engine off (the lazy-serial reference).
+STACK_WIDTH = 8
 
 
 @dataclass
@@ -129,10 +101,10 @@ def maybe_batched(
     fault injection active (faults key on evaluation order/keys),
     a per-evaluation deadline (precomputed results would dodge it), an
     explicit Newton iteration budget (threaded through per-evaluation
-    context the lockstep solver does not consult), a width of 1, or
-    fewer than two live batchable tasks.
+    context the lockstep solver does not consult), a :data:`STACK_WIDTH`
+    of 1, or fewer than two live batchable tasks.
     """
-    if runtime.batch <= 1:
+    if STACK_WIDTH <= 1:
         return None
     if faults.active() is not None:
         return None
@@ -213,7 +185,7 @@ class BatchedEvalBatch:
             sim_indices.append(i)
             sim_circuits.append(circuit)
 
-        # Stacked simulation, chunked to the configured width and grouped
+        # Stacked simulation, chunked to STACK_WIDTH and grouped
         # by primitive (one evaluate_many call covers one metric set).
         with kernel.collect(runtime.solver_stats):
             start = 0
@@ -222,7 +194,7 @@ class BatchedEvalBatch:
                 end = start + 1
                 while (
                     end < len(sim_indices)
-                    and end - start < runtime.batch
+                    and end - start < STACK_WIDTH
                     and tasks[sim_indices[end]].batch_spec.primitive
                     is primitive
                 ):

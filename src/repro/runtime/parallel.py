@@ -302,8 +302,10 @@ class ParallelEvalRuntime(EvalRuntime):
     Args:
         jobs: Worker-pool size; None resolves via :func:`resolve_jobs`
             (``REPRO_JOBS`` environment, else 1).  ``jobs <= 1`` keeps
-            every batch lazily serial — the two modes are byte-identical
-            in every observable output, so 1 is a safe library default.
+            every batch in process, on the stacked engine
+            (:mod:`repro.runtime.batched`) where it engages and lazily
+            serial elsewhere — all modes are byte-identical in every
+            observable output, so 1 is a safe library default.
 
     All other arguments match :class:`EvalRuntime`.
     """
@@ -314,8 +316,8 @@ class ParallelEvalRuntime(EvalRuntime):
 
     def evaluate_batch(self, tasks: list[BatchTask], stage: str) -> EvalBatch:
         if self.jobs <= 1:
-            # Serial worker-wise, but the vectorized --batch fast path
-            # (EvalRuntime.evaluate_batch) may still engage.
+            # In-process: the stacked engine
+            # (EvalRuntime.evaluate_batch) takes the batch when it can.
             return super().evaluate_batch(tasks, stage)
         pending = [
             i

@@ -175,19 +175,12 @@ class EvalRuntime:
         failures: FailureLog | None = None,
         clock: Callable[[], float] = time.monotonic,
         cache: Any | None = None,
-        batch: int | None = None,
     ):
-        from repro.runtime.batched import resolve_batch  # deferred: cycle
-
         self.policy = policy or RetryPolicy()
         self.journal = journal
         self.failures = failures if failures is not None else FailureLog()
         self.clock = clock
         self.cache = cache
-        #: Vectorized-sweep width: how many same-pattern variants one
-        #: stacked solve covers (``--batch`` / ``REPRO_BATCH``; 1
-        #: disables the fast path).
-        self.batch = resolve_batch(batch)
         self._stage_total: Counter = Counter()
         self._stage_failed: Counter = Counter()
         #: Evaluations answered from the journal without re-simulating.
@@ -352,10 +345,10 @@ class EvalRuntime:
 
         The caller must :meth:`~EvalBatch.consume` results in the same
         order a serial loop would evaluate them, and may stop early.
-        The base runtime evaluates lazily at consumption — unless
-        :attr:`batch` > 1 and the tasks carry batch specs, in which case
-        the vectorized fast path of :mod:`repro.runtime.batched` engages
-        (byte-identical results; see docs/performance.md).  See
+        Tasks that carry batch specs run on the stacked engine of
+        :mod:`repro.runtime.batched` (byte-identical results; see
+        docs/performance.md); the rest, and every batch the engine
+        declines, evaluate lazily at consumption.  See
         :class:`~repro.runtime.parallel.ParallelEvalRuntime` for the
         process-pool override.
         """

@@ -60,6 +60,12 @@ class AcResult:
         return self.v(plus) - self.v(minus)
 
 
+#: Byte budget of one stacked AC solve in :func:`ac_analysis_many`: the
+#: ``(K, F, N, N)`` complex system stack is solved in slices of about
+#: this size, so the stacked engine's peak memory does not grow with K.
+AC_SLICE_BYTES = 1 << 20
+
+
 def _ac_template(compiled: CompiledCircuit) -> "kernel.SystemTemplate":
     """The sparse AC system template (cached on the compiled circuit).
 
@@ -197,13 +203,15 @@ def ac_analysis_many(
 ) -> list:
     """Batched :func:`ac_analysis` over many (circuit, bias) pairs.
 
-    Dense-backend members of equal size are stacked into one
-    ``(K, nfreq, N, N)`` array and solved with a single batched LAPACK
-    call — the once-per-sweep G/C split is still assembled per member,
-    only the frequency loop is fused — which is bitwise identical to the
-    serial per-frequency solves.  Sparse-backend members (and any member
-    whose stacked slice comes back singular or non-finite) run through
-    the serial :func:`ac_analysis` unchanged.
+    Dense-backend members of equal size are stacked into
+    ``(K, nfreq, N, N)`` systems and solved with batched LAPACK calls,
+    in slices of about :data:`AC_SLICE_BYTES` — the once-per-sweep G/C
+    split is still assembled per member, only the frequency loop is
+    fused — which is bitwise identical to the serial per-frequency
+    solves (stacked ``gesv`` solves each matrix on its own).
+    Sparse-backend members (and any member whose stacked slice comes
+    back singular or non-finite) run through the serial
+    :func:`ac_analysis` unchanged.
 
     Failures are captured per member: the returned list holds an
     :class:`AcResult` or the exception the serial call would have raised
@@ -244,30 +252,31 @@ def ac_analysis_many(
         if stats is not None:
             for _ in members:
                 stats.count_analysis("ac")
-        g = np.stack([_dense_ac_parts(compileds[i], ops[i])[0] for i in members])
-        sus = np.stack(
-            [_dense_ac_parts(compileds[i], ops[i])[1] for i in members]
+        g, sus = map(
+            np.stack,
+            zip(*(_dense_ac_parts(compileds[i], ops[i]) for i in members)),
         )
         rhs = np.stack([compileds[i].ac_source_rhs()[:size] for i in members])
-        # Chunk over members so the (K, F, N, N) stack stays bounded.
-        bytes_per_member = len(freqs) * size * size * 16
-        chunk = max(1, int(128e6 // max(1, bytes_per_member)))
+        # Slice the (K, F, N, N) stack to about AC_SLICE_BYTES per solve:
+        # whole members while they fit, else frequency runs of one member.
+        per_slice = max(1, AC_SLICE_BYTES // (size * size * 16))
+        chunk = max(1, per_slice // len(freqs))
+        slices = range(0, len(freqs), min(len(freqs), per_slice))
         for start in range(0, len(members), chunk):
             part = members[start : start + chunk]
-            gk = g[start : start + chunk]
-            sk = sus[start : start + chunk]
-            bk = rhs[start : start + chunk]
+            gk = g[start : start + chunk, None]
+            sk = sus[start : start + chunk, None]
+            bk = rhs[start : start + chunk, None, :, None]
             if stats is not None:
                 t0 = kernel._clock()
-            a = (
-                gk[:, None, :, :]
-                + (1j * omegas)[None, :, None, None] * sk[:, None, :, :]
-            )
+            x = np.empty((len(part), len(freqs), size), dtype=complex)
             try:
-                x = np.linalg.solve(a, bk[:, None, :, None])[..., 0]
+                for f0 in slices:
+                    f1 = f0 + slices.step
+                    jw = (1j * omegas[f0:f1])[None, :, None, None]
+                    x[:, f0:f1] = np.linalg.solve(gk + jw * sk, bk)[..., 0]
                 finite = np.all(np.isfinite(x), axis=(1, 2))
             except np.linalg.LinAlgError:
-                x = None
                 finite = np.zeros(len(part), dtype=bool)
             clean = int(np.count_nonzero(finite))
             if stats is not None:
@@ -276,7 +285,7 @@ def ac_analysis_many(
                 stats.backends[kernel.DENSE] = (
                     stats.backends.get(kernel.DENSE, 0) + clean * len(freqs)
                 )
-                stats.batched_solves += 1
+                stats.batched_solves += len(slices)
                 stats.batch_members += len(part) * len(freqs)
                 stats.batch_fallbacks += (len(part) - clean) * len(freqs)
             for j, i in enumerate(part):

@@ -13,6 +13,7 @@ from repro.core.tuning import (
 from repro.devices.mosfet import MosGeometry
 from repro.errors import OptimizationError
 from repro.runtime import EvalRuntime
+from repro.runtime import batched as engine
 from repro.runtime.faults import FaultSpec, inject
 
 
@@ -114,11 +115,11 @@ class _RecordingRuntime(EvalRuntime):
         return super().evaluate_batch(tasks, stage)
 
 
-def test_singleton_sweeps_dispatch_in_chunks(small_dp):
-    # Eager runtimes (--batch, worker pools) evaluate a whole dispatch
-    # up front, so the sweep must never hand them wire counts the
-    # early-stop break would leave unconsumed: dispatches are chunked,
-    # bounding overshoot to the current chunk.
+def test_singleton_sweeps_dispatch_in_chunks(small_dp, monkeypatch):
+    # Eager runtimes (the stacked engine, worker pools) evaluate a whole
+    # dispatch up front, so the sweep must never hand them wire counts
+    # the early-stop break would leave unconsumed: dispatches are
+    # chunked, bounding overshoot to the current chunk.
     option = evaluate_option(small_dp, MosGeometry(8, 4, 3), "ABAB")
     runtime = _RecordingRuntime()
     result = tune_option(small_dp, option, max_wires=8, runtime=runtime)
@@ -128,7 +129,8 @@ def test_singleton_sweeps_dispatch_in_chunks(small_dp):
     dispatched = sum(runtime.widths)
     assert dispatched <= consumed + (TUNE_CHUNK - 1) * len(result.sweeps)
     # Chunking must not move the outcome: chosen wires match the
-    # single-batch reference run.
+    # lazy-serial reference run.
+    monkeypatch.setattr(engine, "STACK_WIDTH", 1)
     reference = tune_option(
         small_dp,
         evaluate_option(small_dp, MosGeometry(8, 4, 3), "ABAB"),

@@ -1,9 +1,10 @@
 """Batched (vectorized multi-variant) solves: byte-identical to serial.
 
-ISSUE acceptance: a run with ``--batch K`` produces bitwise-identical
-metrics, journals, cache traffic and reports to ``--batch 1`` — for any
-batch width, any variant order, and under the fault-injection seed
-matrix (where batching disengages but output must not move).
+The stacked sweep engine (``STACK_WIDTH`` variants per stack) produces
+bitwise-identical metrics, journals, cache traffic and reports to the
+lazy-serial reference (``STACK_WIDTH = 1``) — for any variant order,
+and under the fault-injection seed matrix (where the engine disengages
+but output must not move).
 """
 
 from __future__ import annotations
@@ -16,16 +17,28 @@ import pytest
 from repro import PrimitiveOptimizer, Technology
 from repro.devices.mosfet import MosGeometry
 from repro.errors import ConvergenceError, MeasureError
-from repro.runtime import EvalRuntime, RetryPolicy, resolve_batch
+from repro.runtime import EvalRuntime, RetryPolicy
+from repro.runtime import batched as engine
 from repro.runtime import context as eval_context
 from repro.runtime.evalcache import EvalCache
 from repro.runtime.faults import FaultSpec, inject
-from repro.spice import Circuit, CompiledCircuit
+from repro.spice import Circuit, CompiledCircuit, kernel
 from repro.spice import measure
+from repro.spice import ac as ac_module
 from repro.spice.ac import ac_analysis, ac_analysis_many
 from repro.spice.dc import dc_operating_point, dc_operating_points
 
-BATCH = 8
+BATCH = engine.STACK_WIDTH
+
+
+@pytest.fixture
+def stack_width(monkeypatch):
+    """Setter for the stacked engine's width (1 = lazy-serial reference)."""
+
+    def set_width(width):
+        monkeypatch.setattr(engine, "STACK_WIDTH", width)
+
+    return set_width
 
 
 def _compiled(circuit, tech):
@@ -53,12 +66,11 @@ def _fresh_dp(name="batch_dp"):
     return DifferentialPair(Technology.default(), base_fins=8, name=name)
 
 
-def _optimizer(batch, run_dir=None, resume=False):
+def _optimizer(run_dir=None, resume=False):
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
         policy=RetryPolicy(max_retries=2),
-        batch=batch,
         run_dir=run_dir,
         resume=resume,
     )
@@ -75,22 +87,6 @@ def _fingerprint(report) -> tuple:
         [f.to_dict() for f in report.failures.failures],
         report.cache_stats,
     )
-
-
-# -- resolve_batch -------------------------------------------------------
-
-
-def test_resolve_batch_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert resolve_batch(None) == 1
-    assert resolve_batch(4) == 4
-    assert resolve_batch(0) == 1  # clamped
-    assert resolve_batch(-2) == 1
-    monkeypatch.setenv("REPRO_BATCH", "6")
-    assert resolve_batch(None) == 6
-    assert resolve_batch(3) == 3  # explicit beats env
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    assert resolve_batch(None) == 1  # env 0 clamps to off
 
 
 # -- DC: stacked lockstep Newton vs per-circuit serial -------------------
@@ -155,22 +151,50 @@ def test_newton_budget_honored_exactly(tech):
 # -- AC: stacked frequency sweeps ----------------------------------------
 
 
+def _rc(k):
+    c = Circuit(f"rc{k}")
+    c.add_vsource("vin", "in", "0", 0.0, ac_magnitude=1.0)
+    c.add_resistor("r1", "in", "out", 1e3 * (k + 1))
+    c.add_capacitor("c1", "out", "0", 1e-12)
+    return c
+
+
+def _rc_ladder(k, stages=40):
+    # 42 unknowns: one member's 81-point stack (2.2 MiB) is bigger than
+    # AC_SLICE_BYTES, so the sweep is solved in frequency slices.
+    c = Circuit(f"ladder{k}")
+    c.add_vsource("vin", "n0", "0", 0.0, ac_magnitude=1.0)
+    for s in range(stages):
+        c.add_resistor(f"r{s}", f"n{s}", f"n{s + 1}", 1e3 * (k + 1) + 10 * s)
+        c.add_capacitor(f"c{s}", f"n{s + 1}", "0", 1e-13 * (s + 1))
+    return c
+
+
 def test_ac_analysis_many_bitwise(tech):
-    circuits = []
-    for k in range(4):
-        c = Circuit(f"rc{k}")
-        c.add_vsource("vin", "in", "0", 0.0, ac_magnitude=1.0)
-        c.add_resistor("r1", "in", "out", 1e3 * (k + 1))
-        c.add_capacitor("c1", "out", "0", 1e-12)
-        circuits.append(c)
-    compileds = [_compiled(c, tech) for c in circuits]
-    ops = [dc_operating_point(c) for c in compileds]
-    kw = dict(f_start=1e3, f_stop=1e10, points_per_decade=5)
-    serial = [ac_analysis(c, op, **kw) for c, op in zip(compileds, ops)]
-    batched = ac_analysis_many(compileds, ops, **kw)
-    for got, ref in zip(batched, serial):
-        assert np.array_equal(got.freqs, ref.freqs)
-        assert np.array_equal(got.solutions, ref.solutions)
+    member_sets = [
+        # Small systems: all four whole sweeps in one stacked solve.
+        (_rc, dict(f_start=1e3, f_stop=1e10, points_per_decade=5), 1),
+        # One member's stack exceeds the slice cap: frequency slices,
+        # 3 per member.
+        (_rc_ladder, dict(f_start=1e3, f_stop=1e11, points_per_decade=10), 12),
+    ]
+    for build, kw, stacked_calls in member_sets:
+        # Pinned to dense: sparse-backend members are solved serially.
+        kw = dict(kw, solver="dense")
+        compileds = [_compiled(build(k), tech) for k in range(4)]
+        ops = [dc_operating_point(c) for c in compileds]
+        serial = [ac_analysis(c, op, **kw) for c, op in zip(compileds, ops)]
+        stack_bytes = len(serial[0].freqs) * compileds[0].size ** 2 * 16
+        if build is _rc_ladder:
+            assert stack_bytes > ac_module.AC_SLICE_BYTES
+        stats = kernel.SolverStats()
+        with kernel.collect(stats):
+            batched = ac_analysis_many(compileds, ops, **kw)
+        assert stats.batched_solves == stacked_calls
+        assert stats.batch_fallbacks == 0
+        for got, ref in zip(batched, serial):
+            assert np.array_equal(got.freqs, ref.freqs)
+            assert np.array_equal(got.solutions, ref.solutions)
 
 
 # -- lockstep bisection --------------------------------------------------
@@ -216,7 +240,7 @@ def test_find_dc_zero_many_captures_member_failures():
 
 
 @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
-def test_shuffled_selection_batch_matches_serial(shuffle_seed):
+def test_shuffled_selection_batch_matches_serial(shuffle_seed, stack_width):
     prim = _fresh_dp()
     variants = prim.variants()
     random.Random(shuffle_seed).shuffle(variants)
@@ -224,7 +248,8 @@ def test_shuffled_selection_batch_matches_serial(shuffle_seed):
     def run(width):
         from repro.core.selection import evaluate_options
 
-        runtime = EvalRuntime(cache=EvalCache(), batch=width)
+        stack_width(width)
+        runtime = EvalRuntime(cache=EvalCache())
         options = evaluate_options(
             _fresh_dp(), variants=variants, runtime=runtime
         )
@@ -247,36 +272,42 @@ def test_shuffled_selection_batch_matches_serial(shuffle_seed):
     assert serial_rt.solver_stats.batched_solves == 0
 
 
-def test_batched_report_identical_to_serial():
-    serial = _optimizer(batch=1).optimize(_fresh_dp())
-    batched = _optimizer(batch=BATCH).optimize(_fresh_dp())
-    assert _fingerprint(batched) == _fingerprint(serial)
+def test_default_optimizer_runs_stacked(monkeypatch):
+    # The stacked engine is the default in-process engine: a
+    # default-configured optimizer issues stacked solves.
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    report = PrimitiveOptimizer().optimize(_fresh_dp())
+    assert report.solver_profile["batched_solves"] > 0
 
 
-def test_batched_journal_byte_identical(tmp_path):
-    _optimizer(batch=1, run_dir=tmp_path / "serial").optimize(_fresh_dp())
-    _optimizer(batch=BATCH, run_dir=tmp_path / "batched").optimize(_fresh_dp())
+def test_batched_report_identical_to_serial(stack_width):
+    stack_width(1)
+    serial = _optimizer().optimize(_fresh_dp())
+    stack_width(BATCH)
+    batched_report = _optimizer().optimize(_fresh_dp())
+    assert _fingerprint(batched_report) == _fingerprint(serial)
+
+
+def test_batched_journal_byte_identical(tmp_path, stack_width):
+    stack_width(1)
+    _optimizer(run_dir=tmp_path / "serial").optimize(_fresh_dp())
+    stack_width(BATCH)
+    _optimizer(run_dir=tmp_path / "batched").optimize(_fresh_dp())
     serial = (tmp_path / "serial" / "batch_dp.jsonl").read_bytes()
     batched = (tmp_path / "batched" / "batch_dp.jsonl").read_bytes()
     assert batched == serial
 
 
-def test_batched_report_identical_under_faults(fault_seed):
+def test_batched_report_identical_under_faults(fault_seed, stack_width):
     # Injection disengages the fast path member-by-member; the output
     # must not move by a byte either way.
     spec = FaultSpec(dc_fail_rate=0.3)
+    stack_width(1)
     with inject(spec, seed=fault_seed) as serial_injector:
-        serial = _optimizer(batch=1).optimize(_fresh_dp())
+        serial = _optimizer().optimize(_fresh_dp())
+    stack_width(BATCH)
     with inject(spec, seed=fault_seed) as batched_injector:
-        batched = _optimizer(batch=BATCH).optimize(_fresh_dp())
-    assert _fingerprint(batched) == _fingerprint(serial)
+        batched_report = _optimizer().optimize(_fresh_dp())
+    assert _fingerprint(batched_report) == _fingerprint(serial)
     assert batched_injector.counters == serial_injector.counters
     assert batched_injector.fired == serial_injector.fired
-
-
-def test_batch_env_knob_is_safe(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", str(BATCH))
-    batched = _optimizer(batch=None).optimize(_fresh_dp())
-    monkeypatch.delenv("REPRO_BATCH")
-    serial = _optimizer(batch=None).optimize(_fresh_dp())
-    assert _fingerprint(batched) == _fingerprint(serial)

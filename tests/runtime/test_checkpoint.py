@@ -155,9 +155,14 @@ def test_pruned_lines_read_as_not_completed(tmp_path):
         assert journal.lookup("b")["payload"] == {"cost": 2.0}
 
 
-def test_journal_with_pruned_lines_resumes_to_the_clean_result(tmp_path):
+def test_journal_with_pruned_lines_resumes_to_the_clean_result(
+    tmp_path, monkeypatch
+):
     from repro import PrimitiveOptimizer, Technology
     from repro.primitives import DifferentialPair
+    from repro.runtime import batched
+
+    monkeypatch.setattr(batched, "STACK_WIDTH", 1)
 
     def optimize(run_dir, resume=False):
         primitive = DifferentialPair(
@@ -165,7 +170,7 @@ def test_journal_with_pruned_lines_resumes_to_the_clean_result(tmp_path):
         )
         optimizer = PrimitiveOptimizer(
             n_bins=2, max_wires=3, run_dir=run_dir, resume=resume,
-            jobs=1, batch=1, cache=False,
+            jobs=1, cache=False,
         )
         return optimizer.optimize(primitive)
 

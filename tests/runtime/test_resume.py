@@ -11,6 +11,7 @@ import pytest
 
 from repro import PrimitiveOptimizer, Technology
 from repro.runtime import CONV_DC, RetryPolicy
+from repro.runtime import batched as engine
 from repro.runtime.faults import FaultSpec, inject
 
 
@@ -44,15 +45,20 @@ def _report_fingerprint(report) -> tuple:
     )
 
 
+@pytest.fixture(autouse=True)
+def _lazy_serial(monkeypatch):
+    # STACK_WIDTH=1 (with jobs=1/cache=False in ``_optimizer``) keeps
+    # this file about pure journal mechanics: the
+    # ``_count_evaluations`` instrumentation counts in-process serial
+    # simulator calls, which worker processes, content-cache hits and
+    # the stacked engine (whose members run through ``batch_evaluate``
+    # hooks, not ``primitive.evaluate``) would legitimately elide (see
+    # test_parallel.py / test_evalcache.py / test_batched.py for the
+    # jobs-, cache- and stack-aware resume guarantees).
+    monkeypatch.setattr(engine, "STACK_WIDTH", 1)
+
+
 def _optimizer(run_dir, resume=False):
-    # jobs=1/cache=False/batch=1 keep this file about pure journal
-    # mechanics: the ``_count_evaluations`` instrumentation counts
-    # in-process serial simulator calls, which worker processes,
-    # content-cache hits and the batched fast path (whose members run
-    # through ``batch_evaluate`` hooks, not ``primitive.evaluate``)
-    # would legitimately elide (see test_parallel.py /
-    # test_evalcache.py / test_batched.py for the jobs-, cache- and
-    # batch-aware resume guarantees).
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
@@ -61,7 +67,6 @@ def _optimizer(run_dir, resume=False):
         resume=resume,
         jobs=1,
         cache=False,
-        batch=1,
     )
 
 
