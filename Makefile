@@ -83,8 +83,8 @@ bench-eval:
 	python benchmarks/bench_eval.py --out $(BENCH_EVAL_OUT) $(BENCH_EVAL_FLAGS)
 
 # SPICE-kernel benchmark: fixed-dense (seed-equivalent) vs fixed-sparse
-# vs adaptive-sparse on the OTA / StrongARM / VCO testbenches, asserting
-# metric agreement and the >=2x VCO transient speedup.
+# on the OTA / StrongARM / VCO testbenches, asserting metric agreement
+# and the >=2x sparse-over-dense VCO transient speedup.
 BENCH_SPICE_OUT ?= BENCH_spice.json
 BENCH_SPICE_FLAGS ?=
 

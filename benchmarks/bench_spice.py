@@ -2,26 +2,25 @@
 """Benchmark the sparse factorization-reuse MNA kernel.
 
 Times the benchmark testbenches (5T OTA, StrongARM comparator, 8-stage
-ring-oscillator VCO) under three solver/stepper configurations --
+ring-oscillator VCO) on two solver backends --
 
 * ``fixed_dense``   -- fixed-grid trapezoidal stepping on the dense LU
   backend.  Bit-identical to the pre-kernel simulator, so this run *is*
   the seed baseline.
-* ``fixed_sparse``  -- same step sequence through scipy ``splu``; isolates
-  the factorization-reuse win from the stepping win.
-* ``adaptive_sparse`` -- the full new path: LTE-controlled step sizing on
-  the sparse backend.
+* ``fixed_sparse``  -- the same step sequence through scipy ``splu`` with
+  the symbolic pattern and column order reused across factorizations.
 
--- and writes wall-clock, solver counters (steps, rejections, LU reuses)
-and measured metrics to ``BENCH_spice.json``.  It also times the 5T-OTA
-primitive-selection sweep serial vs stacked (the vectorized
-multi-variant engine at ``STACK_WIDTH = 8``).  Three properties are
-asserted, not just recorded:
+-- and writes wall-clock, solver counters (steps, rejections,
+factorizations) and measured metrics to ``BENCH_spice.json``.  It also
+times the 5T-OTA primitive-selection sweep serial vs stacked (the
+vectorized multi-variant engine at ``STACK_WIDTH = 8``).  Three
+properties are asserted, not just recorded:
 
 * every configuration reproduces the baseline metrics within the cost
   function's noise tolerance,
-* the full path beats the baseline by >= 2x wall-clock on the VCO
-  transient (the dominant cost in the paper's Table VIII runtime), and
+* the sparse backend beats the dense baseline by >= 2x wall-clock on
+  the VCO transient (the dominant cost in the paper's Table VIII
+  runtime), and
 * the batched selection sweep reproduces the serial sweep's option
   metrics bitwise and beats it by >= 2x wall-clock.
 
@@ -56,39 +55,32 @@ from repro.circuits import (  # noqa: E402
 )
 from repro.circuits.base import LayoutChoice  # noqa: E402
 from repro.spice import kernel  # noqa: E402
-from repro.spice import tran as tran_mod  # noqa: E402
 
 #: Metric agreement bar: the optimization cost function bins metric
 #: deviations far coarser than 1%, so configurations whose metrics agree
 #: to this tolerance are interchangeable for layout selection.
 METRIC_RTOL = 1e-2
 
-#: (name, solver, stepper) -- fixed_dense first: it is the baseline the
-#: other rows are compared against.
+#: (name, solver) -- fixed_dense first: it is the baseline the other
+#: row is compared against.
 CONFIGS = [
-    ("fixed_dense", kernel.DENSE, tran_mod.FIXED),
-    ("fixed_sparse", kernel.SPARSE, tran_mod.FIXED),
-    ("adaptive_sparse", kernel.SPARSE, tran_mod.ADAPTIVE),
+    ("fixed_dense", kernel.DENSE),
+    ("fixed_sparse", kernel.SPARSE),
 ]
 
 
 @contextmanager
-def configure(solver: str, stepper: str):
-    """Pin solver backend and transient stepper via their env knobs."""
-    saved = {
-        var: os.environ.get(var)
-        for var in (kernel.SOLVER_ENV, tran_mod.STEPPER_ENV)
-    }
+def configure(solver: str):
+    """Pin the solver backend via its env knob."""
+    saved = os.environ.get(kernel.SOLVER_ENV)
     os.environ[kernel.SOLVER_ENV] = solver
-    os.environ[tran_mod.STEPPER_ENV] = stepper
     try:
         yield
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        if saved is None:
+            os.environ.pop(kernel.SOLVER_ENV, None)
+        else:
+            os.environ[kernel.SOLVER_ENV] = saved
 
 
 def conventional_choices(circuit) -> dict[str, LayoutChoice]:
@@ -117,8 +109,8 @@ def _testbenches(tech: Technology, smoke: bool) -> list[tuple]:
     ``skip_metrics`` names metrics excluded from the agreement assert.
     Only the smoke run skips anything: StrongARM ``power`` integrates a
     sub-picosecond supply-current spike that is not dt-converged at the
-    smoke step (the *fixed* run moves ~8% between dt=2ps and dt=0.5ps),
-    so fixed-vs-adaptive disagreement there measures grid aliasing, not
+    smoke step (it moves ~8% between dt=2ps and dt=0.5ps), so a
+    dense-vs-sparse disagreement there measures grid aliasing, not
     solver accuracy.  The full run steps at dt=0.5ps, where the metric
     is converged and all configurations agree to ~0.1%.
     """
@@ -152,9 +144,9 @@ def _testbenches(tech: Technology, smoke: bool) -> list[tuple]:
     return benches
 
 
-def _run(measure_thunk, solver: str, stepper: str) -> dict:
+def _run(measure_thunk, solver: str) -> dict:
     stats = kernel.SolverStats()
-    with configure(solver, stepper):
+    with configure(solver):
         start = time.perf_counter()
         with kernel.collect(stats):
             metrics = measure_thunk()
@@ -165,18 +157,16 @@ def _run(measure_thunk, solver: str, stepper: str) -> dict:
         "newton_iterations": stats.newton_iterations,
         "solves": stats.solves,
         "factorizations": stats.factorizations,
-        "lu_reuses": stats.lu_reuses,
         "tran_steps": stats.tran_steps,
         "tran_rejected": stats.tran_rejected,
-        "tran_fixed_steps": stats.tran_fixed_steps,
         "backends": stats.backends,
     }
 
 
 def bench_circuit(label: str, measure_thunk, skip_metrics: set) -> dict:
     rows = {}
-    for name, solver, stepper in CONFIGS:
-        rows[name] = _run(measure_thunk, solver, stepper)
+    for name, solver in CONFIGS:
+        rows[name] = _run(measure_thunk, solver)
         print(
             f"  {label}/{name}: {rows[name]['wall_s']}s, "
             f"{rows[name]['tran_steps']} steps "
@@ -320,15 +310,14 @@ def main() -> None:
 
     if not args.smoke:
         vco = circuits["vco_assembled"]
-        speedup = vco["adaptive_sparse"]["speedup"]
+        speedup = vco["fixed_sparse"]["speedup"]
         print(
-            f"VCO transient: {vco['fixed_dense']['wall_s']}s baseline -> "
-            f"{vco['adaptive_sparse']['wall_s']}s full path "
-            f"({speedup}x)"
+            f"VCO transient: {vco['fixed_dense']['wall_s']}s dense -> "
+            f"{vco['fixed_sparse']['wall_s']}s sparse ({speedup}x)"
         )
         assert speedup >= 2.0, (
-            f"acceptance regression: adaptive+sparse VCO speedup {speedup}x "
-            "< 2x over the fixed-dense baseline"
+            f"acceptance regression: sparse VCO speedup {speedup}x "
+            "< 2x over the dense baseline"
         )
         print(
             f"5T-OTA selection sweep: {batched_selection['batch1']['wall_s']}s "

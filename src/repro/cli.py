@@ -22,8 +22,8 @@ Commands:
 * ``profile <target>`` — run a primitive optimization (or a circuit
   flow) single-process and print the solver-kernel profile: per-phase
   timings (device eval / stamp / factor / solve), Newton iteration and
-  factorization counts, LU reuses, stacked-solve counts and
-  adaptive-vs-fixed transient step counts,
+  factorization counts, stacked-solve counts and transient step and
+  retried-step counts,
 * ``ingest <file.sp>`` — parse a raw SPICE netlist, recognize analog
   primitives (diff pairs, mirrors, cascodes, cross-coupled pairs, ...)
   by subgraph matching, emit matching/symmetry constraints and report
@@ -237,10 +237,8 @@ def _render_profile(profile: dict, title: str) -> str:
         ["newton iterations", str(profile.get("newton_iterations", 0))],
         ["linear solves", str(profile.get("solves", 0))],
         ["factorizations", str(profile.get("factorizations", 0))],
-        ["LU reuses", str(profile.get("lu_reuses", 0))],
         ["tran steps accepted", str(profile.get("tran_steps", 0))],
         ["tran steps rejected", str(profile.get("tran_rejected", 0))],
-        ["tran fixed-grid steps", str(profile.get("tran_fixed_steps", 0))],
         ["stacked solve calls", str(profile.get("batched_solves", 0))],
         ["stacked solve members", str(profile.get("batch_members", 0))],
         ["stacked solve fallbacks", str(profile.get("batch_fallbacks", 0))],

@@ -36,7 +36,8 @@ survive crashes mid-write:
   :attr:`EvalCache.downgrade_reason`, never raised.
 
 Keys are SHA-256 hashes of a canonical serialization of (flattened
-netlist, analysis signature, weight overrides); see :func:`content_key`.
+netlist, analysis signature, weight overrides, simulator revision); see
+:func:`content_key`.
 Instance *names* of circuits are excluded (wrapper circuits embed wire
 counts in their names) but element names, nodes, model cards and every
 numeric parameter participate, so any sizing (nfin/nf/m), pattern or wire
@@ -81,6 +82,12 @@ from repro.spice.netlist import Circuit
 #: Default in-memory LRU capacity (entries, not bytes: one entry is a
 #: small dict of metric floats).
 DEFAULT_MAXSIZE = 4096
+
+#: Revision of the simulator's numerics, hashed into every content key.
+#: Bump it whenever a change moves simulated values (stepping, device
+#: model, solver), so that a shared disk cache written by an older
+#: simulator is never served to a newer one.
+SIMULATOR_REVISION = 2
 
 
 def _canon(value):
@@ -151,11 +158,13 @@ def content_key(
     analysis: dict,
     weight_override: dict[str, float] | None = None,
 ) -> str:
-    """SHA-256 content key of one (netlist, analysis, weights) triple."""
+    """SHA-256 content key of one (netlist, analysis, weights) triple
+    under the current :data:`SIMULATOR_REVISION`."""
     document = {
         "netlist": canonical_netlist(circuit),
         "analysis": analysis,
         "weights": _canon(weight_override or {}),
+        "simulator": SIMULATOR_REVISION,
     }
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -18,12 +18,10 @@ pieces the analyses build on:
   SuperLU's fill-reducing column order: the first successful
   factorization records ``perm_c`` and every later one factors the
   matrix relabelled into that order with ``permc_spec="NATURAL"``,
-  bitwise identical to re-running COLAMD.  Both backends can return a
-  reusable :class:`Factorization` for systems whose matrix is
-  iteration-invariant (linear networks at fixed ``dt``).
+  bitwise identical to re-running COLAMD.
 * **:class:`SolverStats`** — lightweight per-analysis profiling counters
   (stamp/factor/solve/device-eval time, Newton iterations, transient
-  steps versus the fixed-step baseline), collected through a context
+  steps and retried steps), collected through a context
   variable so the evaluation runtime can attribute kernel time to the
   evaluation that spent it without threading a parameter through every
   call (see :func:`collect`).
@@ -43,7 +41,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -132,15 +129,11 @@ class SolverStats:
         device_eval_s: Time evaluating the MOSFET model.
         newton_iterations: Newton iterations across all solves.
         solves: Linear-system solves.
-        factorizations: Explicit LU factorizations (pattern-reuse and
-            reused-LU paths).
-        lu_reuses: Solves answered by a previously computed
-            factorization (the step-invariant linear part).
-        tran_steps: Accepted transient steps.
-        tran_rejected: Transient steps rejected by the LTE controller or
-            a Newton failure (each retried at half the step).
-        tran_fixed_steps: Steps the fixed-step baseline would have taken
-            for the same analyses (``round(t_stop / dt)`` summed).
+        factorizations: Explicit LU factorizations (sparse backend).
+        tran_steps: Transient output-grid steps (``round(t_stop / dt)``
+            summed over the analyses).
+        tran_rejected: Transient steps whose Newton iteration failed,
+            each retried as two half steps.
         batched_solves: Stacked solve calls issued by a
             :class:`BatchedSystemTemplate` (one per lockstep iteration,
             however many members it covered).
@@ -159,10 +152,8 @@ class SolverStats:
     newton_iterations: int = 0
     solves: int = 0
     factorizations: int = 0
-    lu_reuses: int = 0
     tran_steps: int = 0
     tran_rejected: int = 0
-    tran_fixed_steps: int = 0
     batched_solves: int = 0
     batch_members: int = 0
     batch_fallbacks: int = 0
@@ -184,10 +175,8 @@ class SolverStats:
         self.newton_iterations += other.newton_iterations
         self.solves += other.solves
         self.factorizations += other.factorizations
-        self.lu_reuses += other.lu_reuses
         self.tran_steps += other.tran_steps
         self.tran_rejected += other.tran_rejected
-        self.tran_fixed_steps += other.tran_fixed_steps
         self.batched_solves += other.batched_solves
         self.batch_members += other.batch_members
         self.batch_fallbacks += other.batch_fallbacks
@@ -206,10 +195,8 @@ class SolverStats:
             "newton_iterations": self.newton_iterations,
             "solves": self.solves,
             "factorizations": self.factorizations,
-            "lu_reuses": self.lu_reuses,
             "tran_steps": self.tran_steps,
             "tran_rejected": self.tran_rejected,
-            "tran_fixed_steps": self.tran_fixed_steps,
             "batched_solves": self.batched_solves,
             "batch_members": self.batch_members,
             "batch_fallbacks": self.batch_fallbacks,
@@ -233,10 +220,8 @@ class SolverStats:
             "newton_iterations",
             "solves",
             "factorizations",
-            "lu_reuses",
             "tran_steps",
             "tran_rejected",
-            "tran_fixed_steps",
             "batched_solves",
             "batch_members",
             "batch_fallbacks",
@@ -328,38 +313,6 @@ def solve_dense(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, str | None]
         stats.solves += 1
         stats.count_backend(DENSE)
     return x, RECOVERY_TIKHONOV
-
-
-# -- factorizations ---------------------------------------------------------
-
-
-class Factorization:
-    """A reusable LU factorization of one assembled MNA matrix.
-
-    Obtained from :meth:`SystemTemplate.factor`; ``solve`` may be called
-    any number of times with different right-hand sides — the
-    step-invariant-LU reuse path of linear transient networks.
-    """
-
-    def __init__(self, solve_fn, backend: str):
-        self._solve = solve_fn
-        self.backend = backend
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute one right-hand side (no fallback: callers keep
-        the template around for the rescue path)."""
-        stats = active()
-        if stats is not None:
-            t0 = _clock()
-        x = self._solve(rhs)
-        if stats is not None:
-            stats.solve_s += _clock() - t0
-            stats.solves += 1
-            stats.lu_reuses += 1
-            stats.count_backend(self.backend)
-        if not np.all(np.isfinite(x)):
-            raise SingularMatrixError("factorized solve produced non-finite values")
-        return x
 
 
 # -- the assembly template ---------------------------------------------------
@@ -617,50 +570,6 @@ class SystemTemplate:
             stats.solves += 1
             stats.count_backend(SPARSE)
         return x, RECOVERY_TIKHONOV
-
-    def factor(self, dyn_vals: np.ndarray) -> Factorization:
-        """Factor once for reuse across right-hand sides.
-
-        Raises:
-            SingularMatrixError: When the matrix cannot be factorized;
-                callers fall back to :meth:`solve` (which carries the
-                Tikhonov rescue).
-        """
-        dyn_vals = np.asarray(dyn_vals, dtype=self.dtype)
-        stats = active()
-        if stats is not None:
-            t0 = _clock()
-        if self.backend == DENSE:
-            a = self._dense_matrix(dyn_vals)
-            try:
-                lu, piv = scipy.linalg.lu_factor(a)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                raise SingularMatrixError(f"dense LU failed: {exc}") from exc
-            if not np.all(np.isfinite(lu)):
-                raise SingularMatrixError("dense LU produced non-finite factors")
-            if stats is not None:
-                stats.factor_s += _clock() - t0
-                stats.factorizations += 1
-            return Factorization(
-                lambda rhs: scipy.linalg.lu_solve(
-                    (lu, piv), np.asarray(rhs[: self.size], dtype=self.dtype)
-                ),
-                DENSE,
-            )
-        data = self._static_data.copy()
-        if len(self._dyn_slots):
-            np.add.at(data, self._dyn_slots, dyn_vals)
-        try:
-            lu_solve = self._splu(data)
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-        if stats is not None:
-            stats.factor_s += _clock() - t0
-            stats.factorizations += 1
-        return Factorization(
-            lambda rhs: lu_solve(np.asarray(rhs[: self.size], dtype=self.dtype)),
-            SPARSE,
-        )
 
 
 def templates_compatible(a: SystemTemplate, b: SystemTemplate) -> bool:

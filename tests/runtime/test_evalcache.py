@@ -15,6 +15,7 @@ from repro import PrimitiveOptimizer, Technology
 from repro.cellgen.generator import WireConfig
 from repro.devices.mosfet import MosGeometry
 from repro.runtime import EvalCache, analysis_signature, evaluate_circuit_cached
+from repro.runtime import evalcache
 from repro.runtime.faults import FaultSpec, inject
 
 
@@ -74,6 +75,16 @@ def test_weight_override_changes_key(prim):
     plain = cache.key_for(prim, circuit)
     weighted = cache.key_for(prim, circuit, weight_override={"gm": 2.0})
     assert plain != weighted
+
+
+def test_simulator_revision_changes_key(prim, monkeypatch):
+    cache = EvalCache()
+    circuit = _circuit(prim)
+    current = cache.key_for(prim, circuit)
+    monkeypatch.setattr(
+        evalcache, "SIMULATOR_REVISION", evalcache.SIMULATOR_REVISION + 1
+    )
+    assert cache.key_for(prim, circuit) != current
 
 
 # -- hit/miss semantics --------------------------------------------------

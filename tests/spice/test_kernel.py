@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError, SingularMatrixError
+from repro.errors import SimulationError
 from repro.spice import kernel
-from repro.spice.kernel import Factorization, SolverStats, SystemTemplate
+from repro.spice.kernel import SolverStats, SystemTemplate
 
 
 @pytest.fixture(autouse=True)
@@ -133,21 +133,6 @@ def test_dynamic_values_overwrite_not_accumulate():
 
 
 @pytest.mark.parametrize("backend", [kernel.DENSE, kernel.SPARSE])
-def test_factorization_reuse_matches_fresh_solve(backend):
-    n, static, dyn_rows, dyn_cols = _random_system()
-    dyn_vals = np.full(len(dyn_rows), 0.25)
-    template = SystemTemplate(n, static, dyn_rows, dyn_cols, backend=backend)
-    factorization = template.factor(dyn_vals)
-    assert isinstance(factorization, Factorization)
-    for k in range(3):
-        rhs = np.roll(np.arange(1, n + 1, dtype=float), k)
-        direct, _ = template.solve(dyn_vals, rhs)
-        np.testing.assert_allclose(
-            factorization.solve(rhs), direct, rtol=1e-12, atol=1e-14
-        )
-
-
-@pytest.mark.parametrize("backend", [kernel.DENSE, kernel.SPARSE])
 def test_singular_system_recovers_with_tikhonov_tag(backend):
     # A floating node: row/column 2 is all zeros -> structurally singular.
     n = 3
@@ -178,26 +163,6 @@ def test_solve_dense_function_tags_recovery():
     x, tag = kernel.solve_dense(singular, np.array([1.0, 1.0]))
     assert tag == kernel.RECOVERY_TIKHONOV
     assert np.all(np.isfinite(x))
-
-
-def test_factorization_rejects_nonfinite_solutions():
-    # A singular matrix factors without error in dense LAPACK but its
-    # triangular solve produces inf/nan; the Factorization wrapper must
-    # surface that as SingularMatrixError, not return garbage.
-    n = 2
-    rows = np.array([0, 0, 1, 1])
-    cols = np.array([0, 1, 0, 1])
-    vals = np.array([1.0, 1.0, 1.0, 1.0])
-    template = SystemTemplate(
-        n,
-        (rows, cols, vals),
-        np.array([], dtype=np.intp),
-        np.array([], dtype=np.intp),
-        backend=kernel.DENSE,
-    )
-    factorization = template.factor(np.array([]))
-    with pytest.raises(SingularMatrixError):
-        factorization.solve(np.array([1.0, 2.0]))
 
 
 # -- reused SuperLU column order -------------------------------------------
@@ -311,21 +276,14 @@ def test_singular_first_factorization_records_no_order():
 def test_reused_order_factor_and_batched_match_serial():
     n, static, dyn_rows, dyn_cols = _mna_chain()
     rhs = np.random.default_rng(2).normal(size=n)
-    template = _sparse(n, static, dyn_rows, dyn_cols)
-    template.factor(_chain_values(dyn_rows, 50))  # records the order
-    assert template._perm_c is not None
-    vals = _chain_values(dyn_rows, 5)
-    ref, _ = _sparse(n, static, dyn_rows, dyn_cols).solve(vals, rhs)
-    factorization = template.factor(vals)
-    for _ in range(2):
-        assert np.array_equal(factorization.solve(rhs), ref)
-
     systems = [_mna_chain(scale=s) for s in (1.0, 1.5, 3.0)]
     members = [_sparse(*system) for system in systems]
+    members[0].solve(_chain_values(dyn_rows, 50), rhs)  # records its order
+    assert members[0]._perm_c is not None
     batch = kernel.BatchedSystemTemplate(members)
     dyn = np.stack([_chain_values(dyn_rows, 10 + k) for k in range(3)])
     rhs_k = np.stack([rhs, 2.0 * rhs, -rhs])
-    for _ in range(2):  # first pass records each member's order
+    for _ in range(2):  # first pass records the other members' orders
         x, recoveries, errors = batch.solve(dyn, rhs_k)
         assert recoveries == [None] * 3 and errors == [None] * 3
         for k, system in enumerate(systems):
@@ -361,7 +319,7 @@ def test_stats_merge_and_dict_roundtrip():
     a = SolverStats(solves=3, newton_iterations=7, tran_steps=11)
     a.count_analysis("dc")
     a.count_backend("dense")
-    b = SolverStats(solves=2, lu_reuses=5, tran_rejected=1)
+    b = SolverStats(solves=2, factorizations=5, tran_rejected=1)
     b.count_analysis("dc")
     b.count_analysis("tran")
     b.count_backend("sparse")

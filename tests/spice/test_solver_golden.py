@@ -26,7 +26,7 @@ from repro.tech import Technology
 
 #: Relative metric tolerance -- the optimization cost function treats
 #: metric deviations below ~1% as noise; the backends agree far tighter
-#: on most metrics, but adaptive step-acceptance decisions can flip on
+#: on most metrics, but Newton convergence decisions can flip on
 #: last-bit differences between LU orderings.
 COST_TOL = 1e-2
 
@@ -52,8 +52,8 @@ def _compare(dense: dict, sparse: dict):
 
 
 def test_rc_ladder_waveforms_agree_pointwise(tech):
-    """Linear network, fixed stepper: identical step sequence, so the
-    backends must agree to solver precision, not just metric tolerance."""
+    """Linear network: identical step sequence, so the backends must
+    agree to solver precision, not just metric tolerance."""
     c = Circuit("ladder")
     c.add_vsource(
         "vin", "n0", "0", Pulse(0.0, 1.0, delay=1e-10, rise=1e-11, width=1.0)
@@ -64,7 +64,7 @@ def test_rc_ladder_waveforms_agree_pointwise(tech):
     cc = CompiledCircuit(c, tech.rules)
     waves = {}
     for backend in ("dense", "sparse"):
-        tr = transient(cc, t_stop=5e-9, dt=1e-11, stepper="fixed", solver=backend)
+        tr = transient(cc, t_stop=5e-9, dt=1e-11, solver=backend)
         waves[backend] = tr.v("n6")
     np.testing.assert_allclose(
         waves["sparse"], waves["dense"], rtol=1e-9, atol=1e-12

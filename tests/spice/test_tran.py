@@ -6,7 +6,8 @@ import pytest
 from repro.devices.mosfet import MosGeometry
 from repro.errors import NetlistError
 from repro.spice import Circuit, CompiledCircuit, dc_operating_point, transient
-from repro.spice import measure
+from repro.spice import kernel, measure
+from repro.spice import tran as tran_mod
 from repro.spice.waveforms import Pulse, Sin
 
 
@@ -123,3 +124,31 @@ def test_energy_conservation_rc_discharge(tech):
     tr = transient(cc, t_stop=4e-9, dt=5e-12)
     k = np.argmin(np.abs(tr.t - 1.5e-9))  # 1 tau after fall
     assert tr.v("out")[k] == pytest.approx(np.exp(-1), abs=0.02)
+
+
+def test_newton_failure_is_retried_as_half_steps_and_counted(tech, monkeypatch):
+    c = Circuit("rc")
+    c.add_vsource("vin", "in", "0", Pulse(0.0, 1.0, delay=1e-9, rise=1e-12, width=1.0))
+    c.add_resistor("r1", "in", "out", 1e3)
+    c.add_capacitor("c1", "out", "0", 1e-12)
+    cc = CompiledCircuit(c, tech.rules)
+    clean = transient(cc, t_stop=3e-9, dt=1e-11)
+
+    real_step = tran_mod._Integrator.step
+    failed = []
+
+    def fail_once(self, x_prev, xdot_prev, t_new, dt):
+        if not failed and t_new > 1.5e-9:
+            failed.append(t_new)
+            return None
+        return real_step(self, x_prev, xdot_prev, t_new, dt)
+
+    monkeypatch.setattr(tran_mod._Integrator, "step", fail_once)
+    stats = kernel.SolverStats()
+    with kernel.collect(stats):
+        tr = transient(cc, t_stop=3e-9, dt=1e-11)
+    assert len(failed) == 1
+    assert stats.tran_rejected == 1
+    assert stats.tran_steps == 300
+    np.testing.assert_array_equal(tr.t, clean.t)
+    np.testing.assert_allclose(tr.v("out"), clean.v("out"), atol=1e-3)
