@@ -20,13 +20,13 @@ REPRO_FAULT_SEEDS ?= 0,1,2,3
 faults:
 	REPRO_FAULT_SEEDS=$(REPRO_FAULT_SEEDS) pytest tests/runtime/ -q $(TIMEOUT_FLAG)
 
-# Chaos drills: worker SIGKILLs, torn journal tails, corrupted cache
-# entries, full disks, and concurrent shared-cache access — under the
-# same deterministic seed matrix as `make faults`.  Set
+# Chaos drills: torn journal tails, corrupted cache entries, full disks,
+# concurrent shared-cache access and graceful shutdown — under the same
+# deterministic seed matrix as `make faults`.  Set
 # REPRO_CHAOS_ARTIFACTS to keep each scenario's run dir (journals +
 # evalcache) for post-mortem; CI uploads it on failure.
 chaos:
-	REPRO_FAULT_SEEDS=$(REPRO_FAULT_SEEDS) pytest tests/runtime/test_chaos.py tests/runtime/test_supervise.py -q $(TIMEOUT_FLAG)
+	REPRO_FAULT_SEEDS=$(REPRO_FAULT_SEEDS) pytest tests/runtime/test_chaos.py tests/runtime/test_shutdown.py -q $(TIMEOUT_FLAG)
 
 # Static checks.  ruff/mypy are dev-only tools (installed in CI); when a
 # local environment lacks one, that half is skipped rather than failing.
@@ -73,7 +73,7 @@ erc:
 	@python -c "import json; rs = json.load(open('$(ERC_REPORT)')); \
 	print(f'{len(rs)} reports -> $(ERC_REPORT)')"
 
-# Evaluation-engine benchmark: serial vs parallel vs content-cached
+# Evaluation-engine benchmark: serial (stacked) vs content-cached
 # sweeps plus the 5T OTA flow cache reduction, written to
 # $(BENCH_EVAL_OUT) for trend tracking (CI uploads it as an artifact).
 BENCH_EVAL_OUT ?= BENCH_eval.json

@@ -1,21 +1,20 @@
 #!/usr/bin/env python
-"""Benchmark the parallel content-cached evaluation engine.
+"""Benchmark the content-cached evaluation engine.
 
-Measures three configurations of the primitive-optimization sweep over a
-small primitive set — serial (``jobs=1``, no cache), parallel
-(``--jobs N``, no cache) and content-cached (``jobs=1``, cache on) — plus
-the cache's simulation-count reduction on the full 5T OTA hierarchical
-flow, and writes the numbers to ``BENCH_eval.json`` so later PRs have a
-performance trajectory to compare against.
+Measures two configurations of the primitive-optimization sweep over a
+small primitive set — serial (the stacked sweep engine, no cache) and
+content-cached (cache on) — plus the cache's simulation-count reduction
+on the full 5T OTA hierarchical flow, and writes the numbers to
+``BENCH_eval.json`` so later changes have a performance trajectory to
+compare against.
 
-Determinism makes the comparison honest: the parallel and serial sweeps
-produce byte-identical reports (asserted here), so the only thing the
-worker pool can change is wall-clock time, and the only thing the cache
-can change is how many evaluations reach the simulator.
+Determinism makes the comparison honest: the cached sweep scores every
+option exactly as the uncached one (asserted here), so the only thing
+the cache can change is how many evaluations reach the simulator.
 
 Run via ``make bench-eval``, or directly::
 
-    python benchmarks/bench_eval.py --jobs 4 --out BENCH_eval.json
+    python benchmarks/bench_eval.py --out BENCH_eval.json
 
 ``--smoke`` shrinks the sweep for CI smoke runs (the JSON still carries
 every field, just from a smaller workload).
@@ -48,13 +47,16 @@ from repro.runtime import EvalCache  # noqa: E402
 def count_simulations():
     """Count every evaluation that actually reaches the simulator.
 
-    Wraps :meth:`MosPrimitive.evaluate` at the class level, so primitives
-    constructed inside the flow are counted too.  Cache hits never call
-    ``evaluate`` and therefore never count — which is exactly the number
-    the benchmark wants.
+    Wraps :meth:`MosPrimitive.evaluate` and its stacked counterpart
+    :meth:`MosPrimitive.evaluate_many` at the class level, so primitives
+    constructed inside the flow are counted too.  Cache hits reach
+    neither and therefore never count — which is exactly the number the
+    benchmark wants.  A stacked member that failed (None) is re-run
+    through ``evaluate`` and counted there.
     """
     counts = {"evaluations": 0, "simulations": 0}
     original = MosPrimitive.evaluate
+    original_many = MosPrimitive.evaluate_many
 
     def counting(self, dut):
         values, sims = original(self, dut)
@@ -62,11 +64,21 @@ def count_simulations():
         counts["simulations"] += sims
         return values, sims
 
+    def counting_many(self, duts):
+        outcomes = original_many(self, duts)
+        for outcome in outcomes:
+            if outcome is not None:
+                counts["evaluations"] += 1
+                counts["simulations"] += outcome[1]
+        return outcomes
+
     MosPrimitive.evaluate = counting
+    MosPrimitive.evaluate_many = counting_many
     try:
         yield counts
     finally:
         MosPrimitive.evaluate = original
+        MosPrimitive.evaluate_many = original_many
 
 
 def _primitive_set(tech: Technology, smoke: bool) -> list[MosPrimitive]:
@@ -87,12 +99,11 @@ def _fingerprint(report) -> tuple:
     )
 
 
-def _sweep(tech, jobs, cache, smoke):
+def _sweep(tech, cache, smoke):
     """One full-library optimization pass; returns (wall_s, sims, prints)."""
     optimizer = PrimitiveOptimizer(
         n_bins=2,
         max_wires=3 if smoke else 5,
-        jobs=jobs,
         cache=cache,
     )
     start = time.perf_counter()
@@ -104,44 +115,32 @@ def _sweep(tech, jobs, cache, smoke):
     return wall, counts, [_fingerprint(r) for r in reports]
 
 
-def bench_sweep(tech, jobs: int, smoke: bool) -> dict:
+def bench_sweep(tech, smoke: bool) -> dict:
     serial_wall, serial_counts, serial_prints = _sweep(
-        tech, jobs=1, cache=False, smoke=smoke
-    )
-    parallel_wall, _parallel_counts, parallel_prints = _sweep(
-        tech, jobs=jobs, cache=False, smoke=smoke
-    )
-    assert parallel_prints == serial_prints, (
-        "determinism violation: parallel sweep diverged from serial"
+        tech, cache=False, smoke=smoke
     )
     cached_wall, cached_counts, cached_prints = _sweep(
-        tech, jobs=1, cache=EvalCache(), smoke=smoke
+        tech, cache=EvalCache(), smoke=smoke
     )
     # Caching may zero per-option simulation counts but never the
-    # scores: every cost must match the uncached run.
+    # scores: every option, tuning point and best cost must match the
+    # uncached run.
     for cached, serial in zip(cached_prints, serial_prints):
-        assert cached[3] == serial[3], (
-            "cache changed a result: best cost diverged"
-        )
+        assert (cached[0], cached[1], cached[3]) == (
+            serial[0],
+            serial[1],
+            serial[3],
+        ), "cache changed a result: costs diverged"
     return {
         "primitives": [p.name for p in _primitive_set(tech, smoke)],
         # "simulations" counts calls that reached the simulator
         # (including schematic references); "report_simulations" is the
-        # sweep-stage accounting from the optimization reports.  The
-        # parallel run only carries the latter: workers simulate in
-        # their own processes, out of sight of the parent-side
-        # instrumentation (the fingerprint assert above already pins its
-        # accounting to serial).
+        # sweep-stage accounting from the optimization reports.
         "serial": {
             "wall_s": round(serial_wall, 4),
             "simulations": serial_counts["simulations"],
             "evaluations": serial_counts["evaluations"],
             "report_simulations": sum(fp[2] for fp in serial_prints),
-        },
-        "parallel": {
-            "jobs": jobs,
-            "wall_s": round(parallel_wall, 4),
-            "report_simulations": sum(fp[2] for fp in parallel_prints),
         },
         "cached": {
             "wall_s": round(cached_wall, 4),
@@ -149,7 +148,6 @@ def bench_sweep(tech, jobs: int, smoke: bool) -> dict:
             "evaluations": cached_counts["evaluations"],
             "report_simulations": sum(fp[2] for fp in cached_prints),
         },
-        "parallel_speedup": round(serial_wall / max(parallel_wall, 1e-9), 3),
         "cache_sim_reduction": round(
             1.0
             - cached_counts["simulations"]
@@ -169,7 +167,6 @@ def bench_ota_flow(tech, smoke: bool) -> dict:
             max_wires=3 if smoke else 5,
             placer_iterations=100 if smoke else 500,
             verify=False,
-            jobs=1,
             cache=cache,
         )
         with count_simulations() as counts:
@@ -192,12 +189,6 @@ def bench_ota_flow(tech, smoke: bool) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=min(4, os.cpu_count() or 1),
-        help="worker processes for the parallel sweep (default: min(4, cores))",
-    )
-    parser.add_argument(
         "--out",
         default="BENCH_eval.json",
         help="output JSON path (default: BENCH_eval.json)",
@@ -213,9 +204,8 @@ def main() -> None:
     report = {
         "benchmark": "eval-engine",
         "cpu_count": os.cpu_count(),
-        "jobs": args.jobs,
         "smoke": args.smoke,
-        "sweep": bench_sweep(tech, jobs=args.jobs, smoke=args.smoke),
+        "sweep": bench_sweep(tech, smoke=args.smoke),
         "ota_flow": bench_ota_flow(tech, smoke=args.smoke),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
@@ -224,9 +214,8 @@ def main() -> None:
     print(
         f"sweep: serial {sweep['serial']['wall_s']}s / "
         f"{sweep['serial']['simulations']} sims; "
-        f"parallel(x{args.jobs}) {sweep['parallel']['wall_s']}s "
-        f"(speedup {sweep['parallel_speedup']}x on {os.cpu_count()} cores); "
-        f"cached {sweep['cached']['simulations']} sims "
+        f"cached {sweep['cached']['wall_s']}s / "
+        f"{sweep['cached']['simulations']} sims "
         f"(-{sweep['cache_sim_reduction']:.0%})"
     )
     ota = report["ota_flow"]

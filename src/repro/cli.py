@@ -20,7 +20,7 @@ Commands:
   Exits nonzero when any unwaived violation at or above the threshold
   is found,
 * ``profile <target>`` — run a primitive optimization (or a circuit
-  flow) single-process and print the solver-kernel profile: per-phase
+  flow) and print the solver-kernel profile: per-phase
   timings (device eval / stamp / factor / solve), Newton iteration and
   factorization counts, stacked-solve counts and transient step and
   retried-step counts,
@@ -94,17 +94,7 @@ def _policy_from_args(args: argparse.Namespace):
             args.retries if args.retries is not None else defaults.max_retries
         ),
         deadline_s=args.deadline,
-        task_timeout_s=getattr(args, "task_timeout", None),
     )
-
-
-def _jobs_from_args(args: argparse.Namespace) -> int:
-    """CLI job count: ``--jobs``, then ``REPRO_JOBS``, then all cores."""
-    import os
-
-    from repro.runtime import resolve_jobs
-
-    return resolve_jobs(args.jobs, default=os.cpu_count())
 
 
 def _apply_solver(args: argparse.Namespace) -> None:
@@ -129,7 +119,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         policy=_policy_from_args(args),
         run_dir=args.run_dir,
         resume=args.resume,
-        jobs=_jobs_from_args(args),
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
@@ -205,7 +194,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         policy=_policy_from_args(args),
         run_dir=args.run_dir,
         resume=args.resume,
-        jobs=_jobs_from_args(args),
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
@@ -253,9 +241,8 @@ def _render_profile(profile: dict, title: str) -> str:
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile the solver kernel across one optimization or flow run.
 
-    Runs single-process (``jobs=1``) so every evaluation executes in
-    this process — sweeps on the stacked engine — and the kernel
-    counters cover the whole run.
+    Every evaluation executes in this process — sweeps on the stacked
+    engine — so the kernel counters cover the whole run.
     """
     _apply_solver(args)
     tech = Technology.default()
@@ -265,7 +252,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             tech,
             n_bins=args.bins,
             max_wires=args.max_wires,
-            jobs=1,
         )
         result = flow.run(circuit, measure=args.target != "vco")
         profile = result.solver_profile
@@ -280,7 +266,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         optimizer = PrimitiveOptimizer(
             n_bins=args.bins,
             max_wires=args.max_wires,
-            jobs=1,
         )
         report = optimizer.optimize(primitive)
         profile = report.solver_profile
@@ -425,9 +410,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     matching, emits matching/symmetry constraints, validates them
     against the cell generator, and reports coverage gaps and
     ambiguities as ``TOPO-*`` findings (plus schematic ERC).  Output is
-    byte-deterministic: repeated runs — with any ``--jobs`` value — emit
-    identical text.  Exits 1 when any unwaived violation at or above
-    ``--severity`` is found.
+    byte-deterministic: repeated runs emit identical text.  Exits 1 when
+    any unwaived violation at or above ``--severity`` is found.
     """
     import json
 
@@ -527,15 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-evaluation wall-clock deadline (seconds)",
         )
         p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="worker processes for batched evaluations (default: "
-            "REPRO_JOBS, else all CPU cores; results are identical for "
-            "any value)",
-        )
-        p.add_argument(
             "--cache",
             action=argparse.BooleanOptionalAction,
             default=True,
@@ -557,15 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="MB",
             help="size cap for the on-disk cache tier in MiB (stalest "
             "entries are evicted past the cap; default: unbounded)",
-        )
-        p.add_argument(
-            "--task-timeout",
-            type=float,
-            default=None,
-            metavar="S",
-            help="per-task watchdog deadline (seconds): a worker whose "
-            "evaluation hangs past it is SIGKILLed and the task recorded "
-            "as EVAL-TIMEOUT (default: no watchdog)",
         )
         add_solver_arg(p)
 
@@ -728,19 +694,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="waiver baseline file (default: .reprolint.toml when present)",
     )
     p_ingest.add_argument("--max-per-rule", type=int, default=5)
-    p_ingest.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="accepted for interface symmetry with optimize/flow; "
-        "ingestion is a deterministic single pass, so the output is "
-        "identical for any value",
-    )
 
     p_prof = sub.add_parser(
         "profile",
-        help="run single-process and print the solver-kernel profile",
+        help="run an optimization or flow and print the solver-kernel "
+        "profile",
     )
     p_prof.add_argument(
         "target",

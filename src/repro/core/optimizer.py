@@ -31,7 +31,6 @@ from repro.runtime import (
     EvalCache,
     EvalRuntime,
     FailureLog,
-    ParallelEvalRuntime,
     RetryPolicy,
     SweepJournal,
 )
@@ -72,7 +71,7 @@ class OptimizationReport:
         cache_stats: Content-cache accounting (``hits``/``stored``)
             when an :class:`~repro.runtime.EvalCache` was active.  Only
             the order-independent fields are reported, so the stats are
-            identical for any ``--jobs``.
+            identical for any stack width.
         solver_profile: Solver-kernel profiling counters accumulated by
             the run's :class:`~repro.runtime.EvalRuntime` (see
             :meth:`repro.spice.kernel.SolverStats.as_dict`).  A
@@ -166,12 +165,6 @@ class PrimitiveOptimizer:
             reference before any simulation is spent; ERC errors raise
             :class:`~repro.errors.OptimizationError` immediately (a
             broken netlist would corrupt every downstream score).
-        jobs: Worker processes for batched evaluations (None reads
-            ``REPRO_JOBS``, else 1).  Any value produces byte-identical
-            reports; >1 adds wall-clock parallelism only.  In process
-            (``jobs <= 1``), sweeps of same-pattern variants run on the
-            stacked engine (:mod:`repro.runtime.batched`), also
-            byte-identical.
         cache: Content-addressed evaluation cache: ``True`` builds one
             (with an on-disk tier under ``<run_dir>/evalcache`` when
             checkpointing), ``False`` disables caching, or pass an
@@ -195,7 +188,6 @@ class PrimitiveOptimizer:
         run_dir: str | os.PathLike | None = None,
         resume: bool = False,
         erc: bool = True,
-        jobs: int | None = None,
         cache: "bool | EvalCache" = True,
         cache_dir: str | os.PathLike | None = None,
         cache_max_mb: float | None = None,
@@ -207,7 +199,6 @@ class PrimitiveOptimizer:
         self.run_dir = run_dir
         self.resume = resume
         self.erc = erc
-        self.jobs = jobs
         if isinstance(cache, EvalCache):
             self.cache: EvalCache | None = cache
         elif cache:
@@ -234,12 +225,7 @@ class PrimitiveOptimizer:
                 Path(self.run_dir) / f"{primitive.name}.jsonl",
                 resume=self.resume,
             )
-        return ParallelEvalRuntime(
-            policy=self.policy,
-            journal=journal,
-            cache=self.cache,
-            jobs=self.jobs,
-        )
+        return EvalRuntime(policy=self.policy, journal=journal, cache=self.cache)
 
     def optimize(
         self,

@@ -168,7 +168,6 @@ def option_task(
     wires: WireConfig,
     weight_override: dict[str, float] | None,
     cache: EvalCache | None = None,
-    absorb: tuple[type, ...] = (),
 ) -> BatchTask:
     """The :class:`~repro.runtime.BatchTask` evaluating one layout option.
 
@@ -211,7 +210,6 @@ def option_task(
         from_payload=lambda payload: restore_option(
             primitive, payload, base, pattern, wires, weight_override
         ),
-        absorb=absorb,
         batch_spec=BatchSpec(
             primitive=primitive,
             build=build,
@@ -266,7 +264,6 @@ def evaluate_options(
                     wires or WireConfig(),
                     weight_override,
                     cache=runtime.cache,
-                    absorb=(LayoutError,),
                 )
             )
     batch = runtime.evaluate_batch(tasks, stage="selection")

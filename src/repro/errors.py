@@ -58,20 +58,6 @@ class EvalTimeoutError(SimulationError):
     failure_code = "EVAL-TIMEOUT"
 
 
-class WorkerLostError(SimulationError):
-    """Raised when an evaluation worker process died (SIGKILL, OOM,
-    segfault) and the task was quarantined after killing a replacement
-    worker too.
-
-    The supervised pool normally *synthesizes* the ``WORKER-LOST``
-    failure record instead of raising; this type exists so callers that
-    re-run a quarantined task serially get a classifiable, absorbable
-    error if the evaluation also dies in-process.
-    """
-
-    failure_code = "WORKER-LOST"
-
-
 class LayoutError(ReproError):
     """Raised when a layout cannot be generated (infeasible parameters)."""
 

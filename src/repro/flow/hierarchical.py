@@ -49,8 +49,8 @@ from repro.pnr.global_router import GlobalRoute, GlobalRouter
 from repro.pnr.placer import Block, Placement, SaPlacer
 from repro.runtime import (
     EvalCache,
+    EvalRuntime,
     FailureLog,
-    ParallelEvalRuntime,
     RetryPolicy,
     SweepJournal,
 )
@@ -147,10 +147,6 @@ class HierarchicalFlow:
         run_dir: Directory for sweep-checkpoint journals (one JSONL per
             primitive plus ``ports.jsonl``); None disables checkpointing.
         resume: Replay existing journals instead of starting fresh.
-        jobs: Worker processes for batched evaluations (None reads
-            ``REPRO_JOBS``, else 1).  Results are byte-identical for any
-            value; in process (``jobs <= 1``) sweeps run on the stacked
-            engine.  See ``docs/performance.md``.
         cache: Content-addressed evaluation cache shared across every
             stage of the run (with an on-disk tier under
             ``<run_dir>/evalcache`` when checkpointing); ``False``
@@ -175,7 +171,6 @@ class HierarchicalFlow:
         run_dir: str | None = None,
         resume: bool = False,
         waivers: WaiverSet | None = None,
-        jobs: int | None = None,
         cache: bool = True,
         cache_dir: str | None = None,
         cache_max_mb: float | None = None,
@@ -191,7 +186,6 @@ class HierarchicalFlow:
         self.run_dir = run_dir
         self.resume = resume
         self.waivers = waivers
-        self.jobs = jobs
         if cache:
             disk = (
                 Path(cache_dir)
@@ -303,7 +297,6 @@ class HierarchicalFlow:
             policy=self.policy,
             run_dir=self.run_dir,
             resume=self.resume,
-            jobs=self.jobs,
             cache=self.cache if self.cache is not None else False,
         )
         for name, primitive in unique.items():
@@ -459,12 +452,11 @@ class HierarchicalFlow:
             journal = SweepJournal(
                 Path(self.run_dir) / "ports.jsonl", resume=self.resume
             )
-        runtime = ParallelEvalRuntime(
+        runtime = EvalRuntime(
             policy=self.policy,
             journal=journal,
             failures=result.failures,
             cache=self.cache,
-            jobs=self.jobs,
         )
 
         constraints_by_net: dict[str, list[PortConstraint]] = {}
@@ -568,7 +560,7 @@ class HierarchicalFlow:
 
     def _reconcile_resims(
         self,
-        runtime: ParallelEvalRuntime,
+        runtime: EvalRuntime,
         constraints_by_net: dict[str, list[PortConstraint]],
         sim_context: dict[tuple[str, str], tuple],
     ) -> dict[tuple[str, str, int], float]:

@@ -14,8 +14,8 @@ everything into one waiver-aware :class:`~repro.verify.diagnostics.Report`.
 a :class:`~repro.circuits.base.PrimitiveBinding`.
 
 Everything here is pure and deterministic: :meth:`IngestResult.to_dict`
-depends only on the netlist text, so repeated runs (and any ``--jobs``
-setting) produce byte-identical JSON.
+depends only on the netlist text, so repeated runs produce
+byte-identical JSON.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Wraps every simulation-backed evaluation of the optimization flow with a
 structured failure taxonomy (:mod:`~repro.runtime.failures`), bounded
 retries and per-stage budgets (:mod:`~repro.runtime.policy`), sweep
 checkpointing for crash/resume (:mod:`~repro.runtime.checkpoint`), and a
-deterministic fault-injection harness (:mod:`~repro.runtime.faults`),
-and worker supervision with graceful shutdown
-(:mod:`~repro.runtime.supervise`).
+deterministic fault-injection harness (:mod:`~repro.runtime.faults`)
+and graceful shutdown (:mod:`~repro.runtime.shutdown`).
 
 See ``docs/robustness.md`` for the failure-code catalog and the
 degradation ladder.
@@ -27,21 +26,14 @@ from repro.runtime.failures import (
     EVAL_TIMEOUT,
     FAILURE_CODES,
     SINGULAR_MNA,
-    WORKER_LOST,
     EvalFailure,
     FailureLog,
     classify_failure,
     is_eval_failure,
 )
 from repro.runtime.faults import FaultInjector, FaultSpec, inject
-from repro.runtime.parallel import ParallelEvalRuntime, resolve_jobs
 from repro.runtime.policy import BatchTask, EvalBatch, EvalRuntime, RetryPolicy
-from repro.runtime.supervise import (
-    SupervisedPool,
-    flush_all,
-    graceful_shutdown,
-    register_flushable,
-)
+from repro.runtime.shutdown import flush_all, graceful_shutdown, register_flushable
 
 __all__ = [
     "BAD_METRIC",
@@ -50,7 +42,6 @@ __all__ = [
     "EVAL_TIMEOUT",
     "FAILURE_CODES",
     "SINGULAR_MNA",
-    "WORKER_LOST",
     "BatchSpec",
     "BatchTask",
     "EvalBatch",
@@ -60,9 +51,7 @@ __all__ = [
     "FailureLog",
     "FaultInjector",
     "FaultSpec",
-    "ParallelEvalRuntime",
     "RetryPolicy",
-    "SupervisedPool",
     "SweepJournal",
     "analysis_signature",
     "classify_failure",
@@ -73,5 +62,4 @@ __all__ = [
     "inject",
     "is_eval_failure",
     "register_flushable",
-    "resolve_jobs",
 ]

@@ -1,4 +1,4 @@
-"""Vectorized multi-variant evaluation — the in-process sweep engine.
+"""Vectorized multi-variant evaluation — the sweep engine.
 
 Selection and tuning sweeps evaluate many *same-pattern* variants: the
 netlists share one MNA structure and differ only in device values.
@@ -9,8 +9,8 @@ independently; this module lets a call site describe each evaluation as
 **stacked across variants**: one
 :class:`~repro.spice.kernel.BatchedSystemTemplate` Newton solve per
 iteration instead of K, one stacked AC sweep instead of K (see
-docs/performance.md, "Batched solves").  It is the default engine of
-every in-process sweep, :data:`STACK_WIDTH` variants per stack.
+docs/performance.md, "Batched solves").  It is the engine of every
+sweep, :data:`STACK_WIDTH` variants per stack.
 
 Determinism contract: everything observable — metric values, journals,
 failure logs, evalcache keys and hit/store sequences, reports — is
@@ -171,7 +171,7 @@ class BatchedEvalBatch:
                 circuit, site = spec.build()
             except Exception:
                 # The serial thunk rebuilds and raises identically at
-                # consumption (e.g. an absorbed LayoutError).
+                # consumption (e.g. a LayoutError).
                 continue
             key = None
             if cache is not None:

@@ -32,7 +32,7 @@ import os
 from pathlib import Path
 
 from repro.errors import CheckpointError
-from repro.runtime import supervise
+from repro.runtime import shutdown
 from repro.runtime.failures import EvalFailure
 
 STATUS_OK = "ok"
@@ -64,7 +64,7 @@ class SweepJournal:
         elif not resume:
             self.path.write_text("")
         self._file = self.path.open("a", encoding="utf-8")
-        supervise.register_flushable(self)
+        shutdown.register_flushable(self)
 
     def _replay(self) -> None:
         raw = self.path.read_bytes()
@@ -167,7 +167,7 @@ class SweepJournal:
 
         Every :meth:`_append` already flushes and fsyncs, so this is
         normally a no-op — it exists so
-        :func:`repro.runtime.supervise.graceful_shutdown` can flush all
+        :func:`repro.runtime.shutdown.graceful_shutdown` can flush all
         registered sinks without knowing their types.
         """
         if not self._file.closed:

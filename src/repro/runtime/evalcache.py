@@ -51,9 +51,7 @@ Two deliberate bypasses keep cached runs equivalent to uncached ones:
   :class:`~repro.runtime.faults.FaultInjector` whose spec
   :attr:`~repro.runtime.faults.FaultSpec.affects_values` is active the
   cache is bypassed entirely; such fault-injected runs behave
-  identically with and without a cache.  Kill-only chaos specs (worker
-  SIGKILLs never change values) keep the cache enabled so chaos runs
-  stay byte-comparable to clean ones.
+  identically with and without a cache.
 * **Non-finite results** — a poisoned evaluation (NaN metrics) is never
   stored: retries with perturbed guesses must re-simulate, not replay
   the poison.
@@ -76,7 +74,7 @@ try:  # POSIX-only advisory locking; the cache degrades gracefully without.
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-from repro.runtime import faults, supervise
+from repro.runtime import faults, shutdown
 from repro.spice.netlist import Circuit
 
 #: Default in-memory LRU capacity (entries, not bytes: one entry is a
@@ -176,9 +174,8 @@ class CacheStats:
 
     ``hits``/``stored`` are deterministic for a given logical run (they
     track the consumed evaluation sequence, which is identical for any
-    ``--jobs``); ``misses`` additionally counts lookups whose evaluation
-    later failed, so it may differ between worker counts and is reported
-    for diagnostics only.
+    stack width); ``misses`` additionally counts lookups whose evaluation
+    later failed and is reported for diagnostics only.
 
     Every :meth:`EvalCache.get` call counts exactly one ``lookups`` and
     exactly one of ``hits``/``misses`` — a quarantined corrupt disk
@@ -271,14 +268,6 @@ class EvalCache:
         self.downgrade_reason: str | None = None
         self.stats = CacheStats()
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
-        # Forked evaluation workers inherit this cache object, and their
-        # speculative work must leave no trace outside their process:
-        # only the owning (parent) process writes the disk tier.  This
-        # also keeps the disk tier in lock-step with the journal (both
-        # written at consumption).  Concurrent *parent* processes each
-        # own their instance, so all of them write — safely, via
-        # per-process tmp names and atomic renames.
-        self._owner_pid = os.getpid()
         self._disk_bytes = 0
         if self.disk_dir is not None:
             try:
@@ -291,7 +280,7 @@ class EvalCache:
             else:
                 if self.max_disk_bytes is not None:
                     self._disk_bytes = self._scan_disk_bytes()
-        supervise.register_flushable(self)
+        shutdown.register_flushable(self)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -304,7 +293,7 @@ class EvalCache:
 
     def flush(self) -> None:
         """Durability hook for graceful shutdown (see
-        :func:`repro.runtime.supervise.graceful_shutdown`).
+        :func:`repro.runtime.shutdown.graceful_shutdown`).
 
         The disk tier is write-through with atomic renames, so there is
         no buffered state to push; the hook exists so shutdown code can
@@ -387,7 +376,9 @@ class EvalCache:
             return None
         path = self.disk_dir / f"{key}.json"
         try:
-            raw = path.read_text(encoding="utf-8")
+            # Bytes, not text: a bit-flip that breaks the UTF-8 encoding
+            # must reach the quarantine below, not raise.
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -524,7 +515,7 @@ class EvalCache:
             return
         self._remember(key, _Entry(dict(values), int(simulations)))
         self.stats.stored += 1
-        if self.disk_dir is not None and os.getpid() == self._owner_pid:
+        if self.disk_dir is not None:
             self._write_disk(key, values, int(simulations))
 
     def key_for(
@@ -553,7 +544,7 @@ def evaluate_circuit_cached(
     no cache configured, or a *value-affecting* fault injector is active
     (injected solver/metric faults key on evaluation keys, so serving
     content hits would change which faults fire; see the module
-    docstring).  Kill-only chaos specs do not bypass.
+    docstring).
     """
     injector = faults.active()
     if cache is None or (injector is not None and injector.spec.affects_values):

@@ -17,18 +17,18 @@ Code                      Meaning
 ``EVAL-TIMEOUT``          One evaluation exceeded its wall-clock deadline.
 ``BAD-METRIC``            A measured metric came back NaN/inf (or a metric
                           testbench raised a measurement error).
-``WORKER-LOST``           An evaluation worker process died (SIGKILL, OOM,
-                          segfault) and the task was quarantined after
-                          killing a replacement worker too.
 ========================  ====================================================
+
+Older journals and failure logs may also carry the retired
+``WORKER-LOST`` code; they still load, since
+:meth:`EvalFailure.from_dict` does not validate codes.
 
 Failures are accumulated on a per-run :class:`FailureLog` that the
 optimizer attaches to its report; it serializes to plain dicts so the
 checkpoint journal can replay it across a resume.  The log also carries
 the run's *downgrade ledger* — one entry per graceful-degradation step
-taken (parallel pool replaced or abandoned for serial execution, disk
-cache fallen back to memory-only, journal tail truncated), recorded once
-each and surfaced through ``summary()``.
+taken (disk cache fallen back to memory-only, journal tail truncated),
+recorded once each and surfaced through ``summary()``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ CONV_TRAN = "CONV-TRAN"
 SINGULAR_MNA = "SINGULAR-MNA"
 EVAL_TIMEOUT = "EVAL-TIMEOUT"
 BAD_METRIC = "BAD-METRIC"
-WORKER_LOST = "WORKER-LOST"
 
 #: Every stable failure code, in documentation order.
 FAILURE_CODES = (
@@ -52,7 +51,6 @@ FAILURE_CODES = (
     SINGULAR_MNA,
     EVAL_TIMEOUT,
     BAD_METRIC,
-    WORKER_LOST,
 )
 
 
@@ -130,8 +128,7 @@ class FailureLog:
     #: Stages whose failure fraction crossed the policy ceiling.
     degraded_stages: list[str] = field(default_factory=list)
     #: Graceful-degradation steps the run took (each recorded once):
-    #: pool replacement / serial fallback, disk-cache memory-only
-    #: fallback, journal tail truncation.
+    #: disk-cache memory-only fallback, journal tail truncation.
     downgrades: list[str] = field(default_factory=list)
 
     def record(self, failure: EvalFailure) -> None:

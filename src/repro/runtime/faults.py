@@ -20,18 +20,12 @@ injector is installed):
 * :meth:`repro.primitives.base.MosPrimitive.evaluate` — ``BAD-METRIC``
   (poisons one measured value with NaN);
 * :meth:`repro.runtime.policy.EvalRuntime.evaluate` — ``EVAL-TIMEOUT``
-  (adds phantom elapsed seconds to the measured wall clock);
-* :func:`repro.runtime.parallel._worker_run` — ``WORKER-LOST`` (the
-  chaos harness: a worker process SIGKILLs *itself* at keyed task
-  indices, exercising pool supervision, replacement and poison-task
-  quarantine; see :mod:`repro.runtime.supervise`).
+  (adds phantom elapsed seconds to the measured wall clock).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import signal
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -44,7 +38,6 @@ from repro.runtime.failures import (
     CONV_TRAN,
     EVAL_TIMEOUT,
     SINGULAR_MNA,
-    WORKER_LOST,
 )
 
 
@@ -65,17 +58,6 @@ class FaultSpec:
         recover_on_retry: When True, faults only fire on attempt 0, so a
             single retry always recovers (exercises the retry path
             deterministically).
-        worker_kill_rate: Probability a *worker process* SIGKILLs itself
-            before running a task (chaos: exercises pool supervision).
-            The decision is keyed on the task key only, so the same
-            tasks die for any pool size or dispatch order.
-        worker_kill_keys: Explicit task keys whose workers are killed
-            (in addition to the rate draw) — deterministic chaos
-            scripting for tests.
-        worker_kill_times: How many *dispatch attempts* of a doomed task
-            kill their worker.  1 means the supervised re-dispatch
-            recovers; >= the supervisor's death budget makes the task a
-            quarantined poison task.
     """
 
     dc_fail_rate: float = 0.0
@@ -85,9 +67,6 @@ class FaultSpec:
     slow_eval_rate: float = 0.0
     slow_eval_seconds: float = 60.0
     recover_on_retry: bool = False
-    worker_kill_rate: float = 0.0
-    worker_kill_keys: tuple[str, ...] = ()
-    worker_kill_times: int = 1
 
     def rate(self, kind: str) -> float:
         return {
@@ -96,17 +75,14 @@ class FaultSpec:
             SINGULAR_MNA: self.singular_rate,
             BAD_METRIC: self.bad_metric_rate,
             EVAL_TIMEOUT: self.slow_eval_rate,
-            WORKER_LOST: self.worker_kill_rate,
         }[kind]
 
     @property
     def affects_values(self) -> bool:
         """Whether any injected fault can change *evaluation results*.
 
-        Worker kills never alter values — the killed attempt is
-        re-dispatched or quarantined, so a kill-only spec is safe to
-        combine with the content cache (value-affecting specs bypass it;
-        see :mod:`repro.runtime.evalcache`).
+        Value-affecting specs bypass the content cache (see
+        :mod:`repro.runtime.evalcache`).
         """
         return any(
             rate > 0.0
@@ -172,48 +148,6 @@ class FaultInjector:
             return self.spec.slow_eval_seconds
         return 0.0
 
-    def merge_fired(self, events: list[tuple[str, str]]) -> None:
-        """Fold fault events observed elsewhere into this injector.
-
-        The parallel engine runs each worker attempt under a throwaway
-        injector clone (same spec and seed, so decisions are identical)
-        and merges the clone's fired events back into the parent — but
-        only for *consumed* attempts, so the parent's counters match a
-        serial run exactly.
-        """
-        for kind, key in events:
-            self.counters[kind] = self.counters.get(kind, 0) + 1
-            self.fired.append((kind, key))
-
-    # -- worker chaos ----------------------------------------------------
-
-    def should_kill_worker(self, key: str, dispatch_attempt: int) -> bool:
-        """Whether the worker running ``key`` should SIGKILL itself.
-
-        Keyed on the task key alone (not the dispatch attempt), so a
-        doomed task dies on every dispatch up to ``worker_kill_times``
-        and then recovers — deterministic for any pool size, dispatch
-        order, or supervision history.
-        """
-        if dispatch_attempt >= self.spec.worker_kill_times:
-            return False
-        if key in self.spec.worker_kill_keys:
-            return True
-        rate = self.spec.worker_kill_rate
-        if rate <= 0.0:
-            return False
-        return self._draw(WORKER_LOST, key, 0) < rate
-
-    def maybe_kill_worker(self, key: str, dispatch_attempt: int) -> None:
-        """SIGKILL the current process when the chaos draw says so.
-
-        Called from worker processes only (the parent never consults
-        it); SIGKILL is deliberate — it models OOM kills and segfaults,
-        which give the supervisor no chance to clean up.
-        """
-        if self.should_kill_worker(key, dispatch_attempt):
-            os.kill(os.getpid(), signal.SIGKILL)
-
     # -- solver-boundary hooks ------------------------------------------
 
     def check_dc(self, circuit_name: str) -> None:
@@ -253,22 +187,6 @@ _active: ContextVar[FaultInjector | None] = ContextVar(
 def active() -> FaultInjector | None:
     """The installed fault injector (None in production runs)."""
     return _active.get()
-
-
-def install(injector: FaultInjector | None):
-    """Install ``injector`` without a ``with`` block; returns the reset
-    token for :func:`restore`.
-
-    Worker processes use this to swap in a per-attempt injector clone
-    around code that may *raise* — an explicit token survives the
-    exception path where a context manager's body would not have run.
-    """
-    return _active.set(injector)
-
-
-def restore(token) -> None:
-    """Undo a previous :func:`install`."""
-    _active.reset(token)
 
 
 @contextmanager

@@ -64,13 +64,6 @@ class RetryPolicy:
             spending retries (it still absorbs failures and keeps going).
         retry_perturbation: Relative initial-guess perturbation amplitude
             per retry attempt.
-        task_timeout_s: Per-task wall-clock watchdog deadline for
-            supervised worker pools (``--task-timeout``): a worker whose
-            heartbeat exceeds this age is SIGKILLed, the pool replaced,
-            and the task recorded as ``EVAL-TIMEOUT``.  Unlike
-            ``deadline_s`` (measured *inside* the evaluation), this
-            catches evaluations that hang and never return.  None
-            disables the watchdog.
         newton_max_iterations: Explicit per-solve Newton iteration
             budget for deadline-driven runs.  Honored *exactly* by the
             DC solver — including 0 and values below its
@@ -84,7 +77,6 @@ class RetryPolicy:
     deadline_s: float | None = None
     stage_failure_ceiling: float = 0.5
     retry_perturbation: float = 1e-3
-    task_timeout_s: float | None = None
     newton_max_iterations: int | None = None
 
 
@@ -92,11 +84,6 @@ class RetryPolicy:
 class BatchTask:
     """One evaluation of a batch — the arguments of one
     :meth:`EvalRuntime.evaluate` call, captured as data.
-
-    ``absorb`` lists exception types the *call site* catches around the
-    evaluation (e.g. ``LayoutError`` during selection): a worker process
-    returns them for deterministic re-raise at consumption instead of
-    treating them as evaluation failures.
 
     ``batch_spec`` (a :class:`~repro.runtime.batched.BatchSpec`, when the
     call site can describe the evaluation as build-circuit + simulate +
@@ -111,7 +98,6 @@ class BatchTask:
     to_payload: Callable[[Any], dict] | None = None
     from_payload: Callable[[dict], Any] | None = None
     retries: int | None = None
-    absorb: tuple[type, ...] = ()
     batch_spec: Any | None = None
 
 
@@ -122,10 +108,10 @@ class EvalBatch:
     :meth:`consume`, which simply forwards to
     :meth:`EvalRuntime.evaluate` — so early-stopping call sites (a
     tuning sweep that breaks once the cost curve turns) pay only for
-    what they consume.  :class:`~repro.runtime.parallel
-    .ParallelEvalRuntime` overrides batching with speculative
-    process-pool dispatch; consumption order — and therefore failure
-    logs, journals and stage accounting — is identical either way.
+    what they consume.  :class:`~repro.runtime.batched.BatchedEvalBatch`
+    runs same-pattern tasks stacked instead; consumption order — and
+    therefore failure logs, journals and stage accounting — is
+    identical either way.
 
     Tasks never consumed are never accounted: not journaled, not
     recorded as failures, not counted against any stage.
@@ -188,8 +174,7 @@ class EvalRuntime:
         #: Solver-kernel counters accumulated across every evaluation
         #: this runtime executes in-process.  A *profiling view*, not
         #: part of the determinism contract: journal replays and cache
-        #: hits contribute nothing, and evaluations computed in worker
-        #: processes are counted there, not here.
+        #: hits contribute nothing.
         self.solver_stats = _kernel().SolverStats()
 
     # -- stage accounting -------------------------------------------------
@@ -348,9 +333,7 @@ class EvalRuntime:
         Tasks that carry batch specs run on the stacked engine of
         :mod:`repro.runtime.batched` (byte-identical results; see
         docs/performance.md); the rest, and every batch the engine
-        declines, evaluate lazily at consumption.  See
-        :class:`~repro.runtime.parallel.ParallelEvalRuntime` for the
-        process-pool override.
+        declines, evaluate lazily at consumption.
         """
         from repro.runtime.batched import maybe_batched  # deferred: cycle
 

@@ -31,7 +31,7 @@ def test_ingest_json_output(capsys):
 def test_ingest_json_is_byte_deterministic(capsys):
     assert main(["ingest", OTA, "--format", "json"]) == 0
     first = capsys.readouterr().out
-    assert main(["ingest", OTA, "--format", "json", "--jobs", "4"]) == 0
+    assert main(["ingest", OTA, "--format", "json"]) == 0
     second = capsys.readouterr().out
     assert first == second
 
@@ -91,8 +91,7 @@ def test_ingest_parser_flags():
     parser = build_parser()
     args = parser.parse_args(
         ["ingest", "x.sp", "--format", "json", "--no-validate",
-         "--severity", "warning", "--max-per-rule", "9", "--jobs", "2"]
+         "--severity", "warning", "--max-per-rule", "9"]
     )
     assert args.netlist == "x.sp"
     assert args.validate is False
-    assert args.jobs == 2

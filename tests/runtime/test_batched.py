@@ -16,8 +16,8 @@ import pytest
 
 from repro import PrimitiveOptimizer, Technology
 from repro.devices.mosfet import MosGeometry
-from repro.errors import ConvergenceError, MeasureError
-from repro.runtime import EvalRuntime, RetryPolicy
+from repro.errors import ConvergenceError, LayoutError, MeasureError
+from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime, RetryPolicy
 from repro.runtime import batched as engine
 from repro.runtime import context as eval_context
 from repro.runtime.evalcache import EvalCache
@@ -272,10 +272,9 @@ def test_shuffled_selection_batch_matches_serial(shuffle_seed, stack_width):
     assert serial_rt.solver_stats.batched_solves == 0
 
 
-def test_default_optimizer_runs_stacked(monkeypatch):
-    # The stacked engine is the default in-process engine: a
-    # default-configured optimizer issues stacked solves.
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+def test_default_optimizer_runs_stacked():
+    # The stacked engine is the sweep engine: a default-configured
+    # optimizer issues stacked solves.
     report = PrimitiveOptimizer().optimize(_fresh_dp())
     assert report.solver_profile["batched_solves"] > 0
 
@@ -311,3 +310,76 @@ def test_batched_report_identical_under_faults(fault_seed, stack_width):
     assert _fingerprint(batched_report) == _fingerprint(serial)
     assert batched_injector.counters == serial_injector.counters
     assert batched_injector.fired == serial_injector.fired
+
+
+# -- call-site exceptions ------------------------------------------------
+
+
+def _layout_error(*_args):
+    raise LayoutError("infeasible pattern")
+
+
+def _assert_layout_error_propagates(runtime, batch):
+    assert batch.consume(0) == 1.0
+    with pytest.raises(LayoutError, match="infeasible"):
+        batch.consume(1)
+    assert batch.consume(2) == 2.0
+    # A LayoutError is the call site's business (selection skips the
+    # option), not a recorded evaluation failure.
+    assert not runtime.failures
+
+
+def test_layout_error_propagates_at_consume():
+    runtime = EvalRuntime()
+    tasks = [
+        BatchTask(key="ok", thunk=lambda: 1.0),
+        BatchTask(key="bad", thunk=_layout_error),
+        BatchTask(key="ok2", thunk=lambda: 2.0),
+    ]
+    batch = runtime.evaluate_batch(tasks, stage="spec")
+    assert type(batch) is EvalBatch
+    _assert_layout_error_propagates(runtime, batch)
+
+
+class _StackedStub:
+    """Primitive stand-in whose stacked evaluation echoes each circuit."""
+
+    def __init__(self):
+        self.stacks = []
+
+    def evaluate_many(self, circuits):
+        self.stacks.append(list(circuits))
+        return [({"v": circuit}, 1) for circuit in circuits]
+
+
+def test_stacked_build_layout_error_propagates_at_consume():
+    primitive = _StackedStub()
+
+    def task(key, value, build):
+        return BatchTask(
+            key=key,
+            thunk=lambda: value,
+            batch_spec=BatchSpec(
+                primitive=primitive,
+                build=build,
+                finish=lambda site, values, sims, key: values["v"],
+            ),
+        )
+
+    runtime = EvalRuntime()
+    tasks = [
+        task("ok", 1.0, lambda: (1.0, None)),
+        BatchTask(
+            key="bad",
+            thunk=_layout_error,
+            batch_spec=BatchSpec(
+                primitive=primitive, build=_layout_error, finish=_layout_error
+            ),
+        ),
+        task("ok2", 2.0, lambda: (2.0, None)),
+    ]
+    batch = runtime.evaluate_batch(tasks, stage="spec")
+    assert isinstance(batch, engine.BatchedEvalBatch)
+    # The members whose build succeeded ran as one stack.
+    assert primitive.stacks == [[1.0, 2.0]]
+    _assert_layout_error_propagates(runtime, batch)

@@ -7,7 +7,13 @@ import json
 import pytest
 
 from repro.errors import CheckpointError
-from repro.runtime import CONV_DC, EvalFailure, SweepJournal
+from repro.runtime import (
+    CONV_DC,
+    EvalFailure,
+    EvalRuntime,
+    FailureLog,
+    SweepJournal,
+)
 
 
 def test_success_round_trip(tmp_path):
@@ -155,6 +161,46 @@ def test_pruned_lines_read_as_not_completed(tmp_path):
         assert journal.lookup("b")["payload"] == {"cost": 2.0}
 
 
+def test_legacy_worker_lost_records_still_load(tmp_path):
+    # Failure logs and journals written while a process-pool engine
+    # existed may carry its WORKER-LOST code and pool downgrade texts.
+    lost = {
+        "code": "WORKER-LOST",
+        "stage": "selection",
+        "key": "sel:a",
+        "message": "sel:a: implicated in 2 worker deaths",
+        "attempt": 0,
+        "injected": False,
+    }
+    downgrade = "worker pool: worker lost; pool replaced"
+    document = {
+        "failures": [lost],
+        "degraded_stages": [],
+        "downgrades": [downgrade],
+    }
+    log = FailureLog.from_dict(document)
+    assert log.by_code() == {"WORKER-LOST": 1}
+    assert log.downgrades == [downgrade]
+    assert "WORKER-LOST=1" in log.summary()
+    assert downgrade in log.summary()
+    assert log.to_dict() == document
+
+    path = tmp_path / "sweep.jsonl"
+    path.write_text(
+        json.dumps({"key": "sel:a", "status": "failed", "failures": [lost]})
+        + "\n"
+    )
+    with SweepJournal(path, resume=True) as journal:
+        assert journal.journaled_failures("sel:a") == [
+            EvalFailure.from_dict(lost)
+        ]
+        runtime = EvalRuntime(journal=journal)
+        never = lambda: pytest.fail("journaled key re-evaluated")  # noqa: E731
+        assert runtime.evaluate("sel:a", never, stage="selection") is None
+    assert runtime.failures.by_code() == {"WORKER-LOST": 1}
+    assert runtime.failures.summary().startswith("1 failures: WORKER-LOST=1")
+
+
 def test_journal_with_pruned_lines_resumes_to_the_clean_result(
     tmp_path, monkeypatch
 ):
@@ -170,7 +216,7 @@ def test_journal_with_pruned_lines_resumes_to_the_clean_result(
         )
         optimizer = PrimitiveOptimizer(
             n_bins=2, max_wires=3, run_dir=run_dir, resume=resume,
-            jobs=1, cache=False,
+            cache=False,
         )
         return optimizer.optimize(primitive)
 

@@ -106,29 +106,14 @@ def test_value_affecting_injector_bypasses_cache(prim):
     cache = EvalCache()
     # A value-affecting injector bypasses: injected faults key on
     # evaluation keys, so content hits would change which faults fire.
+    assert FaultSpec(bad_metric_rate=0.1).affects_values
+    assert not FaultSpec().affects_values
     with inject(FaultSpec(dc_fail_rate=1e-9)):
         values, sims, key = evaluate_circuit_cached(prim, _circuit(prim), cache)
     assert sims > 0
     assert key is None
     assert len(cache) == 0
     assert cache.stats.stored == 0
-
-
-def test_kill_only_injector_keeps_cache(prim):
-    # Worker-kill chaos never changes evaluation values, so kill-only
-    # specs keep the cache enabled — chaos runs stay byte-comparable to
-    # clean runs (same cache_stats).
-    assert not FaultSpec(worker_kill_rate=1.0, worker_kill_keys=("k",)).affects_values
-    assert FaultSpec(bad_metric_rate=0.1).affects_values
-    cache = EvalCache()
-    with inject(FaultSpec(worker_kill_keys=("some-task",))):
-        values, sims, key = evaluate_circuit_cached(prim, _circuit(prim), cache)
-    assert sims > 0
-    assert key is not None
-    assert cache.stats.stored == 1
-    with inject(FaultSpec(worker_kill_keys=("some-task",))):
-        values2, sims2, key2 = evaluate_circuit_cached(prim, _circuit(prim), cache)
-    assert sims2 == 0 and key2 == key and values2 == values
 
 
 def test_non_finite_values_never_stored():
@@ -201,6 +186,20 @@ def test_entries_are_checksummed_and_corruption_quarantined(tmp_path):
     assert second.get("k") is None
     assert second.stats.corrupt == 1
     assert not entry.exists()  # moved aside, not served and not left
+    assert (tmp_path / "quarantine" / "k.json").exists()
+
+
+def test_non_utf8_corruption_quarantined(tmp_path):
+    first = EvalCache(disk_dir=tmp_path)
+    first.put("k", {"gm": 1.5}, 4)
+    entry = tmp_path / "k.json"
+    raw = bytearray(entry.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF  # no longer valid UTF-8
+    entry.write_bytes(bytes(raw))
+
+    second = EvalCache(disk_dir=tmp_path)
+    assert second.get("k") is None
+    assert second.stats.corrupt == 1
     assert (tmp_path / "quarantine" / "k.json").exists()
 
 
@@ -310,7 +309,7 @@ def test_shared_cache_collapses_repeat_optimizations():
         return DifferentialPair(Technology.default(), base_fins=8, name="ec_opt")
 
     def optimizer(cache):
-        return PrimitiveOptimizer(n_bins=2, max_wires=3, jobs=1, cache=cache)
+        return PrimitiveOptimizer(n_bins=2, max_wires=3, cache=cache)
 
     baseline = optimizer(cache=False).optimize(fresh())
     cache = EvalCache()

@@ -36,7 +36,6 @@ def test_failure_codes_are_stable():
         "SINGULAR-MNA",
         "EVAL-TIMEOUT",
         "BAD-METRIC",
-        "WORKER-LOST",
     )
 
 

@@ -47,14 +47,13 @@ def _report_fingerprint(report) -> tuple:
 
 @pytest.fixture(autouse=True)
 def _lazy_serial(monkeypatch):
-    # STACK_WIDTH=1 (with jobs=1/cache=False in ``_optimizer``) keeps
-    # this file about pure journal mechanics: the
-    # ``_count_evaluations`` instrumentation counts in-process serial
-    # simulator calls, which worker processes, content-cache hits and
-    # the stacked engine (whose members run through ``batch_evaluate``
-    # hooks, not ``primitive.evaluate``) would legitimately elide (see
-    # test_parallel.py / test_evalcache.py / test_batched.py for the
-    # jobs-, cache- and stack-aware resume guarantees).
+    # STACK_WIDTH=1 (with cache=False in ``_optimizer``) keeps this
+    # file about pure journal mechanics: the ``_count_evaluations``
+    # instrumentation counts serial simulator calls, which content-cache
+    # hits and the stacked engine (whose members run through
+    # ``batch_evaluate`` hooks, not ``primitive.evaluate``) would
+    # legitimately elide (see test_evalcache.py / test_batched.py for
+    # the cache- and stack-aware resume guarantees).
     monkeypatch.setattr(engine, "STACK_WIDTH", 1)
 
 
@@ -65,7 +64,6 @@ def _optimizer(run_dir, resume=False):
         policy=RetryPolicy(max_retries=2),
         run_dir=run_dir,
         resume=resume,
-        jobs=1,
         cache=False,
     )
 

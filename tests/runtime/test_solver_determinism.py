@@ -1,9 +1,9 @@
-"""Solver choice versus the PR-4 determinism contract.
+"""Solver choice versus the determinism contract.
 
-ISSUE acceptance: for a *fixed* solver choice, journals and content-cache
-keys are byte-identical across ``--jobs 1`` and ``--jobs 4`` — the
-profiling layer and the backend swap must not leak into any journaled or
-cached artifact.
+For a *fixed* solver choice, journals and content-cache keys are
+byte-identical across stack widths 1 (lazy serial) and 8 — the
+profiling layer and the backend swap must not leak into any journaled
+or cached artifact.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import pytest
 
 from repro import PrimitiveOptimizer, Technology
 from repro.runtime import RetryPolicy
+from repro.runtime import batched as engine
 from repro.spice import kernel
-
-JOBS = 4
 
 
 @pytest.fixture(autouse=True)
@@ -33,12 +32,11 @@ def _fresh_dp():
     return DifferentialPair(Technology.default(), base_fins=8, name="det_dp")
 
 
-def _optimize(jobs, run_dir):
+def _optimize(run_dir):
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
         policy=RetryPolicy(max_retries=1),
-        jobs=jobs,
         run_dir=run_dir,
     ).optimize(_fresh_dp())
 
@@ -53,34 +51,38 @@ def _cache_keys(journal_path):
 
 
 @pytest.mark.parametrize("solver", ["dense", "sparse"])
-def test_journals_byte_identical_across_jobs(tmp_path, solver, monkeypatch):
+def test_journals_byte_identical_across_stack_width(tmp_path, solver, monkeypatch):
     monkeypatch.setenv(kernel.SOLVER_ENV, solver)
-    serial = _optimize(1, tmp_path / "serial")
-    parallel = _optimize(JOBS, tmp_path / "parallel")
+    monkeypatch.setattr(engine, "STACK_WIDTH", 1)
+    serial = _optimize(tmp_path / "serial")
+    monkeypatch.setattr(engine, "STACK_WIDTH", 8)
+    stacked = _optimize(tmp_path / "stacked")
     serial_bytes = (tmp_path / "serial" / "det_dp.jsonl").read_bytes()
-    parallel_bytes = (tmp_path / "parallel" / "det_dp.jsonl").read_bytes()
-    assert parallel_bytes == serial_bytes
+    stacked_bytes = (tmp_path / "stacked" / "det_dp.jsonl").read_bytes()
+    assert stacked_bytes == serial_bytes
     keys_serial = _cache_keys(tmp_path / "serial" / "det_dp.jsonl")
-    keys_parallel = _cache_keys(tmp_path / "parallel" / "det_dp.jsonl")
-    assert keys_serial and keys_parallel == keys_serial
+    keys_stacked = _cache_keys(tmp_path / "stacked" / "det_dp.jsonl")
+    assert keys_serial and keys_stacked == keys_serial
     # The profile is a report-level view only — never journaled.
     assert b"solver_profile" not in serial_bytes
     assert b"stamp_s" not in serial_bytes
-    # jobs=1 runs every evaluation in-process, so its profile is
-    # complete; jobs=N offloads to workers whose counters stay there.
-    assert serial.solver_profile
-    assert serial.solver_profile["backends"] == {
-        solver: serial.solver_profile["solves"]
-    }
+    # Every evaluation runs in this process, so both profiles are
+    # complete and every solve went through the pinned backend.
+    for report in (serial, stacked):
+        assert report.solver_profile
+        assert report.solver_profile["backends"] == {
+            solver: report.solver_profile["solves"]
+        }
+    assert stacked.solver_profile["batched_solves"] > 0
 
 
 def test_backends_agree_on_selected_options(tmp_path, monkeypatch):
     """Dense and sparse runs pick the same layout options (costs agree
     within the cost function's own tolerance, selection is identical)."""
     monkeypatch.setenv(kernel.SOLVER_ENV, "dense")
-    dense = _optimize(1, tmp_path / "dense")
+    dense = _optimize(tmp_path / "dense")
     monkeypatch.setenv(kernel.SOLVER_ENV, "sparse")
-    sparse = _optimize(1, tmp_path / "sparse")
+    sparse = _optimize(tmp_path / "sparse")
     assert [o.describe() for o in sparse.selected] == [
         o.describe() for o in dense.selected
     ]

@@ -3,7 +3,7 @@
 
 The repository promises byte-deterministic artifacts: journals resume,
 evaluation caches hash their keys, and `repro verify/ingest --format
-json` output must be identical across runs and ``--jobs`` values.
+json` output must be identical across runs.
 Four source-level hazards quietly break that promise — or, for the
 last one, the performance contract next to it — and this tool flags
 them with a small AST walk (stdlib only, no third-party deps):
