@@ -3,7 +3,7 @@
 
 The paper's library augmentation (Section II-B) is a one-time exercise
 per topology: declare the devices, the performance metrics with weights,
-the tuning terminals, and a testbench per metric.  This example adds a
+the tuning terminals, and a testbench plus a reader per metric.  This example adds a
 *source-degenerated differential pair* — a topology not in the stock
 library — registers it, and runs Algorithm 1 on it.
 
@@ -16,7 +16,6 @@ from repro import PrimitiveOptimizer, Technology
 from repro.primitives import PrimitiveLibrary
 from repro.primitives.base import (
     DeviceTemplate,
-    MetricSpec,
     MosPrimitive,
     TuningTerminal,
     WEIGHT_HIGH,
@@ -53,9 +52,22 @@ class DegeneratedDifferentialPair(MosPrimitive):
         ]
 
     def metrics(self):
+        # One testbench and one reader per metric: the constructors derive
+        # both the serial and the stacked evaluator from them.
         return [
-            MetricSpec("gm", WEIGHT_HIGH, _eval_gm),
-            MetricSpec("cout", WEIGHT_MEDIUM, _eval_cout, larger_is_better=False),
+            tbh.ac_metric(
+                "gm",
+                WEIGHT_HIGH,
+                _gm_testbench,
+                tbh.transfer_current(["voutp", "voutn"], [1.0, -1.0]),
+            ),
+            tbh.ac_metric(
+                "cout",
+                WEIGHT_MEDIUM,
+                _cout_testbench,
+                tbh.port_capacitance("voutp"),
+                larger_is_better=False,
+            ),
         ]
 
     def tuning_terminals(self):
@@ -81,18 +93,16 @@ class DegeneratedDifferentialPair(MosPrimitive):
         return tb
 
 
-def _eval_gm(prim, dut, cache):
-    tb = prim.bias_testbench(dut, ac_in=True)
-    freqs, current = tbh.transfer_current(tb, prim.tech, ["voutp", "voutn"], [1.0, -1.0])
-    return float(abs(current[0])), 1
+def _gm_testbench(prim, dut):
+    return prim.bias_testbench(dut, ac_in=True)
 
 
-def _eval_cout(prim, dut, cache):
+def _cout_testbench(prim, dut):
     tb = prim.bias_testbench(dut)
     tb.replace_element(
         "voutp", VoltageSource("voutp", "outp", "0", Dc(prim.vout), ac_magnitude=1.0)
     )
-    return tbh.port_capacitance(tb, prim.tech, "voutp"), 1
+    return tb
 
 
 def main() -> None:

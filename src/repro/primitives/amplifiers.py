@@ -75,8 +75,12 @@ class CommonSourceAmplifier(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("gm", WEIGHT_HIGH, _eval_gm),
-            MetricSpec("rout", WEIGHT_MEDIUM, _eval_rout),
+            tbh.ac_metric(
+                "gm", WEIGHT_HIGH, _ac_in_testbench, tbh.transfer_current(["vout"], [1.0])
+            ),
+            tbh.ac_metric(
+                "rout", WEIGHT_MEDIUM, _rout_testbench, tbh.port_resistance("vout")
+            ),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -90,20 +94,6 @@ class CommonSourceAmplifier(MosPrimitive):
         tbh.attach_dut(tb, dut)
         tb.add_vsource("vin", "in", "0", self.vin)
         tb.add_vsource("vout", "out", "0", self.vout)
-        return tb
-
-    def gm_testbench(self, dut: Circuit) -> Circuit:
-        tb = self.bias_testbench(dut)
-        tb.replace_element(
-            "vin", VoltageSource("vin", "in", "0", Dc(self.vin), ac_magnitude=1.0)
-        )
-        return tb
-
-    def rout_testbench(self, dut: Circuit) -> Circuit:
-        tb = self.bias_testbench(dut)
-        tb.replace_element(
-            "vout", VoltageSource("vout", "out", "0", Dc(self.vout), ac_magnitude=1.0)
-        )
         return tb
 
 
@@ -182,8 +172,13 @@ class CommonDrainAmplifier(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("gain", WEIGHT_HIGH, _eval_follower_gain),
-            MetricSpec("rout", WEIGHT_MEDIUM, _eval_follower_rout),
+            tbh.ac_metric(
+                "gain", WEIGHT_HIGH, _ac_in_testbench, tbh.node_voltage("out")
+            ),
+            # Probed with an AC current, so the output voltage is R_out.
+            tbh.ac_metric(
+                "rout", WEIGHT_MEDIUM, _follower_rout_testbench, tbh.node_voltage("out")
+            ),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -198,32 +193,27 @@ class CommonDrainAmplifier(MosPrimitive):
         return tb
 
 
-# --- metric evaluators ----------------------------------------------------
+# --- metric testbenches --------------------------------------------------
 
 
-def _eval_gm(prim: CommonSourceAmplifier, dut: Circuit, cache: dict):
-    tb = prim.gm_testbench(dut)
-    freqs, current = tbh.transfer_current(tb, prim.tech, ["vout"], [1.0])
-    return float(abs(current[0])), 1
-
-
-def _eval_rout(prim: CommonSourceAmplifier, dut: Circuit, cache: dict):
-    tb = prim.rout_testbench(dut)
-    return tbh.port_resistance(tb, prim.tech, "vout"), 1
-
-
-def _eval_follower_gain(prim: CommonDrainAmplifier, dut: Circuit, cache: dict):
+def _ac_in_testbench(prim, dut: Circuit) -> Circuit:
+    """Bias testbench with the AC stimulus on the ``in`` source."""
     tb = prim.bias_testbench(dut)
     tb.replace_element(
         "vin", VoltageSource("vin", "in", "0", Dc(prim.vin), ac_magnitude=1.0)
     )
-    op, ac = tbh.run_ac(tb, prim.tech)
-    return float(abs(ac.v("out")[0])), 1
+    return tb
 
 
-def _eval_follower_rout(prim: CommonDrainAmplifier, dut: Circuit, cache: dict):
+def _rout_testbench(prim: CommonSourceAmplifier, dut: Circuit) -> Circuit:
     tb = prim.bias_testbench(dut)
-    # Probe the output with an AC current and read the voltage.
+    tb.replace_element(
+        "vout", VoltageSource("vout", "out", "0", Dc(prim.vout), ac_magnitude=1.0)
+    )
+    return tb
+
+
+def _follower_rout_testbench(prim: CommonDrainAmplifier, dut: Circuit) -> Circuit:
+    tb = prim.bias_testbench(dut)
     tb.add_isource("iprobe", "out", "0", 0.0, ac_magnitude=1.0)
-    op, ac = tbh.run_ac(tb, prim.tech)
-    return float(abs(ac.v("out")[0])), 1
+    return tb

@@ -59,9 +59,12 @@ class MetricSpec:
             list[(value, n_sims) | Exception]`` measuring many DUTs at
             once through the stacked solver paths.  Must be bitwise
             identical to calling ``evaluate`` per DUT; per-member
-            failures are returned (captured), not raised.  Metrics
-            without one run serially inside
-            :meth:`MosPrimitive.evaluate_many`.
+            failures are returned (captured), not raised.  The
+            constructors :func:`~repro.primitives.testbenches.ac_metric`
+            and :func:`~repro.primitives.testbenches.dc_metric` supply
+            it together with ``evaluate`` from one testbench and one
+            reader.  Metrics without one (the transient delay metrics)
+            run serially inside :meth:`MosPrimitive.evaluate_many`.
     """
 
     name: str

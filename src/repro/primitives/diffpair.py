@@ -223,14 +223,14 @@ class SwitchedDifferentialPair(DifferentialPair):
 # total, matching Table V).
 
 
+_read_gm = tbh.transfer_current(["voutp", "voutn"], [1.0, -1.0])
+_read_cout = tbh.port_capacitance("voutp")
+
+
 def _eval_gm(prim: DifferentialPair, dut: Circuit, cache: dict) -> tuple[float, int]:
-    tb = prim.gm_testbench(dut)
-    freqs, current = tbh.transfer_current(
-        tb, prim.tech, ["voutp", "voutn"], [1.0, -1.0]
-    )
-    gm = abs(current[0])
-    cache["gm"] = float(gm)
-    return float(gm), 1
+    gm = _read_gm(*tbh.run_ac(prim.gm_testbench(dut), prim.tech))
+    cache["gm"] = gm
+    return gm, 1
 
 
 def _eval_gm_over_ctotal(
@@ -240,8 +240,7 @@ def _eval_gm_over_ctotal(
     if "gm" not in cache:
         _, extra = _eval_gm(prim, dut, cache)
         sims += extra
-    tb = prim.cout_testbench(dut)
-    cout = tbh.port_capacitance(tb, prim.tech, "voutp")
+    cout = _read_cout(*tbh.run_ac(prim.cout_testbench(dut), prim.tech))
     sims += 1
     ctotal = cout + prim.c_load
     cache["ctotal"] = ctotal
@@ -279,18 +278,14 @@ def _eval_gm_many(
     prim: DifferentialPair, duts: list[Circuit], caches: list[dict]
 ) -> list:
     tbs = [prim.gm_testbench(dut) for dut in duts]
-    results = tbh.transfer_current_many(
-        tbs, prim.tech, ["voutp", "voutn"], [1.0, -1.0]
-    )
     out: list = []
-    for i, res in enumerate(results):
+    for i, res in enumerate(tbh.run_ac_many(tbs, prim.tech)):
         if isinstance(res, Exception):
             out.append(res)
             continue
-        _freqs, current = res
-        gm = abs(current[0])
-        caches[i]["gm"] = float(gm)
-        out.append((float(gm), 1))
+        gm = _read_gm(*res)
+        caches[i]["gm"] = gm
+        out.append((gm, 1))
     return out
 
 
@@ -311,13 +306,14 @@ def _eval_gm_over_ctotal_many(
             else:
                 sims[i] += res[1]
     live = [i for i in range(count) if out[i] is None]
-    couts = tbh.port_capacitance_many(
-        [prim.cout_testbench(duts[i]) for i in live], prim.tech, "voutp"
+    runs = tbh.run_ac_many(
+        [prim.cout_testbench(duts[i]) for i in live], prim.tech
     )
-    for i, cout in zip(live, couts):
-        if isinstance(cout, Exception):
-            out[i] = cout
+    for i, res in zip(live, runs):
+        if isinstance(res, Exception):
+            out[i] = res
             continue
+        cout = _read_cout(*res)
         sims[i] += 1
         ctotal = cout + prim.c_load
         caches[i]["ctotal"] = ctotal

@@ -7,8 +7,6 @@ pairs/inverters and switches complete the family (paper Section II-A).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.primitives.base import (
     DeviceTemplate,
     MetricSpec,
@@ -66,8 +64,15 @@ class CurrentStarvedInverter(MosPrimitive):
     def metrics(self) -> list[MetricSpec]:
         return [
             MetricSpec("delay", WEIGHT_HIGH, _eval_delay, larger_is_better=False),
-            MetricSpec("current", WEIGHT_HIGH, _eval_starved_current),
-            MetricSpec("gain", WEIGHT_MEDIUM, _eval_inverter_gain),
+            tbh.dc_metric(
+                "current", WEIGHT_HIGH, _starved_current_testbench, _forced_current
+            ),
+            tbh.ac_metric(
+                "gain",
+                WEIGHT_MEDIUM,
+                _inverter_gain_testbench,
+                tbh.node_voltage("out"),
+            ),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -160,8 +165,12 @@ class DifferentialDelayCell(MosPrimitive):
     def metrics(self) -> list[MetricSpec]:
         return [
             MetricSpec("delay", WEIGHT_HIGH, _eval_cell_delay, larger_is_better=False),
-            MetricSpec("current", WEIGHT_HIGH, _eval_cell_current),
-            MetricSpec("gain", WEIGHT_MEDIUM, _eval_cell_gain),
+            tbh.dc_metric(
+                "current", WEIGHT_HIGH, _cell_current_testbench, _forced_current
+            ),
+            tbh.ac_metric(
+                "gain", WEIGHT_MEDIUM, _cell_gain_testbench, _differential_gain
+            ),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -230,10 +239,7 @@ class CrossCoupledPair(MosPrimitive):
         ]
 
     def metrics(self) -> list[MetricSpec]:
-        return [
-            MetricSpec("neg_gm", WEIGHT_HIGH, _eval_neg_gm),
-            MetricSpec("cout", WEIGHT_MEDIUM, _eval_xcp_cout, larger_is_better=False),
-        ]
+        return _latch_metrics()
 
     def tuning_terminals(self) -> list[TuningTerminal]:
         return [
@@ -274,10 +280,7 @@ class CrossCoupledInverters(MosPrimitive):
         ]
 
     def metrics(self) -> list[MetricSpec]:
-        return [
-            MetricSpec("neg_gm", WEIGHT_HIGH, _eval_latch_neg_gm),
-            MetricSpec("cout", WEIGHT_MEDIUM, _eval_latch_cout, larger_is_better=False),
-        ]
+        return _latch_metrics()
 
     def tuning_terminals(self) -> list[TuningTerminal]:
         return [TuningTerminal("drain", nets=("outp", "outn"))]
@@ -323,10 +326,7 @@ class RegenerativePair(MosPrimitive):
         ]
 
     def metrics(self) -> list[MetricSpec]:
-        return [
-            MetricSpec("neg_gm", WEIGHT_HIGH, _eval_regen_gm),
-            MetricSpec("cout", WEIGHT_MEDIUM, _eval_regen_cout, larger_is_better=False),
-        ]
+        return _latch_metrics()
 
     def tuning_terminals(self) -> list[TuningTerminal]:
         return [
@@ -402,8 +402,20 @@ class TransmissionSwitch(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("ron", WEIGHT_HIGH, _eval_ron, larger_is_better=False),
-            MetricSpec("coff", WEIGHT_MEDIUM, _eval_coff, larger_is_better=False),
+            tbh.ac_metric(
+                "ron",
+                WEIGHT_HIGH,
+                _on_testbench,
+                tbh.port_resistance("va"),
+                larger_is_better=False,
+            ),
+            tbh.ac_metric(
+                "coff",
+                WEIGHT_MEDIUM,
+                _off_testbench,
+                tbh.port_capacitance("va"),
+                larger_is_better=False,
+            ),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -446,18 +458,84 @@ class PmosSwitch(TransmissionSwitch):
         return tb
 
 
-# --- metric evaluators ----------------------------------------------------
+# --- metric testbenches, readers and evaluators ---------------------------
 
 
-def _eval_regen_gm(prim: RegenerativePair, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac_out=True)
-    freqs, y = tbh.port_admittance(tb, prim.tech, "voutp")
-    return abs(float(np.real(y[0]))), 1
+def _latch_metrics() -> list[MetricSpec]:
+    """Negative Gm and C_out at ``outp`` of a cross-coupled structure."""
+    return [
+        tbh.ac_metric(
+            "neg_gm", WEIGHT_HIGH, _ac_out_testbench, tbh.port_conductance("voutp")
+        ),
+        tbh.ac_metric(
+            "cout",
+            WEIGHT_MEDIUM,
+            _ac_out_testbench,
+            tbh.port_capacitance("voutp"),
+            larger_is_better=False,
+        ),
+    ]
 
 
-def _eval_regen_cout(prim: RegenerativePair, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac_out=True)
-    return tbh.port_capacitance(tb, prim.tech, "voutp"), 1
+def _ac_out_testbench(prim, dut: Circuit) -> Circuit:
+    return prim.bias_testbench(dut, ac_out=True)
+
+
+def _on_testbench(prim: TransmissionSwitch, dut: Circuit) -> Circuit:
+    return prim.bias_testbench(dut, on=True)
+
+
+def _off_testbench(prim: TransmissionSwitch, dut: Circuit) -> Circuit:
+    return prim.bias_testbench(dut, on=False)
+
+
+def _forced_current(op) -> float:
+    return abs(op.i("vforce"))
+
+
+def _starved_current_testbench(
+    prim: CurrentStarvedInverter, dut: Circuit
+) -> Circuit:
+    # The available (starve-limited) pull-up current: input low, output
+    # pinned at mid-rail, current measured through the pinning source.
+    tb = prim.bias_testbench(dut, vin=0.0)
+    tb.add_vsource("vforce", "out", "0", prim.tech.vdd / 2.0)
+    return tb
+
+
+def _inverter_gain_testbench(prim: CurrentStarvedInverter, dut: Circuit) -> Circuit:
+    vdd = prim.tech.vdd
+    tb = prim.bias_testbench(dut, vin=vdd / 2.0)
+    tb.replace_element(
+        "vin", VoltageSource("vin", "in", "0", Dc(vdd / 2.0), ac_magnitude=1.0)
+    )
+    return tb
+
+
+def _cell_current_testbench(prim: DifferentialDelayCell, dut: Circuit) -> Circuit:
+    # Starve-limited drive: inputs at the rails, one output pinned mid.
+    tb = prim.bias_testbench(dut, vin=0.0)
+    tb.add_vsource("vforce", "outa", "0", prim.tech.vdd / 2.0)
+    return tb
+
+
+def _cell_gain_testbench(prim: DifferentialDelayCell, dut: Circuit) -> Circuit:
+    vdd = prim.tech.vdd
+    tb = prim.bias_testbench(dut)
+    tb.replace_element(
+        "vina", VoltageSource("vina", "ina", "0", Dc(vdd / 2.0), ac_magnitude=0.5)
+    )
+    tb.replace_element(
+        "vinb",
+        VoltageSource(
+            "vinb", "inb", "0", Dc(vdd / 2.0), ac_magnitude=0.5, ac_phase_deg=180.0
+        ),
+    )
+    return tb
+
+
+def _differential_gain(op, ac) -> float:
+    return float(abs(ac.v("outa")[0] - ac.v("outb")[0]))
 
 
 def _eval_delay(prim: CurrentStarvedInverter, dut: Circuit, cache: dict):
@@ -477,25 +555,6 @@ def _eval_delay(prim: CurrentStarvedInverter, dut: Circuit, cache: dict):
         direction_to="fall",
     )
     return delay, 1
-
-
-def _eval_starved_current(prim: CurrentStarvedInverter, dut: Circuit, cache: dict):
-    # The available (starve-limited) pull-up current: input low, output
-    # pinned at mid-rail, current measured through the pinning source.
-    tb = prim.bias_testbench(dut, vin=0.0)
-    tb.add_vsource("vforce", "out", "0", prim.tech.vdd / 2.0)
-    op = tbh.run_op(tb, prim.tech)
-    return abs(op.i("vforce")), 1
-
-
-def _eval_inverter_gain(prim: CurrentStarvedInverter, dut: Circuit, cache: dict):
-    vdd = prim.tech.vdd
-    tb = prim.bias_testbench(dut, vin=vdd / 2.0)
-    tb.replace_element(
-        "vin", VoltageSource("vin", "in", "0", Dc(vdd / 2.0), ac_magnitude=1.0)
-    )
-    op, ac = tbh.run_ac(tb, prim.tech)
-    return float(abs(ac.v("out")[0])), 1
 
 
 def _eval_cell_delay(prim: DifferentialDelayCell, dut: Circuit, cache: dict):
@@ -518,59 +577,3 @@ def _eval_cell_delay(prim: DifferentialDelayCell, dut: Circuit, cache: dict):
         direction_to="fall",
     )
     return delay, 1
-
-
-def _eval_cell_current(prim: DifferentialDelayCell, dut: Circuit, cache: dict):
-    # Starve-limited drive: inputs at the rails, one output pinned mid.
-    tb = prim.bias_testbench(dut, vin=0.0)
-    tb.add_vsource("vforce", "outa", "0", prim.tech.vdd / 2.0)
-    op = tbh.run_op(tb, prim.tech)
-    return abs(op.i("vforce")), 1
-
-
-def _eval_cell_gain(prim: DifferentialDelayCell, dut: Circuit, cache: dict):
-    vdd = prim.tech.vdd
-    tb = prim.bias_testbench(dut)
-    tb.replace_element(
-        "vina", VoltageSource("vina", "ina", "0", Dc(vdd / 2.0), ac_magnitude=0.5)
-    )
-    tb.replace_element(
-        "vinb",
-        VoltageSource(
-            "vinb", "inb", "0", Dc(vdd / 2.0), ac_magnitude=0.5, ac_phase_deg=180.0
-        ),
-    )
-    op, ac = tbh.run_ac(tb, prim.tech)
-    return float(abs(ac.v("outa")[0] - ac.v("outb")[0])), 1
-
-
-def _eval_neg_gm(prim: CrossCoupledPair, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac_out=True)
-    freqs, y = tbh.port_admittance(tb, prim.tech, "voutp")
-    return abs(float(np.real(y[0]))), 1
-
-
-def _eval_xcp_cout(prim: CrossCoupledPair, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac_out=True)
-    return tbh.port_capacitance(tb, prim.tech, "voutp"), 1
-
-
-def _eval_latch_neg_gm(prim: CrossCoupledInverters, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac_out=True)
-    freqs, y = tbh.port_admittance(tb, prim.tech, "voutp")
-    return abs(float(np.real(y[0]))), 1
-
-
-def _eval_latch_cout(prim: CrossCoupledInverters, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac_out=True)
-    return tbh.port_capacitance(tb, prim.tech, "voutp"), 1
-
-
-def _eval_ron(prim: TransmissionSwitch, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, on=True)
-    return tbh.port_resistance(tb, prim.tech, "va"), 1
-
-
-def _eval_coff(prim: TransmissionSwitch, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, on=False)
-    return tbh.port_capacitance(tb, prim.tech, "va"), 1

@@ -78,8 +78,12 @@ class CurrentSourceLoad(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("current", WEIGHT_HIGH, _eval_current),
-            MetricSpec("rout", WEIGHT_MEDIUM, _eval_rout),
+            tbh.dc_metric(
+                "current", WEIGHT_HIGH, _bias_testbench, self.measured_current
+            ),
+            tbh.ac_metric(
+                "rout", WEIGHT_MEDIUM, _probe_testbench, tbh.port_resistance("vout")
+            ),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -93,13 +97,6 @@ class CurrentSourceLoad(MosPrimitive):
         tbh.attach_dut(tb, dut)
         tb.add_vsource("vbias", "vb", "0", self.v_bias)
         tb.add_vsource("vout", "out", "0", self.vout)
-        return tb
-
-    def probe_testbench(self, dut: Circuit) -> Circuit:
-        tb = self.bias_testbench(dut)
-        tb.replace_element(
-            "vout", VoltageSource("vout", "out", "0", Dc(self.vout), ac_magnitude=1.0)
-        )
         return tb
 
     def measured_current(self, op) -> float:
@@ -187,8 +184,16 @@ class DiodeLoad(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("impedance", WEIGHT_HIGH, _eval_diode_impedance),
-            MetricSpec("cout", WEIGHT_MEDIUM, _eval_diode_cout, larger_is_better=False),
+            tbh.ac_metric(
+                "impedance", WEIGHT_HIGH, _diode_ac_testbench, tbh.node_voltage("out")
+            ),
+            tbh.ac_metric(
+                "cout",
+                WEIGHT_MEDIUM,
+                _diode_ac_testbench,
+                _diode_capacitance,
+                larger_is_better=False,
+            ),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -223,32 +228,25 @@ class CascodeDiodeLoad(DiodeLoad):
         ]
 
 
-# --- metric evaluators --------------------------------------------------
+# --- metric testbenches and readers ------------------------------------
 
 
-def _eval_current(prim: CurrentSourceLoad, dut: Circuit, cache: dict):
+def _bias_testbench(prim: CurrentSourceLoad, dut: Circuit) -> Circuit:
+    return prim.bias_testbench(dut)
+
+
+def _probe_testbench(prim: CurrentSourceLoad, dut: Circuit) -> Circuit:
     tb = prim.bias_testbench(dut)
-    op = tbh.run_op(tb, prim.tech)
-    return prim.measured_current(op), 1
+    tb.replace_element(
+        "vout", VoltageSource("vout", "out", "0", Dc(prim.vout), ac_magnitude=1.0)
+    )
+    return tb
 
 
-def _eval_rout(prim: CurrentSourceLoad, dut: Circuit, cache: dict):
-    tb = prim.probe_testbench(dut)
-    return tbh.port_resistance(tb, prim.tech, "vout"), 1
+def _diode_ac_testbench(prim: DiodeLoad, dut: Circuit) -> Circuit:
+    return prim.bias_testbench(dut, ac=1.0)
 
 
-def _eval_diode_impedance(prim: DiodeLoad, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac=1.0)
-    op, ac = tbh.run_ac(tb, prim.tech)
-    return float(abs(ac.v("out")[0])), 1
-
-
-def _eval_diode_cout(prim: DiodeLoad, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut, ac=1.0)
-    op, ac = tbh.run_ac(tb, prim.tech)
+def _diode_capacitance(op, ac) -> float:
     # C from the roll-off of the diode impedance: Y = I/V with I = 1A AC.
-    y = 1.0 / ac.v("out")
-    k = tbh.freq_index(ac.freqs, tbh.CAP_PROBE_FREQUENCY)
-    import numpy as np
-
-    return abs(float(np.imag(y[k]))) / (2.0 * np.pi * float(ac.freqs[k])), 1
+    return tbh.capacitance_at_probe(ac.freqs, 1.0 / ac.v("out"))

@@ -70,21 +70,7 @@ class PassiveCurrentMirror(MosPrimitive):
         ]
 
     def metrics(self) -> list[MetricSpec]:
-        return [
-            MetricSpec(
-                "current_ratio",
-                WEIGHT_HIGH,
-                _eval_ratio,
-                batch_evaluate=_eval_ratio_many,
-            ),
-            MetricSpec(
-                "cout",
-                WEIGHT_LOW,
-                _eval_cout,
-                larger_is_better=False,
-                batch_evaluate=_eval_cout_many,
-            ),
-        ]
+        return [_ratio_metric(self), _cout_metric(WEIGHT_LOW)]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
         return [
@@ -160,21 +146,7 @@ class ActiveCurrentMirror(PmosCurrentMirror):
     family = "active_current_mirror"
 
     def metrics(self) -> list[MetricSpec]:
-        return [
-            MetricSpec(
-                "current_ratio",
-                WEIGHT_HIGH,
-                _eval_ratio,
-                batch_evaluate=_eval_ratio_many,
-            ),
-            MetricSpec(
-                "cout",
-                WEIGHT_MEDIUM,
-                _eval_cout,
-                larger_is_better=False,
-                batch_evaluate=_eval_cout_many,
-            ),
-        ]
+        return [_ratio_metric(self), _cout_metric(WEIGHT_MEDIUM)]
 
 
 class CascodeCurrentMirror(PassiveCurrentMirror):
@@ -201,22 +173,11 @@ class CascodeCurrentMirror(PassiveCurrentMirror):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec(
-                "current_ratio",
-                WEIGHT_HIGH,
-                _eval_ratio,
-                batch_evaluate=_eval_ratio_many,
+            _ratio_metric(self),
+            tbh.ac_metric(
+                "rout", WEIGHT_MEDIUM, _cout_testbench, tbh.port_resistance("vout")
             ),
-            MetricSpec(
-                "rout", WEIGHT_MEDIUM, _eval_rout, batch_evaluate=_eval_rout_many
-            ),
-            MetricSpec(
-                "cout",
-                WEIGHT_LOW,
-                _eval_cout,
-                larger_is_better=False,
-                batch_evaluate=_eval_cout_many,
-            ),
+            _cout_metric(WEIGHT_LOW),
         ]
 
     def tuning_terminals(self) -> list[TuningTerminal]:
@@ -257,61 +218,28 @@ class LowVoltageCascodeMirror(CascodeCurrentMirror):
         return tb
 
 
-# --- metric evaluators --------------------------------------------------
+# --- metric testbenches --------------------------------------------------
 
 
-def _eval_ratio(prim: PassiveCurrentMirror, dut: Circuit, cache: dict):
-    tb = prim.bias_testbench(dut)
-    op = tbh.run_op(tb, prim.tech)
-    return prim.measured_ratio(op), 1
+def _bias_testbench(prim: PassiveCurrentMirror, dut: Circuit) -> Circuit:
+    return prim.bias_testbench(dut)
 
 
-def _eval_cout(prim: PassiveCurrentMirror, dut: Circuit, cache: dict):
-    tb = prim.cout_testbench(dut)
-    cout = tbh.port_capacitance(tb, prim.tech, "vout")
-    return cout, 1
+def _cout_testbench(prim: PassiveCurrentMirror, dut: Circuit) -> Circuit:
+    return prim.cout_testbench(dut)
 
 
-def _eval_rout(prim: PassiveCurrentMirror, dut: Circuit, cache: dict):
-    tb = prim.cout_testbench(dut)
-    rout = tbh.port_resistance(tb, prim.tech, "vout")
-    return rout, 1
+def _ratio_metric(prim: PassiveCurrentMirror) -> MetricSpec:
+    return tbh.dc_metric(
+        "current_ratio", WEIGHT_HIGH, _bias_testbench, prim.measured_ratio
+    )
 
 
-# --- batched metric evaluators ------------------------------------------
-# Arithmetic-identical to the serial evaluators above; exceptions are
-# returned per member so evaluate_many can drop that member to the serial
-# path where the identical failure reproduces.
-
-
-def _eval_ratio_many(
-    prim: PassiveCurrentMirror, duts: list[Circuit], caches: list[dict]
-) -> list:
-    tbs = [prim.bias_testbench(dut) for dut in duts]
-    out: list = []
-    for op in tbh.run_op_many(tbs, prim.tech):
-        if isinstance(op, Exception):
-            out.append(op)
-        else:
-            out.append((prim.measured_ratio(op), 1))
-    return out
-
-
-def _eval_cout_many(
-    prim: PassiveCurrentMirror, duts: list[Circuit], caches: list[dict]
-) -> list:
-    tbs = [prim.cout_testbench(dut) for dut in duts]
-    return [
-        res if isinstance(res, Exception) else (res, 1)
-        for res in tbh.port_capacitance_many(tbs, prim.tech, "vout")
-    ]
-
-
-def _eval_rout_many(
-    prim: PassiveCurrentMirror, duts: list[Circuit], caches: list[dict]
-) -> list:
-    tbs = [prim.cout_testbench(dut) for dut in duts]
-    return [
-        res if isinstance(res, Exception) else (res, 1)
-        for res in tbh.port_resistance_many(tbs, prim.tech, "vout")
-    ]
+def _cout_metric(weight: float) -> MetricSpec:
+    return tbh.ac_metric(
+        "cout",
+        weight,
+        _cout_testbench,
+        tbh.port_capacitance("vout"),
+        larger_is_better=False,
+    )

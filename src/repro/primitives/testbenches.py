@@ -1,10 +1,13 @@
 """Shared testbench building blocks for primitive metrics.
 
-Each helper wires a DUT netlist (schematic or extracted — both expose the
-same port names) into a stimulated circuit and extracts one number, the
-way the paper's per-metric SPICE testbenches do (Fig. 4).  All helpers
-return ``(value, n_simulations)`` where a "simulation" is one analysis
-run (op / ac sweep / transient), matching the accounting of Table V.
+A metric testbench wires a DUT netlist (schematic or extracted — both
+expose the same port names) into a stimulated circuit and reduces its
+simulation to one number, the way the paper's per-metric SPICE
+testbenches do (Fig. 4).  :func:`ac_metric` and :func:`dc_metric`
+declare such a metric once and derive both its serial and its stacked
+evaluator.  A metric evaluation reports ``(value, n_simulations)``,
+where a "simulation" is one analysis run (op / ac sweep / transient),
+matching the accounting of Table V.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError, MeasureError, SingularMatrixError
+from repro.primitives.base import MetricSpec
+from repro.runtime.failures import is_eval_failure
 from repro.spice import measure
 from repro.spice.ac import ac_analysis, ac_analysis_many
 from repro.spice.dc import (
@@ -58,72 +63,19 @@ def freq_index(freqs: np.ndarray, target: float) -> int:
     return int(np.argmin(np.abs(np.log10(freqs) - np.log10(target))))
 
 
-def port_admittance(tb: Circuit, tech: Technology, source_name: str):
-    """AC admittance seen by the AC voltage source ``source_name``.
-
-    The branch current of a voltage source flows from its + terminal
-    through the source, so the admittance looking *into the circuit* is
-    ``-I/V``.
-    """
-    op, ac = run_ac(tb, tech)
-    y = -ac.i(source_name) / 1.0
-    return ac.freqs, y
-
-
-def port_capacitance(tb: Circuit, tech: Technology, source_name: str) -> float:
-    """Capacitance at an AC-driven port, from ``Im(Y)/w`` near 1 GHz."""
-    freqs, y = port_admittance(tb, tech, source_name)
-    k = freq_index(freqs, CAP_PROBE_FREQUENCY)
-    return abs(float(np.imag(y[k]))) / (2.0 * np.pi * float(freqs[k]))
-
-
-def port_resistance(tb: Circuit, tech: Technology, source_name: str) -> float:
-    """Small-signal resistance at an AC-driven port, ``1/Re(Y)`` at f_min."""
-    freqs, y = port_admittance(tb, tech, source_name)
-    real = float(np.real(y[0]))
-    if real < 0.0:
-        # Negative-resistance structures (cross-coupled pairs) report the
-        # magnitude; callers know the sign from the topology.
-        real = abs(real)
-    if real == 0.0:
-        raise MeasureError(f"zero real admittance at {source_name!r}")
-    return 1.0 / real
-
-
-def transfer_current(
-    tb: Circuit, tech: Technology, out_sources: list[str], signs: list[float]
-):
-    """AC transfer current: signed sum of V-source branch currents.
-
-    Used by Gm testbenches (AC voltage at a gate, AC current measured
-    through the drain bias sources).  Returns (freqs, complex current).
-    """
-    op, ac = run_ac(tb, tech)
-    total = np.zeros(len(ac.freqs), dtype=complex)
-    for name, sign in zip(out_sources, signs):
-        total = total + sign * ac.i(name)
-    return ac.freqs, total
-
-
-# -- batched variants ---------------------------------------------------------
-#
-# Each ``*_many`` helper measures K testbenches at once through the
-# stacked solver paths (:func:`~repro.spice.dc.dc_operating_points`,
-# :func:`~repro.spice.ac.ac_analysis_many`), with failures *captured per
-# member*: the returned list holds the serial helper's value or the
-# exception it would have raised, so one diverging member never hides
-# the rest of the batch.  Values are bitwise identical to calling the
-# serial helper per member.
-
-
 def run_op_many(tbs: list[Circuit], tech: Technology) -> list:
-    """Batched :func:`run_op`: operating point (or exception) per member."""
+    """Stacked :func:`run_op`: operating point (or exception) per member.
+
+    Failures are *captured per member*, so one diverging member never
+    hides the rest of the stack; values are bitwise identical to
+    calling :func:`run_op` per member.
+    """
     compileds = [CompiledCircuit(tb, tech.rules) for tb in tbs]
     return dc_operating_points(compileds)
 
 
 def run_ac_many(tbs: list[Circuit], tech: Technology) -> list:
-    """Batched :func:`run_ac`: ``(op, ac)`` (or exception) per member."""
+    """Stacked :func:`run_ac`: ``(op, ac)`` (or exception) per member."""
     compileds = [CompiledCircuit(tb, tech.rules) for tb in tbs]
     ops = dc_operating_points(compileds)
     out: list = [op if isinstance(op, Exception) else None for op in ops]
@@ -140,75 +92,150 @@ def run_ac_many(tbs: list[Circuit], tech: Technology) -> list:
     return out
 
 
-def port_admittance_many(
-    tbs: list[Circuit], tech: Technology, source_name: str
-) -> list:
-    """Batched :func:`port_admittance`: ``(freqs, y)`` or exception."""
+# -- metric declarations --------------------------------------------------
+#
+# A primitive metric is one testbench (``build(prim, dut) -> Circuit``)
+# plus one reader reducing its simulation to a number.  The constructors
+# below derive both evaluators of a :class:`MetricSpec` from that single
+# definition: ``evaluate`` simulates one DUT (``run_ac``/``run_op``) and
+# ``batch_evaluate`` simulates a whole stack (``run_ac_many``/
+# ``run_op_many``), so the two cannot drift apart.  Each costs one
+# simulation per DUT (Table V accounting).
+
+
+def _read_members(read, results: list) -> list:
+    """``(read(*args), 1)`` per member, or the member's captured failure.
+
+    A reader raising an evaluation failure marks only its own member;
+    any other exception is a bug and propagates.
+    """
     out: list = []
-    for res in run_ac_many(tbs, tech):
-        if isinstance(res, Exception):
-            out.append(res)
-        else:
-            _op, ac = res
-            out.append((ac.freqs, -ac.i(source_name) / 1.0))
+    for args in results:
+        if isinstance(args, Exception):
+            out.append(args)
+            continue
+        try:
+            out.append((read(*args), 1))
+        except Exception as exc:
+            if not is_eval_failure(exc):
+                raise
+            out.append(exc)
     return out
 
 
-def port_capacitance_many(
-    tbs: list[Circuit], tech: Technology, source_name: str
-) -> list:
-    """Batched :func:`port_capacitance`: float or exception per member."""
-    out: list = []
-    for res in port_admittance_many(tbs, tech, source_name):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        freqs, y = res
-        k = freq_index(freqs, CAP_PROBE_FREQUENCY)
-        out.append(
-            abs(float(np.imag(y[k]))) / (2.0 * np.pi * float(freqs[k]))
+def ac_metric(name: str, weight: float, build, read, **spec) -> MetricSpec:
+    """A metric measured on an operating point plus AC sweep.
+
+    Args:
+        name, weight: The metric's name and importance weight α.
+        build: Callable ``(prim, dut) -> Circuit`` building the testbench.
+        read: Callable ``(op, ac) -> float`` reducing the simulation to
+            the metric value (see the readers below).
+        **spec: Remaining :class:`MetricSpec` fields
+            (``larger_is_better``, ``spec_value``).
+    """
+
+    def evaluate(prim, dut: Circuit, cache: dict):
+        op, ac = run_ac(build(prim, dut), prim.tech)
+        return read(op, ac), 1
+
+    def batch_evaluate(prim, duts: list[Circuit], caches: list[dict]) -> list:
+        runs = run_ac_many([build(prim, dut) for dut in duts], prim.tech)
+        return _read_members(read, runs)
+
+    return MetricSpec(name, weight, evaluate, batch_evaluate=batch_evaluate, **spec)
+
+
+def dc_metric(name: str, weight: float, build, read, **spec) -> MetricSpec:
+    """A metric measured on an operating point alone.
+
+    As :func:`ac_metric`, with ``read(op) -> float``.
+    """
+
+    def evaluate(prim, dut: Circuit, cache: dict):
+        return read(run_op(build(prim, dut), prim.tech)), 1
+
+    def batch_evaluate(prim, duts: list[Circuit], caches: list[dict]) -> list:
+        ops = run_op_many([build(prim, dut) for dut in duts], prim.tech)
+        return _read_members(
+            read, [op if isinstance(op, Exception) else (op,) for op in ops]
         )
-    return out
+
+    return MetricSpec(name, weight, evaluate, batch_evaluate=batch_evaluate, **spec)
 
 
-def port_resistance_many(
-    tbs: list[Circuit], tech: Technology, source_name: str
-) -> list:
-    """Batched :func:`port_resistance`: float or exception per member."""
-    out: list = []
-    for res in port_admittance_many(tbs, tech, source_name):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        freqs, y = res
-        real = float(np.real(y[0]))
-        if real < 0.0:
-            real = abs(real)
+# -- readers: ``(op, ac) -> float`` reductions shared across families -----
+#
+# The branch current of a voltage source flows from its + terminal
+# through the source, so the admittance looking *into the circuit* at an
+# AC-driven source is ``-I/V`` with ``V = 1``; the magnitudes below are
+# sign-free, so they read the branch current directly.
+
+
+def capacitance_at_probe(freqs: np.ndarray, y: np.ndarray) -> float:
+    """Capacitance of an admittance sweep: ``|Im(Y)|/w`` at the probe."""
+    k = freq_index(freqs, CAP_PROBE_FREQUENCY)
+    return abs(float(np.imag(y[k]))) / (2.0 * np.pi * float(freqs[k]))
+
+
+def port_capacitance(source: str):
+    """Reader: capacitance at the AC voltage source ``source``."""
+
+    def read(op, ac) -> float:
+        return capacitance_at_probe(ac.freqs, ac.i(source))
+
+    return read
+
+
+def port_conductance(source: str):
+    """Reader: ``|Re(Y)|`` at f_min at the AC voltage source ``source``.
+
+    Negative-conductance structures (cross-coupled pairs) report the
+    magnitude; the sign follows from the topology.
+    """
+
+    def read(op, ac) -> float:
+        return abs(float(np.real(ac.i(source)[0])))
+
+    return read
+
+
+def port_resistance(source: str):
+    """Reader: small-signal resistance ``1/|Re(Y)|`` at ``source``."""
+    conductance = port_conductance(source)
+
+    def read(op, ac) -> float:
+        real = conductance(op, ac)
         if real == 0.0:
-            out.append(MeasureError(f"zero real admittance at {source_name!r}"))
-            continue
-        out.append(1.0 / real)
-    return out
+            raise MeasureError(f"zero real admittance at {source!r}")
+        return 1.0 / real
+
+    return read
 
 
-def transfer_current_many(
-    tbs: list[Circuit],
-    tech: Technology,
-    out_sources: list[str],
-    signs: list[float],
-) -> list:
-    """Batched :func:`transfer_current`: ``(freqs, current)`` or exception."""
-    out: list = []
-    for res in run_ac_many(tbs, tech):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        _op, ac = res
-        total = np.zeros(len(ac.freqs), dtype=complex)
-        for name, sign in zip(out_sources, signs):
-            total = total + sign * ac.i(name)
-        out.append((ac.freqs, total))
-    return out
+def transfer_current(sources: list[str], signs: list[float]):
+    """Reader: ``|sum(sign * I)|`` at f_min over V-source branch currents.
+
+    Used by Gm testbenches: AC voltage at a gate, AC current measured
+    through the drain bias sources.
+    """
+
+    def read(op, ac) -> float:
+        total = 0.0
+        for name, sign in zip(sources, signs):
+            total = total + sign * ac.i(name)[0]
+        return float(abs(total))
+
+    return read
+
+
+def node_voltage(node: str):
+    """Reader: AC voltage magnitude ``|V(node)|`` at f_min."""
+
+    def read(op, ac) -> float:
+        return float(abs(ac.v(node)[0]))
+
+    return read
 
 
 def run_transient(
@@ -226,6 +253,19 @@ def run_transient(
 
 #: Offset-bisection resolution (V): results below this are reported 0.0.
 _OFFSET_TOL = 1e-7
+
+
+def _warm_start(x_prev: np.ndarray | None, compiled: CompiledCircuit):
+    """Initial guess of a bisection DC solve: the previous point's solution.
+
+    Successive bisection inputs differ by at most the bracket width and
+    the gap halves every round, so the member's last converged solution
+    is a close guess.  The first (``lo``) point has none and starts from
+    zero, as does a testbench whose system changed size.
+    """
+    if x_prev is None or len(x_prev) != compiled.size:
+        return None
+    return x_prev
 
 
 def dc_offset_bisection(
@@ -248,11 +288,18 @@ def dc_offset_bisection(
     Returns:
         The input voltage nulling the response; magnitudes below the
         bisection tolerance report as exactly ``0.0``.
+
+    Each DC solve after the first starts from the previous point's
+    solution (see :func:`_warm_start`).
     """
 
+    x_prev = None
+
     def evaluate(x: float) -> float:
+        nonlocal x_prev
         compiled = CompiledCircuit(build_tb(x), tech.rules)
-        op = dc_operating_point(compiled)
+        op = dc_operating_point(compiled, x0=_warm_start(x_prev, compiled))
+        x_prev = op.x
         return response(op)
 
     offset = measure.find_dc_zero(evaluate, lo, hi, tolerance=_OFFSET_TOL)
@@ -282,7 +329,9 @@ def dc_offset_bisection_many(
     compiled one, and restamp only the right-hand side.  A member the
     fast path cannot serve (structure drift, plain-Newton divergence
     where the serial solver would climb its homotopy ladder) drops to a
-    per-evaluation serial solve with identical results.
+    per-evaluation serial solve with identical results.  Both paths
+    warm-start each solve from the member's previous solution, exactly
+    as the serial helper does.
 
     Returns one entry per member: the offset (snapped to 0.0 below the
     bisection resolution, exactly like the serial helper), or the
@@ -293,12 +342,17 @@ def dc_offset_bisection_many(
     count = len(build_tbs)
     compileds: list[CompiledCircuit | None] = [None] * count
     serial_member = [False] * count
+    x_prevs: list[np.ndarray | None] = [None] * count
 
-    def serial_eval(tb: Circuit):
+    def serial_eval(i: int, tb: Circuit):
+        compiled = CompiledCircuit(tb, tech.rules)
         try:
-            op = dc_operating_point(CompiledCircuit(tb, tech.rules))
+            op = dc_operating_point(
+                compiled, x0=_warm_start(x_prevs[i], compiled)
+            )
         except (ConvergenceError, SingularMatrixError) as exc:
             return exc
+        x_prevs[i] = op.x
         return response(op)
 
     def evaluate_many(indices: list[int], xs: list[float]) -> list:
@@ -306,10 +360,11 @@ def dc_offset_bisection_many(
         stacked_js: list[int] = []
         stacked_compileds: list[CompiledCircuit] = []
         stacked_rhs: list[np.ndarray] = []
+        stacked_x0s: list[np.ndarray | None] = []
         for j, (i, x) in enumerate(zip(indices, xs)):
             tb = build_tbs[i](x)
             if serial_member[i]:
-                out[j] = serial_eval(tb)
+                out[j] = serial_eval(i, tb)
                 continue
             compiled = compileds[i]
             if compiled is None:
@@ -320,21 +375,25 @@ def dc_offset_bisection_many(
                 rhs = compiled.source_rhs_like(tb)
             else:
                 serial_member[i] = True
-                out[j] = serial_eval(tb)
+                out[j] = serial_eval(i, tb)
                 continue
             stacked_js.append(j)
             stacked_compileds.append(compiled)
             stacked_rhs.append(rhs)
+            stacked_x0s.append(_warm_start(x_prevs[i], compiled))
         if stacked_js:
             ops = newton_operating_points(
-                stacked_compileds, rhs_srcs=stacked_rhs
+                stacked_compileds, rhs_srcs=stacked_rhs, x0s=stacked_x0s
             )
             for j, op in zip(stacked_js, ops):
+                i = indices[j]
                 if op is None:
-                    # Plain Newton diverged; the serial path would climb
-                    # the gmin/source-stepping ladder from here.
-                    out[j] = serial_eval(build_tbs[indices[j]](xs[j]))
+                    # Plain Newton diverged; the serial path replays it
+                    # from the same start, then climbs the gmin/source-
+                    # stepping ladder.
+                    out[j] = serial_eval(i, build_tbs[i](xs[j]))
                 else:
+                    x_prevs[i] = op.x
                     out[j] = response(op)
         return out
 

@@ -85,7 +85,7 @@ DEFAULT_MAXSIZE = 4096
 #: Bump it whenever a change moves simulated values (stepping, device
 #: model, solver), so that a shared disk cache written by an older
 #: simulator is never served to a newer one.
-SIMULATOR_REVISION = 2
+SIMULATOR_REVISION = 3
 
 
 def _canon(value):

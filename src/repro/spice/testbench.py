@@ -58,6 +58,9 @@ class Testbench:
     :attr:`op`, :attr:`ac` and :attr:`tran` and are cached.
     """
 
+    #: Not a pytest test class, despite the name.
+    __test__ = False
+
     def __init__(
         self,
         circuit: Circuit,

@@ -78,12 +78,11 @@ def test_cascode_rout_beats_simple(tech):
     casc = CascodeCurrentMirror(tech, base_fins=96, ratio=1)
     from repro.primitives import testbenches as tbh
 
-    r_simple = tbh.port_resistance(
-        simple.cout_testbench(simple.schematic_circuit()), tech, "vout"
+    read = tbh.port_resistance("vout")
+    r_simple = read(
+        *tbh.run_ac(simple.cout_testbench(simple.schematic_circuit()), tech)
     )
-    r_casc = tbh.port_resistance(
-        casc.cout_testbench(casc.schematic_circuit()), tech, "vout"
-    )
+    r_casc = read(*tbh.run_ac(casc.cout_testbench(casc.schematic_circuit()), tech))
     assert r_casc > 3 * r_simple
 
 

@@ -1,12 +1,15 @@
 """The shared testbench helper functions."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.devices.mosfet import MosGeometry
-from repro.errors import MeasureError
+from repro.errors import MeasureError, NetlistError
 from repro.primitives import testbenches as tbh
-from repro.spice import Circuit
+from repro.spice import Circuit, kernel
+from repro.spice.dc import dc_operating_point
 
 
 def test_attach_dut_maps_ports_identically(tech, small_dp):
@@ -34,14 +37,16 @@ def test_port_capacitance_of_known_cap(tech):
     tb = Circuit("c")
     tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_capacitor("c1", "a", "0", 7e-15)
-    assert tbh.port_capacitance(tb, tech, "vp") == pytest.approx(7e-15, rel=0.01)
+    cap = tbh.port_capacitance("vp")(*tbh.run_ac(tb, tech))
+    assert cap == pytest.approx(7e-15, rel=0.01)
 
 
 def test_port_resistance_of_known_resistor(tech):
     tb = Circuit("r")
     tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_resistor("r1", "a", "0", 3.3e3)
-    assert tbh.port_resistance(tb, tech, "vp") == pytest.approx(3.3e3, rel=0.01)
+    res = tbh.port_resistance("vp")(*tbh.run_ac(tb, tech))
+    assert res == pytest.approx(3.3e3, rel=0.01)
 
 
 def test_port_resistance_negative_reported_as_magnitude(tech):
@@ -50,8 +55,37 @@ def test_port_resistance_negative_reported_as_magnitude(tech):
     tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_vccs("g1", "a", "0", "a", "0", 2e-3)  # pulls current out of a
     tb.add_resistor("stab", "a", "0", 200.0)  # keep DC solvable
-    r = tbh.port_resistance(tb, tech, "vp")
+    r = tbh.port_resistance("vp")(*tbh.run_ac(tb, tech))
     assert r > 0
+
+
+def test_metric_reader_failure_marks_only_its_member(tech):
+    def build(prim, volts):
+        tb = Circuit("divider")
+        tb.add_vsource("vs", "a", "0", volts)
+        tb.add_resistor("r1", "a", "b", 1e3)
+        tb.add_resistor("r2", "b", "0", 1e3)
+        return tb
+
+    def read(op):
+        if op.v("b") > 1.0:
+            raise MeasureError("out of range")
+        return op.v("b")
+
+    metric = tbh.dc_metric("vb", 1.0, build, read)
+    prim = SimpleNamespace(tech=tech)
+    members = [1.0, 4.0, 1.5]
+    out = metric.batch_evaluate(prim, members, [{} for _ in members])
+    assert out[0] == metric.evaluate(prim, 1.0, {})
+    assert out[2] == metric.evaluate(prim, 1.5, {})
+    assert isinstance(out[1], MeasureError)
+    with pytest.raises(MeasureError):
+        metric.evaluate(prim, 4.0, {})
+
+    # Anything but an evaluation failure is a bug and propagates.
+    broken = tbh.dc_metric("vb", 1.0, build, lambda op: op.v("missing"))
+    with pytest.raises(NetlistError):
+        broken.batch_evaluate(prim, members, [{} for _ in members])
 
 
 def test_solve_gate_bias_monotone_increasing(tech):
@@ -92,3 +126,93 @@ def test_dc_offset_bisection_finds_injected_offset(tech):
         build, tech, lambda op: op.v("a"), lo=-0.05, hi=0.05
     )
     assert root == pytest.approx(3e-3, abs=1e-6)
+
+
+def _dp_variants(tech, count=3):
+    """A small DP and ``count`` extracted same-pattern variants of it."""
+    from repro.cellgen.generator import WireConfig
+    from repro.primitives import DifferentialPair
+
+    prim = DifferentialPair(tech, base_fins=8, name="bisect_dp")
+    base = prim.variants()[0]
+    duts = [
+        prim.layout_circuit(
+            base, "ABAB", WireConfig(parallel={"tail": k, "outp": k, "outn": k})
+        )
+        for k in range(1, count + 1)
+    ]
+    return prim, duts
+
+
+def _dp_response(op) -> float:
+    return op.i("voutp") - op.i("voutn")
+
+
+def _drifting_build(prim, dut, calls: list):
+    """A DP offset testbench that grows a node after its first build."""
+
+    def build(x):
+        tb = prim._bias_testbench(dut, vin_diff=x)
+        if calls:
+            tb.add_resistor("rdrift", "tail", "drift", 1e15)
+            tb.add_resistor("rdrift_g", "drift", "0", 1e15)
+        calls.append(x)
+        return tb
+
+    return build
+
+
+def test_dc_offset_bisection_many_matches_serial_bitwise(tech, monkeypatch):
+    prim, duts = _dp_variants(tech)
+
+    def builds(drift_calls):
+        stacked = [
+            lambda x, dut=dut: prim._bias_testbench(dut, vin_diff=x)
+            for dut in duts
+        ]
+        # The last member's structure drifts after the first round, so
+        # the compile-once path drops it to the serial solver.
+        return stacked + [_drifting_build(prim, duts[0], drift_calls)]
+
+    serial_stats = kernel.SolverStats()
+    with kernel.collect(serial_stats):
+        serial = [
+            tbh.dc_offset_bisection(build, tech, _dp_response)
+            for build in builds([])
+        ]
+    serial_solves = []
+
+    def serial_solve(compiled, **kwargs):
+        serial_solves.append(compiled.circuit.name)
+        return dc_operating_point(compiled, **kwargs)
+
+    monkeypatch.setattr(tbh, "dc_operating_point", serial_solve)
+    drift_calls: list = []
+    stats = kernel.SolverStats()
+    with kernel.collect(stats):
+        stacked = tbh.dc_offset_bisection_many(
+            builds(drift_calls), tech, _dp_response
+        )
+    assert stacked == serial  # bitwise: float equality per member
+    # Same starting guesses, so the same Newton trajectories.
+    assert stats.newton_iterations == serial_stats.newton_iterations
+    assert stats.analyses == serial_stats.analyses
+    assert stats.batched_solves > 0
+    # Only the drifting member left the stack, from its second point on.
+    assert len(serial_solves) == len(drift_calls) - 1 > 0
+
+
+def test_dc_offset_bisection_warm_starts_each_solve(tech):
+    # Successive bisection points differ by at most the bracket width,
+    # so each DC solve after the first starts from the member's previous
+    # solution.  Cold starts take ~7 Newton iterations per solve here.
+    prim, duts = _dp_variants(tech)
+    builds = [
+        lambda x, dut=dut: prim._bias_testbench(dut, vin_diff=x) for dut in duts
+    ]
+    stats = kernel.SolverStats()
+    with kernel.collect(stats):
+        tbh.dc_offset_bisection_many(builds, tech, _dp_response)
+    solves = stats.analyses["dc"]
+    assert solves >= 3 * 20
+    assert stats.newton_iterations / solves <= 4.0

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
+from repro.cellgen.generator import WireConfig
 from repro.devices.mosfet import MosGeometry
 from repro.errors import ConvergenceError, LayoutError, MeasureError
+from repro.primitives import PrimitiveLibrary
 from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime, RetryPolicy
 from repro.runtime import batched as engine
 from repro.runtime import context as eval_context
@@ -234,6 +236,45 @@ def test_find_dc_zero_many_captures_member_failures():
     assert isinstance(results[1], MeasureError)
     assert str(results[1]) == str(serial_err.value)
     assert isinstance(results[2], ValueError)
+
+
+# -- every MOS family: stacked metric evaluation vs serial ---------------
+
+
+def _mos_families() -> list[str]:
+    library = PrimitiveLibrary()
+    names = []
+    for name in library.names():
+        try:
+            library.create(name, Technology.default(), base_fins=8)
+        except TypeError:
+            continue  # passives take no base_fins
+        names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _mos_families())
+def test_every_family_evaluates_stacked_bitwise_equal_to_serial(name):
+    prim = PrimitiveLibrary().create(name, Technology.default(), base_fins=8)
+    # Only the transient delay metrics lack a stacked evaluator.
+    assert [
+        m.name for m in prim.metrics() if m.batch_evaluate is None
+    ] in ([], ["delay"])
+    base = prim.variants()[0]
+    nets = [net for t in prim.tuning_terminals() for net in t.nets]
+    duts = [
+        prim.layout_circuit(
+            base, "ABAB", WireConfig(parallel={net: k for net in nets})
+        )
+        for k in (1, 2, 3)
+    ]
+    serial = [prim.evaluate(dut) for dut in duts]
+    stats = kernel.SolverStats()
+    with kernel.collect(stats):
+        stacked = prim.evaluate_many(duts)
+    # Bitwise: dict equality on the float values, plus simulation counts.
+    assert stacked == serial
+    assert stats.batched_solves > 0
 
 
 # -- property: shuffled selection sweeps, batched vs serial --------------
