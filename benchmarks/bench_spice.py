@@ -71,16 +71,13 @@ CONFIGS = [
 
 @contextmanager
 def configure(solver: str):
-    """Pin the solver backend via its env knob."""
-    saved = os.environ.get(kernel.SOLVER_ENV)
-    os.environ[kernel.SOLVER_ENV] = solver
+    """Pin every system to one backend through the size threshold."""
+    saved = kernel.SPARSE_MIN_SIZE
+    kernel.SPARSE_MIN_SIZE = 0 if solver == kernel.SPARSE else sys.maxsize
     try:
         yield
     finally:
-        if saved is None:
-            os.environ.pop(kernel.SOLVER_ENV, None)
-        else:
-            os.environ[kernel.SOLVER_ENV] = saved
+        kernel.SPARSE_MIN_SIZE = saved
 
 
 def conventional_choices(circuit) -> dict[str, LayoutChoice]:

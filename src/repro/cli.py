@@ -38,10 +38,12 @@ name: the netlist is ingested and every recognized primitive with a
 library binding is optimized by the flow (no measurement testbench, so
 metrics are skipped).
 
-``optimize``, ``flow`` and ``profile`` accept ``--solver
-{auto,dense,sparse}`` to pin the MNA linear-solver backend (overrides
-the ``REPRO_SOLVER`` environment variable; ``auto`` picks by system
-size).
+``optimize`` and ``flow`` share the runtime flags ``--run-dir``,
+``--resume``, ``--retries`` (≥ 0), ``--deadline`` (seconds, > 0),
+``--cache``/``--no-cache``, ``--cache-dir`` and ``--cache-max-mb``
+(≥ 0); out-of-range values are usage errors.  The MNA linear-solver
+backend is not a flag: it follows the system size
+(:data:`repro.spice.kernel.SPARSE_MIN_SIZE`).
 """
 
 from __future__ import annotations
@@ -97,17 +99,25 @@ def _policy_from_args(args: argparse.Namespace):
     )
 
 
-def _apply_solver(args: argparse.Namespace) -> None:
-    """Pin the MNA solver backend for the process (``--solver``)."""
-    if getattr(args, "solver", None) is not None:
-        from repro.spice import kernel
+def _at_least(cast, bound, *, strict: bool = False):
+    """An argparse ``type`` accepting ``cast`` values >= ``bound``
+    (> ``bound`` when ``strict``); anything else is a usage error."""
 
-        kernel.set_default_solver(args.solver)
+    def parse(text: str):
+        value = cast(text)
+        if not (value > bound or (value == bound and not strict)):
+            relation = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {bound}, got {text}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid <name> value"
+    return parse
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Run Algorithm 1 on a library primitive and print the options."""
-    _apply_solver(args)
     tech = Technology.default()
     library = PrimitiveLibrary()
     primitive = library.create(args.primitive, tech, base_fins=args.fins)
@@ -160,7 +170,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_flow(args: argparse.Namespace) -> int:
     """Run the hierarchical flow on a benchmark circuit or a netlist."""
-    _apply_solver(args)
     tech = Technology.default()
     if (args.circuit is None) == (args.netlist is None):
         raise SystemExit("flow needs a circuit name or --netlist, not both")
@@ -244,7 +253,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     Every evaluation executes in this process — sweeps on the stacked
     engine — so the kernel counters cover the whole run.
     """
-    _apply_solver(args)
     tech = Technology.default()
     if args.target in CIRCUITS:
         circuit = _build_circuit(args.target, tech)
@@ -500,13 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--retries",
-            type=int,
+            type=_at_least(int, 0),
             default=None,
             help="retries per failed evaluation",
         )
         p.add_argument(
             "--deadline",
-            type=float,
+            type=_at_least(float, 0, strict=True),
             default=None,
             help="per-evaluation wall-clock deadline (seconds)",
         )
@@ -527,21 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--cache-max-mb",
-            type=float,
+            type=_at_least(float, 0),
             default=None,
             metavar="MB",
             help="size cap for the on-disk cache tier in MiB (stalest "
             "entries are evicted past the cap; default: unbounded)",
-        )
-        add_solver_arg(p)
-
-    def add_solver_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--solver",
-            default=None,
-            choices=["auto", "dense", "sparse"],
-            help="MNA linear-solver backend (default: the REPRO_SOLVER "
-            "environment variable, else auto-selection by system size)",
         )
 
     p_opt = sub.add_parser("optimize", help="run Algorithm 1 on a primitive")
@@ -707,7 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--fins", type=int, default=96)
     p_prof.add_argument("--bins", type=int, default=2)
     p_prof.add_argument("--max-wires", type=int, default=5)
-    add_solver_arg(p_prof)
 
     p_cache = sub.add_parser("cache", help="inspect the evaluation cache")
     cache_sub = p_cache.add_subparsers(dest="action", required=True)

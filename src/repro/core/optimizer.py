@@ -34,6 +34,7 @@ from repro.runtime import (
     RetryPolicy,
     SweepJournal,
 )
+from repro.runtime.evalcache import run_cache
 from repro.verify import verify_circuit
 
 #: Wall time the paper attributes to one primitive simulation (seconds).
@@ -199,24 +200,7 @@ class PrimitiveOptimizer:
         self.run_dir = run_dir
         self.resume = resume
         self.erc = erc
-        if isinstance(cache, EvalCache):
-            self.cache: EvalCache | None = cache
-        elif cache:
-            disk = (
-                Path(cache_dir)
-                if cache_dir is not None
-                else Path(self.run_dir) / "evalcache"
-                if self.run_dir is not None
-                else None
-            )
-            max_bytes = (
-                int(cache_max_mb * 1024 * 1024)
-                if cache_max_mb is not None
-                else None
-            )
-            self.cache = EvalCache(disk_dir=disk, max_disk_bytes=max_bytes)
-        else:
-            self.cache = None
+        self.cache = run_cache(cache, run_dir, cache_dir, cache_max_mb)
 
     def _runtime_for(self, primitive) -> EvalRuntime:
         journal = None
@@ -326,8 +310,8 @@ class PrimitiveOptimizer:
 
         report.cached_evaluations = runtime.cache_hits
         if runtime.cache is not None:
-            # Only the order-independent fields: misses diverge between
-            # worker counts when failed evaluations probe the cache.
+            # Only the deterministic fields: misses also count lookups
+            # whose evaluation later failed (see CacheStats).
             report.cache_stats = {
                 "hits": runtime.cache.stats.hits,
                 "stored": runtime.cache.stats.stored,

@@ -48,12 +48,12 @@ from repro.geometry.shapes import Point
 from repro.pnr.global_router import GlobalRoute, GlobalRouter
 from repro.pnr.placer import Block, Placement, SaPlacer
 from repro.runtime import (
-    EvalCache,
     EvalRuntime,
     FailureLog,
     RetryPolicy,
     SweepJournal,
 )
+from repro.runtime.evalcache import run_cache
 from repro.spice import kernel
 from repro.spice.netlist import Circuit, is_ground
 from repro.tech.pdk import Technology
@@ -186,24 +186,7 @@ class HierarchicalFlow:
         self.run_dir = run_dir
         self.resume = resume
         self.waivers = waivers
-        if cache:
-            disk = (
-                Path(cache_dir)
-                if cache_dir is not None
-                else Path(run_dir) / "evalcache"
-                if run_dir is not None
-                else None
-            )
-            max_bytes = (
-                int(cache_max_mb * 1024 * 1024)
-                if cache_max_mb is not None
-                else None
-            )
-            self.cache: EvalCache | None = EvalCache(
-                disk_dir=disk, max_disk_bytes=max_bytes
-            )
-        else:
-            self.cache = None
+        self.cache = run_cache(cache, run_dir, cache_dir, cache_max_mb)
 
     # -- public entry ------------------------------------------------------
 

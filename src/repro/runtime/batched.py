@@ -29,9 +29,8 @@ machinery guarantees this by construction:
   — falls back to the member's original serial thunk, which recomputes
   the identical result (or raises the identical error);
 * the path disengages entirely (returning the ordinary lazy-serial
-  batch) under fault injection, per-evaluation deadlines, or an explicit
-  Newton iteration budget, where batching would change observable
-  behavior.
+  batch) under fault injection or a per-evaluation deadline, where
+  batching would change observable behavior.
 
 Retry attempts (``attempt > 0``) always run the original serial thunk:
 perturbed initial guesses are per-member state the lockstep solver does
@@ -99,17 +98,14 @@ def maybe_batched(
 
     Disengagement conditions (each would make batching observable):
     fault injection active (faults key on evaluation order/keys),
-    a per-evaluation deadline (precomputed results would dodge it), an
-    explicit Newton iteration budget (threaded through per-evaluation
-    context the lockstep solver does not consult), a :data:`STACK_WIDTH`
-    of 1, or fewer than two live batchable tasks.
+    a per-evaluation deadline (precomputed results would dodge it), a
+    :data:`STACK_WIDTH` of 1, or fewer than two live batchable tasks.
     """
     if STACK_WIDTH <= 1:
         return None
     if faults.active() is not None:
         return None
-    policy = runtime.policy
-    if policy.deadline_s is not None or policy.newton_max_iterations is not None:
+    if runtime.policy.deadline_s is not None:
         return None
     live = 0
     for task in tasks:

@@ -10,8 +10,8 @@ threading parameters through every call:
   slightly perturbed initial guess instead of deterministically failing
   the same way.
 
-Both live in a context variable, so nested evaluations and (future)
-thread pools stay isolated.
+Both live in a context variable, so a nested evaluation sees its own
+context and the outer one is restored when it returns.
 """
 
 from __future__ import annotations
@@ -31,17 +31,12 @@ class EvalContext:
         attempt: Zero-based retry attempt.
         perturbation: Relative amplitude for perturbing initial guesses
             (0 on the first attempt, scaled up per retry).
-        newton_max_iterations: Explicit Newton iteration budget from
-            :class:`~repro.runtime.policy.RetryPolicy`, honored exactly
-            by the DC solver (even 0, or values below its size
-            heuristic); None keeps the solver's own heuristic.
     """
 
     key: str = ""
     stage: str = ""
     attempt: int = 0
     perturbation: float = 0.0
-    newton_max_iterations: int | None = None
 
 
 _current: ContextVar[EvalContext | None] = ContextVar(

@@ -531,6 +531,33 @@ class EvalCache:
         )
 
 
+def run_cache(
+    cache: "bool | EvalCache",
+    run_dir: str | os.PathLike | None = None,
+    cache_dir: str | os.PathLike | None = None,
+    cache_max_mb: float | None = None,
+) -> EvalCache | None:
+    """The evaluation cache of one optimization or flow run.
+
+    ``cache`` is an existing :class:`EvalCache` (returned as is), True
+    for a fresh one, or False for none.  A fresh cache keeps its disk
+    tier in ``cache_dir``, else in ``<run_dir>/evalcache``, else in
+    memory only; ``cache_max_mb`` caps the disk tier in MiB.
+    """
+    if isinstance(cache, EvalCache):
+        return cache
+    if not cache:
+        return None
+    if cache_dir is None and run_dir is not None:
+        cache_dir = Path(run_dir) / "evalcache"
+    return EvalCache(
+        disk_dir=cache_dir,
+        max_disk_bytes=(
+            None if cache_max_mb is None else int(cache_max_mb * 1024 * 1024)
+        ),
+    )
+
+
 def evaluate_circuit_cached(
     primitive,
     circuit: Circuit,

@@ -47,6 +47,15 @@ def _kernel():
     return kernel
 
 
+#: Relative initial-guess perturbation amplitude per retry attempt.
+RETRY_PERTURBATION = 1e-3
+
+#: Fraction of failed evaluations in one stage above which the stage is
+#: marked degraded and stops spending retries (it still absorbs failures
+#: and keeps going).
+STAGE_FAILURE_CEILING = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded-retry and budget knobs for one run.
@@ -59,25 +68,10 @@ class RetryPolicy:
         deadline_s: Per-evaluation wall-clock deadline in seconds; an
             evaluation that takes longer counts as ``EVAL-TIMEOUT`` and
             its result is discarded (None disables the deadline).
-        stage_failure_ceiling: Fraction of failed evaluations in one
-            stage above which the stage is marked degraded and stops
-            spending retries (it still absorbs failures and keeps going).
-        retry_perturbation: Relative initial-guess perturbation amplitude
-            per retry attempt.
-        newton_max_iterations: Explicit per-solve Newton iteration
-            budget for deadline-driven runs.  Honored *exactly* by the
-            DC solver — including 0 and values below its
-            ``max(120, 2*num_nodes)`` size heuristic, which used to be
-            an unconditional floor — so a shrunk budget actually fails
-            fast instead of being silently clamped back up.  None keeps
-            the heuristic (see docs/robustness.md).
     """
 
     max_retries: int = 1
     deadline_s: float | None = None
-    stage_failure_ceiling: float = 0.5
-    retry_perturbation: float = 1e-3
-    newton_max_iterations: int | None = None
 
 
 @dataclass
@@ -190,8 +184,7 @@ class EvalRuntime:
         self._stage_total[stage] += 1
         if failed:
             self._stage_failed[stage] += 1
-            ceiling = self.policy.stage_failure_ceiling
-            if self.stage_failure_fraction(stage) > ceiling:
+            if self.stage_failure_fraction(stage) > STAGE_FAILURE_CEILING:
                 self.failures.mark_degraded(stage)
 
     # -- the wrapper -------------------------------------------------------
@@ -251,8 +244,7 @@ class EvalRuntime:
                 key=key,
                 stage=stage,
                 attempt=attempt,
-                perturbation=self.policy.retry_perturbation * attempt,
-                newton_max_iterations=self.policy.newton_max_iterations,
+                perturbation=RETRY_PERTURBATION * attempt,
             )
             start = self.clock()
             try:

@@ -24,8 +24,6 @@ from repro.spice.kernel import (
     SolverStats,
     SystemTemplate,
     backend_for,
-    resolve_solver,
-    set_default_solver,
 )
 from repro.spice.netlist import Circuit
 from repro.spice.elements import (
@@ -52,8 +50,6 @@ __all__ = [
     "SolverStats",
     "SystemTemplate",
     "backend_for",
-    "resolve_solver",
-    "set_default_solver",
     "Circuit",
     "Resistor",
     "Capacitor",

@@ -133,7 +133,6 @@ def ac_analysis(
     f_start: float = 1.0e3,
     f_stop: float = 1.0e11,
     points_per_decade: int = 10,
-    solver: str | None = None,
 ) -> AcResult:
     """Run a logarithmic AC sweep around the given operating point."""
     if f_start <= 0 or f_stop <= f_start:
@@ -148,7 +147,7 @@ def ac_analysis(
     stats = kernel.active()
     if stats is not None:
         stats.count_analysis("ac")
-    backend = kernel.backend_for(compiled.size, solver)
+    backend = kernel.backend_for(compiled.size)
     size = compiled.size
     rhs = compiled.ac_source_rhs()
     solutions = np.zeros((len(freqs), size), dtype=complex)
@@ -199,7 +198,6 @@ def ac_analysis_many(
     f_start: float = 1.0e3,
     f_stop: float = 1.0e11,
     points_per_decade: int = 10,
-    solver: str | None = None,
 ) -> list:
     """Batched :func:`ac_analysis` over many (circuit, bias) pairs.
 
@@ -224,15 +222,14 @@ def ac_analysis_many(
     def serial(i: int) -> None:
         try:
             results[i] = ac_analysis(
-                compileds[i], ops[i], f_start, f_stop,
-                points_per_decade, solver,
+                compileds[i], ops[i], f_start, f_stop, points_per_decade
             )
         except SingularMatrixError as exc:
             results[i] = exc
 
     groups: dict[int, list[int]] = {}
     for i, compiled in enumerate(compileds):
-        if kernel.backend_for(compiled.size, solver) == kernel.SPARSE:
+        if kernel.backend_for(compiled.size) == kernel.SPARSE:
             serial(i)
         else:
             groups.setdefault(compiled.size, []).append(i)

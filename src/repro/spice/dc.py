@@ -146,26 +146,12 @@ def _dc_template(
     return compiled.kernel_template(("dc", backend), build)
 
 
-def _effective_max_iterations(
-    compiled: CompiledCircuit, explicit: int | None
-) -> int:
+def _max_iterations(compiled: CompiledCircuit) -> int:
     """The Newton iteration budget for one solve.
 
-    Priority: an explicit ``max_iterations`` argument, then the
-    :class:`~repro.runtime.policy.RetryPolicy` budget threaded through
-    the evaluation context, then the size heuristic.  A policy budget is
-    honored *exactly* — including 0 and values below the heuristic's
-    floor of 120 — so deadline-driven runs that shrink the budget
-    actually fail fast instead of being silently clamped back up
-    (see docs/robustness.md).
+    Large circuits under heavy damping need more iterations: the voltage
+    limiter advances at most ``VOLTAGE_LIMIT`` per step.
     """
-    if explicit is not None:
-        return explicit
-    ctx = eval_context.current()
-    if ctx is not None and ctx.newton_max_iterations is not None:
-        return max(0, int(ctx.newton_max_iterations))
-    # Large circuits under heavy damping need more iterations: the
-    # voltage limiter advances at most VOLTAGE_LIMIT per step.
     return max(120, 2 * compiled.num_nodes)
 
 
@@ -176,7 +162,6 @@ def _newton_solve(
     gmin: float,
     source_scale: float,
     force: dict[str, float] | None,
-    max_iterations: int | None = None,
     recovery: set[str] | None = None,
 ) -> np.ndarray | None:
     """One damped Newton solve; returns the solution or None.
@@ -184,7 +169,6 @@ def _newton_solve(
     ``recovery`` (when given) collects the tags of any singular-matrix
     fallbacks used along the way.
     """
-    max_iterations = _effective_max_iterations(compiled, max_iterations)
     x = x0.copy()
     rhs_src = compiled.source_rhs(t=None, scale=source_scale)
     stats = kernel.active()
@@ -201,7 +185,7 @@ def _newton_solve(
 
     limit = VOLTAGE_LIMIT
     prev_dv: np.ndarray | None = None
-    for _ in range(max_iterations):
+    for _ in range(_max_iterations(compiled)):
         if stats is not None:
             stats.newton_iterations += 1
         rhs = rhs_src.copy()
@@ -249,7 +233,6 @@ def dc_operating_point(
     compiled: CompiledCircuit,
     x0: np.ndarray | None = None,
     force: dict[str, float] | None = None,
-    solver: str | None = None,
 ) -> OperatingPoint:
     """Compute the DC operating point.
 
@@ -259,9 +242,6 @@ def dc_operating_point(
         force: Optional nodeset, mapping node names to voltages that are
             softly pinned during the solve (used to bias oscillators off
             their metastable point).
-        solver: Optional solver-backend override (``"dense"``/
-            ``"sparse"``/``"auto"``); defaults to the process-wide
-            choice (``--solver`` / ``REPRO_SOLVER`` / auto by size).
 
     Raises:
         ConvergenceError: If Newton fails even after gmin and source
@@ -277,7 +257,7 @@ def dc_operating_point(
     stats = kernel.active()
     if stats is not None:
         stats.count_analysis("dc")
-    backend = kernel.backend_for(compiled.size, solver)
+    backend = kernel.backend_for(compiled.size)
     template = _dc_template(compiled, backend)
 
     x = x0.copy() if x0 is not None else np.zeros(compiled.size)
@@ -448,14 +428,12 @@ class _DcGroup:
         return ev
 
 
-def _group_batch(
-    compileds: list[CompiledCircuit], solver: str | None
-) -> list[_DcGroup]:
+def _group_batch(compileds: list[CompiledCircuit]) -> list[_DcGroup]:
     """Partition a batch into template-compatible groups (order kept)."""
     groups: list[list[int]] = []
     templates: list["kernel.SystemTemplate"] = []
     for i, compiled in enumerate(compileds):
-        backend = kernel.backend_for(compiled.size, solver)
+        backend = kernel.backend_for(compiled.size)
         template = _dc_template(compiled, backend)
         templates.append(template)
         for members in groups:
@@ -597,7 +575,6 @@ def newton_operating_points(
     compileds: list[CompiledCircuit],
     rhs_srcs: list[np.ndarray] | None = None,
     x0s: list[np.ndarray | None] | None = None,
-    solver: str | None = None,
 ) -> list[OperatingPoint | None]:
     """Plain-Newton operating points for a batch of circuits.
 
@@ -620,7 +597,7 @@ def newton_operating_points(
     results: list[OperatingPoint | None] = [None] * len(compileds)
     if not compileds:
         return results
-    for group in _group_batch(compileds, solver):
+    for group in _group_batch(compileds):
         count = len(group.indices)
         if stats is not None:
             for _ in range(count):
@@ -642,9 +619,8 @@ def newton_operating_points(
             ]
         )
         recovery_sets: list[set] = [set() for _ in range(count)]
-        max_iterations = _effective_max_iterations(group.compileds[0], None)
         solutions = _newton_solve_batch(
-            group, x0, rhs, max_iterations, recovery_sets
+            group, x0, rhs, _max_iterations(group.compileds[0]), recovery_sets
         )
         for j, i in enumerate(group.indices):
             if solutions[j] is not None:
@@ -658,7 +634,6 @@ def dc_operating_points(
     compileds: list[CompiledCircuit],
     x0s: list[np.ndarray | None] | None = None,
     force: dict[str, float] | None = None,
-    solver: str | None = None,
 ) -> list[OperatingPoint | Exception]:
     """Batched :func:`dc_operating_point` over many circuits.
 
@@ -677,21 +652,13 @@ def dc_operating_points(
     serial_only = (
         faults.active() is not None
         or bool(force)
-        or (
-            ctx is not None
-            and (
-                ctx.perturbation > 0.0
-                # The lockstep kernel sizes its own budget; an explicit
-                # per-evaluation budget must be honored serially.
-                or ctx.newton_max_iterations is not None
-            )
-        )
+        or (ctx is not None and ctx.perturbation > 0.0)
     )
     results: list[OperatingPoint | Exception] = [None] * len(compileds)  # type: ignore[list-item]
     if serial_only:
         batched = [None] * len(compileds)
     else:
-        batched = newton_operating_points(compileds, x0s=x0s, solver=solver)
+        batched = newton_operating_points(compileds, x0s=x0s)
     for i, compiled in enumerate(compileds):
         if batched[i] is not None:
             results[i] = batched[i]
@@ -701,7 +668,6 @@ def dc_operating_points(
                 compiled,
                 x0=None if x0s is None else x0s[i],
                 force=force,
-                solver=solver,
             )
         except (ConvergenceError, SingularMatrixError) as exc:
             results[i] = exc

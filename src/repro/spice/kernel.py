@@ -6,9 +6,8 @@ iterations — only device values change.  This module provides the three
 pieces the analyses build on:
 
 * **Backend selection** — dense ``numpy.linalg`` versus sparse
-  ``scipy.sparse`` CSC + SuperLU (:func:`backend_for`), auto-selected by
-  system size with an override via the ``REPRO_SOLVER`` environment
-  variable, the ``--solver`` CLI flag, or a per-call argument.
+  ``scipy.sparse`` CSC + SuperLU (:func:`backend_for`), chosen by
+  system size alone (:data:`SPARSE_MIN_SIZE`).
 * **:class:`SystemTemplate`** — an MNA system compiled once per
   (circuit, analysis) into COO index triplets.  The static (topology)
   part is accumulated a single time; each Newton iteration or time step
@@ -34,7 +33,6 @@ tag the failure log reports.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -46,20 +44,17 @@ import scipy.sparse.linalg
 
 from repro.errors import SimulationError, SingularMatrixError
 
-#: Solver choices.
+#: Solver backends.
 DENSE = "dense"
 SPARSE = "sparse"
-AUTO = "auto"
-
-_SOLVER_CHOICES = (AUTO, DENSE, SPARSE)
-
-#: Environment variable overriding the solver backend for a whole run.
-SOLVER_ENV = "REPRO_SOLVER"
 
 #: Below this system size the dense backend wins: BLAS on a small dense
 #: matrix beats SuperLU's per-factorization setup overhead.  Measured on
 #: the library testbenches (tens of unknowns) versus the assembled
-#: benchmark circuits (hundreds); see ``docs/performance.md``.
+#: benchmark circuits (hundreds); see ``docs/performance.md``.  This is
+#: the only way a backend is chosen; tests and benches pin one by
+#: setting the constant (0: every system sparse, ``sys.maxsize``: every
+#: system dense).
 SPARSE_MIN_SIZE = 128
 
 #: Relative Tikhonov regularization strength for singular-system recovery.
@@ -68,44 +63,10 @@ TIKHONOV_LAMBDA = 1.0e-10
 #: Recovery-path tag for solves that needed the regularized fallback.
 RECOVERY_TIKHONOV = "tikhonov"
 
-#: Process-wide solver default set by the CLI's ``--solver`` flag (takes
-#: precedence over the environment; per-call arguments beat both).
-_configured_solver: str | None = None
 
-
-def set_default_solver(solver: str | None) -> None:
-    """Set the process-wide solver choice (``None`` restores auto)."""
-    global _configured_solver
-    if solver is not None and solver not in _SOLVER_CHOICES:
-        raise SimulationError(
-            f"unknown solver {solver!r}; choose from {', '.join(_SOLVER_CHOICES)}"
-        )
-    _configured_solver = solver
-
-
-def resolve_solver(override: str | None = None) -> str:
-    """The effective solver choice: argument > CLI default > env > auto."""
-    for candidate, what in (
-        (override, "solver argument"),
-        (_configured_solver, "--solver"),
-        (os.environ.get(SOLVER_ENV) or None, SOLVER_ENV),
-    ):
-        if candidate is not None:
-            if candidate not in _SOLVER_CHOICES:
-                raise SimulationError(
-                    f"invalid {what} {candidate!r}; choose from "
-                    f"{', '.join(_SOLVER_CHOICES)}"
-                )
-            return candidate
-    return AUTO
-
-
-def backend_for(size: int, solver: str | None = None) -> str:
+def backend_for(size: int) -> str:
     """Concrete backend (dense/sparse) for a system of ``size`` unknowns."""
-    choice = resolve_solver(solver)
-    if choice == AUTO:
-        return SPARSE if size >= SPARSE_MIN_SIZE else DENSE
-    return choice
+    return SPARSE if size >= SPARSE_MIN_SIZE else DENSE
 
 
 # -- profiling ---------------------------------------------------------------

@@ -218,8 +218,6 @@ def transient(
     dt: float,
     op: OperatingPoint | None = None,
     ics: dict[str, float] | None = None,
-    *,
-    solver: str | None = None,
 ) -> TranResult:
     """Run a transient analysis from 0 to ``t_stop``.
 
@@ -234,8 +232,6 @@ def transient(
         op: Optional pre-computed operating point to start from.
         ics: Optional node voltages pinned during the initial DC solve
             (nodeset); used to break oscillator symmetry.
-        solver: Optional solver-backend override (``"dense"``/
-            ``"sparse"``/``"auto"``).
 
     Returns:
         A :class:`TranResult` sampled at multiples of ``dt``.
@@ -252,12 +248,12 @@ def transient(
         stats.count_analysis("tran")
 
     if op is None:
-        op = dc_operating_point(compiled, force=ics, solver=solver)
+        op = dc_operating_point(compiled, force=ics)
     x = op.x.copy()
 
     steps = int(round(t_stop / dt))
     times = np.arange(steps + 1) * dt
-    integrator = _Integrator(compiled, kernel.backend_for(compiled.size, solver))
+    integrator = _Integrator(compiled, kernel.backend_for(compiled.size))
 
     # Backward-Euler first step to avoid trapezoidal ringing from the
     # (possibly inconsistent) initial condition: achieved by taking the

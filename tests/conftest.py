@@ -6,6 +6,8 @@ session-scoped so many tests can assert against one run.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.devices.mosfet import MosGeometry
@@ -52,3 +54,21 @@ def small_dp_report(small_dp):
     from repro.core import PrimitiveOptimizer
 
     return PrimitiveOptimizer(n_bins=2, max_wires=4).optimize(small_dp)
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def backend(request, monkeypatch) -> str:
+    """Pin every MNA system to one solver backend for the test.
+
+    The size threshold is the only backend rule, so moving it pins the
+    backend: 0 makes every system sparse, ``sys.maxsize`` every system
+    dense.
+    """
+    from repro.spice import kernel
+
+    monkeypatch.setattr(
+        kernel,
+        "SPARSE_MIN_SIZE",
+        0 if request.param == kernel.SPARSE else sys.maxsize,
+    )
+    return request.param

@@ -21,12 +21,12 @@ from repro.errors import ConvergenceError, LayoutError, MeasureError
 from repro.primitives import PrimitiveLibrary
 from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime, RetryPolicy
 from repro.runtime import batched as engine
-from repro.runtime import context as eval_context
 from repro.runtime.evalcache import EvalCache
 from repro.runtime.faults import FaultSpec, inject
 from repro.spice import Circuit, CompiledCircuit, kernel
 from repro.spice import measure
 from repro.spice import ac as ac_module
+from repro.spice import dc as dc_module
 from repro.spice.ac import ac_analysis, ac_analysis_many
 from repro.spice.dc import dc_operating_point, dc_operating_points
 
@@ -107,47 +107,27 @@ def test_dc_operating_points_bitwise(tech):
         assert got.recovery == ref.recovery
 
 
-def test_dc_operating_points_mixed_convergence_captures_failures(tech):
-    # An explicit zero Newton budget makes every member fail serially;
-    # the batched wrapper must disengage (the lockstep kernel does not
-    # consult per-evaluation context) and capture the same exceptions
-    # per member instead of raising on the first.
+def test_dc_operating_points_mixed_convergence_captures_failures(
+    tech, monkeypatch
+):
+    # A zero Newton budget makes every member fail, stacked and serial
+    # alike; the batched wrapper must hand each member to the serial
+    # path and capture the same exceptions per member instead of
+    # raising on the first.
+    monkeypatch.setattr(dc_module, "_max_iterations", lambda compiled: 0)
     compileds = [
         _compiled(_divider(1.0, 2000.0), tech),
         _compiled(_diode_nmos(tech, 100e-6, 4), tech),
     ]
-    ctx = eval_context.EvalContext(newton_max_iterations=0)
-    with eval_context.evaluation(ctx):
-        serial_errs = []
-        for c in compileds:
-            with pytest.raises(ConvergenceError) as err:
-                dc_operating_point(c)
-            serial_errs.append(str(err.value))
-        batched = dc_operating_points(compileds)
+    serial_errs = []
+    for c in compileds:
+        with pytest.raises(ConvergenceError) as err:
+            dc_operating_point(c)
+        serial_errs.append(str(err.value))
+    batched = dc_operating_points(compileds)
     for got, ref in zip(batched, serial_errs):
         assert isinstance(got, ConvergenceError)
         assert str(got) == ref
-
-
-def test_newton_budget_honored_exactly(tech):
-    # Satellite: an explicit RetryPolicy budget must override the
-    # max(120, 2*nodes) heuristic verbatim — even 0 — instead of being
-    # silently clamped back up to the floor.
-    compiled = _compiled(_diode_nmos(tech, 100e-6, 4), tech)
-    baseline = dc_operating_point(compiled)
-    with eval_context.evaluation(eval_context.EvalContext(newton_max_iterations=0)):
-        with pytest.raises(ConvergenceError):
-            dc_operating_point(compiled)
-    # A budget at/above what the solve needs reproduces the default.
-    with eval_context.evaluation(
-        eval_context.EvalContext(newton_max_iterations=200)
-    ):
-        op = dc_operating_point(compiled)
-    assert np.array_equal(op.x, baseline.x)
-    # None keeps the heuristic.
-    with eval_context.evaluation(eval_context.EvalContext()):
-        op = dc_operating_point(compiled)
-    assert np.array_equal(op.x, baseline.x)
 
 
 # -- AC: stacked frequency sweeps ----------------------------------------
@@ -172,7 +152,7 @@ def _rc_ladder(k, stages=40):
     return c
 
 
-def test_ac_analysis_many_bitwise(tech):
+def test_ac_analysis_many_bitwise(tech, backend):
     member_sets = [
         # Small systems: all four whole sweeps in one stacked solve.
         (_rc, dict(f_start=1e3, f_stop=1e10, points_per_decade=5), 1),
@@ -181,8 +161,8 @@ def test_ac_analysis_many_bitwise(tech):
         (_rc_ladder, dict(f_start=1e3, f_stop=1e11, points_per_decade=10), 12),
     ]
     for build, kw, stacked_calls in member_sets:
-        # Pinned to dense: sparse-backend members are solved serially.
-        kw = dict(kw, solver="dense")
+        if backend == kernel.SPARSE:
+            stacked_calls = 0  # sparse-backend members solve serially
         compileds = [_compiled(build(k), tech) for k in range(4)]
         ops = [dc_operating_point(c) for c in compileds]
         serial = [ac_analysis(c, op, **kw) for c, op in zip(compileds, ops)]
@@ -253,8 +233,10 @@ def _mos_families() -> list[str]:
     return names
 
 
+# The indirect mark only puts the backend after the family in test ids.
+@pytest.mark.parametrize("backend", [kernel.DENSE, kernel.SPARSE], indirect=True)
 @pytest.mark.parametrize("name", _mos_families())
-def test_every_family_evaluates_stacked_bitwise_equal_to_serial(name):
+def test_every_family_evaluates_stacked_bitwise_equal_to_serial(name, backend):
     prim = PrimitiveLibrary().create(name, Technology.default(), base_fins=8)
     # Only the transient delay metrics lack a stacked evaluator.
     assert [

@@ -22,6 +22,7 @@ from repro.runtime import (
     EvalRuntime,
     RetryPolicy,
 )
+from repro.runtime import policy as policy_module
 from repro.runtime.faults import FaultSpec, inject
 
 
@@ -124,8 +125,9 @@ def test_failed_tuning_keeps_untuned_option(small_primitive):
     assert runtime.failures.count(code=CONV_DC) > 0
 
 
-def test_degraded_stage_is_reported(small_primitive):
-    policy = RetryPolicy(max_retries=0, stage_failure_ceiling=0.05)
+def test_degraded_stage_is_reported(small_primitive, monkeypatch):
+    monkeypatch.setattr(policy_module, "STAGE_FAILURE_CEILING", 0.05)
+    policy = RetryPolicy(max_retries=0)
     with inject(FaultSpec(dc_fail_rate=0.4), seed=1):
         report = _optimize(small_primitive, policy=policy, tune=False)
     assert report.options

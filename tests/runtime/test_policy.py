@@ -14,6 +14,7 @@ from repro.runtime import (
     SweepJournal,
 )
 from repro.runtime import context
+from repro.runtime import policy as policy_module
 
 
 class FakeClock:
@@ -98,10 +99,9 @@ def test_validate_rejects_as_bad_metric():
     assert runtime.failures.count(code=BAD_METRIC) == 1
 
 
-def test_stage_ceiling_marks_degraded_and_stops_retries():
-    runtime = EvalRuntime(
-        policy=RetryPolicy(max_retries=3, stage_failure_ceiling=0.4)
-    )
+def test_stage_ceiling_marks_degraded_and_stops_retries(monkeypatch):
+    monkeypatch.setattr(policy_module, "STAGE_FAILURE_CEILING", 0.4)
+    runtime = EvalRuntime(policy=RetryPolicy(max_retries=3))
     calls = []
 
     def failing():

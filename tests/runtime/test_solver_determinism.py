@@ -1,14 +1,15 @@
-"""Solver choice versus the determinism contract.
+"""Solver backend versus the determinism contract.
 
-For a *fixed* solver choice, journals and content-cache keys are
-byte-identical across stack widths 1 (lazy serial) and 8 — the
-profiling layer and the backend swap must not leak into any journaled
-or cached artifact.
+For a *fixed* backend (pinned through the ``backend`` fixture), journals
+and content-cache keys are byte-identical across stack widths 1 (lazy
+serial) and 8 — the profiling layer and the backend swap must not leak
+into any journaled or cached artifact.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -16,14 +17,6 @@ from repro import PrimitiveOptimizer, Technology
 from repro.runtime import RetryPolicy
 from repro.runtime import batched as engine
 from repro.spice import kernel
-
-
-@pytest.fixture(autouse=True)
-def _fixed_solver(monkeypatch, request):
-    monkeypatch.delenv(kernel.SOLVER_ENV, raising=False)
-    kernel.set_default_solver(request.param if hasattr(request, "param") else None)
-    yield
-    kernel.set_default_solver(None)
 
 
 def _fresh_dp():
@@ -50,9 +43,7 @@ def _cache_keys(journal_path):
     return keys
 
 
-@pytest.mark.parametrize("solver", ["dense", "sparse"])
-def test_journals_byte_identical_across_stack_width(tmp_path, solver, monkeypatch):
-    monkeypatch.setenv(kernel.SOLVER_ENV, solver)
+def test_journals_byte_identical_across_stack_width(tmp_path, backend, monkeypatch):
     monkeypatch.setattr(engine, "STACK_WIDTH", 1)
     serial = _optimize(tmp_path / "serial")
     monkeypatch.setattr(engine, "STACK_WIDTH", 8)
@@ -71,17 +62,19 @@ def test_journals_byte_identical_across_stack_width(tmp_path, solver, monkeypatc
     for report in (serial, stacked):
         assert report.solver_profile
         assert report.solver_profile["backends"] == {
-            solver: report.solver_profile["solves"]
+            backend: report.solver_profile["solves"]
         }
     assert stacked.solver_profile["batched_solves"] > 0
 
 
 def test_backends_agree_on_selected_options(tmp_path, monkeypatch):
     """Dense and sparse runs pick the same layout options (costs agree
-    within the cost function's own tolerance, selection is identical)."""
-    monkeypatch.setenv(kernel.SOLVER_ENV, "dense")
+    within the cost function's own tolerance, selection is identical).
+    The test compares both backends, so it pins them in turn instead of
+    taking the one-backend ``backend`` fixture."""
+    monkeypatch.setattr(kernel, "SPARSE_MIN_SIZE", sys.maxsize)
     dense = _optimize(tmp_path / "dense")
-    monkeypatch.setenv(kernel.SOLVER_ENV, "sparse")
+    monkeypatch.setattr(kernel, "SPARSE_MIN_SIZE", 0)
     sparse = _optimize(tmp_path / "sparse")
     assert [o.describe() for o in sparse.selected] == [
         o.describe() for o in dense.selected

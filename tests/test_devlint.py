@@ -265,3 +265,41 @@ def test_batch_loop_solve_suppressible():
         """
     )
     assert findings == []
+
+
+def test_environment_access_is_flagged():
+    findings = _lint(
+        """
+        import os
+        import os as system
+        from os import environ, path
+
+        KNOB = os.environ.get("KNOB")
+        other = os.getenv("OTHER", "x")
+        os.putenv("A", "1")
+        system.environ["B"] = "2"
+        """
+    )
+    assert [(f.line, f.code) for f in findings] == [
+        (4, "DEV-ENV"),
+        (6, "DEV-ENV"),
+        (7, "DEV-ENV"),
+        (8, "DEV-ENV"),
+        (9, "DEV-ENV"),
+    ]
+    assert "from os import environ" in findings[0].message
+    assert "os.environ" in findings[1].message
+
+
+def test_other_os_use_is_fine_and_env_suppressible():
+    findings = _lint(
+        """
+        import os
+
+        def cpus():
+            return os.cpu_count(), os.path.join("a", "b")
+
+        HOME = os.environ["HOME"]  # devlint: ok
+        """
+    )
+    assert findings == []

@@ -4,9 +4,10 @@
 The repository promises byte-deterministic artifacts: journals resume,
 evaluation caches hash their keys, and `repro verify/ingest --format
 json` output must be identical across runs.
-Four source-level hazards quietly break that promise — or, for the
-last one, the performance contract next to it — and this tool flags
-them with a small AST walk (stdlib only, no third-party deps):
+Five source-level hazards quietly break that promise — or, for
+``DEV-BATCH-SOLVE``, the performance contract next to it — and this
+tool flags them with a small AST walk (stdlib only, no third-party
+deps):
 
 * ``DEV-RANDOM`` — a call to the *module-level* :mod:`random` API
   (``random.random()``, ``random.shuffle()``, a bare ``shuffle()``
@@ -32,6 +33,10 @@ them with a small AST walk (stdlib only, no third-party deps):
   solves is exactly what the stacked ``(K, N, N)`` fast path exists to
   replace; stack the systems into one call, or mask the members, and
   route deliberate serial fallbacks through the member's thunk.
+* ``DEV-ENV`` — any ``os.environ`` / ``os.getenv`` / ``os.putenv``
+  reference, or importing one of them ``from os``.  An environment
+  variable is an execution knob no report records and no flag shows;
+  a run's configuration comes from its arguments.
 
 A finding can be suppressed for one line with a trailing
 ``# devlint: ok`` comment (reviewed, understood, deliberate).
@@ -75,6 +80,9 @@ CLOCK_SCOPES = ("cache", "journal", "checkpoint")
 #: Name fragments that mark a module/function as batch-kernel code for
 #: the DEV-BATCH-SOLVE scope.
 BATCH_SCOPES = ("batch",)
+
+#: ``os`` members that read or write the process environment.
+ENV_ATTRS = frozenset({"environ", "getenv", "putenv"})
 
 SUPPRESS_MARK = "devlint: ok"
 
@@ -127,6 +135,8 @@ class _Checker(ast.NodeVisitor):
         # Names bound by `from random import ...` / `import random as r`.
         self._random_names: set[str] = set()
         self._random_modules: set[str] = set()
+        # Names bound by `import os` / `import os as o`.
+        self._os_modules: set[str] = set()
         self._module_scoped = any(
             token in module_name.lower() for token in CLOCK_SCOPES
         )
@@ -170,6 +180,8 @@ class _Checker(ast.NodeVisitor):
         for alias in node.names:
             if alias.name == "random":
                 self._random_modules.add(alias.asname or "random")
+            elif alias.name == "os":
+                self._os_modules.add(alias.asname or "os")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -177,6 +189,28 @@ class _Checker(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in RANDOM_FUNCS:
                     self._random_names.add(alias.asname or alias.name)
+        elif node.module == "os":
+            for alias in node.names:
+                if alias.name in ENV_ATTRS:
+                    self._flag_env(node, f"from os import {alias.name}")
+        self.generic_visit(node)
+
+    # -- environment ---------------------------------------------------
+
+    def _flag_env(self, node: ast.AST, what: str) -> None:
+        self._flag(
+            node, "DEV-ENV",
+            f"{what} makes the process environment an execution knob; "
+            f"take the setting as an argument instead",
+        )
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            node.attr in ENV_ATTRS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self._os_modules
+        ):
+            self._flag_env(node, f"os.{node.attr}")
         self.generic_visit(node)
 
     # -- function nesting ----------------------------------------------
