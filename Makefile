@@ -20,11 +20,11 @@ REPRO_FAULT_SEEDS ?= 0,1,2,3
 faults:
 	REPRO_FAULT_SEEDS=$(REPRO_FAULT_SEEDS) pytest tests/runtime/ -q $(TIMEOUT_FLAG)
 
-# Chaos drills: torn journal tails, corrupted cache entries, full disks,
-# concurrent shared-cache access and graceful shutdown — under the same
-# deterministic seed matrix as `make faults`.  Set
-# REPRO_CHAOS_ARTIFACTS to keep each scenario's run dir (journals +
-# evalcache) for post-mortem; CI uploads it on failure.
+# Chaos drills: torn journal tails, a kill between an evaluation and its
+# journal line, and graceful shutdown — under the same deterministic
+# seed matrix as `make faults`.  Set REPRO_CHAOS_ARTIFACTS to keep each
+# scenario's run dir (journals) for post-mortem; CI uploads it on
+# failure.
 chaos:
 	REPRO_FAULT_SEEDS=$(REPRO_FAULT_SEEDS) pytest tests/runtime/test_chaos.py tests/runtime/test_shutdown.py -q $(TIMEOUT_FLAG)
 

@@ -29,8 +29,6 @@ Commands:
   by subgraph matching, emit matching/symmetry constraints and report
   coverage/ambiguities as ``TOPO-*`` lint findings; ``--format json``
   prints a byte-deterministic machine-readable summary,
-* ``cache stats --cache-dir DIR`` — print the evalcache disk tier's
-  entry count, total bytes and directory as deterministic JSON,
 * ``list`` — list the primitive library and the benchmark circuits.
 
 ``flow`` also accepts ``--netlist <file.sp>`` instead of a circuit
@@ -38,11 +36,12 @@ name: the netlist is ingested and every recognized primitive with a
 library binding is optimized by the flow (no measurement testbench, so
 metrics are skipped).
 
-``optimize`` and ``flow`` share the runtime flags ``--run-dir``,
-``--resume``, ``--retries`` (≥ 0), ``--deadline`` (seconds, > 0),
-``--cache``/``--no-cache``, ``--cache-dir`` and ``--cache-max-mb``
-(≥ 0); out-of-range values are usage errors.  The MNA linear-solver
-backend is not a flag: it follows the system size
+``optimize`` and ``flow`` share the runtime flags ``--run-dir`` (the
+checkpoint journals, the only state a run keeps on disk),
+``--resume``, ``--retries`` (≥ 0), ``--deadline`` (seconds, > 0) and
+``--cache``/``--no-cache`` (the in-memory evaluation cache).  ``--bins``
+and ``--fins`` must be ≥ 1.  Out-of-range values are usage errors.  The
+MNA linear-solver backend is not a flag: it follows the system size
 (:data:`repro.spice.kernel.SPARSE_MIN_SIZE`).
 """
 
@@ -130,8 +129,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         cache=args.cache,
-        cache_dir=args.cache_dir,
-        cache_max_mb=args.cache_max_mb,
     )
     from repro.runtime import graceful_shutdown
 
@@ -204,8 +201,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         cache=args.cache,
-        cache_dir=args.cache_dir,
-        cache_max_mb=args.cache_max_mb,
     )
     from repro.runtime import graceful_shutdown
 
@@ -467,31 +462,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 1 if result.report.fails(args.severity) else 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
-    """Print evalcache disk-tier accounting as deterministic JSON.
-
-    Counts only the tier's ``*.json`` entries (the same files its size
-    cap evicts); anything else in the directory is ignored.  Reads
-    only — nothing is mutated.
-    """
-    import json
-    from pathlib import Path
-
-    cache_dir = Path(args.cache_dir)
-    entries = sorted(cache_dir.glob("*.json")) if cache_dir.is_dir() else []
-    payload = {
-        "entries": len(entries),
-        "bytes": sum(p.stat().st_size for p in entries),
-        "dir": str(cache_dir),
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _at_least(int, 1)
 
     sub.add_parser("list", help="list primitives and circuits")
 
@@ -522,30 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache",
             action=argparse.BooleanOptionalAction,
             default=True,
-            help="content-addressed evaluation cache (on-disk tier under "
-            "--run-dir when set)",
-        )
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="DIR",
-            help="shared disk directory for the evaluation cache "
-            "(overrides the <run-dir>/evalcache default; safe to share "
-            "between concurrent runs)",
-        )
-        p.add_argument(
-            "--cache-max-mb",
-            type=_at_least(float, 0),
-            default=None,
-            metavar="MB",
-            help="size cap for the on-disk cache tier in MiB (stalest "
-            "entries are evicted past the cap; default: unbounded)",
+            help="in-memory content-addressed evaluation cache",
         )
 
     p_opt = sub.add_parser("optimize", help="run Algorithm 1 on a primitive")
     p_opt.add_argument("primitive")
-    p_opt.add_argument("--fins", type=int, default=96)
-    p_opt.add_argument("--bins", type=int, default=3)
+    p_opt.add_argument("--fins", type=positive, default=96)
+    p_opt.add_argument("--bins", type=positive, default=3)
     p_opt.add_argument("--max-wires", type=int, default=5)
     add_runtime_args(p_opt)
 
@@ -566,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="this_work",
         choices=["this_work", "conventional", "manual"],
     )
-    p_flow.add_argument("--bins", type=int, default=2)
+    p_flow.add_argument("--bins", type=positive, default=2)
     p_flow.add_argument("--max-wires", type=int, default=5)
     add_runtime_args(p_flow)
 
@@ -579,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         help="primitive name, circuit name, or 'all'",
     )
-    p_verify.add_argument("--fins", type=int, default=96)
+    p_verify.add_argument("--fins", type=positive, default=96)
     p_verify.add_argument(
         "--variants",
         type=int,
@@ -702,25 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         help="primitive name or circuit name",
     )
-    p_prof.add_argument("--fins", type=int, default=96)
-    p_prof.add_argument("--bins", type=int, default=2)
+    p_prof.add_argument("--fins", type=positive, default=96)
+    p_prof.add_argument("--bins", type=positive, default=2)
     p_prof.add_argument("--max-wires", type=int, default=5)
-
-    p_cache = sub.add_parser("cache", help="inspect the evaluation cache")
-    cache_sub = p_cache.add_subparsers(dest="action", required=True)
-    p_stats = cache_sub.add_parser(
-        "stats", help="print disk-tier accounting as JSON"
-    )
-    p_stats.add_argument(
-        "--cache-dir",
-        required=True,
-        metavar="DIR",
-        help="evalcache disk-tier directory",
-    )
 
     p_render = sub.add_parser("render", help="render a primitive layout")
     p_render.add_argument("primitive")
-    p_render.add_argument("--fins", type=int, default=96)
+    p_render.add_argument("--fins", type=positive, default=96)
     p_render.add_argument("--pattern", default="ABAB")
     p_render.add_argument("--outdir", default="out")
 
@@ -738,7 +684,6 @@ def main(argv: list[str] | None = None) -> int:
         "render": cmd_render,
         "verify": cmd_verify,
         "ingest": cmd_ingest,
-        "cache": cmd_cache,
     }
     return handlers[args.command](args)
 

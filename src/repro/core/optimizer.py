@@ -34,7 +34,6 @@ from repro.runtime import (
     RetryPolicy,
     SweepJournal,
 )
-from repro.runtime.evalcache import run_cache
 from repro.verify import verify_circuit
 
 #: Wall time the paper attributes to one primitive simulation (seconds).
@@ -166,18 +165,10 @@ class PrimitiveOptimizer:
             reference before any simulation is spent; ERC errors raise
             :class:`~repro.errors.OptimizationError` immediately (a
             broken netlist would corrupt every downstream score).
-        cache: Content-addressed evaluation cache: ``True`` builds one
-            (with an on-disk tier under ``<run_dir>/evalcache`` when
-            checkpointing), ``False`` disables caching, or pass an
+        cache: In-memory content-addressed evaluation cache: ``True``
+            builds one, ``False`` disables caching, or pass an
             :class:`~repro.runtime.EvalCache` to share across
             optimizers (as the flow does).
-        cache_dir: Explicit disk-tier directory for the content cache
-            (``--cache-dir``), overriding the ``<run_dir>/evalcache``
-            default — safe to share between concurrent runs (the tier
-            is checksummed and written atomically).
-        cache_max_mb: Size cap in MiB for the disk tier
-            (``--cache-max-mb``); stalest entries are evicted once the
-            tier exceeds it.  None leaves it unbounded.
     """
 
     def __init__(
@@ -190,8 +181,6 @@ class PrimitiveOptimizer:
         resume: bool = False,
         erc: bool = True,
         cache: "bool | EvalCache" = True,
-        cache_dir: str | os.PathLike | None = None,
-        cache_max_mb: float | None = None,
     ):
         self.n_bins = n_bins
         self.max_wires = max_wires
@@ -200,7 +189,9 @@ class PrimitiveOptimizer:
         self.run_dir = run_dir
         self.resume = resume
         self.erc = erc
-        self.cache = run_cache(cache, run_dir, cache_dir, cache_max_mb)
+        if not isinstance(cache, EvalCache):
+            cache = EvalCache() if cache else None
+        self.cache = cache
 
     def _runtime_for(self, primitive) -> EvalRuntime:
         journal = None
@@ -316,11 +307,6 @@ class PrimitiveOptimizer:
                 "hits": runtime.cache.stats.hits,
                 "stored": runtime.cache.stats.stored,
             }
-            # Surface a disk-tier downgrade (ENOSPC, permissions,
-            # corruption of the directory itself) on the report's
-            # failure ledger — once, with the first cause.
-            if runtime.cache.downgrade_reason is not None:
-                report.failures.mark_downgrade(runtime.cache.downgrade_reason)
         if runtime.solver_stats:
             report.solver_profile = runtime.solver_stats.as_dict()
         return report

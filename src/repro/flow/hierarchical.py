@@ -48,12 +48,12 @@ from repro.geometry.shapes import Point
 from repro.pnr.global_router import GlobalRoute, GlobalRouter
 from repro.pnr.placer import Block, Placement, SaPlacer
 from repro.runtime import (
+    EvalCache,
     EvalRuntime,
     FailureLog,
     RetryPolicy,
     SweepJournal,
 )
-from repro.runtime.evalcache import run_cache
 from repro.spice import kernel
 from repro.spice.netlist import Circuit, is_ground
 from repro.tech.pdk import Technology
@@ -147,15 +147,8 @@ class HierarchicalFlow:
         run_dir: Directory for sweep-checkpoint journals (one JSONL per
             primitive plus ``ports.jsonl``); None disables checkpointing.
         resume: Replay existing journals instead of starting fresh.
-        cache: Content-addressed evaluation cache shared across every
-            stage of the run (with an on-disk tier under
-            ``<run_dir>/evalcache`` when checkpointing); ``False``
-            disables it.
-        cache_dir: Explicit disk-tier directory (``--cache-dir``),
-            overriding the ``<run_dir>/evalcache`` default; safe to
-            share between concurrent flows.
-        cache_max_mb: Size cap in MiB for the disk tier
-            (``--cache-max-mb``); None leaves it unbounded.
+        cache: In-memory content-addressed evaluation cache shared
+            across every stage of the run; ``False`` disables it.
     """
 
     def __init__(
@@ -172,8 +165,6 @@ class HierarchicalFlow:
         resume: bool = False,
         waivers: WaiverSet | None = None,
         cache: bool = True,
-        cache_dir: str | None = None,
-        cache_max_mb: float | None = None,
     ):
         self.tech = tech
         self.n_bins = n_bins
@@ -186,7 +177,7 @@ class HierarchicalFlow:
         self.run_dir = run_dir
         self.resume = resume
         self.waivers = waivers
-        self.cache = run_cache(cache, run_dir, cache_dir, cache_max_mb)
+        self.cache = EvalCache() if cache else None
 
     # -- public entry ------------------------------------------------------
 
@@ -253,10 +244,6 @@ class HierarchicalFlow:
                 )
         if flow_stats:
             result.solver_profile = flow_stats.as_dict()
-        if self.cache is not None and self.cache.downgrade_reason is not None:
-            # Flow-level surfacing of a disk-tier downgrade (per-stage
-            # ledgers already carry it when the optimizer saw it first).
-            result.failures.mark_downgrade(self.cache.downgrade_reason)
 
         result.wall_time = time.perf_counter() - start
         result.modeled_runtime = self._model_runtime(result)

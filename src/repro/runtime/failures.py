@@ -27,8 +27,8 @@ Failures are accumulated on a per-run :class:`FailureLog` that the
 optimizer attaches to its report; it serializes to plain dicts so the
 checkpoint journal can replay it across a resume.  The log also carries
 the run's *downgrade ledger* — one entry per graceful-degradation step
-taken (disk cache fallen back to memory-only, journal tail truncated),
-recorded once each and surfaced through ``summary()``.
+taken (today: a torn journal tail truncated on resume), recorded once
+each and surfaced through ``summary()``.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class FailureLog:
     #: Stages whose failure fraction crossed the policy ceiling.
     degraded_stages: list[str] = field(default_factory=list)
     #: Graceful-degradation steps the run took (each recorded once):
-    #: disk-cache memory-only fallback, journal tail truncation.
+    #: journal tail truncation.
     downgrades: list[str] = field(default_factory=list)
 
     def record(self, failure: EvalFailure) -> None:

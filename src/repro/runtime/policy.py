@@ -138,7 +138,8 @@ class EvalRuntime:
 
     Args:
         policy: Retry/budget policy (defaults to :class:`RetryPolicy`).
-        journal: Optional sweep-checkpoint journal.
+        journal: Optional sweep-checkpoint journal; a torn tail it cut on
+            resume is recorded once on the downgrade ledger.
         failures: FailureLog to record into (a fresh one by default).
         clock: Monotonic clock, overridable for tests.
         cache: Optional content-addressed evaluation cache
@@ -159,6 +160,11 @@ class EvalRuntime:
         self.policy = policy or RetryPolicy()
         self.journal = journal
         self.failures = failures if failures is not None else FailureLog()
+        if journal is not None and journal.truncated_tail:
+            self.failures.mark_downgrade(
+                f"journal {journal.path}: truncated a torn "
+                f"{journal.truncated_tail}-byte tail"
+            )
         self.clock = clock
         self.cache = cache
         self._stage_total: Counter = Counter()

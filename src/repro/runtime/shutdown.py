@@ -1,7 +1,9 @@
 """Graceful shutdown for long sweeps.
 
-Journals and disk caches self-register here on construction
-(:func:`register_flushable`).  :func:`graceful_shutdown` installs
+Sweep journals self-register here on construction
+(:func:`register_flushable`); they are the only state a run keeps
+across processes (the evaluation cache lives in memory and is rebuilt
+from the journals on resume).  :func:`graceful_shutdown` installs
 SIGINT/SIGTERM handlers that flush every registered object
 (:func:`flush_all`) and exit with the conventional ``128 + signum``
 code, leaving a resumable ``--run-dir`` behind.
@@ -23,7 +25,7 @@ _FLUSHABLES: "weakref.WeakSet" = weakref.WeakSet()
 def register_flushable(obj: Any) -> None:
     """Register an object with a ``flush()`` method for signal flushing.
 
-    Journals and caches self-register on construction; the weak set
+    Journals self-register on construction; the weak set
     never keeps them alive, so a closed/collected journal simply drops
     out.
     """
@@ -31,7 +33,7 @@ def register_flushable(obj: Any) -> None:
 
 
 def flush_all() -> int:
-    """Flush every registered journal/cache; returns how many flushed.
+    """Flush every registered object; returns how many flushed.
 
     Individual failures are swallowed — a shutdown handler must never
     raise past the signal frame.
@@ -53,7 +55,7 @@ def graceful_shutdown(
 ):
     """Install SIGINT/SIGTERM handlers that flush and exit resumable.
 
-    On signal, every registered journal/cache is flushed, a resume hint
+    On signal, every registered journal is flushed, a resume hint
     naming ``run_dir`` is printed to stderr, and the process exits with
     the conventional ``128 + signum`` code via :class:`SystemExit`
     (so ``finally`` blocks and context managers still unwind).  Outside

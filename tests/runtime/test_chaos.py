@@ -1,30 +1,30 @@
-"""Chaos harness: torn files, full disks and a shared cache directory.
+"""Chaos harness: torn journals and kills between a result and its
+journal line.
 
-A run whose journal tail is torn and whose cache entry is corrupted
-still resumes to a final report byte-identical to the clean run's; a
-full disk downgrades the cache to memory-only with identical results;
-and two concurrent processes sharing one ``--cache-dir`` finish with
-zero torn entries and the size cap enforced.
+A run whose journal tail is torn — a primitive's journal, or a flow's
+``ports.jsonl`` — resumes to the clean run's result and records the
+truncation on its downgrade ledger.  A run killed after an evaluation
+finished but before the journal recorded it resumes to the same report
+as an uninterrupted run: the journal is the only state that crosses the
+kill, so nothing can answer the lost evaluation except a re-simulation.
 
-Every scenario is deterministic; the seed matrix picks which cache
-entry the torn-file scenario corrupts, and ``make chaos`` runs
-this file under ``REPRO_FAULT_SEEDS=0,1,2,3``.  Set
-``REPRO_CHAOS_ARTIFACTS`` to a directory to keep each scenario's run
-dir (journals, evalcache) for post-mortem — CI uploads them on failure.
+Every scenario is deterministic; the seed matrix picks where the
+torn-journal scenario tears the file, and ``make chaos`` runs this file
+under ``REPRO_FAULT_SEEDS=0,1,2,3``.  Set ``REPRO_CHAOS_ARTIFACTS`` to a
+directory to keep each scenario's run dir (journals) for post-mortem —
+CI uploads them on failure.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
-from repro.runtime import EvalCache, RetryPolicy
-from repro.runtime.evalcache import payload_checksum
+from repro.runtime import RetryPolicy, SweepJournal
 
 
 @pytest.fixture
@@ -32,8 +32,8 @@ def chaos_dir(tmp_path, request):
     """Scratch dir for a chaos scenario's run state.
 
     Honors ``REPRO_CHAOS_ARTIFACTS``: when set, run dirs land under it
-    (named per test) and survive the run, so CI can upload journals and
-    cache state of a failing scenario as artifacts.
+    (named per test) and survive the run, so CI can upload the journals
+    of a failing scenario as artifacts.
     """
     root = os.environ.get("REPRO_CHAOS_ARTIFACTS")
     if not root:
@@ -49,14 +49,13 @@ def _fresh_dp():
     return DifferentialPair(Technology.default(), base_fins=8, name="ch_dp")
 
 
-def _optimizer(run_dir=None, resume=False, **cache_kwargs):
+def _optimizer(run_dir=None, resume=False):
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
         policy=RetryPolicy(max_retries=2),
         run_dir=run_dir,
         resume=resume,
-        **cache_kwargs,
     )
 
 
@@ -76,132 +75,103 @@ def _fingerprint(report) -> tuple:
     )
 
 
-# -- torn journal + corrupt cache entry ----------------------------------
+@pytest.fixture(scope="module")
+def baseline():
+    """Fingerprint of the uninterrupted, un-journaled run."""
+    return _fingerprint(_optimizer().optimize(_fresh_dp()))
 
 
-def test_torn_journal_and_corrupt_cache_resume_matches_clean(
-    chaos_dir, fault_seed
-):
-    baseline = _optimizer().optimize(_fresh_dp())
+# -- torn journal --------------------------------------------------------
 
+
+def test_torn_journal_resume_matches_clean(chaos_dir, fault_seed, baseline):
     run_dir = chaos_dir / "run"
     first = _optimizer(run_dir=run_dir).optimize(_fresh_dp())
-    assert _fingerprint(first) == _fingerprint(baseline)
+    assert _fingerprint(first) == baseline
 
-    # Crash artifacts: a torn journal tail and a bit-flipped cache entry
-    # (the seed picks the entry).
+    # Crash artifact: the journal ends mid-line.  The seed picks which
+    # line the crash tore (counting back from the last), so later
+    # completed work is lost too and must be re-simulated.
     journal = run_dir / "ch_dp.jsonl"
-    with journal.open("ab") as handle:
-        handle.write(b'{"key": "in-flight", "sta')
-    entries = sorted((run_dir / "evalcache").glob("*.json"))
-    victim = entries[fault_seed % len(entries)]
-    raw = bytearray(victim.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    victim.write_bytes(bytes(raw))
+    lines = journal.read_bytes().splitlines(keepends=True)
+    victim = len(lines) - 1 - fault_seed % len(lines)
+    torn = lines[victim][: len(lines[victim]) // 2]
+    journal.write_bytes(b"".join(lines[:victim]) + torn)
 
     resumed = _optimizer(run_dir=run_dir, resume=True).optimize(_fresh_dp())
 
-    assert _fingerprint(resumed) == _fingerprint(baseline)
+    assert _fingerprint(resumed) == baseline
+    # The truncation is on the downgrade ledger, naming file and size.
+    assert resumed.failures.downgrades == [
+        f"journal {journal}: truncated a torn {len(torn)}-byte tail"
+    ]
     # The truncated journal is clean JSONL end-to-end again.
     for line in journal.read_text().splitlines():
         json.loads(line)
 
 
-# -- full disk -----------------------------------------------------------
+def test_torn_ports_journal_resumes_flow_with_downgrade(chaos_dir):
+    from repro import HierarchicalFlow
+    from repro.circuits import CommonSourceAmpCircuit
+
+    tech = Technology.default()
+
+    def run(resume=False):
+        flow = HierarchicalFlow(
+            tech, n_bins=1, max_wires=2, verify=False,
+            run_dir=str(chaos_dir / "flow"), resume=resume,
+        )
+        return flow.run(CommonSourceAmpCircuit(tech), measure=False)
+
+    first = run()
+    ports = chaos_dir / "flow" / "ports.jsonl"
+    lines = ports.read_bytes().splitlines(keepends=True)
+    torn = lines[-1][: len(lines[-1]) // 2]
+    ports.write_bytes(b"".join(lines[:-1]) + torn)
+
+    resumed = run(resume=True)
+
+    assert resumed.choices == first.choices
+    assert resumed.route_budgets == first.route_budgets
+    assert resumed.failures.downgrades == [
+        f"journal {ports}: truncated a torn {len(torn)}-byte tail"
+    ]
 
 
-def test_enospc_downgrades_cache_to_memory_only(tmp_path, monkeypatch):
-    import errno
+# -- kill between an evaluation and its journal line ---------------------
 
-    baseline = _optimizer().optimize(_fresh_dp())
 
-    cache_dir = tmp_path / "evalcache"
-    real = Path.write_text
+class _Killed(BaseException):
+    """A simulated kill: no runtime layer may absorb it."""
 
-    def enospc(self, *args, **kwargs):
-        if str(self).startswith(str(cache_dir)):
-            raise OSError(errno.ENOSPC, "No space left on device")
+
+#: The scenario's run journals ten successes; kill before each of them.
+@pytest.mark.parametrize("kill_at", range(1, 11))
+def test_kill_before_journal_line_resumes_identically(
+    chaos_dir, monkeypatch, kill_at, baseline
+):
+    # The evaluation thunk stores its content-cache entry, then the
+    # runtime journals the result.  Killing in between must not let the
+    # resumed run answer that evaluation from anywhere but a
+    # re-simulation: the stage counts and cache statistics must match
+    # the uninterrupted run's.
+    run_dir = chaos_dir / "run"
+    real = SweepJournal.record_success
+    calls = 0
+
+    def record_success(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == kill_at:
+            raise _Killed
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", enospc)
-    report = _optimizer(cache_dir=cache_dir).optimize(_fresh_dp())
+    with monkeypatch.context() as patch:
+        patch.setattr(SweepJournal, "record_success", record_success)
+        with pytest.raises(_Killed):
+            _optimizer(run_dir=run_dir).optimize(_fresh_dp())
 
-    # Same results from the memory tier, plus a single downgrade entry.
-    assert _fingerprint(report) == _fingerprint(baseline)
-    assert len(report.failures.downgrades) == 1
-    assert "No space left" in report.failures.downgrades[0]
+    resumed = _optimizer(run_dir=run_dir, resume=True).optimize(_fresh_dp())
 
-
-# -- concurrent processes sharing one --cache-dir ------------------------
-
-
-def _hammer(shared_dir, cap, proc_seed, queue):
-    """One competitor process: mixed put/get traffic on the shared dir."""
-    cache = EvalCache(disk_dir=shared_dir, max_disk_bytes=cap)
-    puts = gets = 0
-    for i in range(40):
-        key = f"k{(i + proc_seed * 7) % 25:02d}"
-        if i % 3 == proc_seed % 3:
-            hit = cache.get(key)
-            gets += 1
-            assert hit is None or set(hit["values"]) == {"gm", "pad"}
-        else:
-            cache.put(key, {"gm": float(i), "pad": float(proc_seed)}, 1)
-            puts += 1
-    queue.put(
-        {
-            "puts": puts,
-            "gets": gets,
-            "stats": cache.stats.to_dict(),
-            "downgrade": cache.downgrade_reason,
-        }
-    )
-
-
-def _check_shared_stats(results):
-    """Stats sum correctly: every lookup is a hit or a miss, and stores
-    never exceed (repeat-key-deduplicated) puts."""
-    for r in results:
-        stats = r["stats"]
-        assert stats["hits"] + stats["misses"] == r["gets"]
-        assert 0 < stats["stored"] <= r["puts"]
-        assert stats["corrupt"] == 0
-
-
-def test_concurrent_processes_share_cache_dir(tmp_path):
-    shared = tmp_path / "shared-cache"
-    cap = 2048
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    procs = [
-        ctx.Process(target=_hammer, args=(shared, cap, seed, queue))
-        for seed in (1, 2)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join(60)
-    results = [queue.get(timeout=10) for _ in procs]
-    assert all(p.exitcode == 0 for p in procs)
-
-    # Neither process was forced off the disk tier.
-    assert all(r["downgrade"] is None for r in results)
-    _check_shared_stats(results)
-
-    # Zero torn entries: every surviving file parses and passes its
-    # checksum; no tmp litter; nothing was quarantined.
-    for entry in shared.glob("*.json"):
-        data = json.loads(entry.read_text())
-        values = {str(k): float(v) for k, v in data["values"].items()}
-        assert data["checksum"] == payload_checksum(
-            values, int(data["simulations"])
-        )
-    assert not list(shared.glob("*.tmp"))
-    quarantine = shared / "quarantine"
-    assert not quarantine.exists() or not list(quarantine.glob("*"))
-
-    # The size cap holds once the last writer's eviction pass settles.
-    final = EvalCache(disk_dir=shared, max_disk_bytes=cap)
-    final._evict_disk()
-    total = sum(p.stat().st_size for p in shared.glob("*.json"))
-    assert total <= cap
+    assert _fingerprint(resumed) == baseline
+    assert not resumed.failures.downgrades

@@ -89,6 +89,24 @@ def test_clean_resume_reports_zero_truncated_tail(tmp_path):
         journal.record_success("done", {"cost": 1.0})
     with SweepJournal(path, resume=True) as journal:
         assert journal.truncated_tail == 0
+        assert not EvalRuntime(journal=journal).failures.downgrades
+
+
+def test_runtime_records_torn_tail_on_downgrade_ledger(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    with SweepJournal(path) as journal:
+        journal.record_success("done", {"cost": 1.0})
+    torn = b'{"key": "in-flight", "sta'
+    with path.open("ab") as handle:
+        handle.write(torn)
+    log = FailureLog()
+    with SweepJournal(path, resume=True) as journal:
+        EvalRuntime(journal=journal, failures=log)
+        EvalRuntime(journal=journal, failures=log)  # recorded once
+    assert log.downgrades == [
+        f"journal {path}: truncated a torn {len(torn)}-byte tail"
+    ]
+    assert "downgraded" in log.summary()
 
 
 def test_journal_flush_hook(tmp_path):

@@ -49,39 +49,22 @@ def test_parser_requires_command():
         parser.parse_args([])
 
 
-def test_cache_stats_counts_only_evalcache_entries(tmp_path, capsys):
-    import json
-
-    from repro.runtime import EvalCache
-
-    entry = {"gm": 1.0e-3, "gain_db": 20.0}
-    cache = EvalCache(disk_dir=tmp_path)
-    cache.put("a" * 16, entry, 1)
-    size = (tmp_path / f"{'a' * 16}.json").stat().st_size
-    # A leftover corpus file larger than the whole size cap: the disk
-    # tier globs *.json, so it is neither counted nor evicted.
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"family": "x", "cost": 1.0}\n' * 64)
-    capped = EvalCache(disk_dir=tmp_path, max_disk_bytes=size + size // 2)
-    capped.put("b" * 16, entry, 1)
-    assert capped.stats.disk_evicted == 1
-    assert corpus.is_file()
-
-    argv = ["cache", "stats", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
-    assert json.loads(first) == {
-        "entries": 1,
-        "bytes": size,
-        "dir": str(tmp_path),
-    }
-
-
-def test_cache_stats_requires_cache_dir():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["cache", "stats"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "differential_pair", "--cache-dir", "d"],
+        ["flow", "csamp", "--cache-max-mb", "8"],
+        ["cache", "stats", "--cache-dir", "d"],
+    ],
+    ids=["optimize-cache-dir", "flow-cache-max-mb", "cache-stats"],
+)
+def test_disk_cache_options_are_gone(argv, capsys):
+    # The cache is memory-only; the journal under --run-dir is the only
+    # state a run keeps on disk.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_solver_backend_follows_system_size_only(monkeypatch, capsys):
@@ -114,7 +97,6 @@ def test_solver_backend_follows_system_size_only(monkeypatch, capsys):
         ("--deadline", "-1.5"),
         ("--deadline", "nan"),
         ("--retries", "-3"),
-        ("--cache-max-mb", "-1"),
         ("--retries", "two"),
     ],
 )
@@ -127,9 +109,30 @@ def test_out_of_range_runtime_flags_rejected(command, flag, value, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "current_mirror", "--bins", "0"],
+        ["optimize", "current_mirror", "--fins", "0"],
+        ["flow", "csamp", "--bins", "0"],
+        ["profile", "current_mirror", "--bins", "-1"],
+        ["profile", "current_mirror", "--fins", "0"],
+        ["verify", "current_mirror", "--fins", "-4"],
+        ["render", "current_mirror", "--fins", "0"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[2:]),
+)
+def test_bins_and_fins_below_one_rejected(argv, capsys):
+    # Rejected while parsing, before any simulation is spent.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[2]}: must be >= 1" in capsys.readouterr().err
+
+
 def test_in_range_runtime_flags_accepted():
     args = build_parser().parse_args(
         ["optimize", "differential_pair", "--deadline", "0.5",
-         "--retries", "0", "--cache-max-mb", "0"]
+         "--retries", "0", "--bins", "1", "--fins", "1"]
     )
-    assert (args.deadline, args.retries, args.cache_max_mb) == (0.5, 0, 0.0)
+    assert (args.deadline, args.retries, args.bins, args.fins) == (0.5, 0, 1, 1)
