@@ -31,7 +31,6 @@ from repro.runtime import (
     FailureLog,
     FaultInjector,
     FaultSpec,
-    RetryPolicy,
     SweepJournal,
 )
 from repro.verify import Report, Violation, verify_layout
@@ -50,7 +49,6 @@ __all__ = [
     "FailureLog",
     "FaultInjector",
     "FaultSpec",
-    "RetryPolicy",
     "SweepJournal",
     "Report",
     "Violation",

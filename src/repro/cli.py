@@ -38,11 +38,11 @@ metrics are skipped).
 
 ``optimize`` and ``flow`` share the runtime flags ``--run-dir`` (the
 checkpoint journals, the only state a run keeps on disk),
-``--resume``, ``--retries`` (≥ 0), ``--deadline`` (seconds, > 0) and
-``--cache``/``--no-cache`` (the in-memory evaluation cache).  ``--bins``
-and ``--fins`` must be ≥ 1.  Out-of-range values are usage errors.  The
-MNA linear-solver backend is not a flag: it follows the system size
-(:data:`repro.spice.kernel.SPARSE_MIN_SIZE`).
+``--resume``, ``--retries`` (≥ 0) and ``--cache``/``--no-cache`` (the
+in-memory evaluation cache).  ``--bins``, ``--fins``, ``--max-wires``
+and ``verify --variants`` must be ≥ 1.  Out-of-range values are usage
+errors.  The MNA linear-solver backend is not a flag: it follows the
+system size (:data:`repro.spice.kernel.SPARSE_MIN_SIZE`).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import sys
 from repro import HierarchicalFlow, PrimitiveOptimizer, Technology
 from repro.primitives import PrimitiveLibrary
 from repro.reporting import format_table
+from repro.runtime.policy import DEFAULT_RETRIES
 
 CIRCUITS = {
     "csamp": "CommonSourceAmpCircuit",
@@ -86,29 +87,14 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_from_args(args: argparse.Namespace):
-    from repro.runtime import RetryPolicy
-
-    defaults = RetryPolicy()
-    return RetryPolicy(
-        max_retries=(
-            args.retries if args.retries is not None else defaults.max_retries
-        ),
-        deadline_s=args.deadline,
-    )
-
-
-def _at_least(cast, bound, *, strict: bool = False):
-    """An argparse ``type`` accepting ``cast`` values >= ``bound``
-    (> ``bound`` when ``strict``); anything else is a usage error."""
+def _at_least(cast, bound):
+    """An argparse ``type`` accepting ``cast`` values >= ``bound``;
+    anything else is a usage error."""
 
     def parse(text: str):
         value = cast(text)
-        if not (value > bound or (value == bound and not strict)):
-            relation = ">" if strict else ">="
-            raise argparse.ArgumentTypeError(
-                f"must be {relation} {bound}, got {text}"
-            )
+        if not value >= bound:
+            raise argparse.ArgumentTypeError(f"must be >= {bound}, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse's "invalid <name> value"
@@ -125,7 +111,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     optimizer = PrimitiveOptimizer(
         n_bins=args.bins,
         max_wires=args.max_wires,
-        policy=_policy_from_args(args),
+        retries=args.retries,
         run_dir=args.run_dir,
         resume=args.resume,
         cache=args.cache,
@@ -197,7 +183,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         tech,
         n_bins=args.bins,
         max_wires=args.max_wires,
-        policy=_policy_from_args(args),
+        retries=args.retries,
         run_dir=args.run_dir,
         resume=args.resume,
         cache=args.cache,
@@ -322,8 +308,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     tech = Technology.default()
     waivers = load_waivers(args.waivers)
-    severity = "warning" if args.strict else args.severity
-    as_json = args.json or args.format == "json"
+    as_json = args.format == "json"
     reports = []
 
     if args.target in CIRCUITS:
@@ -394,7 +379,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if as_json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     for report in reports:
-        bad = report.fails(severity)
+        bad = report.fails(args.severity)
         failed = failed or bad
         if not as_json:
             if bad or args.verbose:
@@ -484,14 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--retries",
             type=_at_least(int, 0),
-            default=None,
+            default=DEFAULT_RETRIES,
             help="retries per failed evaluation",
-        )
-        p.add_argument(
-            "--deadline",
-            type=_at_least(float, 0, strict=True),
-            default=None,
-            help="per-evaluation wall-clock deadline (seconds)",
         )
         p.add_argument(
             "--cache",
@@ -504,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("primitive")
     p_opt.add_argument("--fins", type=positive, default=96)
     p_opt.add_argument("--bins", type=positive, default=3)
-    p_opt.add_argument("--max-wires", type=int, default=5)
+    p_opt.add_argument("--max-wires", type=positive, default=5)
     add_runtime_args(p_opt)
 
     p_flow = sub.add_parser("flow", help="run the hierarchical flow")
@@ -525,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["this_work", "conventional", "manual"],
     )
     p_flow.add_argument("--bins", type=positive, default=2)
-    p_flow.add_argument("--max-wires", type=int, default=5)
+    p_flow.add_argument("--max-wires", type=positive, default=5)
     add_runtime_args(p_flow)
 
     p_verify = sub.add_parser(
@@ -540,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fins", type=positive, default=96)
     p_verify.add_argument(
         "--variants",
-        type=int,
+        type=positive,
         default=2,
         help="sizing variants to check per primitive",
     )
@@ -550,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["this_work", "conventional", "manual"],
         help="flow flavor when verifying a circuit",
     )
-    p_verify.add_argument("--max-wires", type=int, default=5)
+    p_verify.add_argument("--max-wires", type=positive, default=5)
     p_verify.add_argument(
         "--erc",
         action=argparse.BooleanOptionalAction,
@@ -599,16 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         choices=["text", "json"],
         help="report output format",
-    )
-    p_verify.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on warnings too (alias for --severity warning)",
-    )
-    p_verify.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the reports as JSON (alias for --format json)",
     )
     p_verify.add_argument(
         "--verbose",
@@ -662,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("--fins", type=positive, default=96)
     p_prof.add_argument("--bins", type=positive, default=2)
-    p_prof.add_argument("--max-wires", type=int, default=5)
+    p_prof.add_argument("--max-wires", type=positive, default=5)
 
     p_render = sub.add_parser("render", help="render a primitive layout")
     p_render.add_argument("primitive")

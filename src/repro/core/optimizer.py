@@ -27,13 +27,8 @@ from repro.core.selection import (
 from repro.core.tuning import TuningResult, tune_option
 from repro.devices.mosfet import MosGeometry
 from repro.errors import OptimizationError
-from repro.runtime import (
-    EvalCache,
-    EvalRuntime,
-    FailureLog,
-    RetryPolicy,
-    SweepJournal,
-)
+from repro.runtime import EvalCache, EvalRuntime, FailureLog, SweepJournal
+from repro.runtime.policy import DEFAULT_RETRIES
 from repro.verify import verify_circuit
 
 #: Wall time the paper attributes to one primitive simulation (seconds).
@@ -155,8 +150,8 @@ class PrimitiveOptimizer:
         max_wires: Upper bound for tuning and port-constraint sweeps.
         weight_override: Optional per-metric weight replacement (ablation
             and what-if studies).
-        policy: Retry/budget policy for simulation failures (defaults to
-            :class:`~repro.runtime.RetryPolicy`).
+        retries: Retries after the first failed attempt of an evaluation
+            (the schematic reference always gets at least 3).
         run_dir: Directory for sweep-checkpoint journals; evaluations are
             journaled to ``<run_dir>/<primitive>.jsonl`` so a crashed
             sweep can resume.  None disables checkpointing.
@@ -176,7 +171,7 @@ class PrimitiveOptimizer:
         n_bins: int = 3,
         max_wires: int = 8,
         weight_override: dict[str, float] | None = None,
-        policy: RetryPolicy | None = None,
+        retries: int = DEFAULT_RETRIES,
         run_dir: str | os.PathLike | None = None,
         resume: bool = False,
         erc: bool = True,
@@ -185,7 +180,7 @@ class PrimitiveOptimizer:
         self.n_bins = n_bins
         self.max_wires = max_wires
         self.weight_override = weight_override
-        self.policy = policy
+        self.retries = retries
         self.run_dir = run_dir
         self.resume = resume
         self.erc = erc
@@ -200,7 +195,7 @@ class PrimitiveOptimizer:
                 Path(self.run_dir) / f"{primitive.name}.jsonl",
                 resume=self.resume,
             )
-        return EvalRuntime(policy=self.policy, journal=journal, cache=self.cache)
+        return EvalRuntime(retries=self.retries, journal=journal, cache=self.cache)
 
     def optimize(
         self,
@@ -323,7 +318,6 @@ class PrimitiveOptimizer:
 
     def _schematic_reference(self, primitive, runtime: EvalRuntime) -> None:
         """Evaluate (or restore) the primitive's schematic reference."""
-        policy = runtime.policy
         ref = runtime.evaluate(
             f"ref:{primitive.name}",
             lambda: primitive.schematic_reference(),
@@ -333,7 +327,7 @@ class PrimitiveOptimizer:
                 "simulations": primitive._reference_sims,
             },
             from_payload=lambda payload: payload,
-            retries=max(policy.max_retries, 3),
+            retries=max(runtime.retries, 3),
         )
         if ref is None:
             raise OptimizationError(

@@ -234,8 +234,8 @@ def evaluate_options(
     feasible for the matched group at each multiplicity.  Infeasible
     combinations are skipped silently (e.g. ABBA at odd ratioed counts).
 
-    Simulation failures (non-convergence, singular systems, NaN metrics,
-    deadline overruns) are absorbed by the ``runtime``: the failed option
+    Simulation failures (non-convergence, singular systems, NaN metrics)
+    are absorbed by the ``runtime``: the failed option
     is dropped from the sweep and recorded on ``runtime.failures``.  The
     sweep raises only when *zero* options survive.
     """

@@ -52,12 +52,6 @@ class SingularMatrixError(SimulationError):
     failure_code = "SINGULAR-MNA"
 
 
-class EvalTimeoutError(SimulationError):
-    """Raised when one evaluation exceeds its wall-clock deadline."""
-
-    failure_code = "EVAL-TIMEOUT"
-
-
 class LayoutError(ReproError):
     """Raised when a layout cannot be generated (infeasible parameters)."""
 

@@ -47,13 +47,8 @@ from repro.geometry.layout import Instance, Layout
 from repro.geometry.shapes import Point
 from repro.pnr.global_router import GlobalRoute, GlobalRouter
 from repro.pnr.placer import Block, Placement, SaPlacer
-from repro.runtime import (
-    EvalCache,
-    EvalRuntime,
-    FailureLog,
-    RetryPolicy,
-    SweepJournal,
-)
+from repro.runtime import EvalCache, EvalRuntime, FailureLog, SweepJournal
+from repro.runtime.policy import DEFAULT_RETRIES
 from repro.spice import kernel
 from repro.spice.netlist import Circuit, is_ground
 from repro.tech.pdk import Technology
@@ -142,8 +137,7 @@ class HierarchicalFlow:
         waivers: Optional lint baseline (:class:`~repro.verify.rules
             .WaiverSet`); matching violations are marked waived before
             the strict check.
-        policy: Retry/budget policy for simulation failures (see
-            :class:`~repro.runtime.RetryPolicy`).
+        retries: Retries after the first failed attempt of an evaluation.
         run_dir: Directory for sweep-checkpoint journals (one JSONL per
             primitive plus ``ports.jsonl``); None disables checkpointing.
         resume: Replay existing journals instead of starting fresh.
@@ -160,7 +154,7 @@ class HierarchicalFlow:
         placer_iterations: int = 1500,
         verify: bool = True,
         strict: bool = False,
-        policy: RetryPolicy | None = None,
+        retries: int = DEFAULT_RETRIES,
         run_dir: str | None = None,
         resume: bool = False,
         waivers: WaiverSet | None = None,
@@ -173,7 +167,7 @@ class HierarchicalFlow:
         self.placer_iterations = placer_iterations
         self.verify = verify
         self.strict = strict
-        self.policy = policy
+        self.retries = retries
         self.run_dir = run_dir
         self.resume = resume
         self.waivers = waivers
@@ -264,7 +258,7 @@ class HierarchicalFlow:
         optimizer = PrimitiveOptimizer(
             n_bins=1 if exhaustive else self.n_bins,
             max_wires=self.max_wires + (2 if exhaustive else 0),
-            policy=self.policy,
+            retries=self.retries,
             run_dir=self.run_dir,
             resume=self.resume,
             cache=self.cache if self.cache is not None else False,
@@ -423,7 +417,7 @@ class HierarchicalFlow:
                 Path(self.run_dir) / "ports.jsonl", resume=self.resume
             )
         runtime = EvalRuntime(
-            policy=self.policy,
+            retries=self.retries,
             journal=journal,
             failures=result.failures,
             cache=self.cache,
@@ -434,51 +428,55 @@ class HierarchicalFlow:
         # (primitive.name, port) -> what a gap re-simulation needs.
         sim_context: dict[tuple[str, str], tuple] = {}
 
-        for binding in bindings:
-            primitive = binding.primitive
-            choice = result.choices[binding.name]
-            sym_lookup: dict[str, tuple[str, ...]] = {}
-            for group in binding.symmetric_ports:
-                for port in group:
-                    sym_lookup[port] = tuple(p for p in group if p != port)
+        try:
+            for binding in bindings:
+                primitive = binding.primitive
+                choice = result.choices[binding.name]
+                sym_lookup: dict[str, tuple[str, ...]] = {}
+                for group in binding.symmetric_ports:
+                    for port in group:
+                        sym_lookup[port] = tuple(p for p in group if p != port)
 
-            for port in binding.ports_to_optimize():
-                net = binding.port_map.get(port)
-                if net is None or net not in routes:
-                    continue
-                key = (primitive.name, port)
-                if key in constraint_cache:
-                    constraint = constraint_cache[key]
-                else:
-                    dut = primitive.extract(
-                        primitive.generate(
-                            choice.base, choice.pattern, choice.wires,
-                            verify=False,
-                        ),
-                        choice.base,
-                    ).build_circuit()
-                    info = routes[net].to_route_info(
-                        self.tech, symmetric_with=sym_lookup.get(port, ())
-                    )
-                    info = GlobalRouteInfo(
-                        net=port,
-                        layer=info.layer,
-                        length_nm=info.length_nm,
-                        via_cuts=info.via_cuts,
-                        via_resistance=info.via_resistance,
-                        symmetric_with=sym_lookup.get(port, ()),
-                    )
-                    constraint, _sims = derive_port_constraint(
-                        primitive, dut, info, max_wires=self.max_wires,
-                        runtime=runtime,
-                    )
-                    constraint_cache[key] = constraint
-                    sim_context[key] = (primitive, dut, info)
-                constraints_by_net.setdefault(net, []).append(constraint)
+                for port in binding.ports_to_optimize():
+                    net = binding.port_map.get(port)
+                    if net is None or net not in routes:
+                        continue
+                    key = (primitive.name, port)
+                    if key in constraint_cache:
+                        constraint = constraint_cache[key]
+                    else:
+                        dut = primitive.extract(
+                            primitive.generate(
+                                choice.base, choice.pattern, choice.wires,
+                                verify=False,
+                            ),
+                            choice.base,
+                        ).build_circuit()
+                        info = routes[net].to_route_info(
+                            self.tech, symmetric_with=sym_lookup.get(port, ())
+                        )
+                        info = GlobalRouteInfo(
+                            net=port,
+                            layer=info.layer,
+                            length_nm=info.length_nm,
+                            via_cuts=info.via_cuts,
+                            via_resistance=info.via_resistance,
+                            symmetric_with=sym_lookup.get(port, ()),
+                        )
+                        constraint, _sims = derive_port_constraint(
+                            primitive, dut, info, max_wires=self.max_wires,
+                            runtime=runtime,
+                        )
+                        constraint_cache[key] = constraint
+                        sim_context[key] = (primitive, dut, info)
+                    constraints_by_net.setdefault(net, []).append(constraint)
 
-        resimulated = self._reconcile_resims(
-            runtime, constraints_by_net, sim_context
-        )
+            resimulated = self._reconcile_resims(
+                runtime, constraints_by_net, sim_context
+            )
+        finally:
+            if journal is not None:
+                journal.close()
 
         def gap_cost(constraint: PortConstraint, wires: int) -> float:
             try:

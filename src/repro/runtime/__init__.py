@@ -2,10 +2,11 @@
 
 Wraps every simulation-backed evaluation of the optimization flow with a
 structured failure taxonomy (:mod:`~repro.runtime.failures`), bounded
-retries and per-stage budgets (:mod:`~repro.runtime.policy`), sweep
-checkpointing for crash/resume (:mod:`~repro.runtime.checkpoint`), and a
-deterministic fault-injection harness (:mod:`~repro.runtime.faults`)
-and graceful shutdown (:mod:`~repro.runtime.shutdown`).
+retries and per-stage budgets (:mod:`~repro.runtime.policy`; the retry
+count is the runtime's only knob), sweep checkpointing for crash/resume
+(:mod:`~repro.runtime.checkpoint`), a deterministic fault-injection
+harness (:mod:`~repro.runtime.faults`) and graceful shutdown
+(:mod:`~repro.runtime.shutdown`).
 
 See ``docs/robustness.md`` for the failure-code catalog and the
 degradation ladder.
@@ -23,7 +24,6 @@ from repro.runtime.failures import (
     BAD_METRIC,
     CONV_DC,
     CONV_TRAN,
-    EVAL_TIMEOUT,
     FAILURE_CODES,
     SINGULAR_MNA,
     EvalFailure,
@@ -32,14 +32,13 @@ from repro.runtime.failures import (
     is_eval_failure,
 )
 from repro.runtime.faults import FaultInjector, FaultSpec, inject
-from repro.runtime.policy import BatchTask, EvalBatch, EvalRuntime, RetryPolicy
-from repro.runtime.shutdown import flush_all, graceful_shutdown, register_flushable
+from repro.runtime.policy import BatchTask, EvalBatch, EvalRuntime
+from repro.runtime.shutdown import graceful_shutdown
 
 __all__ = [
     "BAD_METRIC",
     "CONV_DC",
     "CONV_TRAN",
-    "EVAL_TIMEOUT",
     "FAILURE_CODES",
     "SINGULAR_MNA",
     "BatchSpec",
@@ -51,15 +50,12 @@ __all__ = [
     "FailureLog",
     "FaultInjector",
     "FaultSpec",
-    "RetryPolicy",
     "SweepJournal",
     "analysis_signature",
     "classify_failure",
     "content_key",
     "evaluate_circuit_cached",
-    "flush_all",
     "graceful_shutdown",
     "inject",
     "is_eval_failure",
-    "register_flushable",
 ]

@@ -29,8 +29,8 @@ machinery guarantees this by construction:
   — falls back to the member's original serial thunk, which recomputes
   the identical result (or raises the identical error);
 * the path disengages entirely (returning the ordinary lazy-serial
-  batch) under fault injection or a per-evaluation deadline, where
-  batching would change observable behavior.
+  batch) under fault injection, where batching would change observable
+  behavior.
 
 Retry attempts (``attempt > 0``) always run the original serial thunk:
 perturbed initial guesses are per-member state the lockstep solver does
@@ -96,16 +96,13 @@ def maybe_batched(
 ):
     """The vectorized batch for ``tasks``, or None when it must not engage.
 
-    Disengagement conditions (each would make batching observable):
-    fault injection active (faults key on evaluation order/keys),
-    a per-evaluation deadline (precomputed results would dodge it), a
-    :data:`STACK_WIDTH` of 1, or fewer than two live batchable tasks.
+    Disengagement conditions: a :data:`STACK_WIDTH` of 1, fault
+    injection active (faults key on evaluation order/keys, so batching
+    would be observable), or fewer than two live batchable tasks.
     """
     if STACK_WIDTH <= 1:
         return None
     if faults.active() is not None:
-        return None
-    if runtime.policy.deadline_s is not None:
         return None
     live = 0
     for task in tasks:

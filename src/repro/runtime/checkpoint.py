@@ -32,7 +32,6 @@ import os
 from pathlib import Path
 
 from repro.errors import CheckpointError
-from repro.runtime import shutdown
 from repro.runtime.failures import EvalFailure
 
 STATUS_OK = "ok"
@@ -64,7 +63,6 @@ class SweepJournal:
         elif not resume:
             self.path.write_text("")
         self._file = self.path.open("a", encoding="utf-8")
-        shutdown.register_flushable(self)
 
     def _replay(self) -> None:
         raw = self.path.read_bytes()
@@ -161,18 +159,6 @@ class SweepJournal:
                 "failures": [f.to_dict() for f in failures],
             }
         )
-
-    def flush(self) -> None:
-        """Force buffered appends to disk (signal-handler durability hook).
-
-        Every :meth:`_append` already flushes and fsyncs, so this is
-        normally a no-op — it exists so
-        :func:`repro.runtime.shutdown.graceful_shutdown` can flush all
-        registered sinks without knowing their types.
-        """
-        if not self._file.closed:
-            self._file.flush()
-            os.fsync(self._file.fileno())
 
     def close(self) -> None:
         self._file.close()

@@ -14,13 +14,12 @@ Code                      Meaning
                           bounded step-halving cascade.
 ``SINGULAR-MNA``          The MNA system stayed singular after the
                           Tikhonov-regularized least-squares fallback.
-``EVAL-TIMEOUT``          One evaluation exceeded its wall-clock deadline.
 ``BAD-METRIC``            A measured metric came back NaN/inf (or a metric
                           testbench raised a measurement error).
 ========================  ====================================================
 
 Older journals and failure logs may also carry the retired
-``WORKER-LOST`` code; they still load, since
+``WORKER-LOST`` and ``EVAL-TIMEOUT`` codes; they still load, since
 :meth:`EvalFailure.from_dict` does not validate codes.
 
 Failures are accumulated on a per-run :class:`FailureLog` that the
@@ -41,7 +40,6 @@ from repro.errors import MeasureError, ReproError, SimulationError
 CONV_DC = "CONV-DC"
 CONV_TRAN = "CONV-TRAN"
 SINGULAR_MNA = "SINGULAR-MNA"
-EVAL_TIMEOUT = "EVAL-TIMEOUT"
 BAD_METRIC = "BAD-METRIC"
 
 #: Every stable failure code, in documentation order.
@@ -49,7 +47,6 @@ FAILURE_CODES = (
     CONV_DC,
     CONV_TRAN,
     SINGULAR_MNA,
-    EVAL_TIMEOUT,
     BAD_METRIC,
 )
 

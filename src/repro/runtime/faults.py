@@ -1,9 +1,9 @@
 """Deterministic fault injection for the evaluation runtime.
 
 The harness lets tests (and chaos drills) inject the full failure
-taxonomy — non-convergent DC/transient solves, singular MNA matrices,
-NaN metrics and slow evaluations — at the same boundaries where real
-failures appear, without monkeypatching solver internals.
+taxonomy — non-convergent DC/transient solves, singular MNA matrices
+and NaN metrics — at the same boundaries where real failures appear,
+without monkeypatching solver internals.
 
 Decisions are *keyed*, not sequenced: whether a given (kind, evaluation
 key, attempt) trips is a pure function of the injector seed, so the same
@@ -18,9 +18,7 @@ injector is installed):
   ``SINGULAR-MNA``;
 * :func:`repro.spice.tran.transient` — ``CONV-TRAN``;
 * :meth:`repro.primitives.base.MosPrimitive.evaluate` — ``BAD-METRIC``
-  (poisons one measured value with NaN);
-* :meth:`repro.runtime.policy.EvalRuntime.evaluate` — ``EVAL-TIMEOUT``
-  (adds phantom elapsed seconds to the measured wall clock).
+  (poisons one measured value with NaN).
 """
 
 from __future__ import annotations
@@ -32,13 +30,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConvergenceError, SingularMatrixError
 from repro.runtime import context
-from repro.runtime.failures import (
-    BAD_METRIC,
-    CONV_DC,
-    CONV_TRAN,
-    EVAL_TIMEOUT,
-    SINGULAR_MNA,
-)
+from repro.runtime.failures import BAD_METRIC, CONV_DC, CONV_TRAN, SINGULAR_MNA
 
 
 @dataclass(frozen=True)
@@ -51,10 +43,6 @@ class FaultSpec:
         singular_rate: Probability a DC solve raises ``SINGULAR-MNA``.
         bad_metric_rate: Probability one metric of an evaluation is
             poisoned to NaN (``BAD-METRIC``).
-        slow_eval_rate: Probability an evaluation is slowed by
-            ``slow_eval_seconds`` of phantom wall clock (``EVAL-TIMEOUT``
-            when the policy sets a shorter deadline).
-        slow_eval_seconds: Phantom delay added to slow evaluations.
         recover_on_retry: When True, faults only fire on attempt 0, so a
             single retry always recovers (exercises the retry path
             deterministically).
@@ -64,8 +52,6 @@ class FaultSpec:
     tran_fail_rate: float = 0.0
     singular_rate: float = 0.0
     bad_metric_rate: float = 0.0
-    slow_eval_rate: float = 0.0
-    slow_eval_seconds: float = 60.0
     recover_on_retry: bool = False
 
     def rate(self, kind: str) -> float:
@@ -74,7 +60,6 @@ class FaultSpec:
             CONV_TRAN: self.tran_fail_rate,
             SINGULAR_MNA: self.singular_rate,
             BAD_METRIC: self.bad_metric_rate,
-            EVAL_TIMEOUT: self.slow_eval_rate,
         }[kind]
 
     @property
@@ -91,7 +76,6 @@ class FaultSpec:
                 self.tran_fail_rate,
                 self.singular_rate,
                 self.bad_metric_rate,
-                self.slow_eval_rate,
             )
         )
 
@@ -141,12 +125,6 @@ class FaultInjector:
         self.counters[kind] = self.counters.get(kind, 0) + 1
         self.fired.append((kind, key))
         return True
-
-    def extra_elapsed(self) -> float:
-        """Phantom seconds to add to the current evaluation's wall clock."""
-        if self.trip(EVAL_TIMEOUT):
-            return self.spec.slow_eval_seconds
-        return 0.0
 
     # -- solver-boundary hooks ------------------------------------------
 

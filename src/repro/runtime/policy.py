@@ -2,10 +2,13 @@
 
 :class:`EvalRuntime` wraps every simulation-backed evaluation of the
 optimization flow.  A failing evaluation is retried (with a perturbed
-initial guess), bounded by a per-evaluation wall-clock deadline, and —
-when the retry budget is exhausted — *absorbed*: the failure is recorded
-on a :class:`~repro.runtime.failures.FailureLog` and the sweep moves on.
-The degradation ladder is::
+initial guess) up to a retry budget — the runtime's only knob,
+:data:`DEFAULT_RETRIES` unless the caller passes ``retries`` — and, once
+the budget is exhausted, *absorbed*: the failure is recorded on a
+:class:`~repro.runtime.failures.FailureLog` and the sweep moves on.
+Every solver loop below is itself bounded (Newton iterations, homotopy
+steps, transient step halvings), so an evaluation always returns or
+raises on its own.  The degradation ladder is::
 
     retry (perturbed guess)  ->  skip the option (scored as missing/inf)
     ->  empty bins fall back to untuned survivors  ->  the flow raises
@@ -23,13 +26,12 @@ the crash/resume path of ``repro optimize --resume``.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import EvalTimeoutError, MeasureError
-from repro.runtime import context, faults
+from repro.errors import MeasureError
+from repro.runtime import context
 from repro.runtime.checkpoint import STATUS_OK, SweepJournal
 from repro.runtime.failures import (
     EvalFailure,
@@ -47,6 +49,9 @@ def _kernel():
     return kernel
 
 
+#: Retries after the first failed attempt (0 disables retrying).
+DEFAULT_RETRIES = 1
+
 #: Relative initial-guess perturbation amplitude per retry attempt.
 RETRY_PERTURBATION = 1e-3
 
@@ -54,24 +59,6 @@ RETRY_PERTURBATION = 1e-3
 #: marked degraded and stops spending retries (it still absorbs failures
 #: and keeps going).
 STAGE_FAILURE_CEILING = 0.5
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded-retry and budget knobs for one run.
-
-    Attributes:
-        max_retries: Retries after the first failed attempt (0 disables
-            retrying).  Retries re-run the evaluation with a perturbed
-            initial guess so deterministic failures are not replayed
-            verbatim.
-        deadline_s: Per-evaluation wall-clock deadline in seconds; an
-            evaluation that takes longer counts as ``EVAL-TIMEOUT`` and
-            its result is discarded (None disables the deadline).
-    """
-
-    max_retries: int = 1
-    deadline_s: float | None = None
 
 
 @dataclass
@@ -137,11 +124,12 @@ class EvalRuntime:
     """Fault-tolerant wrapper around simulation-backed evaluations.
 
     Args:
-        policy: Retry/budget policy (defaults to :class:`RetryPolicy`).
+        retries: Retries after the first failed attempt; each retry
+            re-runs the evaluation with a perturbed initial guess so
+            deterministic failures are not replayed verbatim.
         journal: Optional sweep-checkpoint journal; a torn tail it cut on
             resume is recorded once on the downgrade ledger.
         failures: FailureLog to record into (a fresh one by default).
-        clock: Monotonic clock, overridable for tests.
         cache: Optional content-addressed evaluation cache
             (:class:`~repro.runtime.evalcache.EvalCache`); call sites
             read it via :attr:`cache` to route circuit evaluations
@@ -151,13 +139,12 @@ class EvalRuntime:
 
     def __init__(
         self,
-        policy: RetryPolicy | None = None,
+        retries: int = DEFAULT_RETRIES,
         journal: SweepJournal | None = None,
         failures: FailureLog | None = None,
-        clock: Callable[[], float] = time.monotonic,
         cache: Any | None = None,
     ):
-        self.policy = policy or RetryPolicy()
+        self.retries = retries
         self.journal = journal
         self.failures = failures if failures is not None else FailureLog()
         if journal is not None and journal.truncated_tail:
@@ -165,7 +152,6 @@ class EvalRuntime:
                 f"journal {journal.path}: truncated a torn "
                 f"{journal.truncated_tail}-byte tail"
             )
-        self.clock = clock
         self.cache = cache
         self._stage_total: Counter = Counter()
         self._stage_failed: Counter = Counter()
@@ -240,7 +226,7 @@ class EvalRuntime:
             self._finish_stage_eval(stage, failed=True)
             return None
 
-        budget = retries if retries is not None else self.policy.max_retries
+        budget = retries if retries is not None else self.retries
         attempts = 1 + max(0, budget)
         if self.stage_degraded(stage):
             attempts = 1  # budget conservation: no retries once degraded
@@ -252,20 +238,10 @@ class EvalRuntime:
                 attempt=attempt,
                 perturbation=RETRY_PERTURBATION * attempt,
             )
-            start = self.clock()
             try:
                 with context.evaluation(ctx):
                     with _kernel().collect(self.solver_stats):
                         result = thunk()
-                    injector = faults.active()
-                    extra = injector.extra_elapsed() if injector else 0.0
-                elapsed = (self.clock() - start) + extra
-                deadline = self.policy.deadline_s
-                if deadline is not None and elapsed > deadline:
-                    raise EvalTimeoutError(
-                        f"evaluation took {elapsed:.3g}s "
-                        f"(deadline {deadline:.3g}s)"
-                    )
                 if validate is not None:
                     message = validate(result)
                     if message:

@@ -1,12 +1,13 @@
 """Graceful shutdown for long sweeps.
 
-Sweep journals self-register here on construction
-(:func:`register_flushable`); they are the only state a run keeps
-across processes (the evaluation cache lives in memory and is rebuilt
-from the journals on resume).  :func:`graceful_shutdown` installs
-SIGINT/SIGTERM handlers that flush every registered object
-(:func:`flush_all`) and exit with the conventional ``128 + signum``
-code, leaving a resumable ``--run-dir`` behind.
+:func:`graceful_shutdown` installs SIGINT/SIGTERM handlers that print a
+resume hint and exit with the conventional ``128 + signum`` code.  The
+exit is a :class:`SystemExit`, so the optimizer's and the flow's
+``finally`` blocks close their sweep journals on the way out.  Nothing
+needs flushing at signal time: every journal line is flushed and
+fsynced as it is appended (:meth:`~repro.runtime.checkpoint.SweepJournal
+._append`), and the journals are the only state a run keeps across
+processes, so the ``--run-dir`` left behind is always resumable.
 """
 
 from __future__ import annotations
@@ -14,38 +15,8 @@ from __future__ import annotations
 import os
 import signal
 import sys
-import weakref
 from contextlib import contextmanager
 from typing import Any
-
-
-_FLUSHABLES: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def register_flushable(obj: Any) -> None:
-    """Register an object with a ``flush()`` method for signal flushing.
-
-    Journals self-register on construction; the weak set
-    never keeps them alive, so a closed/collected journal simply drops
-    out.
-    """
-    _FLUSHABLES.add(obj)
-
-
-def flush_all() -> int:
-    """Flush every registered object; returns how many flushed.
-
-    Individual failures are swallowed — a shutdown handler must never
-    raise past the signal frame.
-    """
-    flushed = 0
-    for obj in list(_FLUSHABLES):
-        try:
-            obj.flush()
-            flushed += 1
-        except Exception:
-            pass
-    return flushed
 
 
 @contextmanager
@@ -53,21 +24,19 @@ def graceful_shutdown(
     run_dir: str | os.PathLike | None = None,
     signals: tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
 ):
-    """Install SIGINT/SIGTERM handlers that flush and exit resumable.
+    """Install SIGINT/SIGTERM handlers that exit resumable.
 
-    On signal, every registered journal is flushed, a resume hint
-    naming ``run_dir`` is printed to stderr, and the process exits with
-    the conventional ``128 + signum`` code via :class:`SystemExit`
-    (so ``finally`` blocks and context managers still unwind).  Outside
-    the main thread — or on platforms without these signals — the
-    context is a transparent no-op.
+    On signal, a resume hint naming ``run_dir`` is printed to stderr and
+    the process exits with the conventional ``128 + signum`` code via
+    :class:`SystemExit` (so ``finally`` blocks and context managers
+    still unwind).  Outside the main thread — or on platforms without
+    these signals — the context is a transparent no-op.
     """
 
     def _handler(signum, frame):
-        flush_all()
         if run_dir is not None:
             print(
-                f"\ninterrupted by signal {signum}: run state flushed; "
+                f"\ninterrupted by signal {signum}: "
                 f"resume with --run-dir {run_dir} --resume",
                 file=sys.stderr,
             )

@@ -19,7 +19,7 @@ from repro.cellgen.generator import WireConfig
 from repro.devices.mosfet import MosGeometry
 from repro.errors import ConvergenceError, LayoutError, MeasureError
 from repro.primitives import PrimitiveLibrary
-from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime, RetryPolicy
+from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime
 from repro.runtime import batched as engine
 from repro.runtime.evalcache import EvalCache
 from repro.runtime.faults import FaultSpec, inject
@@ -72,7 +72,7 @@ def _optimizer(run_dir=None, resume=False):
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
-        policy=RetryPolicy(max_retries=2),
+        retries=2,
         run_dir=run_dir,
         resume=resume,
     )

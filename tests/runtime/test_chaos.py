@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
-from repro.runtime import RetryPolicy, SweepJournal
+from repro.runtime import SweepJournal
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ def _optimizer(run_dir=None, resume=False):
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
-        policy=RetryPolicy(max_retries=2),
+        retries=2,
         run_dir=run_dir,
         resume=resume,
     )

@@ -109,20 +109,6 @@ def test_runtime_records_torn_tail_on_downgrade_ledger(tmp_path):
     assert "downgraded" in log.summary()
 
 
-def test_journal_flush_hook(tmp_path):
-    # graceful_shutdown flushes every registered sink; the journal's
-    # flush() must be callable at any point (even with nothing buffered)
-    # and after close().
-    from repro.runtime import flush_all
-
-    path = tmp_path / "sweep.jsonl"
-    with SweepJournal(path) as journal:
-        journal.record_success("a", {})
-        journal.flush()
-        assert flush_all() >= 1
-    flush_all()  # closed journals must not raise through the handler
-
-
 def test_interior_corruption_raises(tmp_path):
     path = tmp_path / "sweep.jsonl"
     lines = [
@@ -179,28 +165,46 @@ def test_pruned_lines_read_as_not_completed(tmp_path):
         assert journal.lookup("b")["payload"] == {"cost": 2.0}
 
 
-def test_legacy_worker_lost_records_still_load(tmp_path):
-    # Failure logs and journals written while a process-pool engine
-    # existed may carry its WORKER-LOST code and pool downgrade texts.
+@pytest.mark.parametrize(
+    "code, message, downgrade",
+    [
+        pytest.param(
+            "WORKER-LOST",
+            "sel:a: implicated in 2 worker deaths",
+            "worker pool: worker lost; pool replaced",
+            id="WORKER-LOST",
+        ),
+        pytest.param(
+            "EVAL-TIMEOUT",
+            "evaluation took 61s (deadline 1s)",
+            None,
+            id="EVAL-TIMEOUT",
+        ),
+    ],
+)
+def test_legacy_failure_codes_still_load(tmp_path, code, message, downgrade):
+    # Failure logs and journals may carry codes of retired engines: the
+    # process pool's WORKER-LOST (and its downgrade texts) and the
+    # per-evaluation deadline's EVAL-TIMEOUT.
     lost = {
-        "code": "WORKER-LOST",
+        "code": code,
         "stage": "selection",
         "key": "sel:a",
-        "message": "sel:a: implicated in 2 worker deaths",
+        "message": message,
         "attempt": 0,
         "injected": False,
     }
-    downgrade = "worker pool: worker lost; pool replaced"
+    downgrades = [downgrade] if downgrade else []
     document = {
         "failures": [lost],
         "degraded_stages": [],
-        "downgrades": [downgrade],
+        "downgrades": downgrades,
     }
     log = FailureLog.from_dict(document)
-    assert log.by_code() == {"WORKER-LOST": 1}
-    assert log.downgrades == [downgrade]
-    assert "WORKER-LOST=1" in log.summary()
-    assert downgrade in log.summary()
+    assert log.by_code() == {code: 1}
+    assert log.downgrades == downgrades
+    assert f"{code}=1" in log.summary()
+    assert all(text in log.summary() for text in downgrades)
     assert log.to_dict() == document
 
     path = tmp_path / "sweep.jsonl"
@@ -215,8 +219,8 @@ def test_legacy_worker_lost_records_still_load(tmp_path):
         runtime = EvalRuntime(journal=journal)
         never = lambda: pytest.fail("journaled key re-evaluated")  # noqa: E731
         assert runtime.evaluate("sel:a", never, stage="selection") is None
-    assert runtime.failures.by_code() == {"WORKER-LOST": 1}
-    assert runtime.failures.summary().startswith("1 failures: WORKER-LOST=1")
+    assert runtime.failures.by_code() == {code: 1}
+    assert runtime.failures.summary().startswith(f"1 failures: {code}=1")
 
 
 def test_journal_with_pruned_lines_resumes_to_the_clean_result(

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import (
     ConvergenceError,
-    EvalTimeoutError,
     LayoutError,
     MeasureError,
     NetlistError,
@@ -19,7 +18,6 @@ from repro.runtime import (
     BAD_METRIC,
     CONV_DC,
     CONV_TRAN,
-    EVAL_TIMEOUT,
     FAILURE_CODES,
     SINGULAR_MNA,
     EvalFailure,
@@ -34,7 +32,6 @@ def test_failure_codes_are_stable():
         "CONV-DC",
         "CONV-TRAN",
         "SINGULAR-MNA",
-        "EVAL-TIMEOUT",
         "BAD-METRIC",
     )
 
@@ -45,7 +42,7 @@ def test_failure_codes_are_stable():
         (ConvergenceError("no dc"), CONV_DC),
         (ConvergenceError("no tran", code=CONV_TRAN), CONV_TRAN),
         (SingularMatrixError("singular"), SINGULAR_MNA),
-        (EvalTimeoutError("too slow"), EVAL_TIMEOUT),
+        (FloatingPointError("overflow"), BAD_METRIC),
         (MeasureError("nan gain"), BAD_METRIC),
         (np.linalg.LinAlgError("singular matrix"), SINGULAR_MNA),
         (ZeroDivisionError("x/0"), BAD_METRIC),
@@ -66,7 +63,7 @@ def test_classify_rejects_non_failures():
     [
         (ConvergenceError("x"), True),
         (SingularMatrixError("x"), True),
-        (EvalTimeoutError("x"), True),
+        (ConvergenceError("x", code=CONV_TRAN), True),
         (MeasureError("x"), True),
         (np.linalg.LinAlgError("x"), True),
         (ZeroDivisionError("x"), True),

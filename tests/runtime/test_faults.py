@@ -17,21 +17,15 @@ from repro.runtime import (
     BAD_METRIC,
     CONV_DC,
     CONV_TRAN,
-    EVAL_TIMEOUT,
     SINGULAR_MNA,
     EvalRuntime,
-    RetryPolicy,
 )
 from repro.runtime import policy as policy_module
 from repro.runtime.faults import FaultSpec, inject
 
 
-def _optimize(primitive, policy=None, **kwargs):
-    optimizer = PrimitiveOptimizer(
-        n_bins=1,
-        max_wires=2,
-        policy=policy or RetryPolicy(max_retries=2),
-    )
+def _optimize(primitive, retries=2, **kwargs):
+    optimizer = PrimitiveOptimizer(n_bins=1, max_wires=2, retries=retries)
     return optimizer.optimize(primitive, **kwargs)
 
 
@@ -98,16 +92,15 @@ def test_retry_recovers_every_evaluation(small_primitive):
 
 
 def test_total_failure_raises_with_failure_log(small_primitive):
-    # Deadline shorter than the injected slowdown on every evaluation:
-    # nothing survives selection and the flow-level raise carries the log.
-    policy = RetryPolicy(max_retries=1, deadline_s=1.0)
-    spec = FaultSpec(slow_eval_rate=1.0, slow_eval_seconds=60.0)
-    with inject(spec, seed=0):
+    # Every DC solve fails on every attempt: the schematic reference
+    # cannot be evaluated, and the raise carries the log.
+    with inject(FaultSpec(dc_fail_rate=1.0), seed=0):
         with pytest.raises(OptimizationError) as excinfo:
-            _optimize(small_primitive, policy=policy, tune=False)
+            _optimize(small_primitive, retries=1, tune=False)
     assert excinfo.value.failures is not None
-    assert excinfo.value.failures.count(code=EVAL_TIMEOUT) > 0
-    assert EVAL_TIMEOUT in str(excinfo.value)
+    # The reference gets max(retries, 3) retries: 1 + 3 attempts.
+    assert excinfo.value.failures.count(code=CONV_DC) == 4
+    assert CONV_DC in str(excinfo.value)
 
 
 def test_failed_tuning_keeps_untuned_option(small_primitive):
@@ -115,7 +108,7 @@ def test_failed_tuning_keeps_untuned_option(small_primitive):
     # sweeps degrade, and the selected (untuned) option survives.
     report = _optimize(small_primitive, tune=False)
     option = report.selected[0]
-    runtime = EvalRuntime(policy=RetryPolicy(max_retries=0))
+    runtime = EvalRuntime(retries=0)
     with inject(FaultSpec(dc_fail_rate=1.0), seed=0):
         result = tune_option(
             small_primitive, option, max_wires=2, runtime=runtime
@@ -127,9 +120,8 @@ def test_failed_tuning_keeps_untuned_option(small_primitive):
 
 def test_degraded_stage_is_reported(small_primitive, monkeypatch):
     monkeypatch.setattr(policy_module, "STAGE_FAILURE_CEILING", 0.05)
-    policy = RetryPolicy(max_retries=0)
     with inject(FaultSpec(dc_fail_rate=0.4), seed=1):
-        report = _optimize(small_primitive, policy=policy, tune=False)
+        report = _optimize(small_primitive, retries=0, tune=False)
     assert report.options
     assert "selection" in report.failures.degraded_stages
     assert "degraded" in report.failures.summary()

@@ -1,32 +1,13 @@
-"""EvalRuntime retry/deadline/budget behaviour (no real simulation)."""
+"""EvalRuntime retry/budget behaviour (no real simulation)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConvergenceError, NetlistError
-from repro.runtime import (
-    BAD_METRIC,
-    CONV_DC,
-    EVAL_TIMEOUT,
-    EvalRuntime,
-    RetryPolicy,
-    SweepJournal,
-)
+from repro.runtime import BAD_METRIC, CONV_DC, EvalRuntime, SweepJournal
 from repro.runtime import context
 from repro.runtime import policy as policy_module
-
-
-class FakeClock:
-    """Deterministic monotonic clock advancing a fixed step per call."""
-
-    def __init__(self, step: float = 0.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
 
 
 def test_success_passes_through():
@@ -45,7 +26,7 @@ def test_retry_recovers_with_perturbed_context():
             raise ConvergenceError("first attempt fails")
         return "ok"
 
-    runtime = EvalRuntime(policy=RetryPolicy(max_retries=1))
+    runtime = EvalRuntime(retries=1)
     assert runtime.evaluate("k", flaky, stage="s") == "ok"
     assert attempts == [(0, 0.0), (1, pytest.approx(1e-3))]
     # The failed attempt is still accounted for.
@@ -54,7 +35,7 @@ def test_retry_recovers_with_perturbed_context():
 
 
 def test_exhausted_budget_absorbs_and_returns_none():
-    runtime = EvalRuntime(policy=RetryPolicy(max_retries=2))
+    runtime = EvalRuntime(retries=2)
     calls = []
     result = runtime.evaluate(
         "k",
@@ -78,17 +59,8 @@ def test_non_eval_failures_propagate():
     assert not runtime.failures
 
 
-def test_deadline_times_out():
-    clock = FakeClock(step=10.0)  # every eval appears to take 10 s
-    runtime = EvalRuntime(
-        policy=RetryPolicy(max_retries=1, deadline_s=5.0), clock=clock
-    )
-    assert runtime.evaluate("k", lambda: "slow", stage="s") is None
-    assert runtime.failures.count(code=EVAL_TIMEOUT) == 2
-
-
 def test_validate_rejects_as_bad_metric():
-    runtime = EvalRuntime(policy=RetryPolicy(max_retries=0))
+    runtime = EvalRuntime(retries=0)
     result = runtime.evaluate(
         "k",
         lambda: float("nan"),
@@ -101,7 +73,7 @@ def test_validate_rejects_as_bad_metric():
 
 def test_stage_ceiling_marks_degraded_and_stops_retries(monkeypatch):
     monkeypatch.setattr(policy_module, "STAGE_FAILURE_CEILING", 0.4)
-    runtime = EvalRuntime(policy=RetryPolicy(max_retries=3))
+    runtime = EvalRuntime(retries=3)
     calls = []
 
     def failing():
@@ -119,7 +91,7 @@ def test_stage_ceiling_marks_degraded_and_stops_retries(monkeypatch):
 
 
 def test_per_call_retry_override():
-    runtime = EvalRuntime(policy=RetryPolicy(max_retries=0))
+    runtime = EvalRuntime(retries=0)
     calls = []
 
     def failing():
@@ -153,7 +125,7 @@ def test_journal_hit_skips_thunk(tmp_path):
 
 def test_journaled_failure_replays_into_log(tmp_path):
     journal = SweepJournal(tmp_path / "j.jsonl")
-    runtime = EvalRuntime(policy=RetryPolicy(max_retries=1), journal=journal)
+    runtime = EvalRuntime(retries=1, journal=journal)
     assert (
         runtime.evaluate(
             "k",
@@ -166,7 +138,7 @@ def test_journaled_failure_replays_into_log(tmp_path):
     assert runtime.failures.count(code=CONV_DC) == 2
 
     resumed = SweepJournal(tmp_path / "j.jsonl", resume=True)
-    runtime2 = EvalRuntime(policy=RetryPolicy(max_retries=1), journal=resumed)
+    runtime2 = EvalRuntime(retries=1, journal=resumed)
     called = []
     assert (
         runtime2.evaluate("k", lambda: called.append(1), stage="s") is None
@@ -176,16 +148,3 @@ def test_journaled_failure_replays_into_log(tmp_path):
     assert runtime2.failures.count(code=CONV_DC) == 2
     assert runtime2.cache_hits == 1
     resumed.close()
-
-
-def test_injected_timeout_counts_phantom_time():
-    from repro.runtime.faults import FaultSpec, inject
-
-    clock = FakeClock(step=0.001)
-    runtime = EvalRuntime(
-        policy=RetryPolicy(max_retries=0, deadline_s=1.0), clock=clock
-    )
-    spec = FaultSpec(slow_eval_rate=1.0, slow_eval_seconds=60.0)
-    with inject(spec, seed=0):
-        assert runtime.evaluate("k", lambda: "done", stage="s") is None
-    assert runtime.failures.count(code=EVAL_TIMEOUT) == 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
-from repro.runtime import CONV_DC, RetryPolicy
+from repro.runtime import CONV_DC
 from repro.runtime import batched as engine
 from repro.runtime.faults import FaultSpec, inject
 
@@ -61,7 +61,7 @@ def _optimizer(run_dir, resume=False):
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
-        policy=RetryPolicy(max_retries=2),
+        retries=2,
         run_dir=run_dir,
         resume=resume,
         cache=False,

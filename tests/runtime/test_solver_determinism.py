@@ -14,7 +14,6 @@ import sys
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
-from repro.runtime import RetryPolicy
 from repro.runtime import batched as engine
 from repro.spice import kernel
 
@@ -29,7 +28,7 @@ def _optimize(run_dir):
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
-        policy=RetryPolicy(max_retries=1),
+        retries=1,
         run_dir=run_dir,
     ).optimize(_fresh_dp())
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.policy import DEFAULT_RETRIES
 
 
 def test_list_command(capsys):
@@ -67,6 +68,25 @@ def test_disk_cache_options_are_gone(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "differential_pair", "--deadline", "1"],
+        ["flow", "csamp", "--deadline", "0.5"],
+        ["verify", "diode_load", "--strict"],
+        ["verify", "diode_load", "--json"],
+    ],
+    ids=["optimize-deadline", "flow-deadline", "verify-strict", "verify-json"],
+)
+def test_deadline_and_verify_aliases_are_gone(argv, capsys):
+    # Retries are the runtime's only policy; verify takes --severity and
+    # --format only.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
+
 def test_solver_backend_follows_system_size_only(monkeypatch, capsys):
     from repro.spice import Circuit, CompiledCircuit, dc_operating_point, kernel
     from repro.tech import Technology
@@ -93,9 +113,6 @@ def test_solver_backend_follows_system_size_only(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [
-        ("--deadline", "0"),
-        ("--deadline", "-1.5"),
-        ("--deadline", "nan"),
         ("--retries", "-3"),
         ("--retries", "two"),
     ],
@@ -119,6 +136,12 @@ def test_out_of_range_runtime_flags_rejected(command, flag, value, capsys):
         ["profile", "current_mirror", "--fins", "0"],
         ["verify", "current_mirror", "--fins", "-4"],
         ["render", "current_mirror", "--fins", "0"],
+        ["optimize", "current_mirror", "--max-wires", "0"],
+        ["optimize", "current_mirror", "--max-wires", "-2"],
+        ["flow", "csamp", "--max-wires", "0"],
+        ["verify", "current_mirror", "--max-wires", "0"],
+        ["profile", "current_mirror", "--max-wires", "0"],
+        ["verify", "current_mirror", "--variants", "0"],
     ],
     ids=lambda argv: "-".join(argv[:1] + argv[2:]),
 )
@@ -132,7 +155,9 @@ def test_bins_and_fins_below_one_rejected(argv, capsys):
 
 def test_in_range_runtime_flags_accepted():
     args = build_parser().parse_args(
-        ["optimize", "differential_pair", "--deadline", "0.5",
-         "--retries", "0", "--bins", "1", "--fins", "1"]
+        ["optimize", "differential_pair", "--retries", "0", "--bins", "1",
+         "--fins", "1", "--max-wires", "1"]
     )
-    assert (args.deadline, args.retries, args.bins, args.fins) == (0.5, 0, 1, 1)
+    assert (args.retries, args.bins, args.fins, args.max_wires) == (0, 1, 1, 1)
+    default = build_parser().parse_args(["flow", "csamp"])
+    assert default.retries == DEFAULT_RETRIES == 1
