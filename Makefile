@@ -43,7 +43,10 @@ lint:
 	fi
 
 # Determinism-hazard self-lint (stdlib AST walk, no deps): unseeded
-# random.*, wall-clock in cache/journal paths, bare set iteration.
+# random.* (DEV-RANDOM), wall-clock in cache/journal paths
+# (DEV-WALLCLOCK), bare set iteration (DEV-SET-ORDER), per-member
+# np.linalg.solve in batch loops (DEV-BATCH-SOLVE) and environment
+# reads (DEV-ENV).
 devlint:
 	python tools/devlint.py src/repro tools
 

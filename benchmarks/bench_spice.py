@@ -5,8 +5,8 @@ Times the benchmark testbenches (5T OTA, StrongARM comparator, 8-stage
 ring-oscillator VCO) on two solver backends --
 
 * ``fixed_dense``   -- fixed-grid trapezoidal stepping on the dense LU
-  backend.  Bit-identical to the pre-kernel simulator, so this run *is*
-  the seed baseline.
+  backend, assembled from the same ``SystemTemplate`` triplets as the
+  sparse run.  It is the baseline the other configuration is held to.
 * ``fixed_sparse``  -- the same step sequence through scipy ``splu`` with
   the symbolic pattern and column order reused across factorizations.
 

@@ -61,7 +61,7 @@ DEFAULT_MAXSIZE = 4096
 #: Bump it whenever a change moves simulated values (stepping, device
 #: model, solver), so that cache entries replayed from a journal an
 #: older simulator wrote never answer a newer simulator's lookups.
-SIMULATOR_REVISION = 3
+SIMULATOR_REVISION = 4
 
 
 def _canon(value):

@@ -6,12 +6,13 @@ susceptance matrix; inductors contribute ``jwL`` branch impedances.  The
 complex system ``(G + jwC) x = b`` is solved at each frequency of a
 logarithmic sweep.
 
-Both the conductance part ``G`` and the susceptance part (capacitances
-plus the ``-L`` inductor branch entries) are frequency independent, so
-they are assembled exactly once per sweep; each frequency point only
-forms the ``G + jω·S`` combination — a vectorized array expression on
-the dense backend, a data-vector combination on the shared CSC pattern
-on the sparse one — and solves.
+Both the conductance part ``G`` and the susceptance part ``S``
+(capacitances plus the ``-L`` inductor branch entries) are frequency
+independent, so they are assembled exactly once per sweep from the AC
+:class:`~repro.spice.kernel.SystemTemplate` triplets — the same
+assembly DC and transient use, on either backend.  Each frequency point
+only forms ``G + jω·S`` in the template's data layout and solves it
+with :meth:`~repro.spice.kernel.SystemTemplate.solve_data`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from repro.errors import NetlistError, SimulationError, SingularMatrixError
 from repro.spice import kernel
 from repro.spice.dc import OperatingPoint
-from repro.spice.mna import CompiledCircuit, solve_mna
+from repro.spice.mna import CompiledCircuit
 
 
 @dataclass
@@ -66,8 +67,10 @@ class AcResult:
 AC_SLICE_BYTES = 1 << 20
 
 
-def _ac_template(compiled: CompiledCircuit) -> "kernel.SystemTemplate":
-    """The sparse AC system template (cached on the compiled circuit).
+def _ac_template(
+    compiled: CompiledCircuit, backend: str
+) -> "kernel.SystemTemplate":
+    """The AC system template (cached on the compiled circuit).
 
     Static part: linear conductances and all branch topology rows.
     Dynamic slots, in order: MOSFET small-signal conductances (fixed per
@@ -87,44 +90,54 @@ def _ac_template(compiled: CompiledCircuit) -> "kernel.SystemTemplate":
             np.concatenate([mos_rows, cap_rows, mc_rows, ind]),
             np.concatenate([mos_cols, cap_cols, mc_cols, ind]),
             dtype=complex,
-            backend=kernel.SPARSE,
+            backend=backend,
         )
 
-    return compiled.kernel_template(("ac", kernel.SPARSE), build)
+    return compiled.kernel_template(("ac", backend), build)
 
 
-def _susceptance_values(
+def _ac_parts(
     compiled: CompiledCircuit, op: OperatingPoint
-) -> np.ndarray:
-    """Frequency-independent susceptance values (multiply by ``jω``):
-    element capacitances, MOSFET capacitances at the bias point, and the
-    ``-L`` inductor branch entries (``a[br, br] -= jωL``)."""
-    return np.concatenate(
+) -> tuple["kernel.SystemTemplate", np.ndarray, np.ndarray]:
+    """The once-per-sweep split: the template and, in its data layout,
+    the full conductance part ``G`` and the unscaled susceptance part
+    ``S`` (each frequency solves ``G + jω·S``).
+
+    ``S`` holds element capacitances, MOSFET capacitances at the bias
+    point, and the ``-L`` inductor branch entries (``a[br, br] -= jωL``).
+    """
+    template = _ac_template(compiled, kernel.backend_for(compiled.size))
+    mos_vals = compiled.mos_conductance_values(op.mos_eval)
+    sus_vals = np.concatenate(
         [
             compiled.capacitor_values(),
             compiled.mos_capacitance_values(op.mos_eval),
             -compiled.inductor_inductances(),
         ]
     )
+    g = template.static_data + template.dyn_data(
+        np.concatenate([mos_vals, np.zeros(len(sus_vals))])
+    )
+    sus = template.dyn_data(np.concatenate([np.zeros(len(mos_vals)), sus_vals]))
+    return template, g, sus
 
 
-def _dense_ac_parts(
-    compiled: CompiledCircuit, op: OperatingPoint
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense once-per-sweep G/C split: the conductance core and the
-    unscaled susceptance core (each frequency forms ``G + jω·S``)."""
-    size = compiled.size
-    g = compiled.conductance_linear().astype(complex)
-    if op.mos_eval is not None:
-        compiled.stamp_mosfets_ac(g, op.mos_eval)
-    compiled.stamp_inductors_dc(g)  # the constant topology rows
+def _sweep_frequencies(
+    f_start: float, f_stop: float, points_per_decade: int
+) -> np.ndarray:
+    """The logarithmic sweep grid (at least two points).
 
-    sus = compiled.capacitance_linear().astype(complex)
-    sus += compiled.mos_capacitance(op.mos_eval, dtype=complex)
-    ind = compiled.inductor_branch_indices()
-    if len(ind):
-        sus[ind, ind] -= compiled.inductor_inductances()
-    return g[:size, :size], sus[:size, :size]
+    Raises:
+        SimulationError: For an empty or inverted range, or fewer than
+            one point per decade.
+    """
+    if f_start <= 0 or f_stop <= f_start:
+        raise SimulationError("need 0 < f_start < f_stop")
+    if points_per_decade < 1:
+        raise SimulationError("points_per_decade must be >= 1")
+    decades = np.log10(f_stop / f_start)
+    n_points = max(2, int(np.ceil(decades * points_per_decade)) + 1)
+    return np.logspace(np.log10(f_start), np.log10(f_stop), n_points)
 
 
 def ac_analysis(
@@ -135,60 +148,23 @@ def ac_analysis(
     points_per_decade: int = 10,
 ) -> AcResult:
     """Run a logarithmic AC sweep around the given operating point."""
-    if f_start <= 0 or f_stop <= f_start:
-        raise SimulationError("need 0 < f_start < f_stop")
-    if points_per_decade < 1:
-        raise SimulationError("points_per_decade must be >= 1")
-
-    decades = np.log10(f_stop / f_start)
-    n_points = max(2, int(np.ceil(decades * points_per_decade)) + 1)
-    freqs = np.logspace(np.log10(f_start), np.log10(f_stop), n_points)
-
+    freqs = _sweep_frequencies(f_start, f_stop, points_per_decade)
     stats = kernel.active()
     if stats is not None:
         stats.count_analysis("ac")
-    backend = kernel.backend_for(compiled.size)
-    size = compiled.size
+    template, g, sus = _ac_parts(compiled, op)
     rhs = compiled.ac_source_rhs()
-    solutions = np.zeros((len(freqs), size), dtype=complex)
-
-    if backend == kernel.SPARSE:
-        template = _ac_template(compiled)
-        mos_vals = compiled.mos_conductance_values(op.mos_eval)
-        sus_vals = _susceptance_values(compiled, op)
-        # Two data vectors on the shared CSC pattern, built once: the
-        # full conductance part and the unscaled susceptance part.
-        g_data = template.static_data + template.dyn_data(
-            np.concatenate([mos_vals, np.zeros(len(sus_vals))])
-        )
-        sus_data = template.dyn_data(
-            np.concatenate([np.zeros(len(mos_vals)), sus_vals])
-        )
-        for k, freq in enumerate(freqs):
-            omega = 2.0 * np.pi * freq
-            try:
-                solutions[k], _recovered = template.solve_data(
-                    g_data + (1j * omega) * sus_data, rhs
-                )
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"AC solve failed at {freq:.3g} Hz: {exc}"
-                ) from exc
-        return AcResult(compiled=compiled, freqs=freqs, solutions=solutions)
-
-    # Dense path: both parts assembled once, sliced to the core.
-    g_core, sus_core = _dense_ac_parts(compiled, op)
+    solutions = np.zeros((len(freqs), compiled.size), dtype=complex)
     for k, freq in enumerate(freqs):
         omega = 2.0 * np.pi * freq
         try:
-            solutions[k], _recovered = solve_mna(
-                g_core + (1j * omega) * sus_core, rhs[:size]
+            solutions[k], _recovered = template.solve_data(
+                g + (1j * omega) * sus, rhs
             )
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"AC solve failed at {freq:.3g} Hz: {exc}"
             ) from exc
-
     return AcResult(compiled=compiled, freqs=freqs, solutions=solutions)
 
 
@@ -214,10 +190,13 @@ def ac_analysis_many(
     Failures are captured per member: the returned list holds an
     :class:`AcResult` or the exception the serial call would have raised
     (:class:`~repro.errors.SingularMatrixError`).
+
+    Raises:
+        SimulationError: For an invalid sweep grid, before any member is
+            solved (also for an empty batch).
     """
+    freqs = _sweep_frequencies(f_start, f_stop, points_per_decade)
     results: list = [None] * len(compileds)
-    if not compileds:
-        return results
 
     def serial(i: int) -> None:
         try:
@@ -234,13 +213,6 @@ def ac_analysis_many(
         else:
             groups.setdefault(compiled.size, []).append(i)
 
-    if f_start <= 0 or f_stop <= f_start:
-        raise SimulationError("need 0 < f_start < f_stop")
-    if points_per_decade < 1:
-        raise SimulationError("points_per_decade must be >= 1")
-    decades = np.log10(f_stop / f_start)
-    n_points = max(2, int(np.ceil(decades * points_per_decade)) + 1)
-    freqs = np.logspace(np.log10(f_start), np.log10(f_stop), n_points)
     omegas = 2.0 * np.pi * freqs
     stats = kernel.active()
 
@@ -249,10 +221,8 @@ def ac_analysis_many(
         if stats is not None:
             for _ in members:
                 stats.count_analysis("ac")
-        g, sus = map(
-            np.stack,
-            zip(*(_dense_ac_parts(compileds[i], ops[i]) for i in members)),
-        )
+        parts = [_ac_parts(compileds[i], ops[i])[1:] for i in members]
+        g, sus = map(np.stack, zip(*parts))
         rhs = np.stack([compileds[i].ac_source_rhs()[:size] for i in members])
         # Slice the (K, F, N, N) stack to about AC_SLICE_BYTES per solve:
         # whole members while they fit, else frequency runs of one member.

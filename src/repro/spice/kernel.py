@@ -324,10 +324,12 @@ class SystemTemplate:
         self._dyn_cols = np.asarray(dyn_cols, dtype=np.intp)
 
         if backend == DENSE:
+            # The static part in the dense data layout: the (N+1)²
+            # matrix whose ghost row/column absorbs ground stamps.
             base = np.zeros((size + 1, size + 1), dtype=dtype)
             if len(s_vals):
                 np.add.at(base, (s_rows, s_cols), s_vals)
-            self._base = base
+            self._static = base
         else:
             self._build_sparse(s_rows, s_cols, s_vals)
 
@@ -358,7 +360,7 @@ class SystemTemplate:
         static_data = np.zeros(nnz + 1, dtype=self.dtype)
         if n_static:
             np.add.at(static_data, self._static_slots, s_vals)
-        self._static_data = static_data
+        self._static = static_data
         # SuperLU column order, recorded by the first successful
         # factorization (see :meth:`_splu`); ``None`` until then.
         self._perm_c: np.ndarray | None = None
@@ -428,23 +430,41 @@ class SystemTemplate:
         return lambda rhs: lu.solve(rhs[order])[perm_c]
 
     # -- assembly -------------------------------------------------------
+    #
+    # "Data" is the assembled system in the backend's layout: the core
+    # ``(N, N)`` slice of the ``(N+1)²`` matrix on the dense backend, the
+    # CSC data vector (plus its trash slot) on the sparse one.  Data
+    # values add and scale elementwise, so an analysis can combine parts
+    # assembled once (the AC sweep's ``G + jω·S``) and solve the result
+    # with :meth:`solve_data`.
+
+    def _add_dyn(self, full: np.ndarray, dyn_vals: np.ndarray) -> np.ndarray:
+        """Accumulate ``dyn_vals`` into ``full`` (the layout of the
+        static part, ghost entries included) in place; returns the data
+        the solver reads."""
+        dyn_vals = np.asarray(dyn_vals, dtype=self.dtype)
+        if self.backend == DENSE:
+            if len(self._dyn_rows):
+                np.add.at(full, (self._dyn_rows, self._dyn_cols), dyn_vals)
+            return full[: self.size, : self.size]
+        if len(self._dyn_slots):
+            np.add.at(full, self._dyn_slots, dyn_vals)
+        return full
+
+    def _assemble(self, dyn_vals: np.ndarray) -> np.ndarray:
+        """The data of the static part with ``dyn_vals`` stamped on top."""
+        return self._add_dyn(self._static.copy(), dyn_vals)
 
     def dyn_data(self, dyn_vals: np.ndarray) -> np.ndarray:
-        """Sparse only: the dynamic values accumulated into a data
-        vector (same layout as :attr:`static_data`), without the static
-        part.  Used by the AC sweep to precompute the frequency-scaled
-        susceptance data once."""
-        assert self.backend == SPARSE
-        data = np.zeros(self._nnz + 1, dtype=self.dtype)
-        if len(self._dyn_slots):
-            np.add.at(data, self._dyn_slots, np.asarray(dyn_vals, dtype=self.dtype))
-        return data
+        """The data of ``dyn_vals`` alone, without the static part."""
+        return self._add_dyn(np.zeros_like(self._static), dyn_vals)
 
     @property
     def static_data(self) -> np.ndarray:
-        """Sparse only: the prefilled static data vector."""
-        assert self.backend == SPARSE
-        return self._static_data
+        """The data of the static part (shared: do not modify)."""
+        if self.backend == DENSE:
+            return self._static[: self.size, : self.size]
+        return self._static
 
     def _csc(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
         n = self.size
@@ -453,19 +473,11 @@ class SystemTemplate:
         )
         return mat
 
-    def _dense_matrix(self, dyn_vals: np.ndarray) -> np.ndarray:
-        a = self._base.copy()
-        if len(self._dyn_rows):
-            np.add.at(a, (self._dyn_rows, self._dyn_cols), dyn_vals)
-        return a[: self.size, : self.size]
-
     def dense_matrix(self, dyn_vals: np.ndarray) -> np.ndarray:
         """The fully assembled dense core matrix (rescue/debug path)."""
+        data = self._assemble(dyn_vals)
         if self.backend == DENSE:
-            return self._dense_matrix(np.asarray(dyn_vals, dtype=self.dtype))
-        data = self._static_data.copy()
-        if len(self._dyn_slots):
-            np.add.at(data, self._dyn_slots, np.asarray(dyn_vals, dtype=self.dtype))
+            return data
         return self._csc(data).toarray()
 
     # -- solving --------------------------------------------------------
@@ -480,23 +492,10 @@ class SystemTemplate:
         fallback was needed.  Raises :class:`SingularMatrixError` only
         when even the rescue fails.
         """
-        dyn_vals = np.asarray(dyn_vals, dtype=self.dtype)
-        rhs = np.asarray(rhs[: self.size], dtype=self.dtype)
         stats = active()
-
-        if self.backend == DENSE:
-            if stats is not None:
-                t0 = _clock()
-            a = self._dense_matrix(dyn_vals)
-            if stats is not None:
-                stats.stamp_s += _clock() - t0
-            return solve_dense(a, rhs)
-
         if stats is not None:
             t0 = _clock()
-        data = self._static_data.copy()
-        if len(self._dyn_slots):
-            np.add.at(data, self._dyn_slots, dyn_vals)
+        data = self._assemble(dyn_vals)
         if stats is not None:
             stats.stamp_s += _clock() - t0
         return self.solve_data(data, rhs)
@@ -504,9 +503,10 @@ class SystemTemplate:
     def solve_data(
         self, data: np.ndarray, rhs: np.ndarray
     ) -> tuple[np.ndarray, str | None]:
-        """Sparse only: solve from an explicit (prefabricated) data vector."""
-        assert self.backend == SPARSE
+        """Solve from explicit data (see :meth:`_assemble`/:meth:`dyn_data`)."""
         rhs = np.asarray(rhs[: self.size], dtype=self.dtype)
+        if self.backend == DENSE:
+            return solve_dense(data, rhs)
         stats = active()
         try:
             if stats is not None:
@@ -558,7 +558,7 @@ def templates_compatible(a: SystemTemplate, b: SystemTemplate) -> bool:
             and np.array_equal(a._static_slots, b._static_slots)
             and np.array_equal(a._dyn_slots, b._dyn_slots)
         )
-    return a._base.shape == b._base.shape
+    return a._static.shape == b._static.shape
 
 
 class BatchedSystemTemplate:
@@ -602,10 +602,7 @@ class BatchedSystemTemplate:
         self.backend = first.backend
         self._dyn_rows = first._dyn_rows
         self._dyn_cols = first._dyn_cols
-        if self.backend == DENSE:
-            self._base = np.stack([t._base for t in templates])
-        else:
-            self._static_data = np.stack([t._static_data for t in templates])
+        self._static = np.stack([t._static for t in templates])
 
     def solve(
         self,
@@ -648,7 +645,7 @@ class BatchedSystemTemplate:
         stats = active()
         if stats is not None:
             t0 = _clock()
-        a_full = self._base[idx]  # fancy indexing copies
+        a_full = self._static[idx]  # fancy indexing copies
         if len(self._dyn_rows):
             member = np.arange(len(idx))[:, None]
             np.add.at(
@@ -691,7 +688,7 @@ class BatchedSystemTemplate:
         stats = active()
         if stats is not None:
             t0 = _clock()
-        data = self._static_data[idx].copy()
+        data = self._static[idx]  # fancy indexing copies
         first = self.templates[0]
         if len(first._dyn_slots):
             member = np.arange(len(idx))[:, None]

@@ -125,25 +125,6 @@ def phase_margin(freqs: np.ndarray, h: np.ndarray) -> float:
     return _finite(180.0 + ph_u, "phase margin")
 
 
-def input_admittance(v_port: np.ndarray, i_port: np.ndarray) -> np.ndarray:
-    """Complex admittance seen at a port, ``I/V``."""
-    return i_port / v_port
-
-
-def capacitance_from_admittance(freqs: np.ndarray, y: np.ndarray, at_index: int = 0) -> float:
-    """Extract capacitance from ``Im(Y)/omega`` at one sweep point."""
-    omega = 2.0 * math.pi * float(np.asarray(freqs)[at_index])
-    return _finite(float(np.imag(y[at_index]) / omega), "capacitance")
-
-
-def resistance_from_admittance(y: np.ndarray, at_index: int = 0) -> float:
-    """Extract parallel resistance from ``1/Re(Y)`` at one sweep point."""
-    real = float(np.real(y[at_index]))
-    if real == 0.0:
-        raise MeasureError("port has zero real admittance")
-    return _finite(1.0 / real, "resistance")
-
-
 # --- transient measures ------------------------------------------------------
 
 

@@ -7,9 +7,11 @@ assemble system matrices quickly.  Unknowns are ordered as
 ``[node voltages (0..N-1), branch currents (N..N+M-1)]``
 
 where branches exist for voltage sources, VCVS elements and inductors.
-Ground is mapped to a ghost index equal to ``size`` — matrices are built
-one row/column larger and the ghost row/column is simply ignored — which
-keeps every stamp a branch-free vectorized ``np.add.at``.
+Ground is mapped to a ghost index equal to ``size`` — vectors are built
+one entry larger and the ghost entry is simply ignored — which keeps
+every stamp a branch-free vectorized ``np.add.at``.  System matrices are
+assembled by :class:`~repro.spice.kernel.SystemTemplate` from the COO
+triplets and patterns provided here, which may reference the ghost too.
 """
 
 from __future__ import annotations
@@ -32,28 +34,8 @@ from repro.spice.elements import (
     Vcvs,
     VoltageSource,
 )
-from repro.spice.kernel import (  # noqa: F401  (re-exported for back-compat)
-    RECOVERY_TIKHONOV,
-    TIKHONOV_LAMBDA,
-)
 from repro.spice.netlist import Circuit, is_ground
 from repro.tech.rules import DesignRules
-
-
-def solve_mna(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, str | None]:
-    """Solve one dense MNA system with a singularity fallback.
-
-    A clean direct solve returns ``(x, None)``; a singular (or
-    non-finite) system falls through to the Tikhonov-regularized rescue
-    shared with the sparse backend (:func:`repro.spice.kernel
-    .tikhonov_rescue`), returning ``(x, "tikhonov")`` so callers can
-    annotate the recovery.
-
-    Raises:
-        SingularMatrixError: When even the regularized solve yields a
-            non-finite solution.
-    """
-    return kernel.solve_dense(a, rhs)
 
 
 class CompiledCircuit:
@@ -138,13 +120,6 @@ class CompiledCircuit:
         except KeyError:
             raise NetlistError(f"unknown node {node!r}") from None
 
-    def voltage(self, x: np.ndarray, node: str) -> float | np.ndarray:
-        """Voltage of ``node`` from a solution vector (0 for ground)."""
-        idx = self.index_of(node)
-        if idx == self.ghost:
-            return x[..., 0] * 0.0
-        return x[..., idx]
-
     # -- precomputation ---------------------------------------------------
 
     def _build_linear_arrays(self) -> None:
@@ -190,70 +165,10 @@ class CompiledCircuit:
         self._mos_csb = np.array([p.csb for p in params])
         self.mos_params = params
 
-    # -- linear matrices ----------------------------------------------------
-
-    def _empty_matrix(self, dtype=float) -> np.ndarray:
-        return np.zeros((self.size + 1, self.size + 1), dtype=dtype)
+    # -- right-hand sides -------------------------------------------------
 
     def _empty_vector(self, dtype=float) -> np.ndarray:
         return np.zeros(self.size + 1, dtype=dtype)
-
-    def conductance_linear(self) -> np.ndarray:
-        """Constant conductance/branch-topology matrix.
-
-        Contains resistor stamps, VCCS stamps, and the topology rows of
-        voltage sources and VCVS elements.  Inductor branch rows are
-        analysis-dependent and stamped by each analysis.
-        """
-        a = self._empty_matrix()
-        _stamp_two_terminal(a, self._res_a, self._res_b, self._res_g)
-
-        idx = self.index_of
-        for e in self.vccs_elements:
-            na, nb = idx(e.a), idx(e.b)
-            cp, cm = idx(e.ctrl_plus), idx(e.ctrl_minus)
-            a[na, cp] += e.gain
-            a[na, cm] -= e.gain
-            a[nb, cp] -= e.gain
-            a[nb, cm] += e.gain
-
-        for src in self.vsources:
-            br = self.branch_index[src.name]
-            p, n = idx(src.plus), idx(src.minus)
-            a[p, br] += 1.0
-            a[n, br] -= 1.0
-            a[br, p] += 1.0
-            a[br, n] -= 1.0
-
-        for e in self.vcvs_elements:
-            br = self.branch_index[e.name]
-            p, n = idx(e.plus), idx(e.minus)
-            cp, cm = idx(e.ctrl_plus), idx(e.ctrl_minus)
-            a[p, br] += 1.0
-            a[n, br] -= 1.0
-            a[br, p] += 1.0
-            a[br, n] -= 1.0
-            a[br, cp] -= e.gain
-            a[br, cm] += e.gain
-
-        return a
-
-    def capacitance_linear(self) -> np.ndarray:
-        """Capacitance matrix of the fixed (element) capacitors."""
-        c = self._empty_matrix()
-        _stamp_two_terminal(c, self._cap_a, self._cap_b, self._cap_c)
-        return c
-
-    def stamp_inductors_dc(self, a: np.ndarray) -> None:
-        """Stamp inductors as shorts (their branch rows) for DC analysis."""
-        idx = self.index_of
-        for ind in self.inductors:
-            br = self.branch_index[ind.name]
-            na, nb = idx(ind.a), idx(ind.b)
-            a[na, br] += 1.0
-            a[nb, br] -= 1.0
-            a[br, na] += 1.0
-            a[br, nb] -= 1.0
 
     def source_rhs(self, t: float | None = None, scale: float = 1.0) -> np.ndarray:
         """Right-hand side from independent sources.
@@ -541,39 +456,12 @@ class CompiledCircuit:
             vs,
         )
 
-    def stamp_mosfets(
-        self,
-        a: np.ndarray,
-        rhs: np.ndarray,
-        ev: MosEval,
-        x: np.ndarray,
-    ) -> None:
-        """Stamp the Newton companion model of every MOSFET.
-
-        ``a`` receives the conductances (gm, gds, gms) and ``rhs`` the
-        linearization-equivalent current sources, evaluated at ``x``.
-        """
-        if ev is None:
-            return
-        d, g, s = self._mos_d, self._mos_g, self._mos_s
-        gm, gds = ev.gm, ev.gds
-        gms = ev.gms
-
-        np.add.at(a, (d, d), gds)
-        np.add.at(a, (d, g), gm)
-        np.add.at(a, (d, s), gms)
-        np.add.at(a, (s, d), -gds)
-        np.add.at(a, (s, g), -gm)
-        np.add.at(a, (s, s), -gms)
-
-        self.stamp_mos_rhs(rhs, ev, x)
-
     def stamp_mos_rhs(self, rhs: np.ndarray, ev: MosEval, x: np.ndarray) -> None:
-        """Stamp only the linearization-equivalent current sources.
+        """Stamp the linearization-equivalent current sources.
 
-        The conductance half of the companion model goes through the
-        solver-kernel template (:meth:`mos_conductance_values`); this is
-        the right-hand-side half, shared with :meth:`stamp_mosfets`.
+        The conductance half of the Newton companion model goes through
+        the solver-kernel template (:meth:`mos_conductance_values`); this
+        is the right-hand-side half, evaluated at ``x``.
         """
         if ev is None:
             return
@@ -582,31 +470,6 @@ class CompiledCircuit:
         ieq = ev.ids - ev.gm * xg[g] - ev.gds * xg[d] - ev.gms * xg[s]
         np.add.at(rhs, d, -ieq)
         np.add.at(rhs, s, ieq)
-
-    def stamp_mosfets_ac(self, a: np.ndarray, ev: MosEval) -> None:
-        """Stamp only the small-signal conductances (for AC analysis)."""
-        if ev is None:
-            return
-        d, g, s = self._mos_d, self._mos_g, self._mos_s
-        np.add.at(a, (d, d), ev.gds.astype(a.dtype))
-        np.add.at(a, (d, g), ev.gm.astype(a.dtype))
-        np.add.at(a, (d, s), ev.gms.astype(a.dtype))
-        np.add.at(a, (s, d), -ev.gds.astype(a.dtype))
-        np.add.at(a, (s, g), -ev.gm.astype(a.dtype))
-        np.add.at(a, (s, s), -ev.gms.astype(a.dtype))
-
-    def mos_capacitance(self, ev: MosEval, dtype=float) -> np.ndarray:
-        """Capacitance matrix contribution of all MOSFETs at a bias point."""
-        c = self._empty_matrix(dtype=dtype)
-        if ev is None:
-            return c
-        d, g, s, b = self._mos_d, self._mos_g, self._mos_s, self._mos_b
-        _stamp_two_terminal(c, g, s, ev.cgs.astype(dtype))
-        _stamp_two_terminal(c, g, d, ev.cgd.astype(dtype))
-        _stamp_two_terminal(c, g, b, ev.cgb.astype(dtype))
-        _stamp_two_terminal(c, d, b, ev.cdb.astype(dtype))
-        _stamp_two_terminal(c, s, b, ev.csb.astype(dtype))
-        return c
 
     def mos_eval_by_name(self, ev: MosEval, name: str) -> dict[str, float]:
         """Per-device operating-point data for the MOSFET called ``name``."""
@@ -625,23 +488,10 @@ class CompiledCircuit:
         raise NetlistError(f"no MOSFET named {name!r}")
 
 
-def _stamp_two_terminal(
-    a: np.ndarray, ia: np.ndarray, ib: np.ndarray, values: np.ndarray
-) -> None:
-    """Stamp two-terminal admittance-like values into matrix ``a``."""
-    if len(np.atleast_1d(values)) == 0:
-        return
-    np.add.at(a, (ia, ia), values)
-    np.add.at(a, (ib, ib), values)
-    np.add.at(a, (ia, ib), -values)
-    np.add.at(a, (ib, ia), -values)
-
-
 def _two_terminal_pattern(
     ia: np.ndarray, ib: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """COO (rows, cols) of two-terminal stamps — same entry order as
-    :func:`_stamp_two_terminal` so values pair up via
+    """COO (rows, cols) of two-terminal stamps; values pair up via
     :func:`_two_terminal_values`."""
     return (
         np.concatenate([ia, ib, ia, ib]),

@@ -49,6 +49,16 @@ def test_port_resistance_of_known_resistor(tech):
     assert res == pytest.approx(3.3e3, rel=0.01)
 
 
+def test_port_resistance_of_open_port_raises(tech):
+    # Only a capacitor at the port: Re(Y) is exactly zero, so there is
+    # no finite resistance to report.
+    tb = Circuit("open")
+    tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
+    tb.add_capacitor("c1", "a", "0", 7e-15)
+    with pytest.raises(MeasureError, match="zero real admittance"):
+        tbh.port_resistance("vp")(*tbh.run_ac(tb, tech))
+
+
 def test_port_resistance_negative_reported_as_magnitude(tech):
     # A negative conductance (VCCS feedback) reports its magnitude.
     tb = Circuit("neg")

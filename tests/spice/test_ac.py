@@ -6,6 +6,7 @@ import pytest
 from repro.devices.mosfet import MosGeometry
 from repro.spice import Circuit, CompiledCircuit, ac_analysis, dc_operating_point
 from repro.spice import measure
+from repro.spice.ac import ac_analysis_many
 
 
 def run_ac(circuit, tech, **kw):
@@ -112,3 +113,13 @@ def test_invalid_sweep_rejected(tech):
         ac_analysis(cc, op, f_start=1e6, f_stop=1e3)
     with pytest.raises(SimulationError):
         ac_analysis(cc, op, points_per_decade=0)
+    # The batched form checks the grid before it solves any member,
+    # even when there is none.
+    for batch in ([cc], []):
+        ops = [op] * len(batch)
+        with pytest.raises(SimulationError):
+            ac_analysis_many(batch, ops, f_start=1e6, f_stop=1e3)
+        with pytest.raises(SimulationError):
+            ac_analysis_many(batch, ops, f_start=0.0)
+        with pytest.raises(SimulationError):
+            ac_analysis_many(batch, ops, points_per_decade=0)

@@ -52,19 +52,6 @@ def test_no_unity_crossing_raises(freqs):
         measure.unity_gain_frequency(freqs, h)
 
 
-def test_capacitance_from_admittance(freqs):
-    c = 2e-12
-    y = 1j * 2 * np.pi * freqs * c
-    assert measure.capacitance_from_admittance(freqs, y, 10) == pytest.approx(c)
-
-
-def test_resistance_from_admittance():
-    y = np.array([1.0 / 5e3 + 0j])
-    assert measure.resistance_from_admittance(y) == pytest.approx(5e3)
-    with pytest.raises(MeasureError):
-        measure.resistance_from_admittance(np.array([0j]))
-
-
 def test_crossing_times_directions():
     t = np.linspace(0, 1, 1001)
     wave = np.sin(2 * np.pi * 3 * t)

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.devices.mosfet import MosGeometry
 from repro.spice import (
     Circuit,
     CompiledCircuit,
@@ -24,6 +25,7 @@ from repro.spice import (
     kernel,
     transient,
 )
+from repro.spice import ac as ac_module
 from repro.spice.waveforms import Pulse
 from repro.tech import Technology
 
@@ -73,21 +75,60 @@ def test_rc_ladder_waveforms_agree_pointwise(tech):
     )
 
 
-def test_ac_sweep_agrees_across_backends(tech):
+def _rc_filter(tech):
     c = Circuit("rcfilt")
     c.add_vsource("vin", "in", "0", 0.0, ac_magnitude=1.0)
     c.add_resistor("r1", "in", "out", 10e3)
     c.add_capacitor("c1", "out", "0", 1e-12)
-    cc = CompiledCircuit(c, tech.rules)
-    op = dc_operating_point(cc)
-    with use_solver("dense"):
-        dense = ac_analysis(cc, op)
-    with use_solver("sparse"):
-        sparse = ac_analysis(cc, op)
-    np.testing.assert_allclose(dense.freqs, sparse.freqs)
-    np.testing.assert_allclose(
-        sparse.v("out"), dense.v("out"), rtol=1e-9, atol=1e-15
-    )
+    return c
+
+
+def _every_ac_stamp(tech):
+    """MOSFETs, an inductor, a VCVS, a VCCS, and four resistors on
+    ``out`` -- two with ``out`` as their first terminal, two as their
+    second -- so duplicate stamps of every kind meet in one entry."""
+    c = Circuit("mixed")
+    c.add_vsource("vdd", "vdd", "0", 0.8)
+    c.add_vsource("vin", "in", "0", 0.45, ac_magnitude=1.0)
+    c.add_mosfet("m1", "out", "in", "s", "0", tech.nmos, MosGeometry(8, 4, 1))
+    c.add_mosfet("m2", "out", "in", "0", "0", tech.nmos, MosGeometry(8, 2, 1))
+    c.add_resistor("r1", "vdd", "out", 5e3)
+    c.add_resistor("r2", "out", "x", 20e3)
+    c.add_resistor("r3", "x", "out", 30e3)
+    c.add_resistor("r4", "out", "0", 50e3)
+    c.add_inductor("l1", "x", "s", 1e-9)
+    c.add_resistor("r5", "s", "0", 200.0)
+    c.add_vcvs("e1", "y", "0", "out", "0", 0.5)
+    c.add_resistor("r6", "y", "0", 1e3)
+    c.add_vccs("g1", "x", "0", "y", "0", 1e-4)
+    c.add_capacitor("c1", "out", "0", 10e-15)
+    return c
+
+
+def test_ac_sweep_agrees_across_backends(tech):
+    """Both backends assemble G and S from the same AC template triplets
+    in the same order, so the parts agree bit for bit and only the LU
+    factorization separates the solutions."""
+    for build in (_rc_filter, _every_ac_stamp):
+        cc = CompiledCircuit(build(tech), tech.rules)
+        op = dc_operating_point(cc)
+        parts, sweeps = {}, {}
+        for backend in ("dense", "sparse"):
+            with use_solver(backend):
+                template, g, sus = ac_module._ac_parts(cc, op)
+                assert template.backend == backend
+                if backend == "sparse":
+                    g = template._csc(g).toarray()
+                    sus = template._csc(sus).toarray()
+                parts[backend] = g, sus
+                sweeps[backend] = ac_analysis(cc, op)
+        for dense_part, sparse_part in zip(parts["dense"], parts["sparse"]):
+            assert np.array_equal(dense_part, sparse_part), cc.circuit.name
+        dense, sparse = sweeps["dense"], sweeps["sparse"]
+        np.testing.assert_array_equal(dense.freqs, sparse.freqs)
+        np.testing.assert_allclose(
+            sparse.solutions, dense.solutions, rtol=1e-12, atol=1e-15
+        )
 
 
 @pytest.fixture(scope="module")
