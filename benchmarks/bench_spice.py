@@ -13,11 +13,14 @@ ring-oscillator VCO) on two solver backends --
 -- and writes wall-clock, solver counters (steps, rejections,
 factorizations) and measured metrics to ``BENCH_spice.json``.  It also
 times the 5T-OTA primitive-selection sweep serial vs stacked (the
-vectorized multi-variant engine at ``STACK_WIDTH = 8``).  Three
-properties are asserted, not just recorded:
+vectorized multi-variant engine at ``STACK_WIDTH = 8``).  Each
+configuration measures circuit objects built fresh for it, so neither
+backend runs on caches the other warmed.  Four properties are asserted,
+not just recorded:
 
 * every configuration reproduces the baseline metrics within the cost
   function's noise tolerance,
+* every configuration runs the same number of transient steps,
 * the sparse backend beats the dense baseline by >= 2x wall-clock on
   the VCO transient (the dominant cost in the paper's Table VIII
   runtime), and
@@ -101,7 +104,14 @@ def conventional_choices(circuit) -> dict[str, LayoutChoice]:
 
 
 def _testbenches(tech: Technology, smoke: bool) -> list[tuple]:
-    """(label, measure-thunk, skip_metrics) per benchmark circuit.
+    """(label, make_thunk, skip_metrics) per benchmark circuit.
+
+    ``make_thunk()`` builds fresh circuit objects (and, for the full
+    run, the assembled VCO) and returns the measure thunk to time.
+    :func:`bench_circuit` calls it once per configuration, outside the
+    timed region, so no configuration runs warm on state another one
+    cached -- the VCO caches its cell's schematic-reference delay
+    transient on first use.
 
     ``skip_metrics`` names metrics excluded from the agreement assert.
     Only the smoke run skips anything: StrongARM ``power`` integrates a
@@ -111,33 +121,41 @@ def _testbenches(tech: Technology, smoke: bool) -> list[tuple]:
     solver accuracy.  The full run steps at dt=0.5ps, where the metric
     is converged and all configurations agree to ~0.1%.
     """
-    ota = FiveTransistorOta(tech)
-    comparator = StrongArmComparator(tech)
-    vco = RingOscillatorVco(tech)
+
+    def ota_schematic():
+        ota = FiveTransistorOta(tech)
+        return lambda: ota.measure(ota.schematic())
+
+    def strongarm_schematic():
+        comparator = StrongArmComparator(tech)
+        return lambda: comparator.measure(
+            comparator.schematic(), dt=2e-12 if smoke else 5e-13
+        )
+
+    def vco_schematic():
+        vco = RingOscillatorVco(tech)
+        return lambda: vco.measure(
+            vco.schematic(), periods=6, steps_per_period=150
+        )
+
+    def vco_assembled():
+        # The acceptance workload: extracted 8-stage VCO, full transient.
+        vco = RingOscillatorVco(tech)
+        dut = vco.assembled(conventional_choices(vco))
+        return lambda: vco.measure(dut)
+
     benches = [
-        ("ota_schematic", lambda: ota.measure(ota.schematic()), set()),
+        ("ota_schematic", ota_schematic, set()),
         (
             "strongarm_schematic",
-            lambda: comparator.measure(
-                comparator.schematic(), dt=2e-12 if smoke else 5e-13
-            ),
+            strongarm_schematic,
             {"power"} if smoke else set(),
         ),
     ]
     if smoke:
-        benches.append(
-            (
-                "vco_schematic",
-                lambda: vco.measure(
-                    vco.schematic(), periods=6, steps_per_period=150
-                ),
-                set(),
-            )
-        )
+        benches.append(("vco_schematic", vco_schematic, set()))
     else:
-        # The acceptance workload: extracted 8-stage VCO, full transient.
-        dut = vco.assembled(conventional_choices(vco))
-        benches.append(("vco_assembled", lambda: vco.measure(dut), set()))
+        benches.append(("vco_assembled", vco_assembled, set()))
     return benches
 
 
@@ -160,16 +178,22 @@ def _run(measure_thunk, solver: str) -> dict:
     }
 
 
-def bench_circuit(label: str, measure_thunk, skip_metrics: set) -> dict:
+def bench_circuit(label: str, make_thunk, skip_metrics: set) -> dict:
     rows = {}
     for name, solver in CONFIGS:
-        rows[name] = _run(measure_thunk, solver)
+        rows[name] = _run(make_thunk(), solver)
         print(
             f"  {label}/{name}: {rows[name]['wall_s']}s, "
             f"{rows[name]['tran_steps']} steps "
             f"({rows[name]['tran_rejected']} rejected), "
             f"{rows[name]['factorizations']} factorizations"
         )
+    # Both backends step the same fixed grid; unequal step counts mean
+    # one configuration reused state another one computed.
+    steps = {name: row["tran_steps"] for name, row in rows.items()}
+    assert len(set(steps.values())) == 1, (
+        f"{label}: configurations ran unequal transient steps {steps}"
+    )
     baseline = rows["fixed_dense"]
     for name, row in rows.items():
         for key, ref in baseline["metrics"].items():

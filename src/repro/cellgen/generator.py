@@ -32,7 +32,8 @@ from repro.cellgen.patterns import PatternRows, pattern_rows
 from repro.devices.mosfet import MosGeometry
 from repro.errors import LayoutError
 from repro.geometry.layout import DevicePlacement, Layout, Port, Via, Wire
-from repro.geometry.shapes import Point, Rect
+from repro.geometry.shapes import Point, Rect, bounding_box
+from repro.spice.netlist import is_power_net
 from repro.tech.pdk import Technology
 
 #: Number of vertical trunk rails per net (fixed mesh density).
@@ -213,7 +214,7 @@ def _build_layout(
     signal_base = 2 if multi_row else 1
     power_base = 4 if multi_row else 2
     straps_per_net = {
-        net: (power_base if _is_power(net) else signal_base) + wires.straps(net)
+        net: (power_base if is_power_net(net) else signal_base) + wires.straps(net)
         for net in nets
     }
 
@@ -340,11 +341,8 @@ def _build_layout(
                 )
 
     # --- vertical rails ----------------------------------------------------
-    wired_nets = [
-        net
-        for net in nets
-        if any(net in rec["strap_slots"] for rec in row_records)
-    ]
+    strapped = {net for rec in row_records for net in rec["strap_slots"]}
+    wired_nets = [net for net in nets if net in strapped]
     rail_x = max_row_right + m3.pitch
     rail_index = 0
     port_positions: dict[str, Rect] = {}
@@ -355,7 +353,7 @@ def _build_layout(
         # "parallel wire" adds a rail — the tuning terminal's RC covers
         # the trunk, not just the row straps.
         base_rails = max(1, min(RAILS_PER_NET, n_rows))
-        n_rails = base_rails * (4 if _is_power(net) else 1)
+        n_rails = base_rails * (4 if is_power_net(net) else 1)
         n_rails += wires.straps(net) - 1
         for copy in range(n_rails):
             x = rail_x + rail_index * 2 * m3.pitch
@@ -393,9 +391,7 @@ def _build_layout(
         layout.ports.append(Port(net=net, layer="M3", rect=port_positions[net]))
 
     # --- well ------------------------------------------------------------
-    device_box = layout.devices[0].rect
-    for placement in layout.devices[1:]:
-        device_box = device_box.union(placement.rect)
+    device_box = bounding_box(p.rect for p in layout.devices)
     layout.well_rect = device_box.expanded(rules.well_enclosure)
 
     layout.metadata = {
@@ -411,13 +407,6 @@ def _build_layout(
         "rows": len(row_records),
     }
     return layout
-
-
-def _is_power(net: str) -> bool:
-    """Power/ground nets get the dense (manually-routed) mesh."""
-    from repro.spice.netlist import is_ground
-
-    return is_ground(net) or net.endswith("!")
 
 
 def _nets_in_order(spec: CellSpec) -> list[str]:

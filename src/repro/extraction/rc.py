@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExtractionError
-from repro.geometry.layout import Layout
+from repro.geometry.layout import Layout, Via, Wire
+from repro.spice.netlist import is_power_net
 from repro.tech.pdk import Technology
 
 #: Floor applied to extracted resistances to keep netlists well-posed.
@@ -72,28 +73,80 @@ def extract_net_parasitics(
     layout: Layout, net: str, tech: Technology
 ) -> NetParasitics:
     """Extract the reduced RC of one net from the layout geometry."""
-    wires = layout.wires_on_net(net)
+    return _net_parasitics(
+        layout, net, layout.wires_on_net(net), layout.vias_on_net(net), tech
+    )
+
+
+def extract_all_nets(layout: Layout, tech: Technology) -> dict[str, NetParasitics]:
+    """Extract every net that has wires in the layout.
+
+    Groups the layout's shapes by net in one pass; each net's result is
+    bitwise equal to :func:`extract_net_parasitics` on that net.
+    """
+    wires_by_net: dict[str, list[Wire]] = {}
+    for wire in layout.wires:
+        wires_by_net.setdefault(wire.net, []).append(wire)
+    vias_by_net: dict[str, list[Via]] = {}
+    for via in layout.vias:
+        vias_by_net.setdefault(via.net, []).append(via)
+    return {
+        net: _net_parasitics(
+            layout, net, wires_by_net[net], vias_by_net.get(net, []), tech
+        )
+        for net in sorted(wires_by_net)
+    }
+
+
+def _net_parasitics(
+    layout: Layout,
+    net: str,
+    wires: list[Wire],
+    vias: list[Via],
+    tech: Technology,
+) -> NetParasitics:
+    """Reduce one net's wires and vias (in layout order) to its RC."""
     if not wires:
         raise ExtractionError(
             f"net {net!r} has no wires in layout {layout.name!r}"
         )
-    stubs = [w for w in wires if w.role == "finger_stub"]
-    straps = [w for w in wires if w.role in ("strap", "strap_jumper")]
-    rails = [w for w in wires if w.role == "rail"]
-    vias = layout.vias_on_net(net)
     stack = tech.stack
-
-    # Total wire + via capacitance.
+    stubs: list[Wire] = []
+    straps: list[Wire] = []
+    rails: list[Wire] = []
+    n_row_straps = 0
+    # Total wire + via capacitance, summed in layout order.
     c_wire = 0.0
     for wire in wires:
+        role = wire.role
+        if role == "finger_stub":
+            stubs.append(wire)
+        elif role == "strap":
+            straps.append(wire)
+            n_row_straps += 1
+        elif role == "strap_jumper":
+            straps.append(wire)
+        elif role == "rail":
+            rails.append(wire)
         layer = stack.metal(wire.layer)
         c_wire += layer.wire_capacitance(wire.length, wire.width)
+    via_capacitance: dict[tuple[str, str], float] = {}
+    n_stub_vias = n_rail_vias = 0
     for via in vias:
-        c_wire += stack.via_between(via.lower_layer, via.upper_layer).capacitance
+        pair = (via.lower_layer, via.upper_layer)
+        c_via = via_capacitance.get(pair)
+        if c_via is None:
+            c_via = stack.via_between(*pair).capacitance
+            via_capacitance[pair] = c_via
+        c_wire += c_via
+        if via.lower_layer == "M1":
+            n_stub_vias += 1
+        if via.upper_layer == "M3":
+            n_rail_vias += 1
 
     nfin_by_device = {p.device: p.nfin for p in layout.devices}
     rows = max(1, layout.metadata.get("rows", 1))
-    straps_per_row = max(1, len([s for s in straps if s.role == "strap"]) // rows)
+    straps_per_row = max(1, n_row_straps // rows)
 
     # Representative strap resistance (full row length, min width).
     r_strap = 0.0
@@ -103,11 +156,18 @@ def extract_net_parasitics(
         strap_length = max(s.length for s in straps)
         r_strap = strap_layer.wire_resistance(strap_length, straps[0].width)
 
+    # Stub via arrays: the same cuts per stub for every branch.
+    per_stub_cuts = max(1, n_stub_vias // max(1, len(stubs)))
+    r_stub_via = stack.via_between("M1", "M2").resistance if vias else 0.0
+
     # Per-device-terminal branches.
+    stubs_by_owner: dict[str, list[Wire]] = {}
+    for stub in stubs:
+        if stub.owner:
+            stubs_by_owner.setdefault(stub.owner, []).append(stub)
     r_branches: dict[str, float] = {}
-    owners = sorted({s.owner for s in stubs if s.owner})
-    for owner in owners:
-        own_stubs = [s for s in stubs if s.owner == owner]
+    for owner in sorted(stubs_by_owner):
+        own_stubs = stubs_by_owner[owner]
         device = owner.split(".")[0]
         nfin = nfin_by_device.get(device, 1)
         stub_layer = stack.metal(own_stubs[0].layer)
@@ -125,28 +185,22 @@ def extract_net_parasitics(
             # Distributed taps along the strap: effective share R/3.
             r += r_strap / (3.0 * straps_per_row * rows_of_device)
         if vias:
-            via_layer = stack.via_between("M1", "M2")
-            stub_vias = [v for v in vias if v.lower_layer == "M1"]
-            per_stub_cuts = max(1, len(stub_vias) // max(1, len(stubs)))
-            r += via_layer.resistance / (per_stub_cuts * len(own_stubs))
+            r += r_stub_via / (per_stub_cuts * len(own_stubs))
         r_branches[owner] = max(MIN_RESISTANCE, r)
 
     # Trunk: vertical rails with distributed taps, port at the end.
     # Power nets keep only their local branch resistance: the manually
     # routed power grid (outside the methodology, as in the paper) taps
     # the cell's power straps from above everywhere.
-    from repro.cellgen.generator import _is_power
-
     r_trunk = MIN_RESISTANCE
-    if rails and not _is_power(net):
+    if rails and not is_power_net(net):
         rail_layer = stack.metal(rails[0].layer)
         rail_len = max(r.length for r in rails)
         r_rail = rail_layer.wire_resistance(rail_len, rails[0].width)
         r_trunk = r_rail / (2.0 * len(rails))
-        rail_vias = [v for v in vias if v.upper_layer == "M3"]
-        if rail_vias:
+        if n_rail_vias:
             via_layer = stack.via_between("M2", "M3")
-            r_trunk += via_layer.resistance / len(rail_vias)
+            r_trunk += via_layer.resistance / n_rail_vias
         r_trunk = max(MIN_RESISTANCE, r_trunk)
 
     return NetParasitics(
@@ -158,12 +212,3 @@ def extract_net_parasitics(
         n_rails=len(rails),
         strap_length=strap_length,
     )
-
-
-def extract_all_nets(layout: Layout, tech: Technology) -> dict[str, NetParasitics]:
-    """Extract every net that has wires in the layout."""
-    result: dict[str, NetParasitics] = {}
-    for net in layout.nets():
-        if layout.wires_on_net(net):
-            result[net] = extract_net_parasitics(layout, net, tech)
-    return result

@@ -5,6 +5,10 @@ placements, wires, vias and ports, all in cell-local integer-nanometre
 coordinates.  The extractor walks these shapes; the placer treats layouts
 as black boxes with a bounding box and ports; assembled blocks reference
 child layouts through :class:`Instance`.
+
+The shape records are slotted and not frozen, like the ones in
+:mod:`repro.geometry.shapes`, and carry no hash; treat an emitted shape
+as a value and build a new one (``dataclasses.replace``) to change it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from repro.errors import LayoutError
 from repro.geometry.shapes import Point, Rect, bounding_box
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Wire:
     """A rectangular wire segment on a metal layer.
 
@@ -40,15 +44,17 @@ class Wire:
     @property
     def length(self) -> int:
         """The long dimension of the wire (nm)."""
-        return max(self.rect.width, self.rect.height)
+        r = self.rect
+        return max(r.x1 - r.x0, r.y1 - r.y0)
 
     @property
     def width(self) -> int:
         """The short dimension of the wire (nm)."""
-        return min(self.rect.width, self.rect.height)
+        r = self.rect
+        return min(r.x1 - r.x0, r.y1 - r.y0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Via:
     """A via (or via array) between two adjacent metal layers."""
 
@@ -63,7 +69,7 @@ class Via:
             raise LayoutError("via needs at least one cut")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Port:
     """An externally-visible pin of a layout."""
 
@@ -72,7 +78,7 @@ class Port:
     rect: Rect
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DevicePlacement:
     """Placement record for one transistor (one (nfin x nf) unit).
 

@@ -1,4 +1,13 @@
-"""Points and axis-aligned rectangles in integer nanometres."""
+"""Points and axis-aligned rectangles in integer nanometres.
+
+Shape records are slotted dataclasses that are not frozen: a cell
+generator builds hundreds of them per layout, and a frozen dataclass
+pays an ``object.__setattr__`` per field on every construction.  They
+are values all the same, and code must not assign to a shape after it
+is emitted.  :class:`Point` and :class:`Rect` keep a value hash because
+verification reports deduplicate violations that carry them through
+sets; a shape mutated inside such a set would corrupt it.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +17,7 @@ from typing import Iterable
 from repro.errors import LayoutError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(slots=True, order=True, unsafe_hash=True)
 class Point:
     """A point on the layout grid (nm)."""
 
@@ -20,7 +29,7 @@ class Point:
         return Point(self.x + dx, self.y + dy)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rect:
     """An axis-aligned rectangle ``[x0, x1] x [y0, y1]`` (nm).
 

@@ -40,6 +40,14 @@ def is_ground(node: str) -> bool:
     return node in GROUND_NAMES or node.lower() == "gnd"
 
 
+def is_power_net(net: str) -> bool:
+    """True for ground and any ``"...!"``-suffixed global supply net.
+
+    Cell layouts give these nets the dense, manually routed power mesh.
+    """
+    return is_ground(net) or net.endswith("!")
+
+
 @dataclass
 class Circuit:
     """A flat netlist of elements.

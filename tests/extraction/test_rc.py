@@ -98,3 +98,28 @@ def test_symmetric_nets_extract_identically(tech, dp_layout):
         outn.branch("MB", "d"), rel=0.05
     )
     assert outp.c_wire == pytest.approx(outn.c_wire, rel=0.05)
+
+
+@pytest.mark.parametrize("pattern", ["ABAB", "ABBA", "CC2D"])
+@pytest.mark.parametrize(
+    "wires",
+    [
+        WireConfig(),
+        WireConfig(parallel={"tail": 4, "outp": 3, "outn": 3}, dummies=True),
+    ],
+    ids=["default", "tuned"],
+)
+def test_all_nets_equal_per_net_extraction(tech, pattern, wires):
+    # extract_all_nets groups shapes in one pass; every net must come
+    # out bitwise equal to the per-net path, which filters the layout.
+    layout = generate_layout(dp_spec(), pattern, tech, wires, verify=False)
+    nets = extract_all_nets(layout, tech)
+    assert set(nets) == {w.net for w in layout.wires}
+    for net, par in nets.items():
+        single = extract_net_parasitics(layout, net, tech)
+        assert par == single
+        assert par.c_wire.hex() == single.c_wire.hex()
+        assert par.r_trunk.hex() == single.r_trunk.hex()
+        assert {k: v.hex() for k, v in par.r_branches.items()} == {
+            k: v.hex() for k, v in single.r_branches.items()
+        }

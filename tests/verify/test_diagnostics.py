@@ -135,6 +135,26 @@ def test_merge_dedups_identical_violations():
     assert len(a.violations) == 2
 
 
+def test_merge_dedups_violations_with_equal_geometry():
+    # Shapes are mutable records; equal but distinct Point/Rect objects
+    # must still hash alike so merge collapses the duplicate.
+    a = Report(target="t")
+    a.add("X", "error", "m", location=Point(3, 4), rect=Rect(0, 0, 6, 8))
+    b = Report(target="t")
+    b.add("X", "error", "m", location=Point(3, 4), rect=Rect(0, 0, 6, 8))
+    b.add("X", "error", "m", location=Point(3, 5), rect=Rect(0, 0, 6, 8))
+    assert a.violations[0].location is not b.violations[0].location
+    a.merge(b)
+    assert len(a.violations) == 2
+
+
+def test_points_and_rects_hash_by_value():
+    assert hash(Point(1, 2)) == hash(Point(1, 2))
+    assert hash(Rect(0, 1, 2, 3)) == hash(Rect(0, 1, 2, 3))
+    assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
+    assert len({Rect(0, 1, 2, 3), Rect(0, 1, 2, 3), Rect(0, 0, 2, 3)}) == 2
+
+
 def test_merge_sorts_violations_stably():
     a = Report(target="zzz")
     a.add("DRC-X", "error", "m", location=Point(5, 0))
