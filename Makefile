@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test faults chaos bench bench-eval bench-spice bench-flow bench-light bench-heavy examples lint devlint verify erc ingest all
+.PHONY: install test faults chaos bench bench-spice bench-flow bench-light bench-heavy examples lint devlint verify erc ingest all
 
 install:
 	pip install -e . --no-build-isolation
@@ -76,15 +76,6 @@ erc:
 	@python -c "import json; rs = json.load(open('$(ERC_REPORT)')); \
 	print(f'{len(rs)} reports -> $(ERC_REPORT)')"
 
-# Evaluation-engine benchmark: serial (stacked) vs content-cached
-# sweeps plus the 5T OTA flow cache reduction, written to
-# $(BENCH_EVAL_OUT) for trend tracking (CI uploads it as an artifact).
-BENCH_EVAL_OUT ?= BENCH_eval.json
-BENCH_EVAL_FLAGS ?=
-
-bench-eval:
-	python benchmarks/bench_eval.py --out $(BENCH_EVAL_OUT) $(BENCH_EVAL_FLAGS)
-
 # SPICE-kernel benchmark: fixed-dense (seed-equivalent) vs fixed-sparse
 # on the OTA / StrongARM / VCO testbenches, asserting metric agreement
 # and the >=2x sparse-over-dense VCO transient speedup.
@@ -103,7 +94,7 @@ BENCH_FLOW_OUT ?= out/BENCH_flow.json
 bench-flow:
 	python3 -m benchmarks.flowbench --smoke --out $(BENCH_FLOW_OUT)
 
-bench: bench-eval bench-spice
+bench: bench-spice
 	pytest benchmarks/ --benchmark-only -s
 
 bench-light:

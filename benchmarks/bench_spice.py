@@ -224,7 +224,6 @@ def bench_batched_selection(tech: Technology, smoke: bool) -> dict:
     from repro.core.selection import evaluate_options
     from repro.runtime import EvalRuntime
     from repro.runtime import batched as engine
-    from repro.runtime.evalcache import EvalCache
 
     rows = {}
     results: dict[int, list] = {}
@@ -247,7 +246,7 @@ def bench_batched_selection(tech: Technology, smoke: bool) -> dict:
             variants = primitive.variants()
             if smoke:
                 variants = variants[:2]
-            runtime = EvalRuntime(cache=EvalCache())
+            runtime = EvalRuntime()
             engine.STACK_WIDTH = width
             start = time.perf_counter()
             try:

@@ -38,11 +38,12 @@ metrics are skipped).
 
 ``optimize`` and ``flow`` share the runtime flags ``--run-dir`` (the
 checkpoint journals, the only state a run keeps on disk),
-``--resume``, ``--retries`` (≥ 0) and ``--cache``/``--no-cache`` (the
-in-memory evaluation cache).  ``--bins``, ``--fins``, ``--max-wires``
-and ``verify --variants`` must be ≥ 1.  Out-of-range values are usage
-errors.  The MNA linear-solver backend is not a flag: it follows the
-system size (:data:`repro.spice.kernel.SPARSE_MIN_SIZE`).
+``--resume`` (needs ``--run-dir``) and ``--retries`` (≥ 0).
+``--bins``, ``--fins``, ``--max-wires`` and ``verify --variants`` must
+be ≥ 1.  Out-of-range values are usage errors.  The in-memory
+evaluation cache is always on, and the MNA linear-solver backend is not
+a flag either: it follows the system size
+(:data:`repro.spice.kernel.SPARSE_MIN_SIZE`).
 """
 
 from __future__ import annotations
@@ -106,15 +107,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     tech = Technology.default()
     library = PrimitiveLibrary()
     primitive = library.create(args.primitive, tech, base_fins=args.fins)
-    if args.resume and not args.run_dir:
-        raise SystemExit("--resume requires --run-dir")
     optimizer = PrimitiveOptimizer(
         n_bins=args.bins,
         max_wires=args.max_wires,
         retries=args.retries,
         run_dir=args.run_dir,
         resume=args.resume,
-        cache=args.cache,
     )
     from repro.runtime import graceful_shutdown
 
@@ -177,8 +175,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         circuit = _build_circuit(args.circuit, tech)
         target = args.circuit
         measure = args.circuit != "vco"  # the VCO needs a control sweep
-    if args.resume and not args.run_dir:
-        raise SystemExit("--resume requires --run-dir")
     flow = HierarchicalFlow(
         tech,
         n_bins=args.bins,
@@ -186,7 +182,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         retries=args.retries,
         run_dir=args.run_dir,
         resume=args.resume,
-        cache=args.cache,
     )
     from repro.runtime import graceful_shutdown
 
@@ -472,12 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_RETRIES,
             help="retries per failed evaluation",
         )
-        p.add_argument(
-            "--cache",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="in-memory content-addressed evaluation cache",
-        )
 
     p_opt = sub.add_parser("optimize", help="run Algorithm 1 on a primitive")
     p_opt.add_argument("primitive")
@@ -644,7 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.run_dir:
+        parser.error("--resume requires --run-dir")
     handlers = {
         "list": cmd_list,
         "optimize": cmd_optimize,

@@ -64,7 +64,7 @@ class OptimizationReport:
         cached_evaluations: Evaluations answered from a checkpoint
             journal without re-simulating (resume bookkeeping).
         cache_stats: Content-cache accounting (``hits``/``stored``)
-            when an :class:`~repro.runtime.EvalCache` was active.  Only
+            of the run's :class:`~repro.runtime.EvalCache`.  Only
             the order-independent fields are reported, so the stats are
             identical for any stack width.
         solver_profile: Solver-kernel profiling counters accumulated by
@@ -160,10 +160,10 @@ class PrimitiveOptimizer:
             reference before any simulation is spent; ERC errors raise
             :class:`~repro.errors.OptimizationError` immediately (a
             broken netlist would corrupt every downstream score).
-        cache: In-memory content-addressed evaluation cache: ``True``
-            builds one, ``False`` disables caching, or pass an
-            :class:`~repro.runtime.EvalCache` to share across
-            optimizers (as the flow does).
+        cache: In-memory content-addressed evaluation cache shared by
+            every run of this optimizer; pass an
+            :class:`~repro.runtime.EvalCache` to share it across
+            optimizers too (as the flow does).  A fresh one by default.
     """
 
     def __init__(
@@ -175,7 +175,7 @@ class PrimitiveOptimizer:
         run_dir: str | os.PathLike | None = None,
         resume: bool = False,
         erc: bool = True,
-        cache: "bool | EvalCache" = True,
+        cache: EvalCache | None = None,
     ):
         self.n_bins = n_bins
         self.max_wires = max_wires
@@ -184,9 +184,7 @@ class PrimitiveOptimizer:
         self.run_dir = run_dir
         self.resume = resume
         self.erc = erc
-        if not isinstance(cache, EvalCache):
-            cache = EvalCache() if cache else None
-        self.cache = cache
+        self.cache = cache if isinstance(cache, EvalCache) else EvalCache()
 
     def _runtime_for(self, primitive) -> EvalRuntime:
         journal = None
@@ -294,14 +292,13 @@ class PrimitiveOptimizer:
                 report.port_constraints[route.net] = constraint
             report.stages.append(StageCount("port_constraints", port_sims))
 
-        report.cached_evaluations = runtime.cache_hits
-        if runtime.cache is not None:
-            # Only the deterministic fields: misses also count lookups
-            # whose evaluation later failed (see CacheStats).
-            report.cache_stats = {
-                "hits": runtime.cache.stats.hits,
-                "stored": runtime.cache.stats.stored,
-            }
+        report.cached_evaluations = runtime.journal_replays
+        # Only the deterministic fields: misses also count lookups whose
+        # evaluation later failed (see CacheStats).
+        report.cache_stats = {
+            "hits": runtime.cache.stats.hits,
+            "stored": runtime.cache.stats.stored,
+        }
         if runtime.solver_stats:
             report.solver_profile = runtime.solver_stats.as_dict()
         return report

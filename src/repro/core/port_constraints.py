@@ -158,7 +158,8 @@ def route_point_task(
     route: GlobalRouteInfo,
     n: int,
     weight_override: dict[str, float] | None = None,
-    cache: EvalCache | None = None,
+    *,
+    cache: EvalCache,
     key_prefix: str = "port",
 ) -> BatchTask:
     """The :class:`~repro.runtime.BatchTask` costing one (port, wire

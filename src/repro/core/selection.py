@@ -37,8 +37,8 @@ class LayoutOption:
             (0 when the content cache answered the evaluation).
         wires: The wire configuration used (tuning updates this).
         cache_key: Content key of the evaluation in the
-            :class:`~repro.runtime.evalcache.EvalCache` (None when no
-            cache was in play).
+            :class:`~repro.runtime.evalcache.EvalCache` (None when a
+            value-affecting fault injector bypassed the cache).
     """
 
     base: MosGeometry
@@ -136,10 +136,13 @@ def evaluate_option(
     pattern: str,
     wires: WireConfig | None = None,
     weight_override: dict[str, float] | None = None,
-    cache: "EvalCache | None" = None,
+    cache: EvalCache | None = None,
 ) -> LayoutOption:
-    """Generate, extract and score a single layout option."""
+    """Generate, extract and score a single layout option (through
+    ``cache``, or a fresh cache when called standalone)."""
     wires = wires or WireConfig()
+    if cache is None:
+        cache = EvalCache()
     # Sweep evaluations skip per-variant verification (the optimizer
     # verifies the options it emits, not every scored candidate).
     layout = primitive.generate(base, pattern, wires, verify=False)
@@ -167,7 +170,7 @@ def option_task(
     pattern: str,
     wires: WireConfig,
     weight_override: dict[str, float] | None,
-    cache: EvalCache | None = None,
+    cache: EvalCache,
 ) -> BatchTask:
     """The :class:`~repro.runtime.BatchTask` evaluating one layout option.
 

@@ -141,8 +141,9 @@ class HierarchicalFlow:
         run_dir: Directory for sweep-checkpoint journals (one JSONL per
             primitive plus ``ports.jsonl``); None disables checkpointing.
         resume: Replay existing journals instead of starting fresh.
-        cache: In-memory content-addressed evaluation cache shared
-            across every stage of the run; ``False`` disables it.
+
+    The flow holds one in-memory content-addressed evaluation cache
+    (:attr:`cache`), shared by every stage of every run.
     """
 
     def __init__(
@@ -158,7 +159,6 @@ class HierarchicalFlow:
         run_dir: str | None = None,
         resume: bool = False,
         waivers: WaiverSet | None = None,
-        cache: bool = True,
     ):
         self.tech = tech
         self.n_bins = n_bins
@@ -171,7 +171,7 @@ class HierarchicalFlow:
         self.run_dir = run_dir
         self.resume = resume
         self.waivers = waivers
-        self.cache = EvalCache() if cache else None
+        self.cache = EvalCache()
 
     # -- public entry ------------------------------------------------------
 
@@ -261,7 +261,7 @@ class HierarchicalFlow:
             retries=self.retries,
             run_dir=self.run_dir,
             resume=self.resume,
-            cache=self.cache if self.cache is not None else False,
+            cache=self.cache,
         )
         for name, primitive in unique.items():
             report = optimizer.optimize(primitive)

@@ -87,7 +87,7 @@ class _Member:
     """
 
     site: Any
-    key: str | None
+    key: str
     result: tuple[dict, int] | None = None
 
 
@@ -166,15 +166,12 @@ class BatchedEvalBatch:
                 # The serial thunk rebuilds and raises identically at
                 # consumption (e.g. a LayoutError).
                 continue
-            key = None
-            if cache is not None:
-                key = cache.key_for(spec.primitive, circuit, spec.weight_override)
-                if key in known or key in cache:
-                    # Predicted hit: resolved by a real get at consumption.
-                    self._members[i] = _Member(site, key)
-                    continue
-                known.add(key)
+            key = cache.key_for(spec.primitive, circuit, spec.weight_override)
             self._members[i] = _Member(site, key)
+            if key in known or key in cache:
+                # Predicted hit: resolved by a real get at consumption.
+                continue
+            known.add(key)
             sim_indices.append(i)
             sim_circuits.append(circuit)
 
@@ -213,19 +210,13 @@ class BatchedEvalBatch:
             if ctx is not None and ctx.attempt > 0:
                 return task.thunk()
             spec = task.batch_spec
-            cache = runtime.cache
-            if member.key is not None and cache is not None:
-                hit = cache.get(member.key)
-                if hit is not None:
-                    return spec.finish(member.site, hit["values"], 0, member.key)
-                if member.result is None:
-                    return task.thunk()
-                values, sims = member.result
-                cache.put(member.key, values, sims)
-                return spec.finish(member.site, values, sims, member.key)
+            hit = runtime.cache.get(member.key)
+            if hit is not None:
+                return spec.finish(member.site, hit["values"], 0, member.key)
             if member.result is None:
                 return task.thunk()
             values, sims = member.result
+            runtime.cache.put(member.key, values, sims)
             return spec.finish(member.site, values, sims, member.key)
 
         return runtime.evaluate(

@@ -27,7 +27,9 @@ counts in their names) but element names, nodes, model cards and every
 numeric parameter participate, so any sizing (nfin/nf/m), pattern or wire
 change produces a different key.
 
-Two deliberate bypasses keep cached runs equivalent to uncached ones:
+The cache is always on: every
+:class:`~repro.runtime.policy.EvalRuntime` holds one.  Two deliberate
+bypasses keep cached runs equivalent to uncached ones:
 
 * **Fault injection** — injected faults are keyed on the *evaluation*
   key, not the content key, so a content hit could swallow a fault that
@@ -53,9 +55,9 @@ from dataclasses import dataclass
 from repro.runtime import faults
 from repro.spice.netlist import Circuit
 
-#: Default in-memory LRU capacity (entries, not bytes: one entry is a
-#: small dict of metric floats).
-DEFAULT_MAXSIZE = 4096
+#: In-memory LRU capacity (entries, not bytes: one entry is a small dict
+#: of metric floats), read when a cache is constructed.
+MAXSIZE = 4096
 
 #: Revision of the simulator's numerics, hashed into every content key.
 #: Bump it whenever a change moves simulated values (stepping, device
@@ -176,17 +178,11 @@ class _Entry:
 
 
 class EvalCache:
-    """In-memory LRU evaluation cache.
+    """In-memory LRU evaluation cache of :data:`MAXSIZE` entries; the
+    least-recently-used entries are evicted first."""
 
-    Args:
-        maxsize: Entry bound; least-recently-used entries are evicted
-            first.
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+    def __init__(self):
+        self.maxsize = MAXSIZE
         self.stats = CacheStats()
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
 
@@ -244,20 +240,19 @@ class EvalCache:
 def evaluate_circuit_cached(
     primitive,
     circuit: Circuit,
-    cache: EvalCache | None,
+    cache: EvalCache,
     weight_override: dict[str, float] | None = None,
 ) -> tuple[dict[str, float], int, str | None]:
     """Run ``primitive.evaluate(circuit)`` through the content cache.
 
     Returns ``(values, simulations, content_key)``; a cache hit costs 0
-    simulations.  ``content_key`` is None when the cache is bypassed —
-    no cache configured, or a *value-affecting* fault injector is active
-    (injected solver/metric faults key on evaluation keys, so serving
-    content hits would change which faults fire; see the module
-    docstring).
+    simulations.  ``content_key`` is None when the cache is bypassed
+    because a *value-affecting* fault injector is active (injected
+    solver/metric faults key on evaluation keys, so serving content hits
+    would change which faults fire; see the module docstring).
     """
     injector = faults.active()
-    if cache is None or (injector is not None and injector.spec.affects_values):
+    if injector is not None and injector.spec.affects_values:
         values, sims = primitive.evaluate(circuit)
         return values, sims, None
     key = cache.key_for(primitive, circuit, weight_override)

@@ -33,6 +33,7 @@ from typing import Any, Callable
 from repro.errors import MeasureError
 from repro.runtime import context
 from repro.runtime.checkpoint import STATUS_OK, SweepJournal
+from repro.runtime.evalcache import EvalCache
 from repro.runtime.failures import (
     EvalFailure,
     FailureLog,
@@ -130,10 +131,10 @@ class EvalRuntime:
         journal: Optional sweep-checkpoint journal; a torn tail it cut on
             resume is recorded once on the downgrade ledger.
         failures: FailureLog to record into (a fresh one by default).
-        cache: Optional content-addressed evaluation cache
-            (:class:`~repro.runtime.evalcache.EvalCache`); call sites
-            read it via :attr:`cache` to route circuit evaluations
-            through :func:`~repro.runtime.evalcache
+        cache: Content-addressed evaluation cache to share
+            (:class:`~repro.runtime.evalcache.EvalCache`; a fresh one by
+            default).  Call sites read it via :attr:`cache` to route
+            circuit evaluations through :func:`~repro.runtime.evalcache
             .evaluate_circuit_cached`.
     """
 
@@ -142,7 +143,7 @@ class EvalRuntime:
         retries: int = DEFAULT_RETRIES,
         journal: SweepJournal | None = None,
         failures: FailureLog | None = None,
-        cache: Any | None = None,
+        cache: EvalCache | None = None,
     ):
         self.retries = retries
         self.journal = journal
@@ -152,11 +153,11 @@ class EvalRuntime:
                 f"journal {journal.path}: truncated a torn "
                 f"{journal.truncated_tail}-byte tail"
             )
-        self.cache = cache
+        self.cache = cache if isinstance(cache, EvalCache) else EvalCache()
         self._stage_total: Counter = Counter()
         self._stage_failed: Counter = Counter()
         #: Evaluations answered from the journal without re-simulating.
-        self.cache_hits = 0
+        self.journal_replays = 0
         #: Solver-kernel counters accumulated across every evaluation
         #: this runtime executes in-process.  A *profiling view*, not
         #: part of the determinism contract: journal replays and cache
@@ -212,7 +213,7 @@ class EvalRuntime:
         """
         entry = self.journal.lookup(key) if self.journal is not None else None
         if entry is not None:
-            self.cache_hits += 1
+            self.journal_replays += 1
             # Replay the journaled failure accounting (for successes these
             # are retried-then-recovered attempts) so the resumed log
             # matches the uninterrupted run's exactly.
@@ -283,7 +284,7 @@ class EvalRuntime:
         0-simulation payload, a store otherwise) reconstructs the
         interrupted run's cache state and statistics exactly.
         """
-        if self.cache is None or not isinstance(payload, dict):
+        if not isinstance(payload, dict):
             return
         key = payload.get("cache_key")
         values = payload.get("values")

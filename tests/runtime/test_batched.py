@@ -21,7 +21,6 @@ from repro.errors import ConvergenceError, LayoutError, MeasureError
 from repro.primitives import PrimitiveLibrary
 from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime
 from repro.runtime import batched as engine
-from repro.runtime.evalcache import EvalCache
 from repro.runtime.faults import FaultSpec, inject
 from repro.spice import Circuit, CompiledCircuit, kernel
 from repro.spice import measure
@@ -272,7 +271,7 @@ def test_shuffled_selection_batch_matches_serial(shuffle_seed, stack_width):
         from repro.core.selection import evaluate_options
 
         stack_width(width)
-        runtime = EvalRuntime(cache=EvalCache())
+        runtime = EvalRuntime()
         options = evaluate_options(
             _fresh_dp(), variants=variants, runtime=runtime
         )
@@ -364,15 +363,32 @@ def test_layout_error_propagates_at_consume():
     _assert_layout_error_propagates(runtime, batch)
 
 
+class _EchoCircuit:
+    """Netlist stand-in holding one value; content-keyable like a
+    :class:`~repro.spice.netlist.Circuit`."""
+
+    ports = ()
+
+    def __init__(self, value):
+        self.elements = [value]
+
+
 class _StackedStub:
-    """Primitive stand-in whose stacked evaluation echoes each circuit."""
+    """Primitive stand-in whose stacked evaluation echoes each circuit's
+    value.  ``tech`` and ``metrics()`` are what its content key reads."""
+
+    tech = None
 
     def __init__(self):
         self.stacks = []
 
+    def metrics(self):
+        return []
+
     def evaluate_many(self, circuits):
-        self.stacks.append(list(circuits))
-        return [({"v": circuit}, 1) for circuit in circuits]
+        values = [circuit.elements[0] for circuit in circuits]
+        self.stacks.append(values)
+        return [({"v": value}, 1) for value in values]
 
 
 def test_stacked_build_layout_error_propagates_at_consume():
@@ -391,7 +407,7 @@ def test_stacked_build_layout_error_propagates_at_consume():
 
     runtime = EvalRuntime()
     tasks = [
-        task("ok", 1.0, lambda: (1.0, None)),
+        task("ok", 1.0, lambda: (_EchoCircuit(1.0), None)),
         BatchTask(
             key="bad",
             thunk=_layout_error,
@@ -399,7 +415,7 @@ def test_stacked_build_layout_error_propagates_at_consume():
                 primitive=primitive, build=_layout_error, finish=_layout_error
             ),
         ),
-        task("ok2", 2.0, lambda: (2.0, None)),
+        task("ok2", 2.0, lambda: (_EchoCircuit(2.0), None)),
     ]
     batch = runtime.evaluate_batch(tasks, stage="spec")
     assert isinstance(batch, engine.BatchedEvalBatch)

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import CheckpointError
 from repro.runtime import (
     CONV_DC,
+    EvalCache,
     EvalFailure,
     EvalRuntime,
     FailureLog,
@@ -231,14 +232,15 @@ def test_journal_with_pruned_lines_resumes_to_the_clean_result(
     from repro.runtime import batched
 
     monkeypatch.setattr(batched, "STACK_WIDTH", 1)
+    # Uncached: a cache that stores nothing never hits.
+    monkeypatch.setattr(EvalCache, "put", lambda *args: None)
 
     def optimize(run_dir, resume=False):
         primitive = DifferentialPair(
             Technology.default(), base_fins=8, name="pr_dp"
         )
         optimizer = PrimitiveOptimizer(
-            n_bins=2, max_wires=3, run_dir=run_dir, resume=resume,
-            cache=False,
+            n_bins=2, max_wires=3, run_dir=run_dir, resume=resume
         )
         return optimizer.optimize(primitive)
 

@@ -123,8 +123,9 @@ def test_non_finite_values_never_stored():
     assert cache.stats.stored == 0
 
 
-def test_lru_eviction():
-    cache = EvalCache(maxsize=2)
+def test_lru_eviction(monkeypatch):
+    monkeypatch.setattr(evalcache, "MAXSIZE", 2)
+    cache = EvalCache()
     cache.put("a", {"x": 1.0}, 1)
     cache.put("b", {"x": 2.0}, 1)
     assert cache.get("a") is not None  # refresh "a": now "b" is LRU
@@ -143,16 +144,20 @@ def test_lru_eviction():
 # -- end-to-end through the optimizer ------------------------------------
 
 
-def test_shared_cache_collapses_repeat_optimizations():
+def test_shared_cache_collapses_repeat_optimizations(monkeypatch):
     from repro.primitives import DifferentialPair
 
     def fresh():
         return DifferentialPair(Technology.default(), base_fins=8, name="ec_opt")
 
-    def optimizer(cache):
+    def optimizer(cache=None):
         return PrimitiveOptimizer(n_bins=2, max_wires=3, cache=cache)
 
-    baseline = optimizer(cache=False).optimize(fresh())
+    # The uncached reference: a cache that stores nothing never hits.
+    with monkeypatch.context() as patch:
+        patch.setattr(EvalCache, "put", lambda *args: None)
+        baseline = optimizer().optimize(fresh())
+    assert baseline.cache_stats["hits"] == 0
     cache = EvalCache()
     first = optimizer(cache).optimize(fresh())
     second = optimizer(cache).optimize(fresh())
@@ -166,3 +171,54 @@ def test_shared_cache_collapses_repeat_optimizations():
     # ... and a repeat run over a warm cache simulates nothing.
     assert second.total_simulations == 0
     assert second.cache_stats["hits"] > 0
+
+
+def test_flow_results_identical_with_and_without_cache(monkeypatch):
+    # The cache only changes how many evaluations reach the simulator
+    # (counted at the primitive's serial and stacked entry points), never
+    # what the flow chooses, across selection, tuning, ports and
+    # reconciliation.
+    from repro.circuits import CommonSourceAmpCircuit
+    from repro.flow import HierarchicalFlow
+    from repro.primitives import MosPrimitive
+
+    tech = Technology.default()
+    simulated = []
+    evaluate, evaluate_many = MosPrimitive.evaluate, MosPrimitive.evaluate_many
+
+    def counting(self, dut):
+        values, sims = evaluate(self, dut)
+        simulated.append(sims)
+        return values, sims
+
+    def counting_many(self, duts):
+        outcomes = evaluate_many(self, duts)
+        simulated.extend(o[1] for o in outcomes if o is not None)
+        return outcomes
+
+    monkeypatch.setattr(MosPrimitive, "evaluate", counting)
+    monkeypatch.setattr(MosPrimitive, "evaluate_many", counting_many)
+
+    def run():
+        simulated.clear()
+        flow = HierarchicalFlow(
+            tech, n_bins=1, max_wires=3, placer_iterations=100, verify=False
+        )
+        circuit = CommonSourceAmpCircuit(tech, stage_fins=24, load_fins=24)
+        result = flow.run(circuit, measure=False)
+        fingerprint = (
+            {name: (c.base, c.pattern, c.wires) for name, c in result.choices.items()},
+            {name: r.best.cost for name, r in result.reports.items()},
+            {net: r.wires for net, r in result.reconciled.items()},
+        )
+        return fingerprint, sum(simulated), flow.cache.stats
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EvalCache, "put", lambda *args: None)
+        uncached, uncached_sims, uncached_stats = run()
+    cached, cached_sims, stats = run()
+
+    assert uncached_stats.hits == 0
+    assert cached == uncached
+    assert stats.hits > 0
+    assert cached_sims < uncached_sims

@@ -119,7 +119,7 @@ def test_journal_hit_skips_thunk(tmp_path):
     )
     assert result == {"v": 70}
     assert not called
-    assert runtime2.cache_hits == 1
+    assert runtime2.journal_replays == 1
     resumed.close()
 
 
@@ -146,5 +146,5 @@ def test_journaled_failure_replays_into_log(tmp_path):
     assert not called  # failure is final: not re-attempted on resume
     # The resumed log accounts for the whole logical run's failures.
     assert runtime2.failures.count(code=CONV_DC) == 2
-    assert runtime2.cache_hits == 1
+    assert runtime2.journal_replays == 1
     resumed.close()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
-from repro.runtime import CONV_DC
+from repro.runtime import CONV_DC, EvalCache
 from repro.runtime import batched as engine
 from repro.runtime.faults import FaultSpec, inject
 
@@ -46,8 +46,8 @@ def _report_fingerprint(report) -> tuple:
 
 
 @pytest.fixture(autouse=True)
-def _lazy_serial(monkeypatch):
-    # STACK_WIDTH=1 (with cache=False in ``_optimizer``) keeps this
+def _lazy_serial_uncached(monkeypatch):
+    # STACK_WIDTH=1 and a content cache that stores nothing keep this
     # file about pure journal mechanics: the ``_count_evaluations``
     # instrumentation counts serial simulator calls, which content-cache
     # hits and the stacked engine (whose members run through
@@ -55,6 +55,7 @@ def _lazy_serial(monkeypatch):
     # legitimately elide (see test_evalcache.py / test_batched.py for
     # the cache- and stack-aware resume guarantees).
     monkeypatch.setattr(engine, "STACK_WIDTH", 1)
+    monkeypatch.setattr(EvalCache, "put", lambda *args: None)
 
 
 def _optimizer(run_dir, resume=False):
@@ -64,7 +65,6 @@ def _optimizer(run_dir, resume=False):
         retries=2,
         run_dir=run_dir,
         resume=resume,
-        cache=False,
     )
 
 

@@ -50,18 +50,31 @@ def test_parser_requires_command():
         parser.parse_args([])
 
 
+#: The former on/off switch of the evaluation cache, on both commands.
+_CACHE_SWITCHES = [
+    pytest.param(
+        [command, target, f"--{prefix}cache"], id=f"{command}-{prefix}cache"
+    )
+    for command, target in (("optimize", "differential_pair"), ("flow", "csamp"))
+    for prefix in ("", "no-")
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["optimize", "differential_pair", "--cache-dir", "d"],
-        ["flow", "csamp", "--cache-max-mb", "8"],
-        ["cache", "stats", "--cache-dir", "d"],
+        pytest.param(
+            ["optimize", "differential_pair", "--cache-dir", "d"],
+            id="optimize-cache-dir",
+        ),
+        pytest.param(["flow", "csamp", "--cache-max-mb", "8"], id="flow-cache-max-mb"),
+        pytest.param(["cache", "stats", "--cache-dir", "d"], id="cache-stats"),
+        *_CACHE_SWITCHES,
     ],
-    ids=["optimize-cache-dir", "flow-cache-max-mb", "cache-stats"],
 )
 def test_disk_cache_options_are_gone(argv, capsys):
-    # The cache is memory-only; the journal under --run-dir is the only
-    # state a run keeps on disk.
+    # The cache is memory-only and always on; the journal under
+    # --run-dir is the only state a run keeps on disk.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -85,6 +98,25 @@ def test_deadline_and_verify_aliases_are_gone(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "no_such_primitive", "--resume"],
+        ["flow", "csamp", "--resume"],
+    ],
+    ids=["optimize", "flow"],
+)
+def test_resume_without_run_dir_is_a_usage_error(argv, capsys):
+    # Rejected while parsing, before any primitive is built (the
+    # primitive name above would fail later) or any netlist ingested.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--resume requires --run-dir" in err
 
 
 def test_solver_backend_follows_system_size_only(monkeypatch, capsys):
