@@ -14,7 +14,9 @@ test:
 	pytest tests/ -q $(TIMEOUT_FLAG)
 
 # Fault-injection sweep: the runtime tests re-run under every seed in the
-# matrix, exercising injected DC/transient/singular/metric failures.
+# matrix, exercising injected DC/transient/singular/metric failures on
+# the stacked sweep engine that production runs (members a fault would
+# hit are screened to their serial thunks; the rest still stack).
 REPRO_FAULT_SEEDS ?= 0,1,2,3
 
 faults:
@@ -45,8 +47,9 @@ lint:
 # Determinism-hazard self-lint (stdlib AST walk, no deps): unseeded
 # random.* (DEV-RANDOM), wall-clock in cache/journal paths
 # (DEV-WALLCLOCK), bare set iteration (DEV-SET-ORDER), per-member
-# np.linalg.solve in batch loops (DEV-BATCH-SOLVE) and environment
-# reads (DEV-ENV).
+# np.linalg.solve in batch loops (DEV-BATCH-SOLVE), environment
+# reads (DEV-ENV) and fault-injector gates outside the documented
+# hooks (DEV-FAULT).
 devlint:
 	python tools/devlint.py src/repro tools
 

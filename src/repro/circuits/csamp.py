@@ -90,9 +90,3 @@ class CommonSourceAmpCircuit(CompositeCircuit):
             "f3db": measure.bandwidth_3db(ac.freqs, h),
             "power": current * self.tech.vdd,
         }
-
-
-def quick_schematic_performance(tech: Technology) -> dict[str, float]:
-    """Convenience: the schematic row of Fig. 2's table."""
-    circuit = CommonSourceAmpCircuit(tech)
-    return circuit.measure(circuit.schematic())

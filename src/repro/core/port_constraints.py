@@ -129,10 +129,6 @@ class PortConstraint:
             f"{self.primitive_name}/{self.net}: wire count {wires} not explored"
         )
 
-    @property
-    def explored_max(self) -> int:
-        return self.sweep[-1].wires if self.sweep else 0
-
 
 def _point_from_payload(payload: dict) -> dict:
     point = {

@@ -287,9 +287,10 @@ class MosPrimitive(ABC):
         whose evaluation failed (the caller re-runs that member serially
         so the failure surfaces through the ordinary retry machinery).
 
-        Not meant to run under fault injection: injected faults key on
-        the single-evaluation context, so the batched entry points gate
-        on an inactive injector before coming here.
+        It skips the ``BAD-METRIC`` hook: the stacked engine calls it
+        with fault injection suspended, after screening every evaluation
+        an injected fault would hit off to its serial thunk (which runs
+        :meth:`evaluate`).
         """
         count = len(duts)
         values: list[dict[str, float]] = [{} for _ in range(count)]

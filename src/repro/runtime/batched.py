@@ -12,10 +12,16 @@ iteration instead of K, one stacked AC sweep instead of K (see
 docs/performance.md, "Batched solves").  It is the engine of every
 sweep, :data:`STACK_WIDTH` variants per stack.
 
+The stacked members of a batch run at construction (the *precompute*);
+a batch stays lazy — every task evaluated at consumption, one at a
+time — when :data:`STACK_WIDTH` is 1 or fewer than two live tasks (not
+journaled, not screened out by fault injection) carry a
+:class:`BatchSpec`.
+
 Determinism contract: everything observable — metric values, journals,
-failure logs, evalcache keys and hit/store sequences, reports — is
-byte-identical to the lazy-serial path (``STACK_WIDTH = 1``).  The
-machinery guarantees this by construction:
+failure logs, evalcache keys and hit/store sequences, reports, injected
+fault counters — is byte-identical to the lazy-serial path
+(``STACK_WIDTH = 1``).  The machinery guarantees this by construction:
 
 * the batched solvers replay the serial floating-point operations
   exactly (stacked LAPACK ``gesv`` is bitwise equal to per-slice solves;
@@ -28,9 +34,14 @@ machinery guarantees this by construction:
   a batched evaluation failed, a predicted cache hit did not materialize
   — falls back to the member's original serial thunk, which recomputes
   the identical result (or raises the identical error);
-* the path disengages entirely (returning the ordinary lazy-serial
-  batch) under fault injection, where batching would change observable
-  behavior.
+* fault decisions are pure hashes of (kind, evaluation key, attempt),
+  so the precompute screens by key: a task that
+  :meth:`~repro.runtime.faults.FaultInjector.fires_first` flags keeps
+  its serial thunk, which trips its faults at consumption in call-site
+  order.  The rest stack with injection suspended (outside any
+  evaluation context a hook would trip under ``"<no-context>"``) and
+  bypass the cache exactly when
+  :func:`~repro.runtime.evalcache.evaluate_circuit_cached` does.
 
 Retry attempts (``attempt > 0``) always run the original serial thunk:
 perturbed initial guesses are per-member state the lockstep solver does
@@ -43,6 +54,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.runtime import context, faults
+from repro.runtime.evalcache import cache_bypassed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.policy import BatchTask, EvalRuntime
@@ -78,8 +90,9 @@ class BatchSpec:
 
 @dataclass
 class _Member:
-    """Precomputed state of one batch member.
+    """Precomputed state of one stacked batch member.
 
+    ``key`` is its content key (None when the cache is bypassed).
     ``result`` is ``(values, simulations)`` when the stacked simulation
     produced the member's numbers, or None — either a predicted cache
     hit (resolved by a real ``cache.get`` at consumption) or a member
@@ -87,97 +100,85 @@ class _Member:
     """
 
     site: Any
-    key: str
+    key: str | None
     result: tuple[dict, int] | None = None
 
 
-def maybe_batched(
-    runtime: "EvalRuntime", tasks: "list[BatchTask]", stage: str
-):
-    """The vectorized batch for ``tasks``, or None when it must not engage.
+class EvalBatch:
+    """A batch of evaluations, consumed strictly in call-site order.
 
-    Disengagement conditions: a :data:`STACK_WIDTH` of 1, fault
-    injection active (faults key on evaluation order/keys, so batching
-    would be observable), or fewer than two live batchable tasks.
-    """
-    if STACK_WIDTH <= 1:
-        return None
-    if faults.active() is not None:
-        return None
-    live = 0
-    for task in tasks:
-        if task.batch_spec is None:
-            continue
-        if (
-            runtime.journal is not None
-            and runtime.journal.lookup(task.key) is not None
-        ):
-            continue
-        live += 1
-    if live <= 1:
-        return None
-    return BatchedEvalBatch(runtime, tasks, stage)
+    Construction stacks the simulations of the live batchable tasks (see
+    the module docstring).  :meth:`consume` still drives everything
+    observable through :meth:`EvalRuntime.evaluate` in call-site order —
+    journaling, retry accounting, failure logs and cache traffic are the
+    serial code paths; only the simulation work inside a stacked
+    member's first attempt is answered from the stack.  Every other task
+    runs its thunk at consumption, so early-stopping call sites (a
+    tuning sweep that breaks once the cost curve turns) pay only for
+    what they consume of those.
 
-
-def _batch_class():
-    # Deferred: policy imports this module lazily, so importing policy at
-    # module scope here would still be safe — but keeping it deferred
-    # makes the (absence of a) cycle obvious.
-    from repro.runtime.policy import EvalBatch
-
-    return EvalBatch
-
-
-class BatchedEvalBatch:
-    """An :class:`~repro.runtime.policy.EvalBatch` whose simulations ran
-    stacked at construction time.
-
-    Consumption (`consume`) still drives everything observable through
-    :meth:`EvalRuntime.evaluate` in call-site order — journaling, retry
-    accounting, failure logs and cache traffic are the serial code
-    paths; only the simulation work inside the first attempt's thunk is
-    answered from the precomputed stack.
+    Tasks never consumed are never accounted: not journaled, not
+    recorded as failures, not counted against any stage.
     """
 
-    def __init__(self, runtime: "EvalRuntime", tasks, stage: str):
-        from repro.spice import kernel  # deferred: repro.spice import cycle
-
+    def __init__(self, runtime: "EvalRuntime", tasks: "list[BatchTask]", stage: str):
         self.runtime = runtime
         self.tasks = tasks
         self.stage = stage
         self._members: dict[int, _Member] = {}
+        if STACK_WIDTH > 1:
+            self._precompute()
 
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+    def _precompute(self) -> None:
+        from repro.spice import kernel  # deferred: repro.spice import cycle
+
+        runtime, tasks = self.runtime, self.tasks
+        journal = runtime.journal
+        # The screen: a task the injector faults on its first attempt
+        # keeps its serial thunk.
+        injector = faults.active()
+        live = [
+            i
+            for i, task in enumerate(tasks)
+            if task.batch_spec is not None
+            and (journal is None or journal.lookup(task.key) is None)
+            and (injector is None or not injector.fires_first(task.key))
+        ]
+        if len(live) <= 1:
+            return
+        bypass = cache_bypassed(injector)
         cache = runtime.cache
         sim_indices: list[int] = []
         sim_circuits: list[Any] = []
         known: set[str] = set()
-        for i, task in enumerate(tasks):
-            spec = task.batch_spec
-            if spec is None:
-                continue
-            if (
-                runtime.journal is not None
-                and runtime.journal.lookup(task.key) is not None
-            ):
-                continue
+        for i in live:
+            spec = tasks[i].batch_spec
             try:
                 circuit, site = spec.build()
             except Exception:
                 # The serial thunk rebuilds and raises identically at
                 # consumption (e.g. a LayoutError).
                 continue
-            key = cache.key_for(spec.primitive, circuit, spec.weight_override)
+            key = (
+                None
+                if bypass
+                else cache.key_for(spec.primitive, circuit, spec.weight_override)
+            )
             self._members[i] = _Member(site, key)
-            if key in known or key in cache:
-                # Predicted hit: resolved by a real get at consumption.
-                continue
-            known.add(key)
+            if key is not None:
+                if key in known or key in cache:
+                    # Predicted hit: resolved by a real get at consumption.
+                    continue
+                known.add(key)
             sim_indices.append(i)
             sim_circuits.append(circuit)
 
-        # Stacked simulation, chunked to STACK_WIDTH and grouped
-        # by primitive (one evaluate_many call covers one metric set).
-        with kernel.collect(runtime.solver_stats):
+        # Stacked simulation, chunked to STACK_WIDTH and grouped by
+        # primitive (one evaluate_many call covers one metric set).
+        with faults.installed(None), kernel.collect(runtime.solver_stats):
             start = 0
             while start < len(sim_indices):
                 primitive = tasks[sim_indices[start]].batch_spec.primitive
@@ -194,34 +195,32 @@ class BatchedEvalBatch:
                     self._members[i].result = outcome
                 start = end
 
-    def __len__(self) -> int:
-        return len(self.tasks)
-
     def consume(self, index: int) -> Any | None:
-        """Result of task ``index``, serial-identical in every observable."""
+        """Result of task ``index`` (None when absorbed as a failure),
+        serial-identical in every observable."""
         task = self.tasks[index]
-        runtime = self.runtime
+        cache = self.runtime.cache
         member = self._members.get(index)
-        if member is None:
-            return _batch_class()(runtime, self.tasks, self.stage).consume(index)
 
         def fast_thunk():
             ctx = context.current()
             if ctx is not None and ctx.attempt > 0:
                 return task.thunk()
             spec = task.batch_spec
-            hit = runtime.cache.get(member.key)
-            if hit is not None:
-                return spec.finish(member.site, hit["values"], 0, member.key)
+            if member.key is not None:
+                hit = cache.get(member.key)
+                if hit is not None:
+                    return spec.finish(member.site, hit["values"], 0, member.key)
             if member.result is None:
                 return task.thunk()
             values, sims = member.result
-            runtime.cache.put(member.key, values, sims)
+            if member.key is not None:
+                cache.put(member.key, values, sims)
             return spec.finish(member.site, values, sims, member.key)
 
-        return runtime.evaluate(
+        return self.runtime.evaluate(
             task.key,
-            fast_thunk,
+            task.thunk if member is None else fast_thunk,
             self.stage,
             validate=task.validate,
             to_payload=task.to_payload,

@@ -35,9 +35,10 @@ bypasses keep cached runs equivalent to uncached ones:
   key, not the content key, so a content hit could swallow a fault that
   the uncached run would see.  When a
   :class:`~repro.runtime.faults.FaultInjector` whose spec
-  :attr:`~repro.runtime.faults.FaultSpec.affects_values` is active the
-  cache is bypassed entirely; such fault-injected runs behave
-  identically with and without a cache.
+  :attr:`~repro.runtime.faults.FaultSpec.affects_values` is active
+  (:func:`cache_bypassed`, read by the serial path and the stacked
+  engine alike) the cache is bypassed entirely; such fault-injected
+  runs behave identically with and without a cache.
 * **Non-finite results** — a poisoned evaluation (NaN metrics) is never
   stored: retries with perturbed guesses must re-simulate, not replay
   the poison.
@@ -237,6 +238,12 @@ class EvalCache:
         )
 
 
+def cache_bypassed(injector: faults.FaultInjector | None) -> bool:
+    """Whether evaluations under ``injector`` skip the cache (it is
+    value-affecting; see the module docstring)."""
+    return injector is not None and injector.spec.affects_values
+
+
 def evaluate_circuit_cached(
     primitive,
     circuit: Circuit,
@@ -251,8 +258,7 @@ def evaluate_circuit_cached(
     solver/metric faults key on evaluation keys, so serving content hits
     would change which faults fire; see the module docstring).
     """
-    injector = faults.active()
-    if injector is not None and injector.spec.affects_values:
+    if cache_bypassed(faults.active()):
         values, sims = primitive.evaluate(circuit)
         return values, sims, None
     key = cache.key_for(primitive, circuit, weight_override)

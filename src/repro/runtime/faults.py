@@ -19,6 +19,13 @@ injector is installed):
 * :func:`repro.spice.tran.transient` — ``CONV-TRAN``;
 * :meth:`repro.primitives.base.MosPrimitive.evaluate` — ``BAD-METRIC``
   (poisons one measured value with NaN).
+
+Two readers trip nothing: the cache bypass in
+:func:`repro.runtime.evalcache.evaluate_circuit_cached` and the stacked
+engine's screen (:class:`repro.runtime.batched.EvalBatch`), which sends
+what :meth:`FaultInjector.fires_first` flags to its serial thunk and
+stacks the rest.  ``DEV-FAULT`` (``tools/devlint.py``) keeps
+:func:`active` to these five sites.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from dataclasses import dataclass
 from repro.errors import ConvergenceError, SingularMatrixError
 from repro.runtime import context
 from repro.runtime.failures import BAD_METRIC, CONV_DC, CONV_TRAN, SINGULAR_MNA
+
+#: Every injectable failure kind.
+KINDS = (CONV_DC, CONV_TRAN, SINGULAR_MNA, BAD_METRIC)
 
 
 @dataclass(frozen=True)
@@ -69,15 +79,7 @@ class FaultSpec:
         Value-affecting specs bypass the content cache (see
         :mod:`repro.runtime.evalcache`).
         """
-        return any(
-            rate > 0.0
-            for rate in (
-                self.dc_fail_rate,
-                self.tran_fail_rate,
-                self.singular_rate,
-                self.bad_metric_rate,
-            )
-        )
+        return any(self.rate(kind) > 0.0 for kind in KINDS)
 
 
 class FaultInjector:
@@ -114,6 +116,13 @@ class FaultInjector:
         if self.spec.recover_on_retry and attempt > 0:
             return False
         return self._draw(kind, key, attempt) < rate
+
+    def fires_first(self, key: str) -> bool:
+        """Whether any kind fires for ``key`` on its first attempt.
+
+        Pure, like :meth:`decide`: the stacked sweep engine's screen.
+        """
+        return any(self.decide(kind, key) for kind in KINDS)
 
     def trip(self, kind: str) -> bool:
         """Decide for the *current* evaluation context and record a hit."""
@@ -168,11 +177,16 @@ def active() -> FaultInjector | None:
 
 
 @contextmanager
-def inject(spec: FaultSpec, seed: int = 0):
-    """Install a :class:`FaultInjector` for the duration of a block."""
-    injector = FaultInjector(spec, seed=seed)
+def installed(injector: FaultInjector | None):
+    """Make ``injector`` the active one for a block (None suspends
+    injection)."""
     token = _active.set(injector)
     try:
         yield injector
     finally:
         _active.reset(token)
+
+
+def inject(spec: FaultSpec, seed: int = 0):
+    """Install a :class:`FaultInjector` for the duration of a block."""
+    return installed(FaultInjector(spec, seed=seed))

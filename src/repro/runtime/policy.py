@@ -32,6 +32,7 @@ from typing import Any, Callable
 
 from repro.errors import MeasureError
 from repro.runtime import context
+from repro.runtime.batched import EvalBatch
 from repro.runtime.checkpoint import STATUS_OK, SweepJournal
 from repro.runtime.evalcache import EvalCache
 from repro.runtime.failures import (
@@ -70,8 +71,8 @@ class BatchTask:
     ``batch_spec`` (a :class:`~repro.runtime.batched.BatchSpec`, when the
     call site can describe the evaluation as build-circuit + simulate +
     finish) opts the task into the vectorized multi-variant fast path of
-    :mod:`repro.runtime.batched`; tasks without one always run their
-    ``thunk`` serially.
+    :class:`~repro.runtime.batched.EvalBatch`; tasks without one always
+    run their ``thunk`` serially.
     """
 
     key: str
@@ -81,44 +82,6 @@ class BatchTask:
     from_payload: Callable[[dict], Any] | None = None
     retries: int | None = None
     batch_spec: Any | None = None
-
-
-class EvalBatch:
-    """A batch of evaluations, consumed strictly in call-site order.
-
-    The base implementation is *lazy serial*: nothing runs until
-    :meth:`consume`, which simply forwards to
-    :meth:`EvalRuntime.evaluate` — so early-stopping call sites (a
-    tuning sweep that breaks once the cost curve turns) pay only for
-    what they consume.  :class:`~repro.runtime.batched.BatchedEvalBatch`
-    runs same-pattern tasks stacked instead; consumption order — and
-    therefore failure logs, journals and stage accounting — is
-    identical either way.
-
-    Tasks never consumed are never accounted: not journaled, not
-    recorded as failures, not counted against any stage.
-    """
-
-    def __init__(self, runtime: "EvalRuntime", tasks: list[BatchTask], stage: str):
-        self.runtime = runtime
-        self.tasks = tasks
-        self.stage = stage
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def consume(self, index: int) -> Any | None:
-        """Result of task ``index`` (None when absorbed as a failure)."""
-        task = self.tasks[index]
-        return self.runtime.evaluate(
-            task.key,
-            task.thunk,
-            self.stage,
-            validate=task.validate,
-            to_payload=task.to_payload,
-            from_payload=task.from_payload,
-            retries=task.retries,
-        )
 
 
 class EvalRuntime:
@@ -307,12 +270,7 @@ class EvalRuntime:
         order a serial loop would evaluate them, and may stop early.
         Tasks that carry batch specs run on the stacked engine of
         :mod:`repro.runtime.batched` (byte-identical results; see
-        docs/performance.md); the rest, and every batch the engine
-        declines, evaluate lazily at consumption.
+        docs/performance.md); the rest, and every task of a batch too
+        small to stack, evaluate lazily at consumption.
         """
-        from repro.runtime.batched import maybe_batched  # deferred: cycle
-
-        fast = maybe_batched(self, tasks, stage)
-        if fast is not None:
-            return fast
         return EvalBatch(self, tasks, stage)

@@ -590,8 +590,10 @@ def newton_operating_points(
     ``rhs_srcs`` optionally overrides each member's DC source vector
     (``compiled.source_rhs(t=None)`` layout) — the compile-once path of
     the batched offset bisection, where successive inputs change only
-    source values.  No fault injection, ``force`` pins or retry
-    perturbation here: callers gate on those being absent.
+    source values.  It runs only inside the stacked precompute of
+    :mod:`repro.runtime.batched` — outside any evaluation context, with
+    fault injection suspended — so it has no fault hook, ``force`` pins
+    or retry perturbation.
     """
     stats = kernel.active()
     results: list[OperatingPoint | None] = [None] * len(compileds)
@@ -632,45 +634,31 @@ def newton_operating_points(
 
 def dc_operating_points(
     compileds: list[CompiledCircuit],
-    x0s: list[np.ndarray | None] | None = None,
-    force: dict[str, float] | None = None,
 ) -> list[OperatingPoint | Exception]:
     """Batched :func:`dc_operating_point` over many circuits.
 
     Bitwise-identical to calling :func:`dc_operating_point` per member:
     the vectorized lockstep Newton handles the common case, and any
-    member it cannot converge (or any batch run under fault injection,
-    ``force`` pins or a retry perturbation) goes through the serial path
-    unchanged.  Failures are *captured per member* — the returned list
-    holds an :class:`OperatingPoint` or the exception the serial call
-    would have raised (:class:`~repro.errors.ConvergenceError` /
+    member it cannot converge goes through the serial path unchanged.
+    Failures are *captured per member* — the returned list holds an
+    :class:`OperatingPoint` or the exception the serial call would have
+    raised (:class:`~repro.errors.ConvergenceError` /
     :class:`~repro.errors.SingularMatrixError`), so one diverging member
     does not hide the others' results; callers re-raise at the member
     position when they want serial raise semantics.
+
+    Its caller is the stacked precompute of :mod:`repro.runtime.batched`,
+    which runs outside any evaluation context with fault injection
+    suspended — no retry perturbation or injected fault reaches here.
     """
-    ctx = eval_context.current()
-    serial_only = (
-        faults.active() is not None
-        or bool(force)
-        or (ctx is not None and ctx.perturbation > 0.0)
-    )
-    results: list[OperatingPoint | Exception] = [None] * len(compileds)  # type: ignore[list-item]
-    if serial_only:
-        batched = [None] * len(compileds)
-    else:
-        batched = newton_operating_points(compileds, x0s=x0s)
-    for i, compiled in enumerate(compileds):
-        if batched[i] is not None:
-            results[i] = batched[i]
-            continue
-        try:
-            results[i] = dc_operating_point(
-                compiled,
-                x0=None if x0s is None else x0s[i],
-                force=force,
-            )
-        except (ConvergenceError, SingularMatrixError) as exc:
-            results[i] = exc
+    results: list[OperatingPoint | Exception] = []
+    for compiled, op in zip(compileds, newton_operating_points(compileds)):
+        if op is None:
+            try:
+                op = dc_operating_point(compiled)
+            except (ConvergenceError, SingularMatrixError) as exc:
+                op = exc
+        results.append(op)
     return results
 
 

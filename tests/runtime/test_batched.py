@@ -3,8 +3,8 @@
 The stacked sweep engine (``STACK_WIDTH`` variants per stack) produces
 bitwise-identical metrics, journals, cache traffic and reports to the
 lazy-serial reference (``STACK_WIDTH = 1``) — for any variant order,
-and under the fault-injection seed matrix (where the engine disengages
-but output must not move).
+and under the fault-injection seed matrix (where members a fault would
+hit run their serial thunks and the rest still stack).
 """
 
 from __future__ import annotations
@@ -319,19 +319,76 @@ def test_batched_journal_byte_identical(tmp_path, stack_width):
     assert batched == serial
 
 
-def test_batched_report_identical_under_faults(fault_seed, stack_width):
-    # Injection disengages the fast path member-by-member; the output
-    # must not move by a byte either way.
-    spec = FaultSpec(dc_fail_rate=0.3)
-    stack_width(1)
-    with inject(spec, seed=fault_seed) as serial_injector:
-        serial = _optimizer().optimize(_fresh_dp())
-    stack_width(BATCH)
-    with inject(spec, seed=fault_seed) as batched_injector:
-        batched_report = _optimizer().optimize(_fresh_dp())
-    assert _fingerprint(batched_report) == _fingerprint(serial)
-    assert batched_injector.counters == serial_injector.counters
-    assert batched_injector.fired == serial_injector.fired
+def _width_invariant_under(spec, seed, run_dir, stack_width, make, optimize):
+    """Run ``optimize(make(), run_dir)`` under ``spec`` at widths 1 and
+    8; assert every observable matches and that width 8 really stacked.
+    Returns the width-1 injector."""
+    runs = []
+    for width in (1, BATCH):
+        stack_width(width)
+        with inject(spec, seed=seed) as injector:
+            primitive = make()
+            report = optimize(primitive, run_dir / str(width))
+        journal = (run_dir / str(width) / f"{primitive.name}.jsonl").read_bytes()
+        runs.append((report, injector, journal))
+    (serial, serial_injector, serial_journal) = runs[0]
+    (stacked, stacked_injector, stacked_journal) = runs[1]
+    assert _fingerprint(stacked) == _fingerprint(serial)
+    assert stacked.failures.to_dict() == serial.failures.to_dict()
+    assert stacked_journal == serial_journal
+    assert stacked_injector.counters == serial_injector.counters
+    assert stacked_injector.fired == serial_injector.fired
+    assert stacked.solver_profile["batched_solves"] > 0
+    assert serial.solver_profile["batched_solves"] == 0
+    return serial_injector
+
+
+_FAULT_SPECS = {
+    "dc": FaultSpec(dc_fail_rate=0.3),
+    "singular": FaultSpec(singular_rate=0.3),
+    "bad_metric": FaultSpec(bad_metric_rate=0.3),
+    "recovering": FaultSpec(
+        dc_fail_rate=0.2, bad_metric_rate=0.2, recover_on_retry=True
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", _FAULT_SPECS.values(), ids=_FAULT_SPECS)
+def test_batched_report_identical_under_faults(
+    spec, fault_seed, stack_width, tmp_path
+):
+    # Members a fault would hit on their first attempt are screened off
+    # to their serial thunks; the rest stack.  Nothing observable moves.
+    injector = _width_invariant_under(
+        spec,
+        fault_seed,
+        tmp_path,
+        stack_width,
+        _fresh_dp,
+        lambda primitive, run_dir: _optimizer(run_dir=run_dir).optimize(
+            primitive
+        ),
+    )
+    assert injector.fired  # the faults really fired
+
+
+def test_batched_report_identical_under_transient_faults(
+    fault_seed, stack_width, tmp_path
+):
+    # CONV-TRAN trips in the delay metric, which runs serially inside
+    # the stacked evaluation — where injection must be suspended.
+    _width_invariant_under(
+        FaultSpec(tran_fail_rate=0.3),
+        fault_seed,
+        tmp_path,
+        stack_width,
+        lambda: PrimitiveLibrary().create(
+            "current_starved_inverter", Technology.default(), base_fins=16
+        ),
+        lambda primitive, run_dir: PrimitiveOptimizer(
+            n_bins=1, retries=2, run_dir=run_dir
+        ).optimize(primitive, tune=False),
+    )
 
 
 # -- call-site exceptions ------------------------------------------------
@@ -418,7 +475,7 @@ def test_stacked_build_layout_error_propagates_at_consume():
         task("ok2", 2.0, lambda: (_EchoCircuit(2.0), None)),
     ]
     batch = runtime.evaluate_batch(tasks, stage="spec")
-    assert isinstance(batch, engine.BatchedEvalBatch)
+    assert type(batch) is EvalBatch
     # The members whose build succeeded ran as one stack.
     assert primitive.stacks == [[1.0, 2.0]]
     _assert_layout_error_propagates(runtime, batch)

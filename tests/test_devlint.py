@@ -303,3 +303,50 @@ def test_other_os_use_is_fine_and_env_suppressible():
         """
     )
     assert findings == []
+
+
+def test_fault_gate_in_batch_helper_is_flagged():
+    findings = _lint(
+        """
+        from repro.runtime import faults
+
+        def plan_batch(runtime, tasks):
+            if faults.active() is not None:
+                return None
+            return tasks
+
+        class EvalBatch:
+            def consume(self, index):
+                from repro.runtime.faults import active
+
+                return active()
+        """
+    )
+    assert [(f.line, f.code) for f in findings] == [
+        (5, "DEV-FAULT"),
+        (13, "DEV-FAULT"),
+    ]
+    assert "documented fault hooks" in findings[0].message
+
+
+def test_fault_gate_at_documented_hooks_is_fine():
+    findings = _lint(
+        """
+        from repro.runtime import faults as injection
+
+        def dc_operating_point(compiled):
+            return injection.active()
+
+        class MosPrimitive:
+            def evaluate(self, dut):
+                return injection.active()
+
+        class EvalBatch:
+            def _precompute(self):
+                return injection.active()
+
+        def helper():
+            return injection.inject  # not a call of active()
+        """
+    )
+    assert findings == []

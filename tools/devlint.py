@@ -4,10 +4,10 @@
 The repository promises byte-deterministic artifacts: journals resume,
 evaluation caches hash their keys, and `repro verify/ingest --format
 json` output must be identical across runs.
-Five source-level hazards quietly break that promise — or, for
-``DEV-BATCH-SOLVE``, the performance contract next to it — and this
-tool flags them with a small AST walk (stdlib only, no third-party
-deps):
+Six source-level hazards quietly break that promise — or, for
+``DEV-BATCH-SOLVE`` and ``DEV-FAULT``, the performance and test
+contracts next to it — and this tool flags them with a small AST walk
+(stdlib only, no third-party deps):
 
 * ``DEV-RANDOM`` — a call to the *module-level* :mod:`random` API
   (``random.random()``, ``random.shuffle()``, a bare ``shuffle()``
@@ -37,6 +37,11 @@ deps):
   reference, or importing one of them ``from os``.  An environment
   variable is an execution knob no report records and no flag shows;
   a run's configuration comes from its arguments.
+* ``DEV-FAULT`` — a ``faults.active()`` call (or a bare ``active()``
+  imported from ``repro.runtime.faults``) anywhere but the documented
+  fault hooks in :data:`FAULT_HOOKS`.  A gate on the injector elsewhere
+  forks the execution path under injection, so fault runs would stop
+  testing the path production runs.
 
 A finding can be suppressed for one line with a trailing
 ``# devlint: ok`` comment (reviewed, understood, deliberate).
@@ -83,6 +88,19 @@ BATCH_SCOPES = ("batch",)
 
 #: ``os`` members that read or write the process environment.
 ENV_ATTRS = frozenset({"environ", "getenv", "putenv"})
+
+#: The only functions (by qualified name) that may consult the active
+#: fault injector: the solver/metric hooks that trip faults, the cache's
+#: value-affecting bypass and the stacked sweep engine's screen.
+FAULT_HOOKS = frozenset(
+    {
+        "dc_operating_point",
+        "transient",
+        "MosPrimitive.evaluate",
+        "evaluate_circuit_cached",
+        "EvalBatch._precompute",
+    }
+)
 
 SUPPRESS_MARK = "devlint: ok"
 
@@ -131,12 +149,18 @@ class _Checker(ast.NodeVisitor):
         self.findings: list[Finding] = []
         self._lines = source.splitlines()
         self._func_stack: list[str] = []
+        # Enclosing classes and functions, for qualified names.
+        self._qual_stack: list[str] = []
         self._loop_depth = 0
         # Names bound by `from random import ...` / `import random as r`.
         self._random_names: set[str] = set()
         self._random_modules: set[str] = set()
         # Names bound by `import os` / `import os as o`.
         self._os_modules: set[str] = set()
+        # Names bound by `from repro.runtime import faults` and by
+        # `from repro.runtime.faults import active`.
+        self._faults_modules: set[str] = set()
+        self._faults_active_names: set[str] = set()
         self._module_scoped = any(
             token in module_name.lower() for token in CLOCK_SCOPES
         )
@@ -193,6 +217,14 @@ class _Checker(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in ENV_ATTRS:
                     self._flag_env(node, f"from os import {alias.name}")
+        elif node.module == "repro.runtime":
+            for alias in node.names:
+                if alias.name == "faults":
+                    self._faults_modules.add(alias.asname or "faults")
+        elif node.module == "repro.runtime.faults":
+            for alias in node.names:
+                if alias.name == "active":
+                    self._faults_active_names.add(alias.asname or "active")
         self.generic_visit(node)
 
     # -- environment ---------------------------------------------------
@@ -217,15 +249,34 @@ class _Checker(ast.NodeVisitor):
 
     def _visit_func(self, node) -> None:
         self._func_stack.append(node.name)
+        self._qual_stack.append(node.name)
         # A nested def's body runs per call, not per enclosing-loop
         # iteration — it starts outside any loop.
         saved, self._loop_depth = self._loop_depth, 0
         self.generic_visit(node)
         self._loop_depth = saved
+        self._qual_stack.pop()
         self._func_stack.pop()
 
     visit_FunctionDef = _visit_func
     visit_AsyncFunctionDef = _visit_func
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._qual_stack.append(node.name)
+        self.generic_visit(node)
+        self._qual_stack.pop()
+
+    # -- fault-injector gates ------------------------------------------
+
+    def _is_faults_active(self, func: ast.expr) -> bool:
+        if isinstance(func, ast.Name):
+            return func.id in self._faults_active_names
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "active"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in self._faults_modules
+        )
 
     # -- calls ---------------------------------------------------------
 
@@ -261,6 +312,17 @@ class _Checker(ast.NodeVisitor):
                 f"{func.id}() from `from random import ...` uses the "
                 f"unseeded global RNG; thread a random.Random(seed) "
                 f"instance",
+            )
+        if (
+            self._is_faults_active(func)
+            and ".".join(self._qual_stack) not in FAULT_HOOKS
+        ):
+            self._flag(
+                node, "DEV-FAULT",
+                "faults.active() outside the documented fault hooks "
+                "forks the execution path under injection; consult the "
+                "injector only at a hook (" + ", ".join(sorted(FAULT_HOOKS))
+                + ")",
             )
         if (
             _is_numpy_linalg_solve(func)
