@@ -64,7 +64,10 @@ MAXSIZE = 4096
 #: Bump it whenever a change moves simulated values (stepping, device
 #: model, solver), so that cache entries replayed from a journal an
 #: older simulator wrote never answer a newer simulator's lookups.
-SIMULATOR_REVISION = 4
+#: Revision 5 orders sparse factorizations by minimum degree on
+#: ``A + Aᵀ``: sparse solves move in their last bits, dense results are
+#: bitwise unchanged.
+SIMULATOR_REVISION = 5
 
 
 def _canon(value):

@@ -17,7 +17,7 @@ pieces the analyses build on:
   SuperLU's fill-reducing column order: the first successful
   factorization records ``perm_c`` and every later one factors the
   matrix relabelled into that order with ``permc_spec="NATURAL"``,
-  bitwise identical to re-running COLAMD.
+  bitwise identical to re-running the ordering (:data:`SPLU_OPTIONS`).
 * **:class:`SolverStats`** — lightweight per-analysis profiling counters
   (stamp/factor/solve/device-eval time, Newton iterations, transient
   steps and retried steps), collected through a context
@@ -56,6 +56,15 @@ SPARSE = "sparse"
 #: setting the constant (0: every system sparse, ``sys.maxsize``: every
 #: system dense).
 SPARSE_MIN_SIZE = 128
+
+#: SuperLU settings of both sparse factorizations, the first one (which
+#: orders the columns by minimum degree on the structure of ``A + Aᵀ``)
+#: and the reused-order ones: the reuse is bitwise equal to a fresh
+#: factorization only while both calls pass the same settings.  MNA
+#: patterns are almost symmetric and their supernodes narrow, so this
+#: order fills far less than COLAMD's and supernode relaxation and panels
+#: only add work (``docs/performance.md``).
+SPLU_OPTIONS = {"relax": 1, "panel_size": 1}
 
 #: Relative Tikhonov regularization strength for singular-system recovery.
 TIKHONOV_LAMBDA = 1.0e-10
@@ -392,13 +401,14 @@ class SystemTemplate:
     def _splu(self, data: np.ndarray):
         """SuperLU-factor the assembled matrix; returns a solve function.
 
-        The column order (COLAMD plus SuperLU's elimination-tree
-        postorder) depends only on the sparsity pattern, so the first
-        successful factorization records it, and every later one hands
-        SuperLU the matrix already in that order with
-        ``permc_spec="NATURAL"``, skipping the ordering step.  To make
-        SuperLU repeat the fresh elimination bit for bit, two things of
-        the original run must survive the permutation:
+        The column order (minimum degree on ``A + Aᵀ`` plus SuperLU's
+        elimination-tree postorder) depends only on the sparsity
+        pattern, so the first successful factorization records it, and
+        every later one hands SuperLU the matrix already in that order
+        with ``permc_spec="NATURAL"``, skipping the ordering step.  To
+        make SuperLU repeat the fresh elimination bit for bit, both
+        calls pass the same :data:`SPLU_OPTIONS`, and two things of the
+        original run must survive the permutation:
 
         * the entry it prefers on a pivot tie — the row whose label
           equals the column's original index — which is why rows are
@@ -416,7 +426,9 @@ class SystemTemplate:
             RuntimeError: SuperLU's report of an exactly singular matrix.
         """
         if self._perm_c is None:
-            lu = scipy.sparse.linalg.splu(self._csc(data))
+            lu = scipy.sparse.linalg.splu(
+                self._csc(data), permc_spec="MMD_AT_PLUS_A", **SPLU_OPTIONS
+            )
             self._record_order(lu.perm_c)
             return lu.solve
         n = self.size
@@ -425,7 +437,7 @@ class SystemTemplate:
             shape=(n, n),
         )
         mat.has_canonical_format = True
-        lu = scipy.sparse.linalg.splu(mat, permc_spec="NATURAL")
+        lu = scipy.sparse.linalg.splu(mat, permc_spec="NATURAL", **SPLU_OPTIONS)
         order, perm_c = self._perm_order, self._perm_c
         return lambda rhs: lu.solve(rhs[order])[perm_c]
 

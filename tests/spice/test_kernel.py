@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from repro.spice import kernel
 from repro.spice.kernel import SolverStats, SystemTemplate
@@ -197,7 +198,7 @@ def test_reused_column_order_solves_bitwise_like_fresh_splu(dtype):
     for seed in range(4):
         vals = _chain_values(dyn_rows, seed, dtype)
         x, tag = warm.solve(vals, rhs)
-        # A new template's first solve is a plain COLAMD splu.
+        # A new template's first solve orders its columns afresh.
         ref, ref_tag = _sparse(n, static, dyn_rows, dyn_cols, dtype).solve(
             vals, rhs
         )
@@ -235,6 +236,34 @@ def test_singular_first_factorization_records_no_order():
     # A singular matrix on the reused order still takes the rescue.
     _, tag = template.solve(np.zeros(len(dyn_rows)), rhs)
     assert tag == kernel.RECOVERY_TIKHONOV
+
+
+@pytest.mark.parametrize("backend", [kernel.SPARSE], indirect=True)
+def test_ring_oscillator_factors_with_less_fill_than_colamd(
+    tech, backend, monkeypatch
+):
+    """MNA matrices are structurally almost symmetric: the recorded
+    order (minimum degree on ``A + Aᵀ``) fills less than COLAMD's."""
+    from repro.circuits import RingOscillatorVco
+    from repro.spice import CompiledCircuit, dc_operating_point, transient
+
+    splu = scipy.sparse.linalg.splu
+    ordered = []
+
+    def spy(mat, **options):
+        lu = splu(mat, **options)
+        if options.get("permc_spec") != "NATURAL":
+            ordered.append((mat.copy(), lu))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    vco = RingOscillatorVco(tech)
+    compiled = CompiledCircuit(vco.testbench(vco.schematic()), tech.rules)
+    transient(compiled, t_stop=4e-12, dt=1e-12, op=dc_operating_point(compiled))
+    tran = compiled._kernel_templates[("tran", kernel.SPARSE)]
+    (mat, lu), = [(m, lu) for m, lu in ordered if m.nnz == tran._nnz]
+    colamd = splu(mat, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_reused_order_factor_and_batched_match_serial():
