@@ -11,12 +11,13 @@ ring-oscillator VCO) on two solver backends --
   the symbolic pattern and column order reused across factorizations.
 
 -- and writes wall-clock, solver counters (steps, rejections,
-factorizations) and measured metrics to ``BENCH_spice.json``.  It also
-times the 5T-OTA primitive-selection sweep serial vs stacked (the
-vectorized multi-variant engine at ``STACK_WIDTH = 8``).  Each
-configuration measures circuit objects built fresh for it, so neither
-backend runs on caches the other warmed.  Four properties are asserted,
-not just recorded:
+factorizations), the kernel's time per layer (device evaluation,
+stamping, factorization, solves) and measured metrics to
+``BENCH_spice.json``.  It also times the 5T-OTA primitive-selection
+sweep serial vs stacked (the vectorized multi-variant engine at
+``STACK_WIDTH = 8``).  Each configuration measures circuit objects
+built fresh for it, so neither backend runs on caches the other warmed.
+Four properties are asserted, not just recorded:
 
 * every configuration reproduces the baseline metrics within the cost
   function's noise tolerance,
@@ -175,6 +176,11 @@ def _run(measure_thunk, solver: str) -> dict:
         "tran_steps": stats.tran_steps,
         "tran_rejected": stats.tran_rejected,
         "backends": stats.backends,
+        # Where the kernel's time went (seconds, see ``SolverStats``).
+        "device_eval_s": round(stats.device_eval_s, 4),
+        "stamp_s": round(stats.stamp_s, 4),
+        "factor_s": round(stats.factor_s, 4),
+        "solve_s": round(stats.solve_s, 4),
     }
 
 
@@ -186,7 +192,11 @@ def bench_circuit(label: str, make_thunk, skip_metrics: set) -> dict:
             f"  {label}/{name}: {rows[name]['wall_s']}s, "
             f"{rows[name]['tran_steps']} steps "
             f"({rows[name]['tran_rejected']} rejected), "
-            f"{rows[name]['factorizations']} factorizations"
+            f"{rows[name]['factorizations']} factorizations; kernel "
+            f"eval {rows[name]['device_eval_s']}s, "
+            f"stamp {rows[name]['stamp_s']}s, "
+            f"factor {rows[name]['factor_s']}s, "
+            f"solve {rows[name]['solve_s']}s"
         )
     # Both backends step the same fixed grid; unequal step counts mean
     # one configuration reused state another one computed.

@@ -162,13 +162,13 @@ def evaluate_mosfets(
 ) -> MosEval:
     """Evaluate the model for arrays of devices at given terminal voltages.
 
-    All parameter arrays must be broadcastable to a common shape.  PMOS
+    All parameter arrays must have the voltages' shape.  PMOS
     devices (``polarity == -1``) are mapped onto the n-model; drain/source
     are swapped internally when ``vds < 0`` so the model is valid in all
     quadrants and all returned derivatives are smooth.
     """
     ut = THERMAL_VOLTAGE
-    pol = polarity.astype(float)
+    pol = np.asarray(polarity, dtype=float)
     vgs_n = pol * (vg - vs)
     vds_n = pol * (vd - vs)
 
@@ -177,12 +177,13 @@ def evaluate_mosfets(
     vgs_e = np.where(swap, vgs_n - vds_n, vgs_n)
 
     n = slope_factor
+    nut = n * ut
     vp = (vgs_e - vth) / n
     f_fwd, df_fwd = _f_interp(vp / ut)
     f_rev, df_rev = _f_interp((vp - vds_e) / ut)
 
     # Velocity saturation: mobility degradation in the (smoothed) overdrive.
-    ut2 = 2.0 * n * ut
+    ut2 = 2.0 * nut
     ov = ut2 * np.logaddexp(0.0, (vgs_e - vth) / ut2)
     dov = _sigmoid((vgs_e - vth) / ut2)
     den = 1.0 + theta * ov
@@ -193,8 +194,8 @@ def evaluate_mosfets(
     clm = 1.0 + lambda_clm * vds_e
     id_e = i0 * clm
 
-    dif_dvgs = df_fwd / (n * ut)
-    dir_dvgs = df_rev / (n * ut)
+    dif_dvgs = df_fwd / nut
+    dir_dvgs = df_rev / nut
     dir_dvds = -df_rev / ut
 
     di0_dvgs = ispec * ((dif_dvgs - dir_dvgs) / den - delta_f * dden / den**2)
@@ -224,8 +225,8 @@ def evaluate_mosfets(
         cgs=cgs,
         cgd=cgd,
         cgb=cgb,
-        cdb=np.broadcast_to(cdb, id_n.shape).copy(),
-        csb=np.broadcast_to(csb, id_n.shape).copy(),
+        cdb=cdb.copy(),
+        csb=csb.copy(),
     )
 
 

@@ -17,7 +17,8 @@ pieces the analyses build on:
   SuperLU's fill-reducing column order: the first successful
   factorization records ``perm_c`` and every later one factors the
   matrix relabelled into that order with ``permc_spec="NATURAL"``,
-  bitwise identical to re-running the ordering (:data:`SPLU_OPTIONS`).
+  bitwise identical to re-running the ordering (:data:`SPLU_OPTIONS`),
+  writing its values into one CSC matrix built with that order.
 * **:class:`SolverStats`** — lightweight per-analysis profiling counters
   (stamp/factor/solve/device-eval time, Newton iterations, transient
   steps and retried steps), collected through a context
@@ -304,10 +305,10 @@ class SystemTemplate:
     The sparse backend converts the union pattern to CSC **once**
     (symbolic reuse): per solve it copies the prefilled static data
     vector, scatters the dynamic values through a precomputed slot map,
-    wraps the arrays in a ``csc_matrix`` without re-sorting, and calls
-    SuperLU, reusing the column order of the first factorization (see
-    :meth:`_splu`).  The dense backend keeps a prefilled base matrix and
-    scatters dynamic values with ``np.add.at``.
+    writes them into the template's one permuted ``csc_matrix``, and
+    calls SuperLU, reusing the column order of the first factorization
+    (see :meth:`_splu`).  The dense backend keeps a prefilled base
+    matrix and scatters dynamic values with ``np.add.at``.
     """
 
     def __init__(
@@ -381,7 +382,9 @@ class SystemTemplate:
         column order, so position ``k`` holds column ``order[k]`` with
         ``order = argsort(perm_c)``.  Rows are relabelled the same way
         (row ``r`` becomes ``perm_c[r]``) but keep their stored order
-        within each column; see :meth:`_splu` for why both matter.
+        within each column; see :meth:`_splu` for why both matter.  The
+        permuted matrix is built here once, flagged canonical, and every
+        reused-order factorization only overwrites its values.
         """
         order = np.argsort(perm_c)
         starts = self._indptr[order]
@@ -395,6 +398,17 @@ class SystemTemplate:
         self._perm_indices = perm_c[self._indices[self._perm_gather]].astype(
             np.int32
         )
+        n = self.size
+        mat = scipy.sparse.csc_matrix(
+            (
+                np.zeros(self._nnz, dtype=self.dtype),
+                self._perm_indices,
+                self._perm_indptr,
+            ),
+            shape=(n, n),
+        )
+        mat.has_canonical_format = True
+        self._perm_mat = mat
         self._perm_order = order
         self._perm_c = perm_c
 
@@ -420,7 +434,11 @@ class SystemTemplate:
           (SuperLU itself does not need sorted row indices).
 
         The right-hand side is gathered into the new labels and the
-        solution gathered back.
+        solution gathered back.  Every reused-order factorization writes
+        its values into the one matrix built by :meth:`_record_order`:
+        SuperLU copies them into its own factors, so a returned solve
+        function stays valid after the next factorization overwrites
+        them.
 
         Raises:
             RuntimeError: SuperLU's report of an exactly singular matrix.
@@ -431,12 +449,8 @@ class SystemTemplate:
             )
             self._record_order(lu.perm_c)
             return lu.solve
-        n = self.size
-        mat = scipy.sparse.csc_matrix(
-            (data[self._perm_gather], self._perm_indices, self._perm_indptr),
-            shape=(n, n),
-        )
-        mat.has_canonical_format = True
+        mat = self._perm_mat
+        np.take(data, self._perm_gather, out=mat.data)
         lu = scipy.sparse.linalg.splu(mat, permc_spec="NATURAL", **SPLU_OPTIONS)
         order, perm_c = self._perm_order, self._perm_c
         return lambda rhs: lu.solve(rhs[order])[perm_c]

@@ -151,7 +151,7 @@ class CompiledCircuit:
             )
             for m in mos
         ]
-        self._mos_pol = np.array([p.polarity for p in params], dtype=int)
+        self._mos_pol = np.array([p.polarity for p in params], dtype=float)
         self._mos_vth = np.array(
             [p.vth + m.vth_mismatch for p, m in zip(params, mos)]
         )

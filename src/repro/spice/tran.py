@@ -6,6 +6,9 @@ Euler for inductor branches.  Each step runs damped Newton on the DC
 nonlinearities with capacitor companion models; device capacitances are
 re-evaluated at the previously converged point (quasi-static), which keeps
 the Newton Jacobian simple while tracking bias-dependent capacitance.
+Newton starts from that same point, so the one model evaluation there
+also linearizes the first iteration: a step evaluates the devices once
+per Newton iteration.
 
 The stepper takes one trapezoidal step per output point ``dt``.  A step
 whose Newton iteration fails is retried as two half steps, recursively,
@@ -153,12 +156,16 @@ class _Integrator:
                 self.ind_branches
             ]
 
+        # The first Newton iterate is ``x_prev`` itself, so its
+        # linearization is the evaluation the companions were built from.
         x = x_prev.copy()
-        for _ in range(MAX_STEP_ITERATIONS):
+        ev = ev_prev
+        for iteration in range(MAX_STEP_ITERATIONS):
             if stats is not None:
                 stats.newton_iterations += 1
             rhs = rhs_src.copy()
-            ev = compiled.eval_mosfets(x)
+            if iteration:
+                ev = compiled.eval_mosfets(x)
             if ev is not None:
                 compiled.stamp_mos_rhs(rhs, ev, x)
             b_core = rhs[:size] + hist

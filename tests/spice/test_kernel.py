@@ -238,6 +238,38 @@ def test_singular_first_factorization_records_no_order():
     assert tag == kernel.RECOVERY_TIKHONOV
 
 
+def test_reused_order_factorizations_keep_no_alias_of_their_values():
+    """Reused-order factorizations write their values into one CSC matrix
+    per template.  SuperLU copies the values into its own factors, so a
+    solve function taken before the next factorization still solves its
+    own matrix, bitwise like a fresh ``splu`` of that matrix."""
+    n, static, dyn_rows, dyn_cols = _mna_chain()
+    template = _sparse(n, static, dyn_rows, dyn_cols)
+    rhs = np.random.default_rng(5).normal(size=n)
+    template.solve(_chain_values(dyn_rows, 98), rhs)  # records the order
+    data = [template._assemble(_chain_values(dyn_rows, seed)) for seed in (1, 2)]
+    solves = [template._splu(d) for d in data]
+    order, perm_c = template._perm_order, template._perm_c
+    results = []
+    for d, lu_solve in zip(data, solves):
+        fresh = scipy.sparse.csc_matrix(
+            (
+                d[template._perm_gather],
+                template._perm_indices.copy(),
+                template._perm_indptr.copy(),
+            ),
+            shape=(n, n),
+        )
+        fresh.has_canonical_format = True
+        ref = scipy.sparse.linalg.splu(
+            fresh, permc_spec="NATURAL", **kernel.SPLU_OPTIONS
+        )
+        x = lu_solve(rhs)
+        assert np.array_equal(x, ref.solve(rhs[order])[perm_c])
+        results.append(x)
+    assert not np.array_equal(results[0], results[1])
+
+
 @pytest.mark.parametrize("backend", [kernel.SPARSE], indirect=True)
 def test_ring_oscillator_factors_with_less_fill_than_colamd(
     tech, backend, monkeypatch

@@ -63,7 +63,7 @@ def test_starts_from_dc_operating_point(tech):
     assert np.allclose(tr.v("out"), 0.4, atol=1e-3)
 
 
-def test_cmos_inverter_switches(tech):
+def _inverter(tech) -> Circuit:
     c = Circuit("inv")
     c.add_vsource("vdd", "vdd", "0", 0.8)
     c.add_vsource(
@@ -72,7 +72,11 @@ def test_cmos_inverter_switches(tech):
     c.add_mosfet("mp", "out", "in", "vdd", "vdd", tech.pmos, MosGeometry(8, 2, 1))
     c.add_mosfet("mn", "out", "in", "0", "0", tech.nmos, MosGeometry(8, 2, 1))
     c.add_capacitor("cl", "out", "0", 5e-15)
-    cc = CompiledCircuit(c, tech.rules)
+    return c
+
+
+def test_cmos_inverter_switches(tech):
+    cc = CompiledCircuit(_inverter(tech), tech.rules)
     tr = transient(cc, t_stop=1e-9, dt=1e-12)
     assert tr.v("out")[0] > 0.75
     assert tr.v("out")[-1] < 0.05
@@ -80,6 +84,29 @@ def test_cmos_inverter_switches(tech):
         tr.t, tr.v("in"), tr.v("out"), 0.4, 0.4, "rise", "fall"
     )
     assert 0 < delay < 0.3e-9
+
+
+def test_transient_evaluates_devices_once_per_newton_iteration(tech, monkeypatch):
+    """A step's first Newton iterate is the previous point, whose model
+    evaluation already built the capacitance companions; it is reused,
+    not repeated."""
+    cc = CompiledCircuit(_inverter(tech), tech.rules)
+    op = dc_operating_point(cc)
+    real_eval = CompiledCircuit.eval_mosfets
+    calls = []
+
+    def counting_eval(self, x):
+        calls.append(1)
+        return real_eval(self, x)
+
+    monkeypatch.setattr(CompiledCircuit, "eval_mosfets", counting_eval)
+    stats = kernel.SolverStats()
+    with kernel.collect(stats):
+        tr = transient(cc, t_stop=0.3e-9, dt=1e-12, op=op)
+    assert stats.tran_steps == 300
+    assert stats.newton_iterations > stats.tran_steps
+    assert len(calls) == stats.newton_iterations
+    assert tr.v("out")[-1] < 0.05
 
 
 def test_inductor_current_ramp(tech):
