@@ -11,8 +11,10 @@ FinFETs are fully depleted, so no body effect is modelled (``gmb = 0``).
 
 The model is evaluated *vectorized over devices*: the MNA engine gathers
 terminal voltages for all MOSFETs into arrays and gets currents,
-conductances and capacitances back in one call.  Derivatives are analytic;
-``tests/devices/test_mosfet.py`` checks them against finite differences.
+conductances and capacitances back in one call (DC Newton iterations call
+``channel_current``, the same arithmetic without the capacitances).
+Derivatives are analytic; ``tests/devices/test_mosfet.py`` checks them
+against finite differences.
 
 Capacitances follow a Meyer-style smooth partition of the intrinsic gate
 capacitance, blended by inversion level and by the triode/saturation ratio
@@ -145,27 +147,24 @@ def _f_interp(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half * half, half * _sigmoid(0.5 * u)
 
 
-def evaluate_mosfets(
+def channel_current(
     polarity: np.ndarray,
     vth: np.ndarray,
     slope_factor: np.ndarray,
     ispec: np.ndarray,
     lambda_clm: np.ndarray,
     theta: np.ndarray,
-    cox_wl: np.ndarray,
-    cov: np.ndarray,
-    cdb: np.ndarray,
-    csb: np.ndarray,
     vg: np.ndarray,
     vd: np.ndarray,
     vs: np.ndarray,
-) -> MosEval:
-    """Evaluate the model for arrays of devices at given terminal voltages.
+) -> tuple[np.ndarray, ...]:
+    """The drain current and its conductances, without capacitances.
 
-    All parameter arrays must have the voltages' shape.  PMOS
-    devices (``polarity == -1``) are mapped onto the n-model; drain/source
-    are swapped internally when ``vds < 0`` so the model is valid in all
-    quadrants and all returned derivatives are smooth.
+    The first half of :func:`evaluate_mosfets`, and all a DC Newton
+    iteration needs.  Returns ``(ids, gm, gds, swap, f_fwd, f_rev)``:
+    the :class:`MosEval` fields of those names, then what the
+    capacitance partition reads — the drain/source swap mask and the
+    interpolation function at the source and drain ends.
     """
     ut = THERMAL_VOLTAGE
     pol = np.asarray(polarity, dtype=float)
@@ -206,6 +205,34 @@ def evaluate_mosfets(
     id_n = np.where(swap, -id_e, id_e)
     gm_n = np.where(swap, -gid_gs, gid_gs)
     gds_n = np.where(swap, gid_gs + gid_ds, gid_ds)
+    return pol * id_n, gm_n, gds_n, swap, f_fwd, f_rev
+
+
+def evaluate_mosfets(
+    polarity: np.ndarray,
+    vth: np.ndarray,
+    slope_factor: np.ndarray,
+    ispec: np.ndarray,
+    lambda_clm: np.ndarray,
+    theta: np.ndarray,
+    cox_wl: np.ndarray,
+    cov: np.ndarray,
+    cdb: np.ndarray,
+    csb: np.ndarray,
+    vg: np.ndarray,
+    vd: np.ndarray,
+    vs: np.ndarray,
+) -> MosEval:
+    """Evaluate the model for arrays of devices at given terminal voltages.
+
+    All parameter arrays must have the voltages' shape.  PMOS
+    devices (``polarity == -1``) are mapped onto the n-model; drain/source
+    are swapped internally when ``vds < 0`` so the model is valid in all
+    quadrants and all returned derivatives are smooth.
+    """
+    ids, gm, gds, swap, f_fwd, f_rev = channel_current(
+        polarity, vth, slope_factor, ispec, lambda_clm, theta, vg, vd, vs
+    )
 
     # Meyer-style capacitance partition (in the effective orientation).
     inv = f_fwd / (1.0 + f_fwd)
@@ -219,9 +246,9 @@ def evaluate_mosfets(
     cgd = np.where(swap, cgs_i, cgd_i) + cov
 
     return MosEval(
-        ids=pol * id_n,
-        gm=gm_n,
-        gds=gds_n,
+        ids=ids,
+        gm=gm,
+        gds=gds,
         cgs=cgs,
         cgd=cgd,
         cgb=cgb,

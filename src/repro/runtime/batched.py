@@ -23,10 +23,11 @@ failure logs, evalcache keys and hit/store sequences, reports, injected
 fault counters — is byte-identical to the lazy-serial path
 (``STACK_WIDTH = 1``).  The machinery guarantees this by construction:
 
-* the batched solvers replay the serial floating-point operations
-  exactly (stacked LAPACK ``gesv`` is bitwise equal to per-slice solves;
-  per-member masking freezes converged members without changing the
-  stragglers' arithmetic);
+* the stacked solvers do each member's floating-point operations
+  exactly as its own solve would: the lazy-serial path runs the same DC
+  Newton loop on one-member stacks, stacked LAPACK ``gesv`` is bitwise
+  equal to per-slice solves, and members that converge leave the live
+  set without changing the stragglers' arithmetic;
 * cache lookups still happen at *consumption* in call-site order — the
   precompute phase only peeks (:meth:`EvalCache.__contains__`, which
   takes no statistics) to decide which members need simulation;

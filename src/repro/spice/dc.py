@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.devices.mosfet import MosEval, evaluate_mosfets
-from repro.errors import ConvergenceError, NetlistError, SingularMatrixError
+from repro.devices.mosfet import MosEval, channel_current
+from repro.errors import ConvergenceError, NetlistError
 from repro.runtime import context as eval_context
 from repro.runtime import faults
 from repro.spice import kernel
@@ -155,78 +155,41 @@ def _max_iterations(compiled: CompiledCircuit) -> int:
     return max(120, 2 * compiled.num_nodes)
 
 
-def _newton_solve(
+def _dc_inputs(
     compiled: CompiledCircuit,
-    template: "kernel.SystemTemplate",
+    gmin: float,
+    source_scale: float,
+    force: dict[str, float] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One solve's node diagonal and source right-hand side.
+
+    The diagonal is ``gmin`` plus :data:`GMIN_FLOOR` plus the ``force``
+    pins' conductance; the right-hand side holds the sources scaled by
+    ``source_scale`` and the pins' targets.
+    """
+    diag = np.full(compiled.num_nodes, gmin + GMIN_FLOOR)
+    rhs = compiled.source_rhs(t=None, scale=source_scale)
+    for node, value in (force or {}).items():
+        idx = compiled.index_of(node)
+        if idx != compiled.ghost:
+            diag[idx] += FORCE_CONDUCTANCE
+            # Scale the pinned target with the sources so source
+            # stepping ramps a consistent bias.
+            rhs[idx] += FORCE_CONDUCTANCE * value * source_scale
+    return diag, rhs
+
+
+def _newton_one(
+    group: "_DcGroup",
     x0: np.ndarray,
     gmin: float,
     source_scale: float,
     force: dict[str, float] | None,
-    recovery: set[str] | None = None,
+    recovery: set[str],
 ) -> np.ndarray | None:
-    """One damped Newton solve; returns the solution or None.
-
-    ``recovery`` (when given) collects the tags of any singular-matrix
-    fallbacks used along the way.
-    """
-    x = x0.copy()
-    rhs_src = compiled.source_rhs(t=None, scale=source_scale)
-    stats = kernel.active()
-
-    diag_vals = np.full(compiled.num_nodes, gmin + GMIN_FLOOR)
-    if force:
-        for node, value in force.items():
-            idx = compiled.index_of(node)
-            if idx != compiled.ghost:
-                diag_vals[idx] += FORCE_CONDUCTANCE
-                # Scale the pinned target with the sources so source
-                # stepping ramps a consistent bias.
-                rhs_src[idx] += FORCE_CONDUCTANCE * value * source_scale
-
-    limit = VOLTAGE_LIMIT
-    prev_dv: np.ndarray | None = None
-    for _ in range(_max_iterations(compiled)):
-        if stats is not None:
-            stats.newton_iterations += 1
-        rhs = rhs_src.copy()
-        ev = compiled.eval_mosfets(x)
-        if ev is not None:
-            compiled.stamp_mos_rhs(rhs, ev, x)
-
-        try:
-            x_new, recovered = template.solve(
-                np.concatenate([diag_vals, compiled.mos_conductance_values(ev)]),
-                rhs,
-            )
-        except SingularMatrixError:
-            # Truly unsolvable step: bail out so the gmin/source-stepping
-            # homotopies (which regularize the physics, not the algebra)
-            # get their chance.
-            return None
-        if recovered is not None and recovery is not None:
-            recovery.add(recovered)
-
-        delta = x_new - x
-        dv = delta[: compiled.num_nodes]
-        max_dv = np.max(np.abs(dv)) if len(dv) else 0.0
-
-        # Oscillation-aware damping: when the update direction flips
-        # (Newton cycling between basins, e.g. a near-metastable latch),
-        # shrink the step limit so the iteration settles into one basin.
-        if prev_dv is not None and len(dv) and float(np.dot(dv, prev_dv)) < 0.0:
-            limit = max(0.01, limit * 0.6)
-        else:
-            limit = min(VOLTAGE_LIMIT, limit * 1.3)
-        prev_dv = dv.copy()
-
-        if max_dv > limit:
-            delta = delta * (limit / max_dv)
-            x = x + delta
-            continue
-        x = x_new
-        if max_dv < VNTOL + RELTOL * np.max(np.abs(x[: compiled.num_nodes]), initial=0.0):
-            return x
-    return None
+    """One damped Newton solve of a one-member group (solution or None)."""
+    diag, rhs = _dc_inputs(group.compileds[0], gmin, source_scale, force)
+    return _newton_solve_batch(group, x0[None], diag[None], rhs[None], [recovery])[0]
 
 
 def dc_operating_point(
@@ -257,37 +220,35 @@ def dc_operating_point(
     stats = kernel.active()
     if stats is not None:
         stats.count_analysis("dc")
-    backend = kernel.backend_for(compiled.size)
-    template = _dc_template(compiled, backend)
-
+    group = _single_group(compiled)
     x = x0.copy() if x0 is not None else np.zeros(compiled.size)
     x = _perturb_retry_guess(x)
     recovery: set[str] = set()
 
     # Plain Newton first: cheap and usually sufficient with a warm start.
-    solution = _newton_solve(
-        compiled, template, x, gmin=0.0, source_scale=1.0, force=force,
-        recovery=recovery,
-    )
+    solution = _newton_one(group, x, 0.0, 1.0, force, recovery)
     if solution is not None:
         return _finish(compiled, solution, recovery)
+    return _ladder(group, x, force, recovery)
 
-    # gmin stepping.
+
+def _ladder(
+    group: "_DcGroup",
+    x: np.ndarray,
+    force: dict[str, float] | None,
+    recovery: set[str],
+) -> OperatingPoint:
+    """The homotopies after plain Newton failed from the guess ``x``:
+    gmin stepping, then source stepping (see :func:`dc_operating_point`)."""
+    compiled = group.compileds[0]
     recovery.add("gmin-stepping")
     for exponent in range(3, 13):
-        gmin = 10.0 ** (-exponent)
-        solution = _newton_solve(
-            compiled, template, x, gmin=gmin, source_scale=1.0, force=force,
-            recovery=recovery,
-        )
+        solution = _newton_one(group, x, 10.0 ** (-exponent), 1.0, force, recovery)
         if solution is None:
             break
         x = solution
     else:
-        solution = _newton_solve(
-            compiled, template, x, gmin=0.0, source_scale=1.0, force=force,
-            recovery=recovery,
-        )
+        solution = _newton_one(group, x, 0.0, 1.0, force, recovery)
         if solution is not None:
             return _finish(compiled, solution, recovery)
 
@@ -296,15 +257,8 @@ def dc_operating_point(
     recovery.add("source-stepping")
     x = np.zeros(compiled.size)
     for scale in np.linspace(0.1, 1.0, 10):
-        stepped = _newton_solve(
-            compiled,
-            template,
-            x,
-            gmin=1e-9 * (1.0 - scale) + 1e-12,
-            source_scale=float(scale),
-            force=force,
-            recovery=recovery,
-        )
+        gmin = 1e-9 * (1.0 - scale) + 1e-12
+        stepped = _newton_one(group, x, gmin, float(scale), force, recovery)
         if stepped is None:
             raise ConvergenceError(
                 f"DC operating point failed for circuit "
@@ -312,10 +266,7 @@ def dc_operating_point(
                 code="CONV-DC",
             )
         x = stepped
-    final = _newton_solve(
-        compiled, template, x, gmin=0.0, source_scale=1.0, force=force,
-        recovery=recovery,
-    )
+    final = _newton_one(group, x, 0.0, 1.0, force, recovery)
     if final is None:
         raise ConvergenceError(
             f"DC operating point failed for circuit "
@@ -359,21 +310,32 @@ def _finish(
     )
 
 
-# -- batched operating points -------------------------------------------------
+# -- the stacked Newton loop --------------------------------------------------
 #
-# Library selection sweeps evaluate many near-identical variants whose
-# netlists share one system pattern — only device values differ.  The
-# helpers below stamp K such circuits into one
-# :class:`~repro.spice.kernel.BatchedSystemTemplate` and run damped
-# Newton across the batch in lockstep with per-member masking: converged
-# members freeze, stragglers keep iterating, and every per-member
-# floating-point operation (damping dot product, voltage limiting,
-# convergence test) replays the serial :func:`_newton_solve` exactly, so
-# results are bitwise identical to one-at-a-time solves.
+# Every DC Newton solve runs here, on a stack of circuits that share one
+# system pattern: library selection sweeps evaluate many near-identical
+# variants whose netlists differ only in device values, and a serial
+# operating point (each rung of its gmin/source-stepping ladder too) is
+# a one-member stack.  The members iterate in lockstep on one
+# :class:`~repro.spice.kernel.BatchedSystemTemplate`.  The working arrays
+# hold only the live members and shrink when one converges or hits a
+# singular step.  Every per-member floating-point operation (device
+# model, companion stamps, damping dot product, voltage limiting,
+# convergence test) is the same in any stack, so a member's result does
+# not depend, to the bit, on what it was stacked with.
+
+#: The :class:`CompiledCircuit` MOSFET parameter arrays, in
+#: :func:`~repro.devices.mosfet.channel_current` argument order.
+_MOS_PARAMS = (
+    "_mos_pol", "_mos_vth", "_mos_n", "_mos_ispec", "_mos_lam", "_mos_theta",
+)
 
 
 class _DcGroup:
-    """One template-compatible slice of a batch, stacked for solving."""
+    """Template-compatible circuits stacked for one lockstep solve.
+
+    ``indices`` are the members' positions in the caller's batch.
+    """
 
     def __init__(
         self,
@@ -387,45 +349,21 @@ class _DcGroup:
         first = compileds[0]
         self.num_nodes = first.num_nodes
         self.size = first.size
-        self.num_devices = len(first.mos_elements)
-        if self.num_devices:
-            stack = lambda name: np.stack(  # noqa: E731 - tiny local adapter
-                [getattr(c, name) for c in compileds]
+        self.terminals = (first._mos_g, first._mos_d, first._mos_s)
+        self.params = (
+            tuple(
+                np.array([getattr(c, name) for c in compileds])
+                for name in _MOS_PARAMS
             )
-            self._params = tuple(
-                stack(name)
-                for name in (
-                    "_mos_pol", "_mos_vth", "_mos_n", "_mos_ispec",
-                    "_mos_lam", "_mos_theta", "_mos_coxwl", "_mos_cov",
-                    "_mos_cdb", "_mos_csb",
-                )
-            )
-            self._mos_g = first._mos_g
-            self._mos_d = first._mos_d
-            self._mos_s = first._mos_s
-
-    def eval_mosfets(self, x: np.ndarray, act: np.ndarray) -> MosEval | None:
-        """Evaluate the active members' MOSFETs in one vectorized call.
-
-        ``x`` is the ``(len(act), size)`` stacked solution of the
-        still-live members, ``act`` their row indices into the group;
-        the model is purely elementwise, so evaluating the stacked
-        devices gives the same per-device values as serial calls.
-        """
-        if not self.num_devices:
-            return None
-        stats = kernel.active()
-        t0 = kernel._clock() if stats is not None else 0.0
-        xg = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
-        ev = evaluate_mosfets(
-            *(p[act] for p in self._params),
-            xg[:, self._mos_g],
-            xg[:, self._mos_d],
-            xg[:, self._mos_s],
+            if first.mos_elements
+            else ()
         )
-        if stats is not None:
-            stats.device_eval_s += kernel._clock() - t0
-        return ev
+
+
+def _single_group(compiled: CompiledCircuit) -> _DcGroup:
+    """The one-member stack of a serial operating point."""
+    template = _dc_template(compiled, kernel.backend_for(compiled.size))
+    return _DcGroup([0], [compiled], [template])
 
 
 def _group_batch(compileds: list[CompiledCircuit]) -> list[_DcGroup]:
@@ -455,154 +393,118 @@ def _group_batch(compileds: list[CompiledCircuit]) -> list[_DcGroup]:
 def _newton_solve_batch(
     group: _DcGroup,
     x0: np.ndarray,
+    diag: np.ndarray,
     rhs_src: np.ndarray,
-    max_iterations: int,
-    recovery_sets: list[set],
+    recoveries: list[set],
 ) -> list[np.ndarray | None]:
-    """Plain damped Newton over one group, masked per member.
+    """Damped Newton over one group's members in lockstep.
 
-    ``x0``/``rhs_src`` are ``(K, size)`` / ``(K, size+1)`` stacks;
-    ``recovery_sets`` collects per-member ``"tikhonov"`` tags.  Returns
-    the per-member solution or None (diverged / singular), exactly as K
-    serial :func:`_newton_solve` calls with ``gmin=0`` would.
+    ``x0``, ``diag`` and ``rhs_src`` are the members' ``(K, size)``
+    initial guesses, ``(K, num_nodes)`` node diagonals and
+    ``(K, size+1)`` source right-hand sides (see :func:`_dc_inputs`);
+    ``recoveries`` collects each member's ``"tikhonov"`` tags.  Returns
+    each member's solution, or None where Newton diverged or hit a
+    singular step.
     """
-    count = len(group.indices)
-    nn = group.num_nodes
+    size, nn = group.size, group.num_nodes
+    g, d, s = group.terminals
+    params = group.params
     stats = kernel.active()
+    solutions: list[np.ndarray | None] = [None] * len(x0)
 
-    x = x0.copy()
-    diag = np.full((count, nn), GMIN_FLOOR)
-    limit = np.full(count, VOLTAGE_LIMIT)
+    # The live members' rows in the group and their iterates, padded
+    # with the ghost ground entry that device terminals index.
+    rows = np.arange(len(x0))
+    member = rows[:, None]
+    x = np.concatenate([x0, np.zeros((len(x0), 1))], axis=1)
+    limit = np.full(len(x0), VOLTAGE_LIMIT)
     prev_dv: np.ndarray | None = None
-    has_prev = np.zeros(count, dtype=bool)
-    live = np.ones(count, dtype=bool)
-    failed = np.zeros(count, dtype=bool)
-    solutions: list[np.ndarray | None] = [None] * count
-    dyn = np.zeros((count, nn + 6 * group.num_devices))
-    rhs = np.zeros_like(rhs_src)
-
-    for _ in range(max_iterations):
-        act = np.flatnonzero(live)
-        if not len(act):
-            break
+    for _ in range(_max_iterations(group.compileds[0])):
         if stats is not None:
-            stats.newton_iterations += len(act)
+            stats.newton_iterations += len(rows)
+        rhs = rhs_src.copy()
+        dyn = diag
+        if params:
+            vg, vd, vs = x[:, g], x[:, d], x[:, s]
+            t0 = kernel._clock() if stats is not None else 0.0
+            ids, gm, gds = channel_current(*params, vg, vd, vs)[:3]
+            if stats is not None:
+                stats.device_eval_s += kernel._clock() - t0
+            gms = -(gm + gds)  # no body effect
+            ieq = ids - gm * vg - gds * vd - gms * vs
+            np.add.at(rhs, (member, d), -ieq)
+            np.add.at(rhs, (member, s), ieq)
+            dyn = np.concatenate([diag, gds, gm, gms, -gds, -gm, -gms], axis=1)
+        x_new, tags, errors = group.batched.solve(dyn, rhs, rows)
 
-        x_act = x[act]
-        ev = group.eval_mosfets(x_act, act)
-        if ev is not None:
-            xg = np.concatenate([x_act, np.zeros((len(act), 1))], axis=1)
-            d, g, s = group._mos_d, group._mos_g, group._mos_s
-            gms = ev.gms
-            ieq = (
-                ev.ids
-                - ev.gm * xg[:, g]
-                - ev.gds * xg[:, d]
-                - gms * xg[:, s]
-            )
-            member = np.arange(len(act))[:, None]
-            rhs_act = rhs_src[act].copy()
-            np.add.at(rhs_act, (member, d[None, :]), -ieq)
-            np.add.at(rhs_act, (member, s[None, :]), ieq)
-            rhs[act] = rhs_act
-            dyn[act] = np.concatenate(
-                [diag[act], ev.gds, ev.gm, gms, -ev.gds, -ev.gm, -gms],
-                axis=1,
-            )
-        else:
-            rhs[act] = rhs_src[act]
-            dyn[act] = diag[act]
-
-        x_new, recoveries, errors = group.batched.solve(dyn, rhs, live)
-        for k in act:
-            k = int(k)
-            if errors[k] is not None:
-                # The serial path bails out of plain Newton here so the
-                # homotopies get their chance; mask the member out.
-                live[k] = False
-                failed[k] = True
-            elif recoveries[k] is not None:
-                recovery_sets[k].add(recoveries[k])
-        act = np.flatnonzero(live)
-        if not len(act):
-            break
-
-        delta = x_new[act] - x[act]
+        delta = x_new - x[:, :size]
         dv = delta[:, :nn]
-        max_dv = (
-            np.max(np.abs(dv), axis=1) if nn else np.zeros(len(act))
-        )
+        max_dv = np.maximum.reduce(np.abs(dv), axis=1, initial=0.0)
 
-        # Oscillation-aware damping, per member (same scalar ops as the
-        # serial loop; the dot product stays a per-row 1-D np.dot so the
-        # summation order matches the serial path bitwise).
-        flips = np.zeros(len(act), dtype=bool)
-        if nn and prev_dv is not None:
-            for j, k in enumerate(act):
-                if has_prev[k] and float(np.dot(dv[j], prev_dv[k])) < 0.0:
-                    flips[j] = True
-        limit[act] = np.where(
-            flips,
-            np.maximum(0.01, limit[act] * 0.6),
-            np.minimum(VOLTAGE_LIMIT, limit[act] * 1.3),
+        # Oscillation-aware damping: when the update direction flips
+        # (Newton cycling between basins, e.g. a near-metastable latch),
+        # shrink the step limit so the iteration settles into one basin.
+        # The dot product is a per-member 1-D np.dot, so its summation
+        # order does not depend on the stack.
+        grown = np.minimum(VOLTAGE_LIMIT, limit * 1.3)
+        flips = (
+            []
+            if prev_dv is None
+            else [float(np.dot(a, b)) < 0.0 for a, b in zip(dv, prev_dv)]
         )
-        if prev_dv is None:
-            prev_dv = np.zeros((count, nn))
-        prev_dv[act] = dv
-        has_prev[act] = True
+        if any(flips):
+            grown = np.where(flips, np.maximum(0.01, limit * 0.6), grown)
+        limit = grown
+        prev_dv = dv
 
-        over = max_dv > limit[act]
-        scale = np.where(over, limit[act] / np.where(max_dv > 0, max_dv, 1.0), 1.0)
-        x[act] = np.where(
-            over[:, None], x[act] + delta * scale[:, None], x_new[act]
-        )
-
-        vmax = (
-            np.max(np.abs(x_new[act][:, :nn]), axis=1, initial=0.0)
-            if nn
-            else np.zeros(len(act))
-        )
-        converged = ~over & (max_dv < VNTOL + RELTOL * vmax)
-        for j, k in enumerate(act):
-            if converged[j]:
-                k = int(k)
-                solutions[k] = x[k].copy()
-                live[k] = False
+        over = max_dv > limit
+        if over.any():
+            step = limit / np.maximum(max_dv, limit)
+            x_new = np.where(
+                over[:, None], x[:, :size] + delta * step[:, None], x_new
+            )
+        x[:, :size] = x_new
+        vmax = np.maximum.reduce(np.abs(x_new[:, :nn]), axis=1, initial=0.0)
+        done = (max_dv < VNTOL + RELTOL * vmax) & ~over
+        for j, k in enumerate(rows):
+            if errors[j] is not None:
+                # A singular step ends the solve, so that the homotopies
+                # (which regularize the physics, not the algebra) get
+                # their chance.
+                done[j] = True
+                continue
+            if tags[j] is not None:
+                recoveries[k].add(tags[j])
+            if done[j]:
+                solutions[k] = x_new[j].copy()
+        if done.any():
+            keep = ~done
+            rows = rows[keep]
+            if not len(rows):
+                break
+            member = member[: len(rows)]
+            x, diag, rhs_src = x[keep], diag[keep], rhs_src[keep]
+            limit, prev_dv = limit[keep], prev_dv[keep]
+            params = tuple(p[keep] for p in params)
     return solutions
 
 
-def newton_operating_points(
+def _plain_newton(
     compileds: list[CompiledCircuit],
     rhs_srcs: list[np.ndarray] | None = None,
     x0s: list[np.ndarray | None] | None = None,
-) -> list[OperatingPoint | None]:
-    """Plain-Newton operating points for a batch of circuits.
+) -> list[tuple[np.ndarray, np.ndarray | None, set]]:
+    """Stacked plain Newton over a batch (see
+    :func:`newton_operating_points`).
 
-    The batched half of :func:`dc_operating_points`: groups the circuits
-    by template compatibility, runs the masked lockstep Newton per
-    group, and finishes converged members into
-    :class:`OperatingPoint` objects (with any ``"tikhonov"`` tag
-    collected along the way).  Members that plain Newton cannot converge
-    come back as None — the caller owns the gmin/source-stepping ladder
-    (usually by falling back to the serial :func:`dc_operating_point`,
-    which replays the identical failing trajectory first).
-
-    ``rhs_srcs`` optionally overrides each member's DC source vector
-    (``compiled.source_rhs(t=None)`` layout) — the compile-once path of
-    the batched offset bisection, where successive inputs change only
-    source values.  It runs only inside the stacked precompute of
-    :mod:`repro.runtime.batched` — outside any evaluation context, with
-    fault injection suspended — so it has no fault hook, ``force`` pins
-    or retry perturbation.
+    Returns per member its initial guess, its solution (None where
+    Newton failed) and the recovery tags collected on the way.
     """
     stats = kernel.active()
-    results: list[OperatingPoint | None] = [None] * len(compileds)
-    if not compileds:
-        return results
+    out: list = [None] * len(compileds)
     for group in _group_batch(compileds):
-        count = len(group.indices)
         if stats is not None:
-            for _ in range(count):
+            for _ in group.indices:
                 stats.count_analysis("dc")
         x0 = np.stack(
             [
@@ -620,16 +522,41 @@ def newton_operating_points(
                 for j, i in enumerate(group.indices)
             ]
         )
-        recovery_sets: list[set] = [set() for _ in range(count)]
-        solutions = _newton_solve_batch(
-            group, x0, rhs, _max_iterations(group.compileds[0]), recovery_sets
-        )
+        diag = np.full((len(group.indices), group.num_nodes), GMIN_FLOOR)
+        recoveries: list[set] = [set() for _ in group.indices]
+        solutions = _newton_solve_batch(group, x0, diag, rhs, recoveries)
         for j, i in enumerate(group.indices):
-            if solutions[j] is not None:
-                results[i] = _finish(
-                    group.compileds[j], solutions[j], recovery_sets[j]
-                )
-    return results
+            out[i] = (x0[j], solutions[j], recoveries[j])
+    return out
+
+
+def newton_operating_points(
+    compileds: list[CompiledCircuit],
+    rhs_srcs: list[np.ndarray] | None = None,
+    x0s: list[np.ndarray | None] | None = None,
+) -> list[OperatingPoint | None]:
+    """Plain-Newton operating points for a batch of circuits.
+
+    Groups the circuits by template compatibility, runs the lockstep
+    Newton per group, and finishes converged members into
+    :class:`OperatingPoint` objects (with any ``"tikhonov"`` tag
+    collected along the way).  Members that plain Newton cannot converge
+    come back as None; the caller owns the gmin/source-stepping ladder.
+
+    ``rhs_srcs`` optionally overrides each member's DC source vector
+    (``compiled.source_rhs(t=None)`` layout) — the compile-once path of
+    the batched offset bisection, where successive inputs change only
+    source values.  It runs only inside the stacked precompute of
+    :mod:`repro.runtime.batched` — outside any evaluation context, with
+    fault injection suspended — so it has no fault hook, ``force`` pins
+    or retry perturbation.
+    """
+    return [
+        None if solution is None else _finish(compiled, solution, recovery)
+        for compiled, (_, solution, recovery) in zip(
+            compileds, _plain_newton(compileds, rhs_srcs, x0s)
+        )
+    ]
 
 
 def dc_operating_points(
@@ -637,28 +564,32 @@ def dc_operating_points(
 ) -> list[OperatingPoint | Exception]:
     """Batched :func:`dc_operating_point` over many circuits.
 
-    Bitwise-identical to calling :func:`dc_operating_point` per member:
-    the vectorized lockstep Newton handles the common case, and any
-    member it cannot converge goes through the serial path unchanged.
-    Failures are *captured per member* — the returned list holds an
-    :class:`OperatingPoint` or the exception the serial call would have
-    raised (:class:`~repro.errors.ConvergenceError` /
-    :class:`~repro.errors.SingularMatrixError`), so one diverging member
-    does not hide the others' results; callers re-raise at the member
-    position when they want serial raise semantics.
+    Bitwise-identical to calling :func:`dc_operating_point` per member,
+    and as costly in Newton iterations and analyses: plain Newton runs
+    stacked, and a member it cannot converge climbs the gmin/source-
+    stepping ladder on its own, from the same initial guess and with the
+    recovery tags it has collected.  Failures are *captured per member*
+    — the returned list holds an :class:`OperatingPoint` or the
+    :class:`~repro.errors.ConvergenceError` the serial call would have
+    raised, so one diverging member does not hide the others' results;
+    callers re-raise at the member position when they want serial raise
+    semantics.
 
     Its caller is the stacked precompute of :mod:`repro.runtime.batched`,
     which runs outside any evaluation context with fault injection
     suspended — no retry perturbation or injected fault reaches here.
     """
     results: list[OperatingPoint | Exception] = []
-    for compiled, op in zip(compileds, newton_operating_points(compileds)):
-        if op is None:
-            try:
-                op = dc_operating_point(compiled)
-            except (ConvergenceError, SingularMatrixError) as exc:
-                op = exc
-        results.append(op)
+    for compiled, (x0, solution, recovery) in zip(
+        compileds, _plain_newton(compileds)
+    ):
+        if solution is not None:
+            results.append(_finish(compiled, solution, recovery))
+            continue
+        try:
+            results.append(_ladder(_single_group(compiled), x0, None, recovery))
+        except ConvergenceError as exc:
+            results.append(exc)
     return results
 
 

@@ -107,7 +107,9 @@ class SolverStats:
             each retried as two half steps.
         batched_solves: Stacked solve calls issued by a
             :class:`BatchedSystemTemplate` (one per lockstep iteration,
-            however many members it covered).
+            however many members it covered).  Every DC Newton
+            iteration is one, a serial operating point's too: those
+            stacks have one member.
         batch_members: Member systems served by those stacked calls.
         batch_fallbacks: Members a stacked call handed to the
             per-member fallback (singular/non-finite slices).
@@ -593,10 +595,10 @@ class BatchedSystemTemplate:
     Built from K pairwise-:func:`templates_compatible`
     :class:`SystemTemplate` objects — same symbolic structure, per-member
     static values (parasitics differ across library variants even when
-    the pattern matches).  :meth:`solve` stamps all *active* members into
-    a stacked ``(K, N, N)`` dense array (or a ``(K, nnz+1)`` data block of
-    the shared CSC pattern, i.e. a block-diagonal sparse system) and
-    solves them together.
+    the pattern matches).  :meth:`solve` stamps the R members it is
+    given into a stacked ``(R, N, N)`` dense array (or an ``(R, nnz+1)``
+    data block of the shared CSC pattern, i.e. a block-diagonal sparse
+    system) and solves them together.
 
     Determinism contract: for every member the result is **bitwise
     identical** to solving its own template serially.  The dense path
@@ -628,111 +630,104 @@ class BatchedSystemTemplate:
         self.backend = first.backend
         self._dyn_rows = first._dyn_rows
         self._dyn_cols = first._dyn_cols
-        self._static = np.stack([t._static for t in templates])
+        self._static = np.array([t._static for t in templates])
+        # Member axis of the stacked scatter indices.
+        self._members = np.arange(self.count)[:, None]
 
     def solve(
-        self,
-        dyn_vals: np.ndarray,
-        rhs: np.ndarray,
-        active: np.ndarray | None = None,
+        self, dyn_vals: np.ndarray, rhs: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, list[str | None], list[SingularMatrixError | None]]:
-        """Solve the active members against their right-hand sides.
+        """Solve the listed members against their right-hand sides.
 
         Args:
-            dyn_vals: ``(K, D)`` dynamic values, one row per member.
-            rhs: ``(K, >=size)`` right-hand sides (ghost column allowed).
-            active: Optional ``(K,)`` boolean mask — inactive (converged
-                or failed) members are skipped and their output row left
-                at zero.
+            dyn_vals: ``(R, D)`` dynamic values, one row per listed member.
+            rhs: ``(R, >=size)`` right-hand sides (ghost column allowed).
+            rows: ``(R,)`` indices of the listed members in the stack.
 
         Returns:
-            ``(x, recoveries, errors)``: the ``(K, size)`` solution
-            stack, a per-member recovery tag (``None`` or
-            ``"tikhonov"``), and a per-member captured
-            :class:`SingularMatrixError` (``None`` on success).
+            ``(x, recoveries, errors)``, each in ``rows`` order: the
+            ``(R, size)`` solutions, a per-member recovery tag (``None``
+            or ``"tikhonov"``), and a per-member captured
+            :class:`SingularMatrixError` (``None`` on success; that
+            member's row of ``x`` is left at zero).
         """
-        dyn_vals = np.asarray(dyn_vals, dtype=self.dtype)
-        x_out = np.zeros((self.count, self.size), dtype=self.dtype)
-        recoveries: list[str | None] = [None] * self.count
-        errors: list[SingularMatrixError | None] = [None] * self.count
-        if active is None:
-            idx = np.arange(self.count)
-        else:
-            idx = np.flatnonzero(active)
-        if not len(idx):
-            return x_out, recoveries, errors
-        if self.backend == DENSE:
-            self._solve_dense(dyn_vals, rhs, idx, x_out, recoveries, errors)
-        else:
-            self._solve_sparse(dyn_vals, rhs, idx, x_out, recoveries, errors)
-        return x_out, recoveries, errors
+        recoveries: list[str | None] = [None] * len(rows)
+        errors: list[SingularMatrixError | None] = [None] * len(rows)
+        solve = self._solve_dense if self.backend == DENSE else self._solve_sparse
+        x = solve(
+            np.asarray(dyn_vals, dtype=self.dtype), rhs, rows, recoveries, errors
+        )
+        return x, recoveries, errors
 
-    def _solve_dense(self, dyn_vals, rhs, idx, x_out, recoveries, errors) -> None:
+    def _solve_dense(self, dyn_vals, rhs, rows, recoveries, errors) -> np.ndarray:
         stats = active()
         if stats is not None:
             t0 = _clock()
-        a_full = self._static[idx]  # fancy indexing copies
+        a = self._static[rows]  # fancy indexing copies
         if len(self._dyn_rows):
-            member = np.arange(len(idx))[:, None]
             np.add.at(
-                a_full,
-                (member, self._dyn_rows[None, :], self._dyn_cols[None, :]),
-                dyn_vals[idx],
+                a,
+                (self._members[: len(rows)], self._dyn_rows, self._dyn_cols),
+                dyn_vals,
             )
-        a = a_full[:, : self.size, : self.size]
-        b = np.asarray(rhs, dtype=self.dtype)[idx, : self.size]
+        a = a[:, : self.size, : self.size]
+        b = np.asarray(rhs, dtype=self.dtype)[:, : self.size]
         if stats is not None:
             t1 = _clock()
             stats.stamp_s += t1 - t0
-        fallback = np.ones(len(idx), dtype=bool)
         try:
             x = np.linalg.solve(a, b[..., None])[..., 0]
-            fallback = ~np.all(np.isfinite(x), axis=1)
-            x_out[idx[~fallback]] = x[~fallback]
+            fallback = (
+                []
+                if np.isfinite(x).all()
+                else np.flatnonzero(~np.isfinite(x).all(axis=1))
+            )
         except np.linalg.LinAlgError:
             # One singular slice fails the whole LAPACK batch; redo every
             # member through the serial path so clean members still get
             # their (bitwise identical) direct solutions.
-            pass
-        clean = int(np.count_nonzero(~fallback))
+            x = np.zeros((len(rows), self.size), dtype=self.dtype)
+            fallback = range(len(rows))
+        clean = len(rows) - len(fallback)
         if stats is not None:
             stats.solve_s += _clock() - t1
             stats.solves += clean
             stats.batched_solves += 1
-            stats.batch_members += len(idx)
-            stats.batch_fallbacks += len(idx) - clean
+            stats.batch_members += len(rows)
+            stats.batch_fallbacks += len(fallback)
             for _ in range(clean):
                 stats.count_backend(DENSE)
-        for j in np.flatnonzero(fallback):
-            k = int(idx[j])
+        for j in fallback:
             try:
-                x_out[k], recoveries[k] = solve_dense(a[j], b[j])
+                x[j], recoveries[j] = solve_dense(a[j], b[j])
             except SingularMatrixError as exc:
-                errors[k] = exc
+                x[j] = 0.0
+                errors[j] = exc
+        return x
 
-    def _solve_sparse(self, dyn_vals, rhs, idx, x_out, recoveries, errors) -> None:
+    def _solve_sparse(self, dyn_vals, rhs, rows, recoveries, errors) -> np.ndarray:
         stats = active()
         if stats is not None:
             t0 = _clock()
-        data = self._static[idx]  # fancy indexing copies
+        data = self._static[rows]  # fancy indexing copies
         first = self.templates[0]
         if len(first._dyn_slots):
-            member = np.arange(len(idx))[:, None]
-            np.add.at(data, (member, first._dyn_slots[None, :]), dyn_vals[idx])
+            np.add.at(
+                data, (self._members[: len(rows)], first._dyn_slots), dyn_vals
+            )
         if stats is not None:
             stats.stamp_s += _clock() - t0
             stats.batched_solves += 1
-            stats.batch_members += len(idx)
-        for j, k in enumerate(idx):
-            k = int(k)
+            stats.batch_members += len(rows)
+        x = np.zeros((len(rows), self.size), dtype=self.dtype)
+        for j, k in enumerate(rows):
             try:
-                x_out[k], recoveries[k] = self.templates[k].solve_data(
-                    data[j], rhs[k]
-                )
+                x[j], recoveries[j] = self.templates[k].solve_data(data[j], rhs[j])
             except SingularMatrixError as exc:
-                errors[k] = exc
+                errors[j] = exc
                 if stats is not None:
                     stats.batch_fallbacks += 1
+        return x
 
 
 def coo_matvec(

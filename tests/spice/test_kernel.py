@@ -119,6 +119,29 @@ def test_singular_system_recovers_with_tikhonov_tag(backend):
     np.testing.assert_allclose((a @ x)[:2], [1.0, 1.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("backend", [kernel.DENSE, kernel.SPARSE])
+def test_batched_singular_member_takes_the_serial_rescue(backend):
+    # Node 2 hangs on its dynamic conductance alone: 0 S leaves member 1
+    # singular in a stack whose other member solves directly.
+    rows = np.array([0, 1, 0, 1])
+    cols = np.array([0, 1, 1, 0])
+    static = (rows, cols, np.array([2.0, 3.0, 1.0, 1.0]))
+    slot = np.array([2], dtype=np.intp)
+    members = [
+        SystemTemplate(3, static, slot, slot, backend=backend) for _ in range(2)
+    ]
+    batch = kernel.BatchedSystemTemplate(members)
+    dyn = np.array([[5.0], [0.0]])
+    rhs = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    x, recoveries, errors = batch.solve(dyn, rhs, np.arange(2))
+    assert recoveries == [None, kernel.RECOVERY_TIKHONOV]
+    assert errors == [None, None]
+    for k in range(2):
+        serial, tag = members[k].solve(dyn[k], rhs[k])
+        assert tag == recoveries[k]
+        assert np.array_equal(x[k], serial)
+
+
 def test_solve_dense_function_tags_recovery():
     good = np.array([[2.0, 0.0], [0.0, 4.0]])
     x, tag = kernel.solve_dense(good, np.array([2.0, 8.0]))
@@ -309,12 +332,19 @@ def test_reused_order_factor_and_batched_match_serial():
     dyn = np.stack([_chain_values(dyn_rows, 10 + k) for k in range(3)])
     rhs_k = np.stack([rhs, 2.0 * rhs, -rhs])
     for _ in range(2):  # first pass records the other members' orders
-        x, recoveries, errors = batch.solve(dyn, rhs_k)
+        x, recoveries, errors = batch.solve(dyn, rhs_k, np.arange(3))
         assert recoveries == [None] * 3 and errors == [None] * 3
         for k, system in enumerate(systems):
             serial, _ = _sparse(*system).solve(dyn[k], rhs_k[k])
             assert np.array_equal(x[k], serial)
     assert all(member._perm_c is not None for member in members)
+    # Listing a subset solves just those members, in the listed order.
+    rows = np.array([2, 0])
+    x, recoveries, errors = batch.solve(dyn[rows], rhs_k[rows], rows)
+    assert recoveries == [None] * 2 and errors == [None] * 2
+    for j, k in enumerate(rows):
+        serial, _ = _sparse(*systems[k]).solve(dyn[k], rhs_k[k])
+        assert np.array_equal(x[j], serial)
 
 
 # -- profiling stats -----------------------------------------------------
