@@ -19,7 +19,7 @@ import math
 from repro.core.cost import layout_cost
 from repro.core.tuning import SweepPoint
 from repro.errors import OptimizationError
-from repro.runtime import BatchTask, EvalRuntime
+from repro.runtime import BatchSpec, BatchTask, EvalRuntime
 from repro.runtime.evalcache import EvalCache, evaluate_circuit_cached
 from repro.spice.netlist import Circuit
 from repro.tech.pdk import Technology
@@ -148,6 +148,25 @@ def _point_error(point: dict) -> str | None:
     return "non-finite port-sweep metrics"
 
 
+def _route_point(
+    primitive,
+    values: dict,
+    simulations: int,
+    cache_key: str | None,
+    weight_override: dict[str, float] | None,
+) -> dict:
+    """The payload of one costed (port, wire count) point."""
+    breakdown = layout_cost(primitive, values, weight_override=weight_override)
+    point = {
+        "values": dict(values),
+        "cost": breakdown.cost,
+        "simulations": simulations,
+    }
+    if cache_key is not None:
+        point["cache_key"] = cache_key
+    return point
+
+
 def route_point_task(
     primitive,
     dut: Circuit,
@@ -164,25 +183,21 @@ def route_point_task(
     Used by the port sweep (``key_prefix="port"``) and by the flow's
     reconcile gap re-simulations (``key_prefix="recon"``), so both fan
     out identically and share content-cache entries for identical
-    wrapped netlists.
+    wrapped netlists.  The attached :class:`~repro.runtime.BatchSpec`
+    stacks the points' simulations (:mod:`repro.runtime.batched`):
+    ``build`` wraps the DUT with the route, ``finish`` assembles the
+    payload as the serial thunk does.
     """
 
+    def build():
+        return attach_route(dut, route, primitive.tech, n), None
+
     def thunk() -> dict:
-        wrapped = attach_route(dut, route, primitive.tech, n)
+        wrapped, _ = build()
         values, sims, cache_key = evaluate_circuit_cached(
             primitive, wrapped, cache, weight_override
         )
-        breakdown = layout_cost(
-            primitive, values, weight_override=weight_override
-        )
-        payload = {
-            "values": dict(values),
-            "cost": breakdown.cost,
-            "simulations": sims,
-        }
-        if cache_key is not None:
-            payload["cache_key"] = cache_key
-        return payload
+        return _route_point(primitive, values, sims, cache_key, weight_override)
 
     return BatchTask(
         key=f"{key_prefix}:{primitive.name}:{route.net}:{n}",
@@ -190,6 +205,14 @@ def route_point_task(
         validate=_point_error,
         to_payload=lambda point: point,
         from_payload=_point_from_payload,
+        batch_spec=BatchSpec(
+            primitive=primitive,
+            build=build,
+            finish=lambda _site, values, sims, cache_key: _route_point(
+                primitive, values, sims, cache_key, weight_override
+            ),
+            weight_override=weight_override,
+        ),
     )
 
 

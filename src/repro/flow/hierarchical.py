@@ -437,6 +437,9 @@ class HierarchicalFlow:
                     for port in group:
                         sym_lookup[port] = tuple(p for p in group if p != port)
 
+                # The chosen layout's netlist, extracted at the binding's
+                # first port that needs a sweep and shared by the rest.
+                dut = None
                 for port in binding.ports_to_optimize():
                     net = binding.port_map.get(port)
                     if net is None or net not in routes:
@@ -445,13 +448,14 @@ class HierarchicalFlow:
                     if key in constraint_cache:
                         constraint = constraint_cache[key]
                     else:
-                        dut = primitive.extract(
-                            primitive.generate(
-                                choice.base, choice.pattern, choice.wires,
-                                verify=False,
-                            ),
-                            choice.base,
-                        ).build_circuit()
+                        if dut is None:
+                            dut = primitive.extract(
+                                primitive.generate(
+                                    choice.base, choice.pattern, choice.wires,
+                                    verify=False,
+                                ),
+                                choice.base,
+                            ).build_circuit()
                         info = routes[net].to_route_info(
                             self.tech, symmetric_with=sym_lookup.get(port, ())
                         )

@@ -56,17 +56,16 @@ class CommonSourceAmplifier(MosPrimitive):
     def vin(self) -> float:
         """Gate bias; solved lazily on the schematic for ``i_target``."""
         if self._vin is None:
-            schematic = self.schematic_circuit()
-
-            def build(v: float):
-                tb = Circuit("bias_solve")
-                tbh.attach_dut(tb, schematic)
-                tb.add_vsource("vin", "in", "0", v)
-                tb.add_vsource("vout", "out", "0", self.vout)
-                return tb
-
+            tb = Circuit("bias_solve")
+            tbh.attach_dut(tb, self.schematic_circuit())
+            tb.add_vsource("vin", "in", "0")
+            tb.add_vsource("vout", "out", "0", self.vout)
             self._vin = tbh.solve_gate_bias(
-                self.tech, build, lambda op: abs(op.i("vout")), self.i_target
+                self.tech,
+                tb,
+                lambda v: {"vin": v},
+                lambda op: abs(op.i("vout")),
+                self.i_target,
             )
         return self._vin
 
@@ -112,19 +111,15 @@ class CommonGateAmplifier(CommonSourceAmplifier):
     def v_gate(self) -> float:
         """Gate bias; solved lazily on the schematic for ``i_target``."""
         if self._v_gate is None:
-            schematic = self.schematic_circuit()
-
-            def build(v: float):
-                tb = Circuit("bias_solve")
-                tbh.attach_dut(tb, schematic)
-                tb.add_vsource("vgate", "vg", "0", v)
-                tb.add_vsource("vin", "in", "0", self.vin)
-                tb.add_vsource("vout", "out", "0", self.vout)
-                return tb
-
+            tb = Circuit("bias_solve")
+            tbh.attach_dut(tb, self.schematic_circuit())
+            tb.add_vsource("vgate", "vg", "0")
+            tb.add_vsource("vin", "in", "0", self.vin)
+            tb.add_vsource("vout", "out", "0", self.vout)
             self._v_gate = tbh.solve_gate_bias(
                 self.tech,
-                build,
+                tb,
+                lambda v: {"vgate": v},
                 lambda op: abs(op.i("vout")),
                 self.i_target,
                 lo=self.vin,

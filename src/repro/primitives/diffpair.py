@@ -98,12 +98,21 @@ class DifferentialPair(MosPrimitive):
 
     # -- testbench construction --------------------------------------------
 
+    def input_drive(self, vin_diff: float) -> dict[str, float]:
+        """Input source levels at differential input ``vin_diff``: split
+        +x/2, -x/2 around the common mode."""
+        return {
+            "vinp": self.vcm + vin_diff / 2.0,
+            "vinn": self.vcm - vin_diff / 2.0,
+        }
+
     def _bias_testbench(self, dut: Circuit, vin_diff: float = 0.0) -> Circuit:
-        """DUT with bias sources; differential input split +x/2, -x/2."""
+        """DUT with bias sources, inputs at :meth:`input_drive`."""
+        drive = self.input_drive(vin_diff)
         tb = Circuit(f"{self.name}_tb")
         tbh.attach_dut(tb, dut)
-        tb.add_vsource("vinp", "inp", "0", self.vcm + vin_diff / 2.0)
-        tb.add_vsource("vinn", "inn", "0", self.vcm - vin_diff / 2.0)
+        tb.add_vsource("vinp", "inp", "0", drive["vinp"])
+        tb.add_vsource("vinn", "inn", "0", drive["vinn"])
         tb.add_vsource("voutp", "outp", "0", self.vout)
         tb.add_vsource("voutn", "outn", "0", self.vout)
         tb.add_isource("itail", "tail", "0", self.i_tail)
@@ -149,12 +158,13 @@ class PmosDifferentialPair(DifferentialPair):
         ]
 
     def _bias_testbench(self, dut: Circuit, vin_diff: float = 0.0) -> Circuit:
+        drive = self.input_drive(vin_diff)
         tb = Circuit(f"{self.name}_tb")
         tbh.attach_dut(tb, dut)
         vdd = self.tech.vdd
         tb.add_vsource("vdd", "vdd!", "0", vdd)
-        tb.add_vsource("vinp", "inp", "0", self.vcm + vin_diff / 2.0)
-        tb.add_vsource("vinn", "inn", "0", self.vcm - vin_diff / 2.0)
+        tb.add_vsource("vinp", "inp", "0", drive["vinp"])
+        tb.add_vsource("vinn", "inn", "0", drive["vinn"])
         tb.add_vsource("voutp", "outp", "0", self.vout)
         tb.add_vsource("voutn", "outn", "0", self.vout)
         # Tail current pulled from VDD into the tail node.
@@ -247,19 +257,19 @@ def _eval_gm_over_ctotal(
     return cache["gm"] / ctotal, sims
 
 
+def _offset_response(op) -> float:
+    return op.i("voutp") - op.i("voutn")
+
+
 def _eval_offset(
     prim: DifferentialPair, dut: Circuit, cache: dict
 ) -> tuple[float, int]:
     from repro.errors import MeasureError
 
-    def build(x: float) -> Circuit:
-        return prim._bias_testbench(dut, vin_diff=x)
-
-    def response(op) -> float:
-        return op.i("voutp") - op.i("voutn")
-
     try:
-        offset = tbh.dc_offset_bisection(build, prim.tech, response)
+        offset = tbh.dc_offset_bisection(
+            prim._bias_testbench(dut), prim.input_drive, prim.tech, _offset_response
+        )
     except MeasureError:
         # The pair no longer steers within the bracket (e.g. the bias has
         # collapsed under extreme route IR drop): report a saturated
@@ -326,17 +336,11 @@ def _eval_offset_many(
 ) -> list:
     from repro.errors import MeasureError
 
-    def make_build(dut: Circuit):
-        def build(x: float) -> Circuit:
-            return prim._bias_testbench(dut, vin_diff=x)
-
-        return build
-
-    def response(op) -> float:
-        return op.i("voutp") - op.i("voutn")
-
     roots = tbh.dc_offset_bisection_many(
-        [make_build(dut) for dut in duts], prim.tech, response
+        [prim._bias_testbench(dut) for dut in duts],
+        prim.input_drive,
+        prim.tech,
+        _offset_response,
     )
     out: list = []
     for root in roots:

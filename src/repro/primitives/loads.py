@@ -56,20 +56,20 @@ class CurrentSourceLoad(MosPrimitive):
         """Gate bias; solved lazily on the schematic for ``i_target``."""
         if self._v_bias is None:
             schematic = self.schematic_circuit()
-
-            def build(v: float):
-                tb = Circuit("bias_solve")
-                tbh.attach_dut(tb, schematic)
-                tb.add_vsource("vbias", "vb", "0", v)
-                tb.add_vsource("vout", "out", "0", self.vout)
-                if "vdd!" in schematic.ports:
-                    tb.add_vsource("vdd", "vdd!", "0", self.tech.vdd)
-                if "vc" in schematic.ports:
-                    tb.add_vsource("vcas", "vc", "0", getattr(self, "v_cascode", 0.0))
-                return tb
-
+            tb = Circuit("bias_solve")
+            tbh.attach_dut(tb, schematic)
+            tb.add_vsource("vbias", "vb", "0")
+            tb.add_vsource("vout", "out", "0", self.vout)
+            if "vdd!" in schematic.ports:
+                tb.add_vsource("vdd", "vdd!", "0", self.tech.vdd)
+            if "vc" in schematic.ports:
+                tb.add_vsource("vcas", "vc", "0", getattr(self, "v_cascode", 0.0))
             self._v_bias = tbh.solve_gate_bias(
-                self.tech, build, lambda op: abs(op.i("vout")), self.i_target
+                self.tech,
+                tb,
+                lambda v: {"vbias": v},
+                lambda op: abs(op.i("vout")),
+                self.i_target,
             )
         return self._v_bias
 

@@ -14,16 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError, MeasureError, SingularMatrixError
+from repro.errors import MeasureError
 from repro.primitives.base import MetricSpec
 from repro.runtime.failures import is_eval_failure
 from repro.spice import measure
 from repro.spice.ac import ac_analysis, ac_analysis_many
-from repro.spice.dc import (
-    dc_operating_point,
-    dc_operating_points,
-    newton_operating_points,
-)
+from repro.spice.dc import dc_operating_point, dc_operating_points
 from repro.spice.mna import CompiledCircuit
 from repro.spice.netlist import Circuit
 from repro.spice.tran import transient
@@ -255,21 +251,22 @@ def run_transient(
 _OFFSET_TOL = 1e-7
 
 
-def _warm_start(x_prev: np.ndarray | None, compiled: CompiledCircuit):
-    """Initial guess of a bisection DC solve: the previous point's solution.
+def _snap_offset(offset: float) -> float:
+    """An offset below the bisection resolution, which is
+    indistinguishable from zero, reported as exactly 0.0.
 
-    Successive bisection inputs differ by at most the bracket width and
-    the gap halves every round, so the member's last converged solution
-    is a close guess.  The first (``lo``) point has none and starts from
-    zero, as does a testbench whose system changed size.
+    Snapping lets downstream consumers (the cost function's
+    zero-schematic-reference branch) see a true zero: a perfectly
+    symmetric circuit must measure 0.0 regardless of which LU backend
+    solved it — pivoting-order noise at the 1e-16 level otherwise walks
+    the bisection to an arbitrary sub-tolerance midpoint.
     """
-    if x_prev is None or len(x_prev) != compiled.size:
-        return None
-    return x_prev
+    return 0.0 if abs(offset) < _OFFSET_TOL else offset
 
 
 def dc_offset_bisection(
-    build_tb,
+    tb: Circuit,
+    drive,
     tech: Technology,
     response,
     lo: float = -0.05,
@@ -278,8 +275,11 @@ def dc_offset_bisection(
     """Input-referred offset via bisection on a DC response.
 
     Args:
-        build_tb: Callable ``(x) -> Circuit`` building the testbench with
-            differential input ``x``.
+        tb: The testbench, built once at any input.
+        drive: Callable ``(x) -> {source name: DC level}`` giving the
+            testbench's input-source levels at differential input ``x``
+            (the same levels the testbench builder sets, so the built
+            netlist and the drive cannot disagree).
         tech: Technology node.
         response: Callable ``(op) -> float`` extracting the quantity to
             null (e.g. differential output current).
@@ -289,31 +289,29 @@ def dc_offset_bisection(
         The input voltage nulling the response; magnitudes below the
         bisection tolerance report as exactly ``0.0``.
 
-    Each DC solve after the first starts from the previous point's
-    solution (see :func:`_warm_start`).
+    The testbench compiles once; every point solves a copy with the
+    input sources set (:meth:`~repro.spice.mna.CompiledCircuit
+    .with_dc_sources`).  Successive points differ by at most the bracket
+    width and the gap halves every round, so each solve after the first
+    (which starts from zero) starts from the previous point's solution.
     """
-
+    compiled = CompiledCircuit(tb, tech.rules)
     x_prev = None
 
     def evaluate(x: float) -> float:
         nonlocal x_prev
-        compiled = CompiledCircuit(build_tb(x), tech.rules)
-        op = dc_operating_point(compiled, x0=_warm_start(x_prev, compiled))
+        op = dc_operating_point(compiled.with_dc_sources(drive(x)), x0=x_prev)
         x_prev = op.x
         return response(op)
 
-    offset = measure.find_dc_zero(evaluate, lo, hi, tolerance=_OFFSET_TOL)
-    # An offset below the bisection resolution is indistinguishable from
-    # zero.  Snap it so downstream consumers (the cost function's
-    # zero-schematic-reference branch) see a true zero: a perfectly
-    # symmetric circuit must measure 0.0 regardless of which LU backend
-    # solved it — pivoting-order noise at the 1e-16 level otherwise
-    # walks the bisection to an arbitrary sub-tolerance midpoint.
-    return 0.0 if abs(offset) < _OFFSET_TOL else offset
+    return _snap_offset(
+        measure.find_dc_zero(evaluate, lo, hi, tolerance=_OFFSET_TOL)
+    )
 
 
 def dc_offset_bisection_many(
-    build_tbs: list,
+    tbs: list[Circuit],
+    drive,
     tech: Technology,
     response,
     lo: float = -0.05,
@@ -321,96 +319,48 @@ def dc_offset_bisection_many(
 ) -> list:
     """Batched :func:`dc_offset_bisection`: K bisections in lock-step.
 
-    Each bisection round solves every live member's testbench through
-    one stacked Newton call, and — since successive bisection inputs
-    change only independent-source values — each member's system is
-    *compiled once*: later rounds rebuild the (cheap) netlist, verify it
-    is :meth:`~repro.spice.mna.CompiledCircuit.structurally_like` the
-    compiled one, and restamp only the right-hand side.  A member the
-    fast path cannot serve (structure drift, plain-Newton divergence
-    where the serial solver would climb its homotopy ladder) drops to a
-    per-evaluation serial solve with identical results.  Both paths
-    warm-start each solve from the member's previous solution, exactly
-    as the serial helper does.
+    Each testbench compiles once, and each bisection round solves every
+    live member's point through one :func:`~repro.spice.dc
+    .dc_operating_points` call, warm-started from the member's previous
+    solution exactly as the serial helper does — so every member's
+    result, Newton iterations and analyses equal the serial helper's.
 
     Returns one entry per member: the offset (snapped to 0.0 below the
     bisection resolution, exactly like the serial helper), or the
     captured exception the serial helper would have raised
     (:class:`~repro.errors.MeasureError` on a bracket without a sign
-    change, solver errors otherwise).
+    change, :class:`~repro.errors.ConvergenceError` otherwise).
     """
-    count = len(build_tbs)
-    compileds: list[CompiledCircuit | None] = [None] * count
-    serial_member = [False] * count
-    x_prevs: list[np.ndarray | None] = [None] * count
-
-    def serial_eval(i: int, tb: Circuit):
-        compiled = CompiledCircuit(tb, tech.rules)
-        try:
-            op = dc_operating_point(
-                compiled, x0=_warm_start(x_prevs[i], compiled)
-            )
-        except (ConvergenceError, SingularMatrixError) as exc:
-            return exc
-        x_prevs[i] = op.x
-        return response(op)
+    compileds = [CompiledCircuit(tb, tech.rules) for tb in tbs]
+    x_prevs: list[np.ndarray | None] = [None] * len(tbs)
 
     def evaluate_many(indices: list[int], xs: list[float]) -> list:
-        out: list = [None] * len(indices)
-        stacked_js: list[int] = []
-        stacked_compileds: list[CompiledCircuit] = []
-        stacked_rhs: list[np.ndarray] = []
-        stacked_x0s: list[np.ndarray | None] = []
-        for j, (i, x) in enumerate(zip(indices, xs)):
-            tb = build_tbs[i](x)
-            if serial_member[i]:
-                out[j] = serial_eval(i, tb)
+        ops = dc_operating_points(
+            [compileds[i].with_dc_sources(drive(x)) for i, x in zip(indices, xs)],
+            x0s=[x_prevs[i] for i in indices],
+        )
+        out: list = []
+        for i, op in zip(indices, ops):
+            if isinstance(op, Exception):
+                out.append(op)
                 continue
-            compiled = compileds[i]
-            if compiled is None:
-                compiled = CompiledCircuit(tb, tech.rules)
-                compileds[i] = compiled
-                rhs = compiled.source_rhs(t=None, scale=1.0)
-            elif compiled.structurally_like(tb):
-                rhs = compiled.source_rhs_like(tb)
-            else:
-                serial_member[i] = True
-                out[j] = serial_eval(i, tb)
-                continue
-            stacked_js.append(j)
-            stacked_compileds.append(compiled)
-            stacked_rhs.append(rhs)
-            stacked_x0s.append(_warm_start(x_prevs[i], compiled))
-        if stacked_js:
-            ops = newton_operating_points(
-                stacked_compileds, rhs_srcs=stacked_rhs, x0s=stacked_x0s
-            )
-            for j, op in zip(stacked_js, ops):
-                i = indices[j]
-                if op is None:
-                    # Plain Newton diverged; the serial path replays it
-                    # from the same start, then climbs the gmin/source-
-                    # stepping ladder.
-                    out[j] = serial_eval(i, build_tbs[i](xs[j]))
-                else:
-                    x_prevs[i] = op.x
-                    out[j] = response(op)
+            x_prevs[i] = op.x
+            out.append(response(op))
         return out
 
     roots = measure.find_dc_zero_many(
-        evaluate_many, count, lo, hi, tolerance=_OFFSET_TOL
+        evaluate_many, len(tbs), lo, hi, tolerance=_OFFSET_TOL
     )
     return [
-        root
-        if isinstance(root, Exception)
-        else (0.0 if abs(root) < _OFFSET_TOL else root)
+        root if isinstance(root, Exception) else _snap_offset(root)
         for root in roots
     ]
 
 
 def solve_gate_bias(
     tech: Technology,
-    build_tb,
+    tb: Circuit,
+    drive,
     current_of,
     i_target: float,
     lo: float = 0.0,
@@ -424,8 +374,9 @@ def solve_gate_bias(
 
     Args:
         tech: Technology node.
-        build_tb: Callable ``(v) -> Circuit`` building the schematic
-            testbench at gate bias ``v``.
+        tb: The schematic testbench, built once at any gate bias.
+        drive: Callable ``(v) -> {source name: DC level}`` setting the
+            testbench's gate source to bias ``v``.
         current_of: Callable ``(op) -> float`` extracting the device
             current.
         i_target: Target current (A).
@@ -435,10 +386,10 @@ def solve_gate_bias(
         The bias voltage.
     """
     hi = tech.vdd if hi is None else hi
+    compiled = CompiledCircuit(tb, tech.rules)
 
     def evaluate(v: float) -> float:
-        compiled = CompiledCircuit(build_tb(v), tech.rules)
-        op = dc_operating_point(compiled)
+        op = dc_operating_point(compiled.with_dc_sources(drive(v)))
         return current_of(op) - i_target
 
     return measure.find_dc_zero(evaluate, lo, hi, tolerance=1e-6)

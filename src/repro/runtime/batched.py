@@ -1,7 +1,8 @@
 """Vectorized multi-variant evaluation — the sweep engine.
 
-Selection and tuning sweeps evaluate many *same-pattern* variants: the
-netlists share one MNA structure and differ only in device values.
+Selection, tuning, port-constraint and reconcile sweeps evaluate many
+*same-pattern* variants: the netlists share one MNA structure and
+differ only in device values.
 Evaluated one at a time, each variant is rebuilt and resolved
 independently; this module lets a call site describe each evaluation as
 *build circuit → simulate → finish* (a :class:`BatchSpec` on its
@@ -10,7 +11,8 @@ independently; this module lets a call site describe each evaluation as
 :class:`~repro.spice.kernel.BatchedSystemTemplate` Newton solve per
 iteration instead of K, one stacked AC sweep instead of K (see
 docs/performance.md, "Batched solves").  It is the engine of every
-sweep, :data:`STACK_WIDTH` variants per stack.
+sweep, :data:`STACK_WIDTH` variants per stack (``DEV-BATCH-TASK`` in
+``tools/devlint.py`` flags a task that carries no spec).
 
 The stacked members of a batch run at construction (the *precompute*);
 a batch stays lazy — every task evaluated at consumption, one at a
@@ -26,8 +28,10 @@ fault counters — is byte-identical to the lazy-serial path
 * the stacked solvers do each member's floating-point operations
   exactly as its own solve would: the lazy-serial path runs the same DC
   Newton loop on one-member stacks, stacked LAPACK ``gesv`` is bitwise
-  equal to per-slice solves, and members that converge leave the live
-  set without changing the stragglers' arithmetic;
+  equal to per-slice solves, members that converge leave the live
+  set without changing the stragglers' arithmetic, and a member plain
+  Newton cannot converge climbs the serial gmin/source-stepping ladder
+  from the same guess;
 * cache lookups still happen at *consumption* in call-site order — the
   precompute phase only peeks (:meth:`EvalCache.__contains__`, which
   takes no statistics) to decide which members need simulation;

@@ -491,11 +491,9 @@ def _newton_solve_batch(
 
 def _plain_newton(
     compileds: list[CompiledCircuit],
-    rhs_srcs: list[np.ndarray] | None = None,
     x0s: list[np.ndarray | None] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray | None, set]]:
-    """Stacked plain Newton over a batch (see
-    :func:`newton_operating_points`).
+    """Stacked plain Newton over a batch (see :func:`dc_operating_points`).
 
     Returns per member its initial guess, its solution (None where
     Newton failed) and the recovery tags collected on the way.
@@ -515,12 +513,7 @@ def _plain_newton(
             ]
         )
         rhs = np.stack(
-            [
-                group.compileds[j].source_rhs(t=None, scale=1.0)
-                if rhs_srcs is None
-                else np.asarray(rhs_srcs[i], dtype=float)
-                for j, i in enumerate(group.indices)
-            ]
+            [compiled.source_rhs(t=None, scale=1.0) for compiled in group.compileds]
         )
         diag = np.full((len(group.indices), group.num_nodes), GMIN_FLOOR)
         recoveries: list[set] = [set() for _ in group.indices]
@@ -530,58 +523,33 @@ def _plain_newton(
     return out
 
 
-def newton_operating_points(
-    compileds: list[CompiledCircuit],
-    rhs_srcs: list[np.ndarray] | None = None,
-    x0s: list[np.ndarray | None] | None = None,
-) -> list[OperatingPoint | None]:
-    """Plain-Newton operating points for a batch of circuits.
-
-    Groups the circuits by template compatibility, runs the lockstep
-    Newton per group, and finishes converged members into
-    :class:`OperatingPoint` objects (with any ``"tikhonov"`` tag
-    collected along the way).  Members that plain Newton cannot converge
-    come back as None; the caller owns the gmin/source-stepping ladder.
-
-    ``rhs_srcs`` optionally overrides each member's DC source vector
-    (``compiled.source_rhs(t=None)`` layout) — the compile-once path of
-    the batched offset bisection, where successive inputs change only
-    source values.  It runs only inside the stacked precompute of
-    :mod:`repro.runtime.batched` — outside any evaluation context, with
-    fault injection suspended — so it has no fault hook, ``force`` pins
-    or retry perturbation.
-    """
-    return [
-        None if solution is None else _finish(compiled, solution, recovery)
-        for compiled, (_, solution, recovery) in zip(
-            compileds, _plain_newton(compileds, rhs_srcs, x0s)
-        )
-    ]
-
-
 def dc_operating_points(
     compileds: list[CompiledCircuit],
+    x0s: list[np.ndarray | None] | None = None,
 ) -> list[OperatingPoint | Exception]:
     """Batched :func:`dc_operating_point` over many circuits.
 
-    Bitwise-identical to calling :func:`dc_operating_point` per member,
-    and as costly in Newton iterations and analyses: plain Newton runs
-    stacked, and a member it cannot converge climbs the gmin/source-
-    stepping ladder on its own, from the same initial guess and with the
-    recovery tags it has collected.  Failures are *captured per member*
-    — the returned list holds an :class:`OperatingPoint` or the
+    Bitwise-identical to calling :func:`dc_operating_point` per member
+    (from the member's initial guess in ``x0s``, zero where None or
+    absent), and as costly in Newton iterations and analyses: plain
+    Newton runs stacked, and a member it cannot converge climbs the
+    gmin/source-stepping ladder on its own, from the same initial guess
+    and with the recovery tags it has collected.  Failures are
+    *captured per member* — the returned list holds an
+    :class:`OperatingPoint` or the
     :class:`~repro.errors.ConvergenceError` the serial call would have
     raised, so one diverging member does not hide the others' results;
     callers re-raise at the member position when they want serial raise
     semantics.
 
-    Its caller is the stacked precompute of :mod:`repro.runtime.batched`,
-    which runs outside any evaluation context with fault injection
-    suspended — no retry perturbation or injected fault reaches here.
+    Its callers run inside the stacked precompute of
+    :mod:`repro.runtime.batched`, outside any evaluation context with
+    fault injection suspended — no retry perturbation, injected fault
+    or ``force`` pin reaches here.
     """
     results: list[OperatingPoint | Exception] = []
     for compiled, (x0, solution, recovery) in zip(
-        compileds, _plain_newton(compileds)
+        compileds, _plain_newton(compileds, x0s)
     ):
         if solution is not None:
             results.append(_finish(compiled, solution, recovery))
@@ -598,34 +566,19 @@ def dc_sweep(
     source_name: str,
     values: np.ndarray,
 ) -> list[OperatingPoint]:
-    """Sweep the DC level of one source, warm-starting each point.
+    """Sweep the DC level of one independent source, warm-starting each
+    point.
 
-    The named element must be a :class:`VoltageSource` or
-    :class:`CurrentSource`; its waveform is replaced by a DC level and the
-    circuit recompiled per sweep point (compilation is linear in element
-    count, so this stays cheap for primitive-scale circuits).
+    Each point solves ``compiled`` with the source set to that level
+    (:meth:`~repro.spice.mna.CompiledCircuit.with_dc_sources`): the
+    circuit is compiled once, and the caller's netlist is never touched.
     """
-    from dataclasses import replace
-
-    from repro.spice.elements import CurrentSource, VoltageSource
-    from repro.spice.waveforms import Dc
-
-    circuit = compiled.circuit
-    element = circuit.element(source_name)
-    if not isinstance(element, (VoltageSource, CurrentSource)):
-        raise NetlistError(f"{source_name!r} is not an independent source")
-
     results: list[OperatingPoint] = []
     x_prev: np.ndarray | None = None
-    try:
-        for value in values:
-            circuit.replace_element(
-                source_name, replace(element, waveform=Dc(float(value)))
-            )
-            point_compiled = CompiledCircuit(circuit, compiled.rules)
-            point = dc_operating_point(point_compiled, x0=x_prev)
-            results.append(point)
-            x_prev = point.x
-    finally:
-        circuit.replace_element(source_name, element)
+    for value in values:
+        point = dc_operating_point(
+            compiled.with_dc_sources({source_name: value}), x0=x_prev
+        )
+        results.append(point)
+        x_prev = point.x
     return results

@@ -16,7 +16,9 @@ triplets and patterns provided here, which may reference the ghost too.
 
 from __future__ import annotations
 
+import copy
 import time
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.spice.elements import (
     VoltageSource,
 )
 from repro.spice.netlist import Circuit, is_ground
+from repro.spice.waveforms import Dc
 from repro.tech.rules import DesignRules
 
 
@@ -188,72 +191,40 @@ class CompiledCircuit:
             rhs[self.branch_index[src.name]] += value * scale
         return rhs
 
-    def structurally_like(self, other: Circuit) -> bool:
-        """Whether ``other`` would compile to this exact MNA structure.
+    def with_dc_sources(self, levels: dict[str, float]) -> "CompiledCircuit":
+        """This circuit with the named independent sources set to DC
+        ``levels`` (``{source name: level}``).
 
-        True when every element matches this compiled circuit's —
-        independent sources may differ in their (DC) waveform values,
-        everything else must be equal — so a solve against ``other`` can
-        reuse this compiled system with only the right-hand side rebuilt
-        (:meth:`source_rhs_like`).  Matrix stamps of independent sources
-        are pure topology (±1 entries), so differing source *values*
-        cannot change the system matrix.
+        A shallow copy that shares every index and parameter array and
+        the solver-kernel templates: independent sources stamp only
+        topology (±1 entries), so the system matrix of every analysis is
+        the copy's too.  Only its ``vsources``/``isources`` lists are
+        new, so :meth:`source_rhs` reads the new levels while this
+        circuit's stays unchanged; ``circuit`` is still the netlist this
+        one was compiled from.  A DC sweep or an offset bisection
+        compiles its testbench once and solves one copy per point.
         """
-        mine = self.circuit.elements
-        theirs = other.elements
-        if len(mine) != len(theirs):
-            return False
-        for a, b in zip(mine, theirs):
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, VoltageSource):
-                if (
-                    a.name != b.name
-                    or a.plus != b.plus
-                    or a.minus != b.minus
-                    or a.ac_magnitude != b.ac_magnitude
-                    or a.ac_phase_deg != b.ac_phase_deg
-                    or type(a.waveform) is not type(b.waveform)
-                ):
-                    return False
-            elif isinstance(a, CurrentSource):
-                if (
-                    a.name != b.name
-                    or a.a != b.a
-                    or a.b != b.b
-                    or a.ac_magnitude != b.ac_magnitude
-                    or a.ac_phase_deg != b.ac_phase_deg
-                    or type(a.waveform) is not type(b.waveform)
-                ):
-                    return False
-            elif a != b:
-                return False
-        return self.nodes == other.nodes()
-
-    def source_rhs_like(self, other: Circuit) -> np.ndarray:
-        """DC source vector of ``other`` stamped with *this* circuit's
-        indices.
-
-        The compile-once path of batched bisection sweeps: successive
-        sweep inputs rebuild the (cheap) netlist but change only
-        independent-source values, so the expensive compile is reused
-        and only the right-hand side is restamped.  Callers must have
-        established :meth:`structurally_like` first.
-        """
-        values = {
-            e.name: e.waveform.dc_value
-            for e in other.elements
-            if isinstance(e, (VoltageSource, CurrentSource))
+        unknown = set(levels) - {
+            src.name for src in self.vsources + self.isources
         }
-        rhs = self._empty_vector()
-        idx = self.index_of
-        for src in self.isources:
-            value = values[src.name]
-            rhs[idx(src.a)] -= value
-            rhs[idx(src.b)] += value
-        for src in self.vsources:
-            rhs[self.branch_index[src.name]] += values[src.name]
-        return rhs
+        if unknown:
+            raise NetlistError(
+                f"not independent sources of {self.circuit.name!r}: "
+                f"{sorted(unknown)}"
+            )
+
+        def drive(sources):
+            return [
+                replace(src, waveform=Dc(float(levels[src.name])))
+                if src.name in levels
+                else src
+                for src in sources
+            ]
+
+        twin = copy.copy(self)
+        twin.vsources = drive(self.vsources)
+        twin.isources = drive(self.isources)
+        return twin
 
     def ac_source_rhs(self) -> np.ndarray:
         """Complex RHS from the AC magnitudes/phases of all sources."""

@@ -109,7 +109,11 @@ def test_solve_gate_bias_monotone_increasing(tech):
         return c
 
     v = tbh.solve_gate_bias(
-        tech, build, lambda op: abs(op.i("vd")), i_target=50e-6
+        tech,
+        build(0.0),
+        lambda v: {"vg": v},
+        lambda op: abs(op.i("vd")),
+        i_target=50e-6,
     )
     op_check = tbh.run_op(build(v), tech)
     assert abs(op_check.i("vd")) == pytest.approx(50e-6, rel=0.01)
@@ -126,14 +130,13 @@ def test_standard_pulse_polarity():
 
 def test_dc_offset_bisection_finds_injected_offset(tech):
     # A linear "circuit": response = x - 3 mV.
-    def build(x):
-        c = Circuit("lin")
-        c.add_vsource("vx", "a", "0", x - 3e-3)
-        c.add_resistor("r", "a", "0", 1e3)
-        return c
+    tb = Circuit("lin")
+    tb.add_vsource("vx", "a", "0")
+    tb.add_resistor("r", "a", "0", 1e3)
 
     root = tbh.dc_offset_bisection(
-        build, tech, lambda op: op.v("a"), lo=-0.05, hi=0.05
+        tb, lambda x: {"vx": x - 3e-3}, tech, lambda op: op.v("a"),
+        lo=-0.05, hi=0.05,
     )
     assert root == pytest.approx(3e-3, abs=1e-6)
 
@@ -158,58 +161,56 @@ def _dp_response(op) -> float:
     return op.i("voutp") - op.i("voutn")
 
 
-def _drifting_build(prim, dut, calls: list):
-    """A DP offset testbench that grows a node after its first build."""
+def _ladder_testbench(prim, dut):
+    """A DP offset testbench whose first (cold) point fails plain Newton.
 
-    def build(x):
-        tb = prim._bias_testbench(dut, vin_diff=x)
-        if calls:
-            tb.add_resistor("rdrift", "tail", "drift", 1e15)
-            tb.add_resistor("rdrift_g", "drift", "0", 1e15)
-        calls.append(x)
-        return tb
+    An unrelated 36 V source drives a diode-connected nMOS through
+    1 kOhm: from zero, plain Newton diverges and the solve climbs the
+    gmin/source-stepping ladder; warm-started points converge plainly.
+    The DP's response is untouched.
+    """
+    from repro.devices.mosfet import MosGeometry
 
-    return build
+    tb = prim._bias_testbench(dut)
+    tb.add_vsource("vhigh", "hv", "0", 36.0)
+    tb.add_resistor("rhigh", "hv", "hd", 1000.0)
+    tb.add_mosfet("mhigh", "hd", "hd", "0", "0", prim.tech.nmos, MosGeometry(8, 2, 1))
+    return tb
 
 
 def test_dc_offset_bisection_many_matches_serial_bitwise(tech, monkeypatch):
     prim, duts = _dp_variants(tech)
-
-    def builds(drift_calls):
-        stacked = [
-            lambda x, dut=dut: prim._bias_testbench(dut, vin_diff=x)
-            for dut in duts
-        ]
-        # The last member's structure drifts after the first round, so
-        # the compile-once path drops it to the serial solver.
-        return stacked + [_drifting_build(prim, duts[0], drift_calls)]
+    # The last member fails plain Newton at its first point, so the
+    # stack hands it to the gmin/source-stepping ladder.
+    tbs = [prim._bias_testbench(dut) for dut in duts]
+    tbs.append(_ladder_testbench(prim, duts[0]))
 
     serial_stats = kernel.SolverStats()
-    with kernel.collect(serial_stats):
-        serial = [
-            tbh.dc_offset_bisection(build, tech, _dp_response)
-            for build in builds([])
-        ]
-    serial_solves = []
+    recoveries = []
 
     def serial_solve(compiled, **kwargs):
-        serial_solves.append(compiled.circuit.name)
-        return dc_operating_point(compiled, **kwargs)
+        op = dc_operating_point(compiled, **kwargs)
+        recoveries.append(op.recovery)
+        return op
 
     monkeypatch.setattr(tbh, "dc_operating_point", serial_solve)
-    drift_calls: list = []
+    with kernel.collect(serial_stats):
+        serial = [
+            tbh.dc_offset_bisection(tb, prim.input_drive, tech, _dp_response)
+            for tb in tbs
+        ]
+    assert ("gmin-stepping", "source-stepping") in recoveries
     stats = kernel.SolverStats()
     with kernel.collect(stats):
         stacked = tbh.dc_offset_bisection_many(
-            builds(drift_calls), tech, _dp_response
+            tbs, prim.input_drive, tech, _dp_response
         )
     assert stacked == serial  # bitwise: float equality per member
-    # Same starting guesses, so the same Newton trajectories.
+    # Same starting guesses, so the same Newton trajectories, and the
+    # ladder member costs what its serial solve costs.
     assert stats.newton_iterations == serial_stats.newton_iterations
     assert stats.analyses == serial_stats.analyses
-    assert stats.batched_solves > 0
-    # Only the drifting member left the stack, from its second point on.
-    assert len(serial_solves) == len(drift_calls) - 1 > 0
+    assert stats.batch_members > stats.batched_solves > 0
 
 
 def test_dc_offset_bisection_warm_starts_each_solve(tech):
@@ -217,12 +218,10 @@ def test_dc_offset_bisection_warm_starts_each_solve(tech):
     # so each DC solve after the first starts from the member's previous
     # solution.  Cold starts take ~7 Newton iterations per solve here.
     prim, duts = _dp_variants(tech)
-    builds = [
-        lambda x, dut=dut: prim._bias_testbench(dut, vin_diff=x) for dut in duts
-    ]
+    tbs = [prim._bias_testbench(dut) for dut in duts]
     stats = kernel.SolverStats()
     with kernel.collect(stats):
-        tbh.dc_offset_bisection_many(builds, tech, _dp_response)
+        tbh.dc_offset_bisection_many(tbs, prim.input_drive, tech, _dp_response)
     solves = stats.analyses["dc"]
     assert solves >= 3 * 20
     assert stats.newton_iterations / solves <= 4.0

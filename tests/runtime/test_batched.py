@@ -431,6 +431,75 @@ def test_batched_report_identical_under_transient_faults(
     )
 
 
+def _port_and_reconcile_sweep(width, spec, seed, run_dir, stack_width):
+    """Algorithm 2's re-simulations of two DP ports at ``width``: each
+    port's sweep, then one reconcile gap batch (two unexplored counts
+    and one the sweep explored, a content-cache hit, per port)."""
+    from repro.core.port_constraints import (
+        GlobalRouteInfo,
+        derive_port_constraint,
+        route_point_task,
+    )
+    from repro.runtime import SweepJournal
+
+    stack_width(width)
+    routes = [
+        GlobalRouteInfo(
+            net="outp", layer="M3", length_nm=2000.0, symmetric_with=("outn",)
+        ),
+        GlobalRouteInfo(net="tail", layer="M2", length_nm=800.0),
+    ]
+    with inject(spec, seed=seed) as injector:
+        prim = _fresh_dp()
+        dut = prim.layout_circuit(prim.variants()[0], "ABAB")
+        journal = SweepJournal(run_dir / str(width) / "ports.jsonl")
+        runtime = EvalRuntime(retries=2, journal=journal)
+        constraints = [
+            derive_port_constraint(prim, dut, route, max_wires=6, runtime=runtime)
+            for route in routes
+        ]
+        batch = runtime.evaluate_batch(
+            [
+                route_point_task(
+                    prim, dut, route, n, cache=runtime.cache, key_prefix="recon"
+                )
+                for route in routes
+                for n in (7, 8, 2)
+            ],
+            stage="reconcile",
+        )
+        recon = [batch.consume(i) for i in range(len(batch))]
+        journal.close()
+    return {
+        "constraints": [
+            (c.w_min, c.w_max, [(p.wires, p.cost, p.values) for p in c.sweep], sims)
+            for c, sims in constraints
+        ],
+        "recon": recon,
+        "journal": (run_dir / str(width) / "ports.jsonl").read_bytes(),
+        "failures": runtime.failures.to_dict(),
+        "cache": runtime.cache.stats,
+        "faults": (injector.counters, injector.fired),
+        "solver": runtime.solver_stats.as_dict(),
+    }
+
+
+@pytest.mark.parametrize("spec", _FAULT_SPECS.values(), ids=_FAULT_SPECS)
+def test_port_and_reconcile_sweeps_stack_identically(
+    spec, fault_seed, stack_width, tmp_path
+):
+    # The port sweep and the reconcile re-simulations stack like the
+    # selection and tuning sweeps, and nothing observable moves.
+    serial = _port_and_reconcile_sweep(1, spec, fault_seed, tmp_path, stack_width)
+    stacked = _port_and_reconcile_sweep(
+        BATCH, spec, fault_seed, tmp_path, stack_width
+    )
+    assert serial["faults"][1]  # the faults really fired
+    solver = (serial.pop("solver"), stacked.pop("solver"))
+    assert stacked == serial
+    _assert_stack_widths(*solver)
+
+
 # -- call-site exceptions ------------------------------------------------
 
 

@@ -142,3 +142,32 @@ def test_unsupported_element_type(tech):
     c._names.add("x")
     with pytest.raises(NetlistError):
         CompiledCircuit(c, tech.rules)
+
+
+@pytest.mark.parametrize("family", ["differential_pair", "pmos_differential_pair"])
+def test_with_dc_sources_solves_like_a_fresh_compile(tech, family):
+    # A copy driven to input x solves bitwise like the testbench built
+    # and compiled at x, and leaves the original's sources alone.
+    from repro.primitives import PrimitiveLibrary
+
+    prim = PrimitiveLibrary().create(family, tech, base_fins=8)
+    dut = prim.schematic_circuit()
+    compiled = CompiledCircuit(prim._bias_testbench(dut), tech.rules)
+    rhs = compiled.source_rhs()
+    for x in (-0.05, -1.3e-3, 0.0, 7.5e-4, 0.05):
+        driven = dc_operating_point(compiled.with_dc_sources(prim.input_drive(x)))
+        fresh = dc_operating_point(
+            CompiledCircuit(prim._bias_testbench(dut, vin_diff=x), tech.rules)
+        )
+        assert np.array_equal(driven.x, fresh.x)
+        assert driven.recovery == fresh.recovery
+    assert np.array_equal(compiled.source_rhs(), rhs)
+
+
+def test_with_dc_sources_rejects_non_sources(tech):
+    c = Circuit("t")
+    c.add_vsource("v1", "a", "0", 1.0)
+    c.add_resistor("r1", "a", "0", 1e3)
+    cc = CompiledCircuit(c, tech.rules)
+    with pytest.raises(NetlistError, match="r1"):
+        cc.with_dc_sources({"r1": 0.5})
