@@ -18,21 +18,43 @@ Geometry model — the 2D mesh arrangement FinFET analog cells use:
   degradation mechanism the paper cites for over-tuned cells.
 * Vertical M3 *rails* on the right edge of the cell collect each net's
   row straps and carry it to the port at the bottom.
-* Stubs and straps record their owning device+terminal so extraction can
-  build per-device branch resistances (a differential pair's Gm
-  degradation depends on each transistor's own path to the common node,
-  not on the shared trunk).
+* Stubs record their owning device+terminal so extraction can build
+  per-device branch resistances (a differential pair's Gm degradation
+  depends on each transistor's own path to the common node, not on the
+  shared trunk).
+
+Wires and vias are emitted as integer columns
+(:class:`~repro.geometry.layout.ShapeColumns`), with no record per
+shape; the layout builds its ``Wire``/``Via`` records only if something
+reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cellgen.patterns import PatternRows, pattern_rows
 from repro.devices.mosfet import MosGeometry
 from repro.errors import LayoutError
-from repro.geometry.layout import DevicePlacement, Layout, Port, Via, Wire
-from repro.geometry.shapes import Point, Rect, bounding_box
+from repro.geometry.layout import (
+    FINGER_STUB,
+    RAIL,
+    STRAP,
+    STRAP_JUMPER,
+    V_CUTS,
+    V_NET,
+    V_PAIR,
+    V_X,
+    V_Y,
+    DevicePlacement,
+    Layout,
+    Port,
+    ShapeColumns,
+    int_columns,
+)
+from repro.geometry.shapes import Rect, bounding_box
 from repro.spice.netlist import is_power_net
 from repro.tech.pdk import Technology
 
@@ -203,8 +225,10 @@ def _build_layout(
     device_by_name = {d.name: d for d in spec.devices}
     unit_gap = rules.poly_pitch  # diffusion break between units
 
-    layout = Layout(name=f"{spec.name}_{pattern.lower()}")
+    devices: list[DevicePlacement] = []
     nets = _nets_in_order(spec)
+    net_id = {net: i for i, net in enumerate(nets)}
+    owner_id = {"": 0}
     # The baseline mesh density scales with the stack height: single-row
     # cells need less strapping; each tuning "parallel wire" adds one
     # strap.  Power nets (ground and any "...!"-suffixed rail) get a
@@ -218,7 +242,7 @@ def _build_layout(
         for net in nets
     }
 
-    # Stub columns per row: (x, net, owner). Strap extents per row/net.
+    # Stub columns per row: (x, net, owner id). Strap extents per row/net.
     y_cursor = 0
     max_row_right = 0
     row_records: list[dict] = []
@@ -237,7 +261,7 @@ def _build_layout(
             rect = Rect.from_size(
                 x_active, y_cursor, unit_width, dev.geometry.nfin * rules.fin_pitch
             )
-            layout.devices.append(
+            devices.append(
                 DevicePlacement(
                     device=device_name,
                     unit_index=unit_idx,
@@ -249,16 +273,21 @@ def _build_layout(
             )
             d_net, s_net = dev.terminals["d"], dev.terminals["s"]
             g_net = dev.terminals["g"]
+            d_own, s_own, g_own = (
+                owner_id.setdefault(f"{device_name}.{t}", len(owner_id))
+                for t in "dsg"
+            )
             for col in range(unit_nf + 1):
                 x = x_active + col * rules.poly_pitch
-                net = s_net if col % 2 == 0 else d_net
-                terminal = "s" if col % 2 == 0 else "d"
-                columns.append((x, net, f"{device_name}.{terminal}"))
+                if col % 2 == 0:
+                    columns.append((x, s_net, s_own))
+                else:
+                    columns.append((x, d_net, d_own))
             # Gate mesh: a contact every four fingers (plus the centre),
             # as analog FinFET cells strap gates to keep Rg low.
             for col in range(0, unit_nf, 4):
                 x = x_active + col * rules.poly_pitch + rules.poly_pitch // 2
-                columns.append((x, g_net, f"{device_name}.g"))
+                columns.append((x, g_net, g_own))
             for net in (s_net, d_net, g_net):
                 if net not in row_nets:
                     row_nets.append(net)
@@ -302,49 +331,51 @@ def _build_layout(
     total_height = y_cursor - rules.row_spacing
 
     # --- emit stubs and row straps --------------------------------------
+    # Wires go into one flat int list, a row (net, layer, x0, y0, x1, y1,
+    # role, owner) per wire; vias into three column lists (net, x, y),
+    # M1-M2 stub vias first and M2-M3 rail taps after them, all with one
+    # cut.  Layer ids index the tables of the ShapeColumns built at the
+    # end.
+    M1, M2, M3 = 0, 1, 2
+    w: list[int] = []
+    via_net: list[int] = []
+    via_x: list[int] = []
+    via_y: list[int] = []
+    stub_width = 2 * m1.min_width
+    strap_height = 3 * m2.min_width
     for rec in row_records:
         strap_slots: dict[str, list[int]] = rec["strap_slots"]
+        y0 = rec["y0"]
         net_extent: dict[str, tuple[int, int]] = {}
         for x, net, owner in rec["columns"]:
             # Stubs only need to reach the net's first strap; the net's
             # further straps interconnect through via chains at every
             # stub column, so tuning does not lengthen stubs.  Stubs are
             # double width: they model the trench-contact bar plus M1.
-            top = strap_slots[net][0] + 3 * m2.min_width
-            layout.wires.append(
-                Wire(
-                    net=net,
-                    layer="M1",
-                    rect=Rect(x, rec["y0"], x + 2 * m1.min_width, top),
-                    role="finger_stub",
-                    owner=owner,
-                )
-            )
-            for y in strap_slots[net]:
-                layout.vias.append(
-                    Via(net, "M1", "M2", Point(x, y))
-                )
+            ys = strap_slots[net]
+            nid = net_id[net]
+            w += (nid, M1, x, y0, x + stub_width, ys[0] + strap_height,
+                  FINGER_STUB, owner)
+            via_net += [nid] * len(ys)
+            via_x += [x] * len(ys)
+            via_y += ys
             lo, hi = net_extent.get(net, (x, x))
             net_extent[net] = (min(lo, x), max(hi, x + m1.min_width))
         for net, ys in strap_slots.items():
             lo, hi = net_extent[net]
+            nid = net_id[net]
             # Straps run to the rail region on the right; triple width
             # (three merged tracks) is the default mesh strap.
             for y in ys:
-                layout.wires.append(
-                    Wire(
-                        net=net,
-                        layer="M2",
-                        rect=Rect(lo, y, max_row_right, y + 3 * m2.min_width),
-                        role="strap",
-                    )
-                )
+                w += (nid, M2, lo, y, max_row_right, y + strap_height, STRAP, 0)
 
     # --- vertical rails ----------------------------------------------------
     strapped = {net for rec in row_records for net in rec["strap_slots"]}
     wired_nets = [net for net in nets if net in strapped]
     rail_x = max_row_right + m3.pitch
+    rail_width = 3 * m3.min_width
     rail_index = 0
+    n_stub_vias = len(via_net)
     port_positions: dict[str, Rect] = {}
     n_rows = len(row_records)
     for net in wired_nets:
@@ -355,46 +386,39 @@ def _build_layout(
         base_rails = max(1, min(RAILS_PER_NET, n_rows))
         n_rails = base_rails * (4 if is_power_net(net) else 1)
         n_rails += wires.straps(net) - 1
+        nid = net_id[net]
+        taps = [y for rec in row_records for y in rec["strap_slots"].get(net, [])]
         for copy in range(n_rails):
             x = rail_x + rail_index * 2 * m3.pitch
-            rect = Rect(x, 0, x + 3 * m3.min_width, total_height)
-            layout.wires.append(Wire(net=net, layer="M3", rect=rect, role="rail"))
+            w += (nid, M3, x, 0, x + rail_width, total_height, RAIL, 0)
             if copy == 0:
-                port_positions[net] = Rect(
-                    x, 0, x + 3 * m3.min_width, m3.min_width
-                )
+                port_positions[net] = Rect(x, 0, x + rail_width, m3.min_width)
             rail_index += 1
-            for rec in row_records:
-                for y in rec["strap_slots"].get(net, []):
-                    layout.vias.append(Via(net, "M2", "M3", Point(x, y)))
+            via_net += [nid] * len(taps)
+            via_x += [x] * len(taps)
+            via_y += taps
     # Extend row straps into the rail region (they already end at
     # max_row_right; emit short jumper straps across the rail region).
     rail_region_right = rail_x + rail_index * 2 * m3.pitch
     for rec in row_records:
         for net, ys in rec["strap_slots"].items():
+            nid = net_id[net]
             for y in ys:
-                layout.wires.append(
-                    Wire(
-                        net=net,
-                        layer="M2",
-                        rect=Rect(max_row_right, y, rail_region_right, y + m2.min_width),
-                        role="strap_jumper",
-                    )
-                )
+                w += (nid, M2, max_row_right, y, rail_region_right,
+                      y + m2.min_width, STRAP_JUMPER, 0)
 
     # --- ports -----------------------------------------------------------
-    for net in spec.port_nets:
-        if net not in port_positions:
-            # Bulk-only nets (tap rings) carry no mesh wiring; they are
-            # circuit ports but have no routed pin geometry.
-            continue
-        layout.ports.append(Port(net=net, layer="M3", rect=port_positions[net]))
+    # Bulk-only nets (tap rings) carry no mesh wiring; they are circuit
+    # ports but have no routed pin geometry.
+    ports = [
+        Port(net=net, layer="M3", rect=port_positions[net])
+        for net in spec.port_nets
+        if net in port_positions
+    ]
 
     # --- well ------------------------------------------------------------
-    device_box = bounding_box(p.rect for p in layout.devices)
-    layout.well_rect = device_box.expanded(rules.well_enclosure)
-
-    layout.metadata = {
+    device_box = bounding_box(p.rect for p in devices)
+    metadata = {
         "pattern": pattern.upper(),
         "cell": spec.name,
         "sizings": {
@@ -406,7 +430,23 @@ def _build_layout(
         "dummies": wires.dummies,
         "rows": len(row_records),
     }
-    return layout
+    vias = np.empty((5, len(via_net)), dtype=np.int64)
+    vias[V_NET], vias[V_X], vias[V_Y] = via_net, via_x, via_y
+    vias[V_PAIR] = 1  # M2-M3 rail taps, after the M1-M2 stub vias
+    vias[V_PAIR, :n_stub_vias] = 0
+    vias[V_CUTS] = 1
+    columns = ShapeColumns(
+        nets, ["M1", "M2", "M3"], list(owner_id), [("M1", "M2"), ("M2", "M3")],
+        int_columns(w, 8), vias,
+    )
+    return Layout(
+        f"{spec.name}_{pattern.lower()}",
+        devices,
+        ports=ports,
+        well_rect=device_box.expanded(rules.well_enclosure),
+        metadata=metadata,
+        columns=columns,
+    )
 
 
 def _nets_in_order(spec: CellSpec) -> list[str]:

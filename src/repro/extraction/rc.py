@@ -25,14 +25,56 @@ rows lengthen straps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.errors import ExtractionError
-from repro.geometry.layout import Layout, Via, Wire
+import numpy as np
+
+from repro.errors import ExtractionError, TechnologyError
+from repro.geometry.layout import (
+    FINGER_STUB,
+    RAIL,
+    ROLES,
+    STRAP,
+    STRAP_JUMPER,
+    V_NET,
+    V_PAIR,
+    W_LAYER,
+    W_NET,
+    W_OWNER,
+    W_ROLE,
+    W_X0,
+    W_X1,
+    W_Y0,
+    W_Y1,
+    Layout,
+    ShapeColumns,
+)
 from repro.spice.netlist import is_power_net
 from repro.tech.pdk import Technology
+from repro.units import UNITS_PER_M
 
 #: Floor applied to extracted resistances to keep netlists well-posed.
 MIN_RESISTANCE = 1.0e-3
+
+
+class _Group(NamedTuple):
+    """The wires of one net sharing a role and an owner.
+
+    ``first`` is the index of the group's first wire in layout order,
+    whose ``layer`` id and ``width`` the group reports; ``longest`` and
+    ``total`` are the largest and summed wire lengths (nm), and ``rows``
+    counts the distinct wire y0 values (the rows a stub group spans).
+    """
+
+    role: int
+    owner: int
+    first: int
+    count: int
+    longest: int
+    total: int
+    rows: int
+    layer: int
+    width: int
 
 
 @dataclass(frozen=True)
@@ -73,142 +115,195 @@ def extract_net_parasitics(
     layout: Layout, net: str, tech: Technology
 ) -> NetParasitics:
     """Extract the reduced RC of one net from the layout geometry."""
-    return _net_parasitics(
-        layout, net, layout.wires_on_net(net), layout.vias_on_net(net), tech
+    cols = layout.shape_columns()
+    nid = cols.nets.index(net) if net in cols.nets else -1
+    net_cols = ShapeColumns(
+        cols.nets, cols.layers, cols.owners, cols.via_layers,
+        cols.wires[:, cols.wires[W_NET] == nid],
+        cols.vias[:, cols.vias[V_NET] == nid],
     )
-
-
-def extract_all_nets(layout: Layout, tech: Technology) -> dict[str, NetParasitics]:
-    """Extract every net that has wires in the layout.
-
-    Groups the layout's shapes by net in one pass; each net's result is
-    bitwise equal to :func:`extract_net_parasitics` on that net.
-    """
-    wires_by_net: dict[str, list[Wire]] = {}
-    for wire in layout.wires:
-        wires_by_net.setdefault(wire.net, []).append(wire)
-    vias_by_net: dict[str, list[Via]] = {}
-    for via in layout.vias:
-        vias_by_net.setdefault(via.net, []).append(via)
-    return {
-        net: _net_parasitics(
-            layout, net, wires_by_net[net], vias_by_net.get(net, []), tech
-        )
-        for net in sorted(wires_by_net)
-    }
-
-
-def _net_parasitics(
-    layout: Layout,
-    net: str,
-    wires: list[Wire],
-    vias: list[Via],
-    tech: Technology,
-) -> NetParasitics:
-    """Reduce one net's wires and vias (in layout order) to its RC."""
-    if not wires:
+    parasitics = _reduce_nets(layout, net_cols, tech)
+    if net not in parasitics:
         raise ExtractionError(
             f"net {net!r} has no wires in layout {layout.name!r}"
         )
+    return parasitics[net]
+
+
+def extract_all_nets(layout: Layout, tech: Technology) -> dict[str, NetParasitics]:
+    """Extract every net that has wires in the layout, in net-name order.
+
+    Each net's result is bitwise equal to :func:`extract_net_parasitics`
+    on that net.
+    """
+    return _reduce_nets(layout, layout.shape_columns(), tech)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts."""
+    change = np.empty(len(values), dtype=bool)
+    change[0] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return change
+
+
+def _reduce_nets(
+    layout: Layout, cols: ShapeColumns, tech: Technology
+) -> dict[str, NetParasitics]:
+    """Reduce the wires and vias of every net that has wires to its RC.
+
+    Per-shape quantities are computed on the columns and reduced per
+    group of wires sharing a net, role and owner; only the per-net and
+    per-branch formulas run in Python, on Python scalars.  ``C_wire`` is
+    ``np.bincount(weights=)`` over the net's wires in layout order
+    followed by its vias, which adds in input order: the exact sum a
+    Python fold in that order gives.
+    """
+    wires, vias = cols.wires, cols.vias
+    n_wires = wires.shape[1]
+    if not n_wires:
+        return {}
     stack = tech.stack
-    stubs: list[Wire] = []
-    straps: list[Wire] = []
-    rails: list[Wire] = []
-    n_row_straps = 0
-    # Total wire + via capacitance, summed in layout order.
-    c_wire = 0.0
-    for wire in wires:
-        role = wire.role
-        if role == "finger_stub":
-            stubs.append(wire)
-        elif role == "strap":
-            straps.append(wire)
-            n_row_straps += 1
-        elif role == "strap_jumper":
-            straps.append(wire)
-        elif role == "rail":
-            rails.append(wire)
-        layer = stack.metal(wire.layer)
-        c_wire += layer.wire_capacitance(wire.length, wire.width)
-    via_capacitance: dict[tuple[str, str], float] = {}
-    n_stub_vias = n_rail_vias = 0
-    for via in vias:
-        pair = (via.lower_layer, via.upper_layer)
-        c_via = via_capacitance.get(pair)
-        if c_via is None:
-            c_via = stack.via_between(*pair).capacitance
-            via_capacitance[pair] = c_via
-        c_wire += c_via
-        if via.lower_layer == "M1":
-            n_stub_vias += 1
-        if via.upper_layer == "M3":
-            n_rail_vias += 1
+    metals = [stack.metal(name) for name in cols.layers]
+    net, layer = wires[W_NET], wires[W_LAYER]
+    dx = wires[W_X1] - wires[W_X0]
+    dy = wires[W_Y1] - wires[W_Y0]
+    length = np.maximum(dx, dy)
+    width = np.minimum(dx, dy)
+    if width.min() <= 0:
+        bad = int(np.argmax(width <= 0))
+        raise TechnologyError(
+            f"layer {cols.layers[layer[bad]]}: wire width must be > 0"
+        )
+
+    # Capacitance, term for term as MetalLayer.wire_capacitance, then
+    # per via pair; summed per net in layout order, wires before vias.
+    c_area = np.array([m.c_area for m in metals])[layer]
+    c_fringe = np.array([m.c_fringe for m in metals])[layer]
+    length_m = length / UNITS_PER_M
+    c_wires = c_area * (width / UNITS_PER_M) * length_m + c_fringe * 2.0 * length_m
+    c_pairs = [stack.via_between(lo, hi).capacitance for lo, hi in cols.via_layers]
+    c_vias = np.array(c_pairs)[vias[V_PAIR]]
+    c_wire = np.bincount(
+        np.concatenate((net, vias[V_NET])),
+        weights=np.concatenate((c_wires, c_vias)),
+        minlength=len(cols.nets),
+    ).tolist()
+
+    # Vias per net, split by kind: bit 0 = from M1 (stub via arrays),
+    # bit 1 = to M3 (rail taps).
+    via_kind = np.array(
+        [(lo == "M1") + 2 * (hi == "M3") for lo, hi in cols.via_layers],
+        dtype=np.int64,
+    )
+    via_counts = np.bincount(
+        vias[V_NET] * 4 + via_kind[vias[V_PAIR]], minlength=4 * len(cols.nets)
+    ).reshape(-1, 4).tolist()
+
+    # Group the wires by (net, role, owner), and each group by row (the
+    # wire's y0 rank).  A stable sort keeps layout order inside a group,
+    # so a group's first wire is its smallest original index.
+    n_owners = len(cols.owners)
+    y_values = np.unique(wires[W_Y0])
+    y_rank = np.searchsorted(y_values, wires[W_Y0])
+    group = (net * len(ROLES) + wires[W_ROLE]) * n_owners + wires[W_OWNER]
+    key = group * len(y_values) + y_rank
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    row_start = _run_starts(sorted_key)
+    sorted_group = sorted_key // len(y_values)
+    starts = np.flatnonzero(_run_starts(sorted_group))
+    first = np.minimum.reduceat(order, starts)
+    sorted_length = length[order]
+    columns = zip(
+        sorted_group[starts].tolist(),
+        first.tolist(),
+        np.diff(starts, append=n_wires).tolist(),
+        np.maximum.reduceat(sorted_length, starts).tolist(),
+        np.add.reduceat(sorted_length, starts).tolist(),
+        np.add.reduceat(row_start, starts, dtype=np.int64).tolist(),
+        layer[first].tolist(),
+        width[first].tolist(),
+    )
+    groups_of: dict[int, list[_Group]] = {}
+    for g, *fields in columns:
+        nid, rest = divmod(g, len(ROLES) * n_owners)
+        role, owner = divmod(rest, n_owners)
+        groups_of.setdefault(nid, []).append(_Group(role, owner, *fields))
 
     nfin_by_device = {p.device: p.nfin for p in layout.devices}
     rows = max(1, layout.metadata.get("rows", 1))
-    straps_per_row = max(1, n_row_straps // rows)
+    result: dict[str, NetParasitics] = {}
+    for nid in sorted(groups_of, key=cols.nets.__getitem__):
+        name = cols.nets[nid]
+        groups = groups_of[nid]
+        straps = [g for g in groups if g.role in (STRAP, STRAP_JUMPER)]
+        rails = [g for g in groups if g.role == RAIL]
+        stubs = [g for g in groups if g.role == FINGER_STUB]
+        n_straps = sum(g.count for g in straps)
+        n_rails = sum(g.count for g in rails)
+        n_row_straps = sum(g.count for g in straps if g.role == STRAP)
+        straps_per_row = max(1, n_row_straps // rows)
+        _, n_m1, n_m3, n_both = via_counts[nid]
+        n_vias = sum(via_counts[nid])
+        n_stub_vias = n_m1 + n_both
+        n_rail_vias = n_m3 + n_both
 
-    # Representative strap resistance (full row length, min width).
-    r_strap = 0.0
-    strap_length = 0
-    if straps:
-        strap_layer = stack.metal(straps[0].layer)
-        strap_length = max(s.length for s in straps)
-        r_strap = strap_layer.wire_resistance(strap_length, straps[0].width)
+        # Representative strap resistance (full row length, min width).
+        r_strap = 0.0
+        strap_length = 0
+        if straps:
+            head = min(straps, key=lambda g: g.first)
+            strap_length = max(g.longest for g in straps)
+            r_strap = metals[head.layer].wire_resistance(strap_length, head.width)
 
-    # Stub via arrays: the same cuts per stub for every branch.
-    per_stub_cuts = max(1, n_stub_vias // max(1, len(stubs)))
-    r_stub_via = stack.via_between("M1", "M2").resistance if vias else 0.0
+        # Stub via arrays: the same cuts per stub for every branch.
+        n_stubs = sum(g.count for g in stubs)
+        per_stub_cuts = max(1, n_stub_vias // max(1, n_stubs))
+        r_stub_via = stack.via_between("M1", "M2").resistance if n_vias else 0.0
 
-    # Per-device-terminal branches.
-    stubs_by_owner: dict[str, list[Wire]] = {}
-    for stub in stubs:
-        if stub.owner:
-            stubs_by_owner.setdefault(stub.owner, []).append(stub)
-    r_branches: dict[str, float] = {}
-    for owner in sorted(stubs_by_owner):
-        own_stubs = stubs_by_owner[owner]
-        device = owner.split(".")[0]
-        nfin = nfin_by_device.get(device, 1)
-        stub_layer = stack.metal(own_stubs[0].layer)
-        avg_len = sum(s.length for s in own_stubs) / len(own_stubs)
-        r_contact = tech.contact_resistance / max(1, nfin)
-        r_stub = stub_layer.wire_resistance(avg_len, own_stubs[0].width)
-        r = (r_contact + r_stub) / len(own_stubs)
-        # The device's share of the row straps: on average the current
-        # traverses half a strap to reach the rails, over all straps the
-        # device's rows provide.
-        rows_of_device = max(
-            1, len({s.rect.y0 for s in own_stubs})
+        # Per-device-terminal branches.
+        r_branches: dict[str, float] = {}
+        owned = sorted((cols.owners[g.owner], g) for g in stubs if g.owner)
+        for owner, g in owned:
+            device = owner.split(".")[0]
+            nfin = nfin_by_device.get(device, 1)
+            avg_len = g.total / g.count
+            r_contact = tech.contact_resistance / max(1, nfin)
+            r_stub = metals[g.layer].wire_resistance(avg_len, g.width)
+            r = (r_contact + r_stub) / g.count
+            # The device's share of the row straps: on average the current
+            # traverses half a strap to reach the rails, over all straps the
+            # device's rows provide.
+            if r_strap:
+                # Distributed taps along the strap: effective share R/3.
+                r += r_strap / (3.0 * straps_per_row * g.rows)
+            if n_vias:
+                r += r_stub_via / (per_stub_cuts * g.count)
+            r_branches[owner] = max(MIN_RESISTANCE, r)
+
+        # Trunk: vertical rails with distributed taps, port at the end.
+        # Power nets keep only their local branch resistance: the manually
+        # routed power grid (outside the methodology, as in the paper) taps
+        # the cell's power straps from above everywhere.
+        r_trunk = MIN_RESISTANCE
+        if rails and not is_power_net(name):
+            head = min(rails, key=lambda g: g.first)
+            rail_len = max(g.longest for g in rails)
+            r_rail = metals[head.layer].wire_resistance(rail_len, head.width)
+            r_trunk = r_rail / (2.0 * n_rails)
+            if n_rail_vias:
+                via_layer = stack.via_between("M2", "M3")
+                r_trunk += via_layer.resistance / n_rail_vias
+            r_trunk = max(MIN_RESISTANCE, r_trunk)
+
+        result[name] = NetParasitics(
+            net=name,
+            r_branches=r_branches,
+            r_trunk=r_trunk,
+            c_wire=c_wire[nid],
+            n_straps=n_straps,
+            n_rails=n_rails,
+            strap_length=strap_length,
         )
-        if r_strap:
-            # Distributed taps along the strap: effective share R/3.
-            r += r_strap / (3.0 * straps_per_row * rows_of_device)
-        if vias:
-            r += r_stub_via / (per_stub_cuts * len(own_stubs))
-        r_branches[owner] = max(MIN_RESISTANCE, r)
-
-    # Trunk: vertical rails with distributed taps, port at the end.
-    # Power nets keep only their local branch resistance: the manually
-    # routed power grid (outside the methodology, as in the paper) taps
-    # the cell's power straps from above everywhere.
-    r_trunk = MIN_RESISTANCE
-    if rails and not is_power_net(net):
-        rail_layer = stack.metal(rails[0].layer)
-        rail_len = max(r.length for r in rails)
-        r_rail = rail_layer.wire_resistance(rail_len, rails[0].width)
-        r_trunk = r_rail / (2.0 * len(rails))
-        if n_rail_vias:
-            via_layer = stack.via_between("M2", "M3")
-            r_trunk += via_layer.resistance / n_rail_vias
-        r_trunk = max(MIN_RESISTANCE, r_trunk)
-
-    return NetParasitics(
-        net=net,
-        r_branches=r_branches,
-        r_trunk=r_trunk,
-        c_wire=c_wire,
-        n_straps=len(straps),
-        n_rails=len(rails),
-        strap_length=strap_length,
-    )
+    return result

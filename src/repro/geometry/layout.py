@@ -6,6 +6,12 @@ coordinates.  The extractor walks these shapes; the placer treats layouts
 as black boxes with a bounding box and ports; assembled blocks reference
 child layouts through :class:`Instance`.
 
+Generated layouts keep their wires and vias as integer columns
+(:class:`ShapeColumns`): a sweep generates and extracts hundreds of cells
+of several hundred shapes each, and one record per shape made both
+generation and the garbage collector's scans slow.  The records below
+are built only when something reads ``Layout.wires`` or ``Layout.vias``.
+
 The shape records are slotted and not frozen, like the ones in
 :mod:`repro.geometry.shapes`, and carry no hash; treat an emitted shape
 as a value and build a new one (``dataclasses.replace``) to change it.
@@ -13,10 +19,30 @@ as a value and build a new one (``dataclasses.replace``) to change it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.errors import LayoutError
 from repro.geometry.shapes import Point, Rect, bounding_box
+
+
+#: Wire roles, the structural tags extraction reads back.  A role's code
+#: in :class:`ShapeColumns` is its index in this tuple.
+#:
+#: * ``"route"``: inter-block routing from the detailed router.  Cell
+#:   extraction counts only its capacitance.
+#: * ``"finger_stub"``: the M1 rise from a diffusion or gate column to its
+#:   net's first row strap.  Its ``owner`` names the device terminal it
+#:   serves (``"MA.s"``), from which extraction builds per-device branches.
+#: * ``"strap"``: a horizontal M2 row strap.
+#: * ``"strap_jumper"``: the short M2 piece that carries a row strap across
+#:   the rail region.  Extraction counts it as a strap for ``strap_length``
+#:   and ``n_straps``, but not as a row strap (``straps_per_row``).
+#: * ``"rail"``: a vertical M3 trunk collecting the row straps.
+ROLES = ("route", "finger_stub", "strap", "strap_jumper", "rail")
+ROUTE, FINGER_STUB, STRAP, STRAP_JUMPER, RAIL = range(len(ROLES))
+_ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
 
 
 @dataclass(slots=True)
@@ -27,12 +53,11 @@ class Wire:
         net: Net name the wire belongs to.
         layer: Metal layer name (e.g. ``"M2"``).
         rect: Geometry (nm).
-        role: Structural tag used by extraction, one of
-            ``"finger_stub"``, ``"strap"`` (horizontal row strap),
-            ``"rail"`` (vertical trunk) or ``"route"``.
-        owner: For finger stubs and straps, the schematic device (and
-            terminal, as ``"MA.s"``) the shape serves; empty for shared
-            shapes such as rails.
+        role: Structural tag used by extraction, one of :data:`ROLES`
+            (the vocabulary is documented there).
+        owner: For finger stubs, the schematic device and terminal the
+            shape serves (``"MA.s"``); empty for shared shapes such as
+            straps and rails.
     """
 
     net: str
@@ -102,28 +127,181 @@ class DevicePlacement:
     flipped: bool = False
 
 
-@dataclass
+#: The columns of :attr:`ShapeColumns.wires` (``wires[W_X0]`` is one
+#: contiguous array of every wire's x0).
+W_NET, W_LAYER, W_X0, W_Y0, W_X1, W_Y1, W_ROLE, W_OWNER = range(8)
+#: The columns of :attr:`ShapeColumns.vias`.
+V_NET, V_PAIR, V_X, V_Y, V_CUTS = range(5)
+
+
+def int_columns(rows: list[int], width: int) -> np.ndarray:
+    """Flat row-major ints, ``width`` per row, as ``(width, n)`` columns."""
+    table = np.fromiter(rows, dtype=np.int64, count=len(rows))
+    return np.ascontiguousarray(table.reshape(-1, width).T)
+
+
+@dataclass(slots=True)
+class ShapeColumns:
+    """The wires and vias of a layout as integer columns.
+
+    Each column holds one field of every shape, in layout order.  Names
+    are stored once, in tables, and the columns hold indices into them.
+
+    Attributes:
+        nets: Net names; the net columns index this table.
+        layers: Metal layer names of the wires.
+        owners: Wire owners; entry 0 is ``""`` (no owner).
+        via_layers: ``(lower, upper)`` metal pairs of the vias.
+        wires: ``(8, n)`` int64 array of columns: ``wires[W_NET]`` (net
+            id), ``W_LAYER``, ``W_X0``, ``W_Y0``,
+            ``W_X1``, ``W_Y1``, ``W_ROLE`` (the role's index in
+            :data:`ROLES`) and ``W_OWNER``.
+        vias: ``(5, m)`` int64 array: ``vias[V_NET]``, ``V_PAIR`` (index
+            into ``via_layers``), ``V_X``, ``V_Y`` and ``V_CUTS``.
+    """
+
+    nets: list[str]
+    layers: list[str]
+    owners: list[str]
+    via_layers: list[tuple[str, str]]
+    wires: np.ndarray
+    vias: np.ndarray
+
+    @classmethod
+    def from_shapes(cls, wires: list[Wire], vias: list[Via]) -> "ShapeColumns":
+        """Columns of shape records, in the records' order."""
+        nets: dict[str, int] = {}
+        layers: dict[str, int] = {}
+        owners: dict[str, int] = {"": 0}
+        pairs: dict[tuple[str, str], int] = {}
+        flat: list[int] = []
+        for w in wires:
+            r = w.rect
+            try:
+                role = _ROLE_CODE[w.role]
+            except KeyError:
+                raise LayoutError(f"unknown wire role {w.role!r}") from None
+            flat += (
+                nets.setdefault(w.net, len(nets)),
+                layers.setdefault(w.layer, len(layers)),
+                r.x0, r.y0, r.x1, r.y1,
+                role,
+                owners.setdefault(w.owner, len(owners)),
+            )
+        via_flat: list[int] = []
+        for v in vias:
+            p = v.position
+            via_flat += (
+                nets.setdefault(v.net, len(nets)),
+                pairs.setdefault((v.lower_layer, v.upper_layer), len(pairs)),
+                p.x, p.y, v.cuts,
+            )
+        return cls(
+            list(nets), list(layers), list(owners), list(pairs),
+            int_columns(flat, 8), int_columns(via_flat, 5),
+        )
+
+    def shapes(self) -> tuple[list[Wire], list[Via]]:
+        """The :class:`Wire` and :class:`Via` records, in layout order."""
+        nets, layers, owners, pairs = (
+            self.nets, self.layers, self.owners, self.via_layers
+        )
+        wires = [
+            Wire(nets[n], layers[lay], Rect(x0, y0, x1, y1), ROLES[role],
+                 owners[owner])
+            for n, lay, x0, y0, x1, y1, role, owner in self.wires.T.tolist()
+        ]
+        vias = [
+            Via(nets[n], *pairs[pair], Point(x, y), cuts)
+            for n, pair, x, y, cuts in self.vias.T.tolist()
+        ]
+        return wires, vias
+
+
 class Layout:
     """A generated cell layout.
 
     Attributes:
         name: Cell name.
         devices: Transistor unit placements.
-        wires: Wire shapes.
-        vias: Via shapes.
+        wires: Wire shapes, in layout order.
+        vias: Via shapes, in layout order.
         ports: External pins.
         well_rect: The well boundary (used for WPE extraction); defaults
             to the bounding box expanded by the well enclosure.
         metadata: Free-form annotations (pattern name, variant parameters).
+
+    A generated or flattened layout holds its wires and vias only as
+    :class:`ShapeColumns` until something first reads :attr:`wires` or
+    :attr:`vias`.  That read builds the :class:`Wire` and :class:`Via`
+    records once; from then on the two lists are the layout's shapes,
+    free to mutate.  Extraction, :meth:`bbox` and :meth:`nets` read
+    :meth:`shape_columns`, so hand-built and mutated layouts reach them
+    the same way as generated ones.
     """
 
-    name: str
-    devices: list[DevicePlacement] = field(default_factory=list)
-    wires: list[Wire] = field(default_factory=list)
-    vias: list[Via] = field(default_factory=list)
-    ports: list[Port] = field(default_factory=list)
-    well_rect: Rect | None = None
-    metadata: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        devices: list[DevicePlacement] | None = None,
+        wires: list[Wire] | None = None,
+        vias: list[Via] | None = None,
+        ports: list[Port] | None = None,
+        well_rect: Rect | None = None,
+        metadata: dict | None = None,
+        *,
+        columns: ShapeColumns | None = None,
+    ):
+        if columns is not None and (wires or vias):
+            raise LayoutError(
+                f"layout {name!r}: give shape columns or shape lists, not both"
+            )
+        self.name = name
+        self.devices = [] if devices is None else devices
+        self.ports = [] if ports is None else ports
+        self.well_rect = well_rect
+        self.metadata = {} if metadata is None else metadata
+        self._columns = columns
+        self._wires: list[Wire] | None = None
+        self._vias: list[Via] | None = None
+        if columns is None:
+            self._wires = [] if wires is None else wires
+            self._vias = [] if vias is None else vias
+
+    def _materialize(self) -> None:
+        if self._columns is not None:
+            self._wires, self._vias = self._columns.shapes()
+            self._columns = None
+
+    @property
+    def wires(self) -> list[Wire]:
+        self._materialize()
+        return self._wires
+
+    @wires.setter
+    def wires(self, value: list[Wire]) -> None:
+        self._materialize()
+        self._wires = value
+
+    @property
+    def vias(self) -> list[Via]:
+        self._materialize()
+        return self._vias
+
+    @vias.setter
+    def vias(self, value: list[Via]) -> None:
+        self._materialize()
+        self._vias = value
+
+    def shape_columns(self) -> ShapeColumns:
+        """The wires and vias as columns.
+
+        These are the generator's columns until the shape lists are first
+        read, and a fresh conversion of the lists after that.
+        """
+        if self._columns is not None:
+            return self._columns
+        return ShapeColumns.from_shapes(self._wires, self._vias)
 
     def bbox(self) -> Rect:
         """Bounding box over all shapes, including via positions.
@@ -132,31 +310,27 @@ class Layout:
         placed at the cell edge therefore cannot sit outside the reported
         bounding box even if no wire reaches it.
 
-        Recomputed on every call: cell generation appends shapes to a
-        layout after creating it, so a cached box would go stale.
+        Wires and vias enter as a min/max over their coordinate columns.
+        The box is not cached: the shape lists, devices and ports of a
+        layout stay mutable.
         """
-        rects = [d.rect for d in self.devices]
-        rects += [w.rect for w in self.wires]
-        rects += [p.rect for p in self.ports]
-        if not rects and not self.vias:
+        rects = [d.rect for d in self.devices] + [p.rect for p in self.ports]
+        boxes = [bounding_box(rects)] if rects else []
+        cols = self.shape_columns()
+        wires, vias = cols.wires, cols.vias
+        if wires.shape[1]:
+            boxes.append(Rect(
+                *wires[W_X0:W_Y0 + 1].min(axis=1).tolist(),
+                *wires[W_X1:W_Y1 + 1].max(axis=1).tolist(),
+            ))
+        if vias.shape[1]:
+            points = vias[V_X:V_Y + 1]
+            boxes.append(Rect(
+                *points.min(axis=1).tolist(), *points.max(axis=1).tolist()
+            ))
+        if not boxes:
             raise LayoutError(f"layout {self.name!r} is empty")
-        if rects:
-            box = bounding_box(rects)
-            x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
-        else:
-            first = self.vias[0].position
-            x0, y0, x1, y1 = first.x, first.y, first.x, first.y
-        for via in self.vias:
-            x, y = via.position.x, via.position.y
-            if x < x0:
-                x0 = x
-            elif x > x1:
-                x1 = x
-            if y < y0:
-                y0 = y
-            elif y > y1:
-                y1 = y
-        return Rect(x0, y0, x1, y1)
+        return bounding_box(boxes)
 
     @property
     def width(self) -> int:
@@ -205,9 +379,9 @@ class Layout:
         partially assembled layout can have) must still be visible to
         extraction and verification.
         """
-        names = {w.net for w in self.wires} | {p.net for p in self.ports}
-        names |= {v.net for v in self.vias}
-        return sorted(names)
+        cols = self.shape_columns()
+        ids = np.union1d(cols.wires[W_NET], cols.vias[V_NET]).tolist()
+        return sorted({cols.nets[i] for i in ids} | {p.net for p in self.ports})
 
 
 @dataclass(frozen=True)
@@ -246,7 +420,9 @@ def flatten_instances(
     ``flipped_x``) with net names rewritten through ``net_map`` — the
     per-instance mapping of child net to parent net.  Unmapped nets are
     prefixed ``"<instance>/<net>"`` so block-local names (two children
-    both calling a net ``"d"``) cannot alias in the parent.
+    both calling a net ``"d"``) cannot alias in the parent.  Wires and
+    vias move as whole column tables: one offset, flip and table remap
+    per child, and no per-shape record.
 
     Args:
         name: Name of the flattened layout.
@@ -258,58 +434,75 @@ def flatten_instances(
         A layout with all child devices, wires, vias and ports merged;
         the well rectangle is the union of the children's wells.
     """
-    from dataclasses import replace as _replace
-
-    merged = Layout(name=name)
     net_map = net_map or {}
+    nets: dict[str, int] = {}
+    layers: dict[str, int] = {}
+    owners: dict[str, int] = {"": 0}
+    pairs: dict[tuple[str, str], int] = {}
+    wire_tables = [int_columns([], 8)]
+    via_tables = [int_columns([], 5)]
+    devices: list[DevicePlacement] = []
+    ports: list[Port] = []
+    well: Rect | None = None
+
+    def ids(table: dict, keys) -> np.ndarray:
+        """Ids of ``keys`` in a merged name table, adding new names."""
+        return np.array(
+            [table.setdefault(k, len(table)) for k in keys], dtype=np.int64
+        )
+
     for inst in instances:
         child = inst.layout
         box = child.bbox()
+        cols = child.shape_columns()
         mapping = net_map.get(inst.name, {})
+        dx, dy = inst.offset.x - box.x0, inst.offset.y - box.y0
 
-        def xf_rect(rect: Rect, *, _box=box, _inst=inst) -> Rect:
-            x0, x1 = rect.x0 - _box.x0, rect.x1 - _box.x0
+        def xf_rect(rect: Rect, *, _box=box, _inst=inst, _dx=dx, _dy=dy) -> Rect:
+            x0, x1 = rect.x0, rect.x1
             if _inst.flipped_x:
-                x0, x1 = _box.width - x1, _box.width - x0
-            return Rect(
-                _inst.offset.x + x0,
-                _inst.offset.y + (rect.y0 - _box.y0),
-                _inst.offset.x + x1,
-                _inst.offset.y + (rect.y1 - _box.y0),
-            )
-
-        def xf_point(p: Point, *, _box=box, _inst=inst) -> Point:
-            x = p.x - _box.x0
-            if _inst.flipped_x:
-                x = _box.width - x
-            return Point(_inst.offset.x + x, _inst.offset.y + (p.y - _box.y0))
+                x0, x1 = _box.x0 + _box.x1 - x1, _box.x0 + _box.x1 - x0
+            return Rect(x0 + _dx, rect.y0 + _dy, x1 + _dx, rect.y1 + _dy)
 
         def xf_net(net: str, *, _inst=inst, _mapping=mapping) -> str:
             return _mapping.get(net, f"{_inst.name}/{net}")
 
-        for dev in child.devices:
-            merged.devices.append(
-                _replace(dev, device=f"{inst.name}/{dev.device}",
-                         rect=xf_rect(dev.rect))
-            )
-        for wire in child.wires:
-            owner = f"{inst.name}/{wire.owner}" if wire.owner else ""
-            merged.wires.append(
-                _replace(wire, net=xf_net(wire.net), rect=xf_rect(wire.rect),
-                         owner=owner)
-            )
-        for via in child.vias:
-            merged.vias.append(
-                _replace(via, net=xf_net(via.net),
-                         position=xf_point(via.position))
-            )
-        for port in child.ports:
-            merged.ports.append(
-                _replace(port, net=xf_net(port.net), rect=xf_rect(port.rect))
-            )
+        # A flip mirrors x about the child box's centre line.
+        net_ids = ids(nets, [xf_net(n) for n in cols.nets])
+        wires = cols.wires.copy()
+        wires[W_NET] = net_ids[wires[W_NET]]
+        wires[W_LAYER] = ids(layers, cols.layers)[wires[W_LAYER]]
+        owner_names = [f"{inst.name}/{o}" if o else "" for o in cols.owners]
+        wires[W_OWNER] = ids(owners, owner_names)[wires[W_OWNER]]
+        if inst.flipped_x:
+            wires[W_X0] = box.x0 + box.x1 - cols.wires[W_X1]
+            wires[W_X1] = box.x0 + box.x1 - cols.wires[W_X0]
+        wires[[W_X0, W_X1]] += dx
+        wires[[W_Y0, W_Y1]] += dy
+        wire_tables.append(wires)
+
+        vias = cols.vias.copy()
+        vias[V_NET] = net_ids[vias[V_NET]]
+        vias[V_PAIR] = ids(pairs, cols.via_layers)[vias[V_PAIR]]
+        if inst.flipped_x:
+            vias[V_X] = box.x0 + box.x1 - vias[V_X]
+        vias[V_X] += dx
+        vias[V_Y] += dy
+        via_tables.append(vias)
+
+        devices += [
+            replace(dev, device=f"{inst.name}/{dev.device}", rect=xf_rect(dev.rect))
+            for dev in child.devices
+        ]
+        ports += [
+            replace(port, net=xf_net(port.net), rect=xf_rect(port.rect))
+            for port in child.ports
+        ]
         if child.well_rect is not None:
-            well = xf_rect(child.well_rect)
-            merged.well_rect = (
-                well if merged.well_rect is None else merged.well_rect.union(well)
-            )
-    return merged
+            child_well = xf_rect(child.well_rect)
+            well = child_well if well is None else well.union(child_well)
+    columns = ShapeColumns(
+        list(nets), list(layers), list(owners), list(pairs),
+        np.concatenate(wire_tables, axis=1), np.concatenate(via_tables, axis=1),
+    )
+    return Layout(name, devices, ports=ports, well_rect=well, columns=columns)

@@ -6,16 +6,38 @@ extraction vs simulation, optimizer vs flow.
 
 import pytest
 
+from repro.cellgen.generator import WireConfig
 from repro.devices.mosfet import MosGeometry
-from repro.extraction.rc import extract_net_parasitics
+from repro.extraction.rc import extract_all_nets, extract_net_parasitics
+from repro.geometry import Layout
 
 
-def test_extracted_capacitance_matches_geometry(tech, small_dp):
-    """The extractor's net C equals the sum over the net's shapes."""
+@pytest.mark.parametrize(
+    "pattern, wires",
+    [
+        ("ABAB", None),
+        ("ABBA", None),
+        ("ABBA", WireConfig(parallel={"outp": 3, "tail": 2})),
+    ],
+    ids=["ABAB", "ABBA", "ABBA-tuned"],
+)
+def test_extracted_capacitance_matches_geometry(tech, small_dp, pattern, wires):
+    """The extractor's net C is the exact in-order sum over the net's
+    shapes: its wires in layout order, then its vias.  This holds for the
+    generated layout and for a copy built from its shape lists."""
     geo = MosGeometry(8, 4, 3)
-    layout = small_dp.generate(geo, "ABAB")
-    for net in ("tail", "outp"):
-        par = extract_net_parasitics(layout, net, tech)
+    layout = small_dp.generate(geo, pattern, wires, verify=False)
+    nets = ("tail", "outp")
+    # Extract before anything reads the shape lists: the generator's
+    # columns, not a list conversion, feed this extraction.
+    generated = {net: extract_net_parasitics(layout, net, tech) for net in nets}
+    listed = Layout(
+        layout.name, list(layout.devices), list(layout.wires),
+        list(layout.vias), list(layout.ports), layout.well_rect,
+        dict(layout.metadata),
+    )
+    listed_all = extract_all_nets(listed, tech)
+    for net in nets:
         manual = 0.0
         for wire in layout.wires_on_net(net):
             layer = tech.stack.metal(wire.layer)
@@ -24,7 +46,9 @@ def test_extracted_capacitance_matches_geometry(tech, small_dp):
             manual += tech.stack.via_between(
                 via.lower_layer, via.upper_layer
             ).capacitance
-        assert par.c_wire == pytest.approx(manual, rel=1e-12)
+        assert generated[net].c_wire == manual
+        assert extract_net_parasitics(listed, net, tech).c_wire == manual
+        assert listed_all[net].c_wire == manual
 
 
 def test_offset_testbench_reads_back_lde_mismatch(tech, small_dp):
