@@ -152,8 +152,7 @@ class RingOscillatorVco(CompositeCircuit):
         na, nb = self._stage_nets(0)
         kicked[compiled.index_of(na)] = vdd
         kicked[compiled.index_of(nb)] = 0.0
-        op = OperatingPoint(compiled=compiled, x=kicked,
-                            mos_eval=compiled.eval_mosfets(kicked))
+        op = OperatingPoint(compiled=compiled, x=kicked)
 
         last_error: MeasureError | None = None
         for window_scale in (1.0, 4.0, 16.0):

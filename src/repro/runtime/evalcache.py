@@ -27,6 +27,14 @@ counts in their names) but element names, nodes, model cards and every
 numeric parameter participate, so any sizing (nfin/nf/m), pattern or wire
 change produces a different key.
 
+Every lookup computes a key, so the serialization is kept cheap without
+changing its bytes: each dataclass type's field names are read once,
+exact ``float``/``str``/``int``/``bool`` values are formatted before any
+other check, and a sub-object several elements share (a model card,
+geometry, LDE context or waveform) is serialized once per key.  A key
+change would stop the journals of earlier runs from priming the cache on
+resume, so ``tests/runtime/test_evalcache.py`` pins golden keys.
+
 The cache is always on: every
 :class:`~repro.runtime.policy.EvalRuntime` holds one.  Two deliberate
 bypasses keep cached runs equivalent to uncached ones:
@@ -70,27 +78,68 @@ MAXSIZE = 4096
 SIMULATOR_REVISION = 5
 
 
-def _canon(value):
-    """Canonical JSON-able form of netlist values (order-stable)."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [
-            type(value).__name__,
-            {
-                f.name: _canon(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
-        ]
-    if isinstance(value, dict):
-        return {str(k): _canon(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_canon(v) for v in value]
-    if isinstance(value, float):
+#: Field names of each dataclass type :func:`_canon` has met (None for
+#: any other type), built on first sight.
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        names = (
+            tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls)
+            else None
+        )
+        _FIELD_NAMES[cls] = names
+        return names
+
+
+def _canon(value, memo: dict | None = None):
+    """Canonical JSON-able form of netlist values (order-stable).
+
+    ``memo`` maps the ids of dataclass instances already canonicalized
+    within one call to their form, so that a sub-object many elements
+    share (a model card, geometry, LDE context or waveform) is walked
+    once.
+    """
+    t = type(value)
+    if t is float:
         # repr round-trips doubles exactly; formatting would alias
         # nearby values into one key.
         return f"f:{value!r}"
-    if value is None or isinstance(value, (bool, int, str)):
+    if t is str or t is int or t is bool or value is None:
         return value
-    return f"{type(value).__name__}:{value!r}"
+    names = _field_names(t)
+    if names is not None:
+        if memo is None:
+            memo = {}
+        out = memo.get(id(value))
+        if out is None:
+            fields = {}
+            for name in names:
+                # The scalar cases above, inline: most fields are scalars.
+                v = getattr(value, name)
+                vt = type(v)
+                if vt is float:
+                    fields[name] = f"f:{v!r}"
+                elif vt is str or vt is int or vt is bool or v is None:
+                    fields[name] = v
+                else:
+                    fields[name] = _canon(v, memo)
+            out = memo[id(value)] = [t.__name__, fields]
+        return out
+    if isinstance(value, dict):
+        return {str(k): _canon(v, memo) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v, memo) for v in value]
+    if isinstance(value, float):
+        # Float subclasses such as np.float64 keep their own repr.
+        return f"f:{value!r}"
+    if isinstance(value, (bool, int, str)):
+        return value
+    return f"{t.__name__}:{value!r}"
 
 
 def canonical_netlist(circuit: Circuit) -> list:
@@ -102,9 +151,10 @@ def canonical_netlist(circuit: Circuit) -> list:
     included in insertion order — netlist construction is deterministic,
     so insertion order is part of the content.
     """
+    memo: dict = {}
     return [
         [list(circuit.ports)],
-        [_canon(element) for element in circuit.elements],
+        [_canon(element, memo) for element in circuit.elements],
     ]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import NetlistError, SimulationError, SingularMatrixError
 from repro.spice import kernel
-from repro.spice.dc import OperatingPoint
+from repro.spice.dc import OperatingPoint, fill_mos_evals
 from repro.spice.mna import CompiledCircuit
 
 
@@ -182,7 +182,9 @@ def ac_analysis_many(
     in slices of about :data:`AC_SLICE_BYTES` — the once-per-sweep G/C
     split is still assembled per member, only the frequency loop is
     fused — which is bitwise identical to the serial per-frequency
-    solves (stacked ``gesv`` solves each matrix on its own).
+    solves (stacked ``gesv`` solves each matrix on its own).  All
+    members' device models are evaluated first, one stacked call per
+    group (:func:`~repro.spice.dc.fill_mos_evals`).
     Sparse-backend members (and any member whose stacked slice comes
     back singular or non-finite) run through the serial
     :func:`ac_analysis` unchanged.
@@ -196,6 +198,7 @@ def ac_analysis_many(
             solved (also for an empty batch).
     """
     freqs = _sweep_frequencies(f_start, f_stop, points_per_decade)
+    fill_mos_evals(ops)
     results: list = [None] * len(compileds)
 
     def serial(i: int) -> None:
@@ -241,7 +244,11 @@ def ac_analysis_many(
                 for f0 in slices:
                     f1 = f0 + slices.step
                     jw = (1j * omegas[f0:f1])[None, :, None, None]
-                    x[:, f0:f1] = np.linalg.solve(gk + jw * sk, bk)[..., 0]
+                    # One frequency slice of the whole stack, sized to
+                    # bound its memory; not a per-member solve.
+                    x[:, f0:f1] = np.linalg.solve(  # devlint: ok
+                        gk + jw * sk, bk
+                    )[..., 0]
                 finite = np.all(np.isfinite(x), axis=(1, 2))
             except np.linalg.LinAlgError:
                 finite = np.zeros(len(part), dtype=bool)

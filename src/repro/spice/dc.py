@@ -16,11 +16,12 @@ the symmetry of oscillators before transient analysis.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from repro.devices.mosfet import MosEval, channel_current
+from repro.devices.mosfet import MosEval, channel_current, evaluate_mosfets
 from repro.errors import ConvergenceError, NetlistError
 from repro.runtime import context as eval_context
 from repro.runtime import faults
@@ -50,7 +51,6 @@ class OperatingPoint:
     Attributes:
         compiled: The compiled circuit the solution belongs to.
         x: Solution vector (node voltages then branch currents).
-        mos_eval: Vectorized MOSFET evaluation at the solution (or None).
         recovery: Recovery paths the solve needed, in order — empty for
             a plain Newton solve, otherwise tags such as
             ``"gmin-stepping"``, ``"source-stepping"`` and
@@ -59,8 +59,19 @@ class OperatingPoint:
 
     compiled: CompiledCircuit
     x: np.ndarray
-    mos_eval: MosEval | None
     recovery: tuple[str, ...] = field(default=())
+
+    @cached_property
+    def mos_eval(self) -> MosEval | None:
+        """Vectorized MOSFET evaluation at the solution (None without
+        MOSFETs), computed on first read.
+
+        Most operating points are only ever read through :meth:`v` and
+        :meth:`i` (bisection points, bias solves, DC metrics), so they
+        never pay for the model.  :func:`fill_mos_evals` fills many at
+        once, bitwise equal to this serial read.
+        """
+        return self.compiled.eval_mosfets(self.x)
 
     def v(self, node: str) -> float:
         """Voltage of ``node`` (0.0 for ground)."""
@@ -103,12 +114,13 @@ class OperatingPoint:
         (:mod:`repro.verify.emag`) consumes when an operating point is
         available; nets are sorted so the result is deterministic.
         """
-        if self.mos_eval is None:
+        ev = self.mos_eval
+        if ev is None:
             return {}
         inflow: dict[str, float] = {}
         outflow: dict[str, float] = {}
-        for elem in self.compiled.mos_elements:
-            drain_amps = self.mos(elem.name)["id"]
+        for elem, ids in zip(self.compiled.mos_elements, ev.ids):
+            drain_amps = float(ids)
             for net, flow in ((elem.d, -drain_amps), (elem.s, drain_amps)):
                 if flow >= 0.0:
                     inflow[net] = inflow.get(net, 0.0) + flow
@@ -302,12 +314,7 @@ def _finish(
     tags = tuple(
         tag for tag in _RECOVERY_ORDER if recovery and tag in recovery
     )
-    return OperatingPoint(
-        compiled=compiled,
-        x=x,
-        mos_eval=compiled.eval_mosfets(x),
-        recovery=tags,
-    )
+    return OperatingPoint(compiled=compiled, x=x, recovery=tags)
 
 
 # -- the stacked Newton loop --------------------------------------------------
@@ -329,6 +336,50 @@ def _finish(
 _MOS_PARAMS = (
     "_mos_pol", "_mos_vth", "_mos_n", "_mos_ispec", "_mos_lam", "_mos_theta",
 )
+
+#: The capacitance arrays that :func:`~repro.devices.mosfet.evaluate_mosfets`
+#: takes after :data:`_MOS_PARAMS`.
+_MOS_CAPS = ("_mos_coxwl", "_mos_cov", "_mos_cdb", "_mos_csb")
+
+
+def fill_mos_evals(ops: list[OperatingPoint]) -> None:
+    """Evaluate the device model of many operating points at once.
+
+    Members with MOSFETs whose model is not read yet are stacked per
+    group of equal system size and device count, and each group costs
+    one :func:`~repro.devices.mosfet.evaluate_mosfets` call on
+    ``(K, devices)`` arrays.  The model is elementwise, so every
+    member's :attr:`OperatingPoint.mos_eval` is bitwise equal to its
+    serial read.
+    """
+    groups: dict[tuple[int, int], list[OperatingPoint]] = {}
+    for op in ops:
+        if "mos_eval" not in vars(op) and op.compiled.mos_elements:
+            key = (op.compiled.size, len(op.compiled.mos_elements))
+            groups.setdefault(key, []).append(op)
+    stats = kernel.active()
+    for members in groups.values():
+        compileds = [op.compiled for op in members]
+        # Solutions padded with the ghost ground entry, as in the serial read.
+        xg = np.stack([np.append(op.x, 0.0) for op in members])
+        terminals = [
+            np.take_along_axis(
+                xg, np.stack([getattr(c, name) for c in compileds]), axis=1
+            )
+            for name in ("_mos_g", "_mos_d", "_mos_s")
+        ]
+        params = [
+            np.array([getattr(c, name) for c in compileds])
+            for name in _MOS_PARAMS + _MOS_CAPS
+        ]
+        t0 = kernel._clock() if stats is not None else 0.0
+        ev = evaluate_mosfets(*params, *terminals)
+        if stats is not None:
+            stats.device_eval_s += kernel._clock() - t0
+        for j, op in enumerate(members):
+            op.mos_eval = MosEval(
+                **{f.name: getattr(ev, f.name)[j] for f in fields(MosEval)}
+            )
 
 
 class _DcGroup:

@@ -9,6 +9,7 @@ hit run their serial thunks and the rest still stack).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.spice import Circuit, CompiledCircuit, kernel
 from repro.spice import measure
 from repro.spice import ac as ac_module
 from repro.spice import dc as dc_module
+from repro.spice import mna as mna_module
 from repro.spice.ac import ac_analysis, ac_analysis_many
 from repro.spice.dc import dc_operating_point, dc_operating_points
 
@@ -59,6 +61,30 @@ def _diode_nmos(tech, bias, nf):
     c.add_isource("i1", "0", "d", bias)
     c.add_mosfet("m1", "d", "d", "0", "0", tech.nmos, MosGeometry(8, nf, 1))
     return c
+
+
+def _model_calls(monkeypatch) -> dict:
+    """Count device-model calls: serial reads (one device vector) and
+    stacked fills (a ``(K, devices)`` stack), by call site."""
+    calls = {"serial": 0, "stacked": 0}
+
+    def counting(module, kind):
+        real = module.evaluate_mosfets
+
+        def evaluate(*args):
+            calls[kind] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, "evaluate_mosfets", evaluate)
+
+    counting(mna_module, "serial")
+    counting(dc_module, "stacked")
+    return calls
+
+
+def _assert_mos_eval_equal(got, ref):
+    for f in dataclasses.fields(ref):
+        assert np.array_equal(getattr(got, f.name), getattr(ref, f.name))
 
 
 def _fresh_dp(name="batch_dp"):
@@ -104,6 +130,22 @@ def test_dc_operating_points_bitwise(tech):
         # Bitwise: the lockstep kernel replays the serial float ops.
         assert np.array_equal(got.x, ref.x)
         assert got.recovery == ref.recovery
+
+
+def test_dc_operating_points_evaluate_model_on_read(tech, monkeypatch):
+    calls = _model_calls(monkeypatch)
+    compileds = [
+        _compiled(_diode_nmos(tech, 50e-6 * (k + 1), 2), tech) for k in range(4)
+    ]
+    ops = dc_operating_points(compileds)
+    assert calls == {"serial": 0, "stacked": 0}
+    evals = [op.mos_eval for op in ops]
+    # One evaluation per operating point, on its first read only.
+    assert calls == {"serial": len(ops), "stacked": 0}
+    assert all(op.mos_eval is ev for op, ev in zip(ops, evals))
+    assert calls == {"serial": len(ops), "stacked": 0}
+    for op, ev in zip(ops, evals):
+        _assert_mos_eval_equal(ev, op.compiled.eval_mosfets(op.x))
 
 
 def test_dc_operating_points_mixed_convergence_captures_failures(
@@ -181,31 +223,55 @@ def _rc_ladder(k, stages=40):
     return c
 
 
-def test_ac_analysis_many_bitwise(tech, backend):
+def _diode_ac(tech, k):
+    # Bias and load vary per member; device count and system size do not.
+    c = _diode_nmos(tech, 50e-6 * (k + 1), 2)
+    c.add_isource("iac", "0", "d", 0.0, ac_magnitude=1e-6)
+    c.add_capacitor("cl", "d", "0", 1e-14 * (k + 1))
+    return c
+
+
+def test_ac_analysis_many_bitwise(tech, backend, monkeypatch):
     member_sets = [
         # Small systems: all four whole sweeps in one stacked solve.
         (_rc, dict(f_start=1e3, f_stop=1e10, points_per_decade=5), 1),
         # One member's stack exceeds the slice cap: frequency slices,
         # 3 per member.
         (_rc_ladder, dict(f_start=1e3, f_stop=1e11, points_per_decade=10), 12),
+        # MOSFET members: their device models are evaluated in one
+        # stacked call before the sweeps, on either backend.
+        (
+            lambda k: _diode_ac(tech, k),
+            dict(f_start=1e6, f_stop=1e11, points_per_decade=8),
+            1,
+        ),
     ]
+    calls = _model_calls(monkeypatch)
     for build, kw, stacked_calls in member_sets:
         if backend == kernel.SPARSE:
             stacked_calls = 0  # sparse-backend members solve serially
         compileds = [_compiled(build(k), tech) for k in range(4)]
         ops = [dc_operating_point(c) for c in compileds]
-        serial = [ac_analysis(c, op, **kw) for c, op in zip(compileds, ops)]
+        serial_ops = [dc_operating_point(c) for c in compileds]
+        serial = [ac_analysis(c, op, **kw) for c, op in zip(compileds, serial_ops)]
         stack_bytes = len(serial[0].freqs) * compileds[0].size ** 2 * 16
         if build is _rc_ladder:
             assert stack_bytes > ac_module.AC_SLICE_BYTES
         stats = kernel.SolverStats()
+        calls.update(serial=0, stacked=0)
         with kernel.collect(stats):
             batched = ac_analysis_many(compileds, ops, **kw)
         assert stats.batched_solves == stacked_calls
         assert stats.batch_fallbacks == 0
+        stacked_models = 1 if compileds[0].mos_elements else 0
+        assert calls == {"serial": 0, "stacked": stacked_models}
         for got, ref in zip(batched, serial):
             assert np.array_equal(got.freqs, ref.freqs)
             assert np.array_equal(got.solutions, ref.solutions)
+            assert np.any(got.solutions)
+        for op, ref in zip(ops, serial_ops):
+            if ref.mos_eval is not None:
+                _assert_mos_eval_equal(op.mos_eval, ref.mos_eval)
 
 
 # -- lockstep bisection --------------------------------------------------

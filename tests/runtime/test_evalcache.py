@@ -7,14 +7,18 @@ change produces a different content key and misses.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
 from repro.cellgen.generator import WireConfig
 from repro.devices.mosfet import MosGeometry
+from repro.primitives import DifferentialPair, PrimitiveLibrary
 from repro.runtime import EvalCache, analysis_signature, evaluate_circuit_cached
 from repro.runtime import evalcache
 from repro.runtime.faults import FaultSpec, inject
+from repro.spice import Circuit
+from repro.spice.waveforms import Pulse, Pwl
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +90,54 @@ def test_simulator_revision_changes_key(prim, monkeypatch):
 
 
 # -- hit/miss semantics --------------------------------------------------
+
+
+# Golden keys: a resumed run primes its cache from journaled content
+# keys, so a canonicalization change that moves key bytes would silently
+# stop old run dirs from hitting.  Moving them takes a SIMULATOR_REVISION
+# bump and new goldens.
+
+
+def test_golden_key_differential_pair_option():
+    dp = DifferentialPair(Technology.default(), base_fins=48, name="pin_dp")
+    circuit = dp.layout_circuit(MosGeometry(4, 4, 3), "ABAB")
+    assert EvalCache().key_for(dp, circuit) == (
+        "df79a7b5d45b73e35c68e2f8f1735d681780b8f1662111ffc521d5a5cd463011"
+    )
+
+
+def test_golden_key_current_mirror_option():
+    tech = Technology.default()
+    mirror = PrimitiveLibrary().create("current_mirror", tech, base_fins=16)
+    circuit = mirror.layout_circuit(MosGeometry(4, 2, 2), "ABBA")
+    assert EvalCache().key_for(mirror, circuit) == (
+        "ef912f3adaf70259b2f3191ae0a8c668403a348a31238e1af84ecf966b0300d1"
+    )
+
+
+def test_golden_key_float_subclass_and_shared_card():
+    # An np.float64 value keeps its own repr; the model card, geometry
+    # and LDE context three devices share serialize as often as they
+    # appear; waveforms nest dataclass and tuple fields.
+    tech = Technology.default()
+    c = Circuit("shared")
+    c.add_vsource("vdd", "vdd", "0", Pwl(((0.0, 0.0), (1e-9, 0.8))))
+    c.add_isource(
+        "ib", "vdd", "d1", Pulse(0.0, 1e-5, 0.0, 1e-11, 1e-11, 1e-9, 2e-9)
+    )
+    c.add_resistor("r1", "d1", "d2", np.float64(1234.5))
+    c.add_capacitor("c1", "d2", "0", 1e-15)
+    geometry = MosGeometry(4, 2, 1)
+    for k in range(3):
+        c.add_mosfet(f"m{k}", "d2", "d1", "0", "0", tech.nmos, geometry)
+    key = evalcache.content_key(c, {"probe": np.float64(0.5)}, {"gain": 1.0})
+    assert key == (
+        "99392542c51fa93326b7e51d4282feeb815a4f292944d24d2d4935e74c0050b7"
+    )
+    netlist = evalcache.canonical_netlist(c)
+    assert netlist[1][2][1]["value"] == "f:np.float64(1234.5)"
+    cards = [element[1]["card"] for element in netlist[1][4:]]
+    assert cards[0] == evalcache._canon(tech.nmos) and len(cards) == 3
 
 
 def test_repeat_evaluation_hits_and_skips_simulation(prim):

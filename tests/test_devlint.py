@@ -197,6 +197,21 @@ def test_batch_loop_solve_is_flagged():
     assert "stacked" in findings[0].message
 
 
+def test_many_entry_point_loop_solve_is_flagged():
+    # Stacked entry points are named ``*_many``; a per-member solve loop
+    # inside one is in batch scope too.
+    findings = _lint(
+        """
+        import numpy as np
+
+        def ac_analysis_many(systems):
+            for lhs, rhs in systems:
+                np.linalg.solve(lhs, rhs)
+        """
+    )
+    assert [f.code for f in findings] == ["DEV-BATCH-SOLVE"]
+
+
 def test_batch_module_while_loop_solve_is_flagged():
     findings = _lint(
         """

@@ -6,10 +6,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.devices.mosfet import MosGeometry
 from repro.errors import VerificationError
 from repro.geometry.layout import Wire
 from repro.geometry.shapes import Rect
 from repro.pnr.detailed import DetailedRoute
+from repro.spice import Circuit, CompiledCircuit
+from repro.spice.dc import dc_operating_point
 from repro.verify.emag import (
     budget_net_currents,
     check_route_currents,
@@ -98,6 +101,27 @@ def test_operating_point_currents_override_budget(dp_layout, tech):
 
     report = run_emag(dp_layout, tech, op=_Op())
     assert report.count("EM-WIRE-DENSITY") >= 1
+
+
+def test_operating_point_net_currents(dp_layout, tech):
+    # A biased, slightly unbalanced pair on the layout's net names: each
+    # drain net carries its device's current, the shared source both.
+    c = Circuit("dp_bias")
+    c.add_vsource("vdd", "vdd", "0", tech.vdd)
+    c.add_vsource("vinp", "inp", "0", 0.62)
+    c.add_vsource("vinn", "inn", "0", 0.60)
+    c.add_resistor("rp", "vdd", "outp", 2000.0)
+    c.add_resistor("rn", "vdd", "outn", 2000.0)
+    c.add_isource("itail", "tail", "0", 100e-6)
+    for name, d, g in (("MA", "outp", "inp"), ("MB", "outn", "inn")):
+        c.add_mosfet(name, d, g, "tail", "0", tech.nmos, MosGeometry(4, 4, 1))
+    op = dc_operating_point(CompiledCircuit(c, tech.rules))
+    id_a, id_b = op.mos("MA")["id"], op.mos("MB")["id"]
+    assert id_a > id_b > 0.0
+    currents = op.net_currents()
+    assert list(currents) == ["outn", "outp", "tail"]
+    assert currents == {"outn": id_b, "outp": id_a, "tail": id_a + id_b}
+    assert run_emag(dp_layout, tech, op=op).ok
 
 
 def test_explicit_currents_override_op(dp_layout, tech):

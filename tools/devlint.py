@@ -29,7 +29,8 @@ with a small AST walk (stdlib only, no third-party deps):
   instead.
 * ``DEV-BATCH-SOLVE`` — an ``np.linalg.solve(...)`` call lexically
   inside a ``for``/``while`` loop in batch code (a module or enclosing
-  function whose name mentions ``batch``).  Looping per-member dense
+  function whose name mentions ``batch`` or ``_many``, the suffix of
+  the stacked entry points).  Looping per-member dense
   solves is exactly what the stacked ``(K, N, N)`` fast path exists to
   replace; stack the systems into one call, or mask the members, and
   route deliberate serial fallbacks through the member's thunk.
@@ -88,7 +89,7 @@ CLOCK_SCOPES = ("cache", "journal", "checkpoint")
 
 #: Name fragments that mark a module/function as batch-kernel code for
 #: the DEV-BATCH-SOLVE scope.
-BATCH_SCOPES = ("batch",)
+BATCH_SCOPES = ("batch", "_many")
 
 #: ``os`` members that read or write the process environment.
 ENV_ATTRS = frozenset({"environ", "getenv", "putenv"})
