@@ -5,7 +5,10 @@ Two supporting capabilities of the flow:
 
 1. **Annotation** — the paper assumes netlists arrive annotated into
    primitives "manually or automatically"; this example runs the
-   automatic recognizer on a flat 5T OTA transistor netlist.
+   subgraph recognizer of ``repro ingest`` on the 5T OTA netlist
+   ``examples/netlists/ota.sp``.  Every transistor it does not claim
+   for a library primitive is reported as uncovered (there is no
+   catch-all ``switch`` class).
 2. **Monte Carlo** — the DP's offset *spec* is defined as 10% of the
    random offset; this example samples the random offset distribution and
    compares it against the analytic sigma the spec uses.
@@ -15,29 +18,27 @@ Run with::
     python examples/annotate_and_montecarlo.py
 """
 
+from pathlib import Path
+
 from repro import Technology
-from repro.devices.mosfet import MosGeometry
-from repro.flow import annotation_report
+from repro.ingest.pipeline import ingest_file
 from repro.primitives import DifferentialPair
-from repro.spice import Circuit, run_monte_carlo
+from repro.spice import run_monte_carlo
 
-
-def flat_ota(tech) -> Circuit:
-    c = Circuit("flat_ota")
-    g = MosGeometry(8, 6, 2)
-    c.add_mosfet("m1", "nx", "vinp", "ntail", "0", tech.nmos, g)
-    c.add_mosfet("m2", "vout", "vinn", "ntail", "0", tech.nmos, g)
-    c.add_mosfet("m3", "nx", "nx", "vdd", "vdd", tech.pmos, g)
-    c.add_mosfet("m4", "vout", "nx", "vdd", "vdd", tech.pmos, g)
-    c.add_mosfet("m5", "ntail", "vbn", "0", "0", tech.nmos, g)
-    return c
+OTA_NETLIST = Path(__file__).parent / "netlists" / "ota.sp"
 
 
 def main() -> None:
     tech = Technology.default()
 
-    print("=== automatic annotation of a flat 5T OTA netlist ===")
-    print(annotation_report(flat_ota(tech)))
+    print("=== automatic annotation of the 5T OTA netlist ===")
+    ingested = ingest_file(OTA_NETLIST, tech)
+    for prim in ingested.primitives:
+        devices = ", ".join(device for _, device in prim.match.devices)
+        family = prim.binding.family if prim.binding else "no library family"
+        print(f"{prim.name:24s} {family:22s} {devices}")
+    print(f"coverage {ingested.coverage:.2f}, uncovered: "
+          f"{', '.join(ingested.recognition.uncovered) or 'none'}")
 
     print("\n=== Monte-Carlo random offset of a differential pair ===")
     dp = DifferentialPair(tech, base_fins=192)

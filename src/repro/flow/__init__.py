@@ -12,13 +12,9 @@
   oracle standing in for expert manual layout).
 """
 
-from repro.flow.annotate import RecognizedPrimitive, annotation_report, recognize_primitives
 from repro.flow.hierarchical import FlowResult, HierarchicalFlow
 
 __all__ = [
     "FlowResult",
     "HierarchicalFlow",
-    "RecognizedPrimitive",
-    "recognize_primitives",
-    "annotation_report",
 ]

@@ -30,7 +30,6 @@ from repro.errors import MeasureError, OptimizationError
 from repro.extraction.netlist_builder import ExtractedPrimitive, extract_primitive
 from repro.geometry.layout import Layout
 from repro.runtime import faults
-from repro.runtime.failures import is_eval_failure
 from repro.spice.netlist import Circuit
 from repro.tech.pdk import Technology
 
@@ -47,34 +46,28 @@ class MetricSpec:
     Attributes:
         name: Metric name, e.g. ``"gm"``.
         weight: Importance weight α (1.0 / 0.5 / 0.1).
-        evaluate: Callable ``(primitive, dut_circuit, cache) ->
-            (value, n_sims)`` implementing the metric's testbench; the
-            ``cache`` dict is shared across the metrics of one evaluation
-            so related metrics (e.g. Gm and Gm/C_total) can share sweeps.
+        evaluate: Callable ``(primitive, duts, caches) -> list[(value,
+            n_sims) | Exception]`` implementing the metric's testbench
+            on a stack of DUT netlists, one entry per DUT; a member's
+            evaluation failure is returned in its place (captured), not
+            raised.  Each DUT's ``cache`` dict is shared across the
+            metrics of its evaluation so related metrics (e.g. Gm and
+            Gm/C_total) can share sweeps.  The constructors
+            :func:`~repro.primitives.testbenches.ac_metric`,
+            :func:`~repro.primitives.testbenches.dc_metric` and
+            :func:`~repro.primitives.testbenches.tran_metric` build it
+            from one testbench and one reader.
         spec_value: Optional callable ``(primitive) -> float`` giving the
             specification value used when the schematic value is zero
             (Eq. 6's second case, e.g. DP input offset).
         larger_is_better: Reporting hint only; the cost uses deviations.
-        batch_evaluate: Optional callable ``(primitive, duts, caches) ->
-            list[(value, n_sims) | Exception]`` measuring many DUTs at
-            once through the stacked solver paths.  Must be bitwise
-            identical to calling ``evaluate`` per DUT; per-member
-            failures are returned (captured), not raised.  The
-            constructors :func:`~repro.primitives.testbenches.ac_metric`
-            and :func:`~repro.primitives.testbenches.dc_metric` supply
-            it together with ``evaluate`` from one testbench and one
-            reader.  Metrics without one (the transient delay metrics)
-            run serially inside :meth:`MosPrimitive.evaluate_many`.
     """
 
     name: str
     weight: float
-    evaluate: Callable[["MosPrimitive", Circuit, dict], tuple[float, int]]
+    evaluate: Callable[["MosPrimitive", list, list], list]
     spec_value: Callable[["MosPrimitive"], float] | None = None
     larger_is_better: bool = True
-    batch_evaluate: (
-        Callable[["MosPrimitive", list, list], list] | None
-    ) = None
 
 
 @dataclass(frozen=True)
@@ -261,15 +254,14 @@ class MosPrimitive(ABC):
     def evaluate(self, dut: Circuit) -> tuple[dict[str, float], int]:
         """Run every metric testbench against a DUT netlist.
 
-        Returns the metric values and the number of simulations used.
+        :meth:`evaluate_many` on a one-member stack, its captured
+        failure re-raised, plus the ``BAD-METRIC`` fault hook.  Returns
+        the metric values and the number of simulations used.
         """
-        values: dict[str, float] = {}
-        sims = 0
-        cache: dict = {}
-        for metric in self.metrics():
-            value, n = metric.evaluate(self, dut, cache)
-            values[metric.name] = value
-            sims += n
+        (outcome,) = self.evaluate_many([dut])
+        if isinstance(outcome, Exception):
+            raise outcome
+        values, sims = outcome
         injector = faults.active()
         if injector is not None:
             values = injector.poison_metrics(values)
@@ -278,53 +270,37 @@ class MosPrimitive(ABC):
     def evaluate_many(self, duts: list[Circuit]) -> list:
         """Run every metric testbench against many DUT netlists at once.
 
-        The vectorized counterpart of :meth:`evaluate` for the stacked
-        sweep engine (:mod:`repro.runtime.batched`): metrics that declare a
-        :attr:`~MetricSpec.batch_evaluate` measure the whole batch
-        through the stacked solver paths, the rest run serially per
-        member.  Returns one entry per DUT — ``(values, n_sims)``
-        exactly as :meth:`evaluate` would produce, or None for a member
-        whose evaluation failed (the caller re-runs that member serially
-        so the failure surfaces through the ordinary retry machinery).
+        Each metric's evaluator measures every still-live member in one
+        stack (:mod:`repro.runtime.batched` calls this on the stacked
+        sweep engine's members).  Returns one entry per DUT —
+        ``(values, n_sims)``, or the exception that ended the member's
+        evaluation (its later metrics are not measured).
 
         It skips the ``BAD-METRIC`` hook: the stacked engine calls it
         with fault injection suspended, after screening every evaluation
         an injected fault would hit off to its serial thunk (which runs
         :meth:`evaluate`).
         """
-        count = len(duts)
-        values: list[dict[str, float]] = [{} for _ in range(count)]
-        sims = [0] * count
-        caches: list[dict] = [{} for _ in range(count)]
-        dead = [False] * count
+        values: list[dict[str, float]] = [{} for _ in duts]
+        sims = [0] * len(duts)
+        caches: list[dict] = [{} for _ in duts]
+        failures: list[Exception | None] = [None] * len(duts)
         for metric in self.metrics():
-            live = [i for i in range(count) if not dead[i]]
+            live = [i for i, failure in enumerate(failures) if failure is None]
             if not live:
                 break
-            if metric.batch_evaluate is not None and len(live) > 1:
-                outcomes = metric.batch_evaluate(
-                    self, [duts[i] for i in live], [caches[i] for i in live]
-                )
-                for i, outcome in zip(live, outcomes):
-                    if isinstance(outcome, Exception):
-                        dead[i] = True
-                    else:
-                        value, n = outcome
-                        values[i][metric.name] = value
-                        sims[i] += n
-            else:
-                for i in live:
-                    try:
-                        value, n = metric.evaluate(self, duts[i], caches[i])
-                    except Exception as exc:
-                        if not is_eval_failure(exc):
-                            raise
-                        dead[i] = True
-                    else:
-                        values[i][metric.name] = value
-                        sims[i] += n
+            outcomes = metric.evaluate(
+                self, [duts[i] for i in live], [caches[i] for i in live]
+            )
+            for i, outcome in zip(live, outcomes):
+                if isinstance(outcome, Exception):
+                    failures[i] = outcome
+                else:
+                    values[i][metric.name] = outcome[0]
+                    sims[i] += outcome[1]
         return [
-            None if dead[i] else (values[i], sims[i]) for i in range(count)
+            (values[i], sims[i]) if failure is None else failure
+            for i, failure in enumerate(failures)
         ]
 
     def schematic_reference(self) -> dict[str, float]:

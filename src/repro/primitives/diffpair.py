@@ -12,6 +12,7 @@ pair used in data converters, and the PMOS mirror image.
 
 from __future__ import annotations
 
+from repro.errors import MeasureError
 from repro.primitives.base import (
     DeviceTemplate,
     MetricSpec,
@@ -70,20 +71,14 @@ class DifferentialPair(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("gm", WEIGHT_MEDIUM, _eval_gm, batch_evaluate=_eval_gm_many),
-            MetricSpec(
-                "gm_over_ctotal",
-                WEIGHT_MEDIUM,
-                _eval_gm_over_ctotal,
-                batch_evaluate=_eval_gm_over_ctotal_many,
-            ),
+            MetricSpec("gm", WEIGHT_MEDIUM, _eval_gm_many),
+            MetricSpec("gm_over_ctotal", WEIGHT_MEDIUM, _eval_gm_over_ctotal_many),
             MetricSpec(
                 "offset",
                 WEIGHT_HIGH,
-                _eval_offset,
+                _eval_offset_many,
                 spec_value=lambda prim: 0.1 * prim.random_offset_sigma(),
                 larger_is_better=False,
-                batch_evaluate=_eval_offset_many,
             ),
         ]
 
@@ -228,114 +223,49 @@ class SwitchedDifferentialPair(DifferentialPair):
 
 
 # --- metric evaluators -------------------------------------------------------
-# Shared cache keys: "gm", "ctotal". MosPrimitive.evaluate passes one cache
-# per evaluation so gm_over_ctotal reuses the Gm sweep (3 sims per config
-# total, matching Table V).
+# Each evaluator measures a stack of DUTs and returns a member's failure in
+# its place.  MosPrimitive.evaluate_many passes one cache per DUT and runs
+# the metrics in order, so gm_over_ctotal divides the Gm that the gm metric
+# just stored there (3 sims per config in total, matching Table V); a
+# member whose Gm failed is not measured further.
 
 
 _read_gm = tbh.transfer_current(["voutp", "voutn"], [1.0, -1.0])
 _read_cout = tbh.port_capacitance("voutp")
 
 
-def _eval_gm(prim: DifferentialPair, dut: Circuit, cache: dict) -> tuple[float, int]:
-    gm = _read_gm(*tbh.run_ac(prim.gm_testbench(dut), prim.tech))
-    cache["gm"] = gm
-    return gm, 1
-
-
-def _eval_gm_over_ctotal(
-    prim: DifferentialPair, dut: Circuit, cache: dict
-) -> tuple[float, int]:
-    sims = 0
-    if "gm" not in cache:
-        _, extra = _eval_gm(prim, dut, cache)
-        sims += extra
-    cout = _read_cout(*tbh.run_ac(prim.cout_testbench(dut), prim.tech))
-    sims += 1
-    ctotal = cout + prim.c_load
-    cache["ctotal"] = ctotal
-    return cache["gm"] / ctotal, sims
-
-
 def _offset_response(op) -> float:
     return op.i("voutp") - op.i("voutn")
-
-
-def _eval_offset(
-    prim: DifferentialPair, dut: Circuit, cache: dict
-) -> tuple[float, int]:
-    from repro.errors import MeasureError
-
-    try:
-        offset = tbh.dc_offset_bisection(
-            prim._bias_testbench(dut), prim.input_drive, prim.tech, _offset_response
-        )
-    except MeasureError:
-        # The pair no longer steers within the bracket (e.g. the bias has
-        # collapsed under extreme route IR drop): report a saturated
-        # offset so the cost function rejects the configuration.
-        offset = 0.05
-    return abs(offset), 1
-
-
-# --- batched metric evaluators ----------------------------------------------
-# Each mirrors its serial counterpart arithmetic-for-arithmetic; exceptions
-# are returned in place so MosPrimitive.evaluate_many can drop the member
-# back to the serial path where the identical failure reproduces.
 
 
 def _eval_gm_many(
     prim: DifferentialPair, duts: list[Circuit], caches: list[dict]
 ) -> list:
-    tbs = [prim.gm_testbench(dut) for dut in duts]
+    runs = tbh.run_ac_many([prim.gm_testbench(dut) for dut in duts], prim.tech)
     out: list = []
-    for i, res in enumerate(tbh.run_ac_many(tbs, prim.tech)):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        gm = _read_gm(*res)
-        caches[i]["gm"] = gm
-        out.append((gm, 1))
+    for cache, res in zip(caches, runs):
+        if not isinstance(res, Exception):
+            cache["gm"] = _read_gm(*res)
+            res = (cache["gm"], 1)
+        out.append(res)
     return out
 
 
 def _eval_gm_over_ctotal_many(
     prim: DifferentialPair, duts: list[Circuit], caches: list[dict]
 ) -> list:
-    count = len(duts)
-    sims = [0] * count
-    out: list = [None] * count
-    need = [i for i in range(count) if "gm" not in caches[i]]
-    if need:
-        gm_results = _eval_gm_many(
-            prim, [duts[i] for i in need], [caches[i] for i in need]
-        )
-        for i, res in zip(need, gm_results):
-            if isinstance(res, Exception):
-                out[i] = res
-            else:
-                sims[i] += res[1]
-    live = [i for i in range(count) if out[i] is None]
-    runs = tbh.run_ac_many(
-        [prim.cout_testbench(duts[i]) for i in live], prim.tech
-    )
-    for i, res in zip(live, runs):
-        if isinstance(res, Exception):
-            out[i] = res
-            continue
-        cout = _read_cout(*res)
-        sims[i] += 1
-        ctotal = cout + prim.c_load
-        caches[i]["ctotal"] = ctotal
-        out[i] = (caches[i]["gm"] / ctotal, sims[i])
-    return out
+    runs = tbh.run_ac_many([prim.cout_testbench(dut) for dut in duts], prim.tech)
+    return [
+        res
+        if isinstance(res, Exception)
+        else (cache["gm"] / (_read_cout(*res) + prim.c_load), 1)
+        for cache, res in zip(caches, runs)
+    ]
 
 
 def _eval_offset_many(
     prim: DifferentialPair, duts: list[Circuit], caches: list[dict]
 ) -> list:
-    from repro.errors import MeasureError
-
     roots = tbh.dc_offset_bisection_many(
         [prim._bias_testbench(dut) for dut in duts],
         prim.input_drive,
@@ -345,8 +275,10 @@ def _eval_offset_many(
     out: list = []
     for root in roots:
         if isinstance(root, MeasureError):
-            # Same saturation the serial path applies when the pair no
-            # longer steers within the bracket.
+            # The pair no longer steers within the bracket (e.g. the bias
+            # has collapsed under extreme route IR drop): report a
+            # saturated offset so the cost function rejects the
+            # configuration.
             out.append((0.05, 1))
         elif isinstance(root, Exception):
             out.append(root)

@@ -63,7 +63,15 @@ class CurrentStarvedInverter(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("delay", WEIGHT_HIGH, _eval_delay, larger_is_better=False),
+            tbh.tran_metric(
+                "delay",
+                WEIGHT_HIGH,
+                _delay_testbench,
+                _delay("in", "out"),
+                t_stop=1.2e-9,
+                dt=1.0e-12,
+                larger_is_better=False,
+            ),
             tbh.dc_metric(
                 "current", WEIGHT_HIGH, _starved_current_testbench, _forced_current
             ),
@@ -164,7 +172,15 @@ class DifferentialDelayCell(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("delay", WEIGHT_HIGH, _eval_cell_delay, larger_is_better=False),
+            tbh.tran_metric(
+                "delay",
+                WEIGHT_HIGH,
+                _cell_delay_testbench,
+                _delay("ina", "outa"),
+                t_stop=1.5e-9,
+                dt=1.5e-12,
+                larger_is_better=False,
+            ),
             tbh.dc_metric(
                 "current", WEIGHT_HIGH, _cell_current_testbench, _forced_current
             ),
@@ -538,26 +554,34 @@ def _differential_gain(op, ac) -> float:
     return float(abs(ac.v("outa")[0] - ac.v("outb")[0]))
 
 
-def _eval_delay(prim: CurrentStarvedInverter, dut: Circuit, cache: dict):
+def _delay(node_in: str, node_out: str):
+    """Transient reader: ``node_in`` rise to ``node_out`` fall at mid-rail."""
+
+    def read(prim: MosPrimitive, result) -> float:
+        half = prim.tech.vdd / 2.0
+        return measure.delay_between(
+            result.t,
+            result.v(node_in),
+            result.v(node_out),
+            half,
+            half,
+            direction_from="rise",
+            direction_to="fall",
+        )
+
+    return read
+
+
+def _delay_testbench(prim: CurrentStarvedInverter, dut: Circuit) -> Circuit:
     vdd = prim.tech.vdd
     tb = prim.bias_testbench(dut, vin=0.0)
     tb.replace_element(
         "vin", VoltageSource("vin", "in", "0", tbh.standard_pulse(0.0, vdd))
     )
-    result = tbh.run_transient(tb, prim.tech, t_stop=1.2e-9, dt=1.0e-12)
-    delay = measure.delay_between(
-        result.t,
-        result.v("in"),
-        result.v("out"),
-        vdd / 2.0,
-        vdd / 2.0,
-        direction_from="rise",
-        direction_to="fall",
-    )
-    return delay, 1
+    return tb
 
 
-def _eval_cell_delay(prim: DifferentialDelayCell, dut: Circuit, cache: dict):
+def _cell_delay_testbench(prim: DifferentialDelayCell, dut: Circuit) -> Circuit:
     vdd = prim.tech.vdd
     tb = prim.bias_testbench(dut, vin=0.0)
     tb.replace_element(
@@ -566,14 +590,4 @@ def _eval_cell_delay(prim: DifferentialDelayCell, dut: Circuit, cache: dict):
     tb.replace_element(
         "vinb", VoltageSource("vinb", "inb", "0", tbh.standard_pulse(vdd, 0.0))
     )
-    result = tbh.run_transient(tb, prim.tech, t_stop=1.5e-9, dt=1.5e-12)
-    delay = measure.delay_between(
-        result.t,
-        result.v("ina"),
-        result.v("outa"),
-        vdd / 2.0,
-        vdd / 2.0,
-        direction_from="rise",
-        direction_to="fall",
-    )
-    return delay, 1
+    return tb

@@ -7,8 +7,10 @@ parasitic capacitance; the models come from :mod:`repro.devices.passives`.
 
 These classes implement the same ``metrics()`` / ``evaluate()`` /
 ``schematic_reference()`` interface as :class:`~repro.primitives.base.
-MosPrimitive`, so the cost machinery applies unchanged; layout variants
-are value-preserving re-foldings rather than (nfin, nf, m) factorizations.
+MosPrimitive`, whose metric evaluation they share, so the cost machinery
+applies unchanged; layout variants are value-preserving re-foldings
+rather than (nfin, nf, m) factorizations.  Every metric reads one
+impedance probe: an AC source at port ``a`` with ``b`` grounded.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ import numpy as np
 
 from repro.devices.passives import MomCapacitor, PolyResistor, SpiralInductor
 from repro.errors import OptimizationError
-from repro.primitives.base import MetricSpec, WEIGHT_HIGH, WEIGHT_LOW, WEIGHT_MEDIUM
+from repro.primitives.base import (
+    MetricSpec,
+    MosPrimitive,
+    WEIGHT_HIGH,
+    WEIGHT_LOW,
+    WEIGHT_MEDIUM,
+)
 from repro.primitives import testbenches as tbh
 from repro.spice.netlist import Circuit
 from repro.tech.pdk import Technology
@@ -59,15 +67,8 @@ class _PassivePrimitive:
     def metrics(self) -> list[MetricSpec]:  # pragma: no cover - abstract-ish
         raise NotImplementedError
 
-    def evaluate(self, dut: Circuit) -> tuple[dict[str, float], int]:
-        values: dict[str, float] = {}
-        sims = 0
-        cache: dict = {}
-        for metric in self.metrics():
-            value, n = metric.evaluate(self, dut, cache)
-            values[metric.name] = value
-            sims += n
-        return values, sims
+    evaluate = MosPrimitive.evaluate
+    evaluate_many = MosPrimitive.evaluate_many
 
     def schematic_reference(self) -> dict[str, float]:
         if self._schematic_reference is None:
@@ -94,8 +95,8 @@ class MomCapacitorPrimitive(_PassivePrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("capacitance", WEIGHT_HIGH, _eval_capacitance),
-            MetricSpec("frequency", WEIGHT_LOW, _eval_corner_frequency),
+            _probe_metric("capacitance", WEIGHT_HIGH, tbh.port_capacitance("va")),
+            _probe_metric("frequency", WEIGHT_LOW, _read_corner_frequency),
         ]
 
     def schematic_circuit(self) -> Circuit:
@@ -133,9 +134,9 @@ class PolyResistorPrimitive(_PassivePrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("resistance", WEIGHT_HIGH, _eval_resistance),
-            MetricSpec(
-                "parasitic_c", WEIGHT_LOW, _eval_shunt_cap, larger_is_better=False
+            _probe_metric("resistance", WEIGHT_HIGH, _read_resistance),
+            _probe_metric(
+                "parasitic_c", WEIGHT_LOW, _read_shunt_cap, larger_is_better=False
             ),
         ]
 
@@ -167,8 +168,8 @@ class SpiralInductorPrimitive(_PassivePrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("inductance", WEIGHT_HIGH, _eval_inductance),
-            MetricSpec("q_factor", WEIGHT_MEDIUM, _eval_q_factor),
+            _probe_metric("inductance", WEIGHT_HIGH, _read_inductance),
+            _probe_metric("q_factor", WEIGHT_MEDIUM, _read_q_factor),
         ]
 
     def schematic_circuit(self) -> Circuit:
@@ -188,63 +189,60 @@ class SpiralInductorPrimitive(_PassivePrimitive):
         return circuit
 
 
-# --- metric evaluators -------------------------------------------------------
+# --- metric testbench and readers ------------------------------------------
 
 
-def _impedance_probe(prim, dut: Circuit):
-    """AC sweep with node ``b`` grounded and an AC source at ``a``."""
+def _impedance_probe(prim, dut: Circuit) -> Circuit:
+    """AC source at ``a`` with node ``b`` grounded."""
     tb = Circuit(f"{prim.name}_probe")
-    tb.instantiate(dut, "dut", {p: p for p in dut.ports})
+    tbh.attach_dut(tb, dut)
     tb.add_vsource("va", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_resistor("rterm", "b", "0", 1e-3)
-    return tbh.run_ac(tb, prim.tech)
+    return tb
 
 
-def _eval_capacitance(prim: MomCapacitorPrimitive, dut: Circuit, cache: dict):
-    op, ac = _impedance_probe(prim, dut)
+def _probe_metric(name: str, weight: float, read, **spec) -> MetricSpec:
+    """A metric read off the impedance probe's AC sweep."""
+    return tbh.ac_metric(name, weight, _impedance_probe, read, **spec)
+
+
+def _capacitance(ac, probe: float) -> float:
+    """``|Im(Y)|/w`` at the sweep point closest to ``probe`` (Hz)."""
     y = -ac.i("va")
-    k = tbh.freq_index(ac.freqs, 1.0e8)
-    return abs(float(np.imag(y[k]))) / (2.0 * math.pi * float(ac.freqs[k])), 1
+    k = tbh.freq_index(ac.freqs, probe)
+    return abs(float(np.imag(y[k]))) / (2.0 * math.pi * float(ac.freqs[k]))
 
 
-def _eval_corner_frequency(prim: MomCapacitorPrimitive, dut: Circuit, cache: dict):
-    op, ac = _impedance_probe(prim, dut)
-    y = -ac.i("va")
+def _read_corner_frequency(op, ac) -> float:
     # Corner where the series R starts to matter: f = 1/(2 pi R C).
-    k_hi = len(ac.freqs) - 1
-    r_series = max(float(np.real(1.0 / y[k_hi])), 1e-3)
-    k = tbh.freq_index(ac.freqs, 1.0e8)
-    c = abs(float(np.imag(y[k]))) / (2.0 * math.pi * float(ac.freqs[k]))
-    return 1.0 / (2.0 * math.pi * r_series * max(c, 1e-18)), 1
-
-
-def _eval_resistance(prim: PolyResistorPrimitive, dut: Circuit, cache: dict):
-    op, ac = _impedance_probe(prim, dut)
     y = -ac.i("va")
-    return float(np.real(1.0 / y[0])), 1
+    r_series = max(float(np.real(1.0 / y[len(ac.freqs) - 1])), 1e-3)
+    c = _capacitance(ac, 1.0e8)
+    return 1.0 / (2.0 * math.pi * r_series * max(c, 1e-18))
 
 
-def _eval_shunt_cap(prim: PolyResistorPrimitive, dut: Circuit, cache: dict):
-    op, ac = _impedance_probe(prim, dut)
-    y = -ac.i("va")
-    k = tbh.freq_index(ac.freqs, 1.0e9)
-    z = 1.0 / y[k]
+def _read_resistance(op, ac) -> float:
+    return float(np.real(1.0 / -ac.i("va")[0]))
+
+
+def _read_shunt_cap(op, ac) -> float:
     # Residual reactive part referred to the port.
-    return abs(float(np.imag(y[k]))) / (2.0 * math.pi * float(ac.freqs[k])), 1
+    return _capacitance(ac, 1.0e9)
 
 
-def _eval_inductance(prim: SpiralInductorPrimitive, dut: Circuit, cache: dict):
-    op, ac = _impedance_probe(prim, dut)
-    y = -ac.i("va")
-    k = tbh.freq_index(ac.freqs, 1.0e9)
-    z = 1.0 / y[k]
-    return float(np.imag(z)) / (2.0 * math.pi * float(ac.freqs[k])), 1
+def _impedance(ac, probe: float) -> tuple[complex, float]:
+    """Port impedance at the sweep point closest to ``probe`` (Hz), and
+    that point's frequency."""
+    k = tbh.freq_index(ac.freqs, probe)
+    return 1.0 / -ac.i("va")[k], float(ac.freqs[k])
 
 
-def _eval_q_factor(prim: SpiralInductorPrimitive, dut: Circuit, cache: dict):
-    op, ac = _impedance_probe(prim, dut)
-    y = -ac.i("va")
-    k = tbh.freq_index(ac.freqs, 5.0e9)
-    z = 1.0 / y[k]
+def _read_inductance(op, ac) -> float:
+    z, freq = _impedance(ac, 1.0e9)
+    return float(np.imag(z)) / (2.0 * math.pi * freq)
+
+
+def _read_q_factor(op, ac) -> float:
+    z, _ = _impedance(ac, 5.0e9)
     real = max(abs(float(np.real(z))), 1e-6)
-    return abs(float(np.imag(z))) / real, 1
+    return abs(float(np.imag(z))) / real

@@ -3,9 +3,10 @@
 A metric testbench wires a DUT netlist (schematic or extracted — both
 expose the same port names) into a stimulated circuit and reduces its
 simulation to one number, the way the paper's per-metric SPICE
-testbenches do (Fig. 4).  :func:`ac_metric` and :func:`dc_metric`
-declare such a metric once and derive both its serial and its stacked
-evaluator.  A metric evaluation reports ``(value, n_simulations)``,
+testbenches do (Fig. 4).  :func:`ac_metric`, :func:`dc_metric` and
+:func:`tran_metric` declare such a metric once, as one evaluator over a
+stack of DUTs; a single DUT is a one-member stack.  A metric
+evaluation reports ``(value, n_simulations)``,
 where a "simulation" is one analysis run (op / ac sweep / transient),
 matching the accounting of Table V.
 """
@@ -18,7 +19,7 @@ from repro.errors import MeasureError
 from repro.primitives.base import MetricSpec
 from repro.runtime.failures import is_eval_failure
 from repro.spice import measure
-from repro.spice.ac import ac_analysis, ac_analysis_many
+from repro.spice.ac import ac_analysis_many
 from repro.spice.dc import dc_operating_point, dc_operating_points
 from repro.spice.mna import CompiledCircuit
 from repro.spice.netlist import Circuit
@@ -40,38 +41,24 @@ def attach_dut(tb: Circuit, dut: Circuit) -> None:
     tb.instantiate(dut, "dut", {p: p for p in dut.ports})
 
 
-def run_ac(tb: Circuit, tech: Technology):
-    """Operating point + AC sweep; returns (op, ac), costing 1 'sim'."""
-    compiled = CompiledCircuit(tb, tech.rules)
-    op = dc_operating_point(compiled)
-    ac = ac_analysis(compiled, op, AC_START, AC_STOP, AC_PPD)
-    return op, ac
-
-
-def run_op(tb: Circuit, tech: Technology):
-    """Operating point only."""
-    compiled = CompiledCircuit(tb, tech.rules)
-    return dc_operating_point(compiled)
-
-
 def freq_index(freqs: np.ndarray, target: float) -> int:
     """Index of the sweep point closest to ``target`` (log distance)."""
     return int(np.argmin(np.abs(np.log10(freqs) - np.log10(target))))
 
 
 def run_op_many(tbs: list[Circuit], tech: Technology) -> list:
-    """Stacked :func:`run_op`: operating point (or exception) per member.
+    """Operating point (or captured exception) per testbench, stacked.
 
     Failures are *captured per member*, so one diverging member never
-    hides the rest of the stack; values are bitwise identical to
-    calling :func:`run_op` per member.
+    hides the rest of the stack.
     """
     compileds = [CompiledCircuit(tb, tech.rules) for tb in tbs]
     return dc_operating_points(compileds)
 
 
 def run_ac_many(tbs: list[Circuit], tech: Technology) -> list:
-    """Stacked :func:`run_ac`: ``(op, ac)`` (or exception) per member."""
+    """Operating point plus AC sweep per testbench, stacked: ``(op, ac)``
+    (or the captured exception) per member, costing 1 'sim' each."""
     compileds = [CompiledCircuit(tb, tech.rules) for tb in tbs]
     ops = dc_operating_points(compileds)
     out: list = [op if isinstance(op, Exception) else None for op in ops]
@@ -92,31 +79,32 @@ def run_ac_many(tbs: list[Circuit], tech: Technology) -> list:
 #
 # A primitive metric is one testbench (``build(prim, dut) -> Circuit``)
 # plus one reader reducing its simulation to a number.  The constructors
-# below derive both evaluators of a :class:`MetricSpec` from that single
-# definition: ``evaluate`` simulates one DUT (``run_ac``/``run_op``) and
-# ``batch_evaluate`` simulates a whole stack (``run_ac_many``/
-# ``run_op_many``), so the two cannot drift apart.  Each costs one
-# simulation per DUT (Table V accounting).
+# below turn that definition into the metric's one evaluator, which
+# simulates a whole stack of DUTs (``run_ac_many``/``run_op_many``, or
+# one transient per member) and captures each member's failure in its
+# place.  Each costs one simulation per DUT (Table V accounting).
+
+
+def _captured(thunk):
+    """``thunk()``, or the evaluation failure it raised in its place.
+
+    Any other exception is a bug and propagates.
+    """
+    try:
+        return thunk()
+    except Exception as exc:
+        if not is_eval_failure(exc):
+            raise
+        return exc
 
 
 def _read_members(read, results: list) -> list:
-    """``(read(*args), 1)`` per member, or the member's captured failure.
-
-    A reader raising an evaluation failure marks only its own member;
-    any other exception is a bug and propagates.
-    """
-    out: list = []
-    for args in results:
-        if isinstance(args, Exception):
-            out.append(args)
-            continue
-        try:
-            out.append((read(*args), 1))
-        except Exception as exc:
-            if not is_eval_failure(exc):
-                raise
-            out.append(exc)
-    return out
+    """``(read(*args), 1)`` per member, or the member's captured failure
+    (its simulation's, or its reader's)."""
+    return [
+        args if isinstance(args, Exception) else _captured(lambda: (read(*args), 1))
+        for args in results
+    ]
 
 
 def ac_metric(name: str, weight: float, build, read, **spec) -> MetricSpec:
@@ -131,15 +119,11 @@ def ac_metric(name: str, weight: float, build, read, **spec) -> MetricSpec:
             (``larger_is_better``, ``spec_value``).
     """
 
-    def evaluate(prim, dut: Circuit, cache: dict):
-        op, ac = run_ac(build(prim, dut), prim.tech)
-        return read(op, ac), 1
-
-    def batch_evaluate(prim, duts: list[Circuit], caches: list[dict]) -> list:
+    def evaluate(prim, duts: list[Circuit], caches: list[dict]) -> list:
         runs = run_ac_many([build(prim, dut) for dut in duts], prim.tech)
         return _read_members(read, runs)
 
-    return MetricSpec(name, weight, evaluate, batch_evaluate=batch_evaluate, **spec)
+    return MetricSpec(name, weight, evaluate, **spec)
 
 
 def dc_metric(name: str, weight: float, build, read, **spec) -> MetricSpec:
@@ -148,16 +132,35 @@ def dc_metric(name: str, weight: float, build, read, **spec) -> MetricSpec:
     As :func:`ac_metric`, with ``read(op) -> float``.
     """
 
-    def evaluate(prim, dut: Circuit, cache: dict):
-        return read(run_op(build(prim, dut), prim.tech)), 1
-
-    def batch_evaluate(prim, duts: list[Circuit], caches: list[dict]) -> list:
+    def evaluate(prim, duts: list[Circuit], caches: list[dict]) -> list:
         ops = run_op_many([build(prim, dut) for dut in duts], prim.tech)
         return _read_members(
             read, [op if isinstance(op, Exception) else (op,) for op in ops]
         )
 
-    return MetricSpec(name, weight, evaluate, batch_evaluate=batch_evaluate, **spec)
+    return MetricSpec(name, weight, evaluate, **spec)
+
+
+def tran_metric(
+    name: str, weight: float, build, read, *, t_stop: float, dt: float, **spec
+) -> MetricSpec:
+    """A metric measured on a transient run of ``t_stop`` at step ``dt``,
+    from the testbench's operating point.
+
+    As :func:`ac_metric`, with ``read(prim, result) -> float`` on the
+    :class:`~repro.spice.tran.TranResult` (the primitive sets the
+    measurement thresholds).  The members run one transient each.
+    """
+
+    def run(prim, dut: Circuit) -> tuple:
+        compiled = CompiledCircuit(build(prim, dut), prim.tech.rules)
+        op = dc_operating_point(compiled)
+        return read(prim, transient(compiled, t_stop, dt, op=op)), 1
+
+    def evaluate(prim, duts: list[Circuit], caches: list[dict]) -> list:
+        return [_captured(lambda: run(prim, dut)) for dut in duts]
+
+    return MetricSpec(name, weight, evaluate, **spec)
 
 
 # -- readers: ``(op, ac) -> float`` reductions shared across families -----
@@ -234,19 +237,6 @@ def node_voltage(node: str):
     return read
 
 
-def run_transient(
-    tb: Circuit,
-    tech: Technology,
-    t_stop: float,
-    dt: float,
-    ics: dict[str, float] | None = None,
-):
-    """Transient run; returns the TranResult, costing 1 'sim'."""
-    compiled = CompiledCircuit(tb, tech.rules)
-    op = dc_operating_point(compiled, force=ics)
-    return transient(compiled, t_stop=t_stop, dt=dt, op=op)
-
-
 #: Offset-bisection resolution (V): results below this are reported 0.0.
 _OFFSET_TOL = 1e-7
 
@@ -264,18 +254,19 @@ def _snap_offset(offset: float) -> float:
     return 0.0 if abs(offset) < _OFFSET_TOL else offset
 
 
-def dc_offset_bisection(
-    tb: Circuit,
+def dc_offset_bisection_many(
+    tbs: list[Circuit],
     drive,
     tech: Technology,
     response,
     lo: float = -0.05,
     hi: float = 0.05,
-) -> float:
-    """Input-referred offset via bisection on a DC response.
+) -> list:
+    """Input-referred offsets via bisection on a DC response, K
+    bisections in lock-step.
 
     Args:
-        tb: The testbench, built once at any input.
+        tbs: The testbenches, each built once at any input.
         drive: Callable ``(x) -> {source name: DC level}`` giving the
             testbench's input-source levels at differential input ``x``
             (the same levels the testbench builder sets, so the built
@@ -285,49 +276,18 @@ def dc_offset_bisection(
             null (e.g. differential output current).
         lo, hi: Bisection bracket (V).
 
-    Returns:
-        The input voltage nulling the response; magnitudes below the
-        bisection tolerance report as exactly ``0.0``.
-
-    The testbench compiles once; every point solves a copy with the
+    Each testbench compiles once; every point solves a copy with the
     input sources set (:meth:`~repro.spice.mna.CompiledCircuit
-    .with_dc_sources`).  Successive points differ by at most the bracket
-    width and the gap halves every round, so each solve after the first
-    (which starts from zero) starts from the previous point's solution.
-    """
-    compiled = CompiledCircuit(tb, tech.rules)
-    x_prev = None
+    .with_dc_sources`), and each bisection round solves every live
+    member's point through one :func:`~repro.spice.dc
+    .dc_operating_points` call.  Successive points differ by at most the
+    bracket width and the gap halves every round, so each solve after
+    the first (which starts from zero) starts from the member's previous
+    solution.
 
-    def evaluate(x: float) -> float:
-        nonlocal x_prev
-        op = dc_operating_point(compiled.with_dc_sources(drive(x)), x0=x_prev)
-        x_prev = op.x
-        return response(op)
-
-    return _snap_offset(
-        measure.find_dc_zero(evaluate, lo, hi, tolerance=_OFFSET_TOL)
-    )
-
-
-def dc_offset_bisection_many(
-    tbs: list[Circuit],
-    drive,
-    tech: Technology,
-    response,
-    lo: float = -0.05,
-    hi: float = 0.05,
-) -> list:
-    """Batched :func:`dc_offset_bisection`: K bisections in lock-step.
-
-    Each testbench compiles once, and each bisection round solves every
-    live member's point through one :func:`~repro.spice.dc
-    .dc_operating_points` call, warm-started from the member's previous
-    solution exactly as the serial helper does — so every member's
-    result, Newton iterations and analyses equal the serial helper's.
-
-    Returns one entry per member: the offset (snapped to 0.0 below the
-    bisection resolution, exactly like the serial helper), or the
-    captured exception the serial helper would have raised
+    Returns one entry per member: the input voltage nulling the response
+    (magnitudes below the bisection resolution snapped to exactly
+    ``0.0``), or the captured exception
     (:class:`~repro.errors.MeasureError` on a bracket without a sign
     change, :class:`~repro.errors.ConvergenceError` otherwise).
     """

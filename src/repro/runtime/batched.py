@@ -26,12 +26,14 @@ fault counters — is byte-identical to the lazy-serial path
 (``STACK_WIDTH = 1``).  The machinery guarantees this by construction:
 
 * the stacked solvers do each member's floating-point operations
-  exactly as its own solve would: the lazy-serial path runs the same DC
-  Newton loop on one-member stacks, stacked LAPACK ``gesv`` is bitwise
-  equal to per-slice solves, members that converge leave the live
-  set without changing the stragglers' arithmetic, and a member plain
-  Newton cannot converge climbs the serial gmin/source-stepping ladder
-  from the same guess;
+  exactly as its own solve would: the lazy-serial path runs the same
+  metric evaluators on one-member stacks
+  (:meth:`~repro.primitives.base.MosPrimitive.evaluate` is
+  ``evaluate_many([dut])``), stacked LAPACK ``gesv`` solves each matrix
+  on its own, members that converge leave the live set without
+  changing the stragglers' arithmetic, and a member plain Newton
+  cannot converge climbs the gmin/source-stepping ladder alone from
+  the same guess;
 * cache lookups still happen at *consumption* in call-site order — the
   precompute phase only peeks (:meth:`EvalCache.__contains__`, which
   takes no statistics) to decide which members need simulation;
@@ -197,7 +199,9 @@ class EvalBatch:
                     end += 1
                 outcomes = primitive.evaluate_many(sim_circuits[start:end])
                 for i, outcome in zip(sim_indices[start:end], outcomes):
-                    self._members[i].result = outcome
+                    # A failed member's serial thunk raises it again.
+                    if not isinstance(outcome, Exception):
+                        self._members[i].result = outcome
                 start = end
 
     def consume(self, index: int) -> Any | None:

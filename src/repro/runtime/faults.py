@@ -14,8 +14,9 @@ reports.
 Hook points (each consults :func:`active` and is a no-op when no
 injector is installed):
 
-* :func:`repro.spice.dc.dc_operating_point` — ``CONV-DC`` and
-  ``SINGULAR-MNA``;
+* :func:`repro.spice.dc.dc_operating_points` — ``CONV-DC`` and
+  ``SINGULAR-MNA``, once per member (the serial
+  :func:`~repro.spice.dc.dc_operating_point` is a one-member call);
 * :func:`repro.spice.tran.transient` — ``CONV-TRAN``;
 * :meth:`repro.primitives.base.MosPrimitive.evaluate` — ``BAD-METRIC``
   (poisons one measured value with NaN).

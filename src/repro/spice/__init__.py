@@ -10,9 +10,10 @@ provides:
 * small-signal AC sweeps (:mod:`repro.spice.ac`),
 * transient analysis with Newton per step (:mod:`repro.spice.tran`),
 * waveform measurements: gain, UGF, phase margin, 3dB bandwidth, delays,
-  power, oscillation frequency (:mod:`repro.spice.measure`),
-* the testbench abstraction used by primitive metric evaluation
-  (:mod:`repro.spice.testbench`).
+  power, oscillation frequency (:mod:`repro.spice.measure`).
+
+Primitive metric testbenches are built in
+:mod:`repro.primitives.testbenches`.
 
 Primitive-level simulations are tiny (a handful of transistors plus a
 parasitic network), which is exactly the regime the paper exploits: each
@@ -38,12 +39,11 @@ from repro.spice.elements import (
 )
 from repro.spice.waveforms import Dc, Pulse, Pwl, Sin
 from repro.spice.mna import CompiledCircuit
-from repro.spice.dc import OperatingPoint, dc_operating_point, dc_sweep
+from repro.spice.dc import OperatingPoint, dc_operating_point
 from repro.spice.ac import AcResult, ac_analysis
 from repro.spice.tran import TranResult, transient
 from repro.spice import measure
 from repro.spice.montecarlo import MonteCarloResult, run_monte_carlo
-from repro.spice.testbench import Testbench
 
 __all__ = [
     "kernel",
@@ -66,7 +66,6 @@ __all__ = [
     "CompiledCircuit",
     "OperatingPoint",
     "dc_operating_point",
-    "dc_sweep",
     "AcResult",
     "ac_analysis",
     "TranResult",
@@ -74,5 +73,4 @@ __all__ = [
     "measure",
     "MonteCarloResult",
     "run_monte_carlo",
-    "Testbench",
 ]

@@ -1,4 +1,4 @@
-"""DC operating-point analysis and DC sweeps.
+"""DC operating-point analysis.
 
 The solver is damped Newton-Raphson on the MNA system with two standard
 homotopies layered on top:
@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.devices.mosfet import MosEval, channel_current, evaluate_mosfets
-from repro.errors import ConvergenceError, NetlistError
+from repro.errors import ConvergenceError, NetlistError, SingularMatrixError
 from repro.runtime import context as eval_context
 from repro.runtime import faults
 from repro.spice import kernel
@@ -209,7 +209,8 @@ def dc_operating_point(
     x0: np.ndarray | None = None,
     force: dict[str, float] | None = None,
 ) -> OperatingPoint:
-    """Compute the DC operating point.
+    """Compute the DC operating point: :func:`dc_operating_points` on a
+    one-member stack, its captured failure re-raised.
 
     Args:
         compiled: The compiled circuit.
@@ -225,34 +226,21 @@ def dc_operating_point(
             steps are absorbed by the Tikhonov fallback or the
             homotopies.
     """
-    injector = faults.active()
-    if injector is not None:
-        injector.check_dc(compiled.circuit.name)
-
-    stats = kernel.active()
-    if stats is not None:
-        stats.count_analysis("dc")
-    group = _single_group(compiled)
-    x = x0.copy() if x0 is not None else np.zeros(compiled.size)
-    x = _perturb_retry_guess(x)
-    recovery: set[str] = set()
-
-    # Plain Newton first: cheap and usually sufficient with a warm start.
-    solution = _newton_one(group, x, 0.0, 1.0, force, recovery)
-    if solution is not None:
-        return _finish(compiled, solution, recovery)
-    return _ladder(group, x, force, recovery)
+    (point,) = dc_operating_points([compiled], [x0], [force])
+    if isinstance(point, Exception):
+        raise point
+    return point
 
 
 def _ladder(
-    group: "_DcGroup",
+    compiled: CompiledCircuit,
     x: np.ndarray,
     force: dict[str, float] | None,
     recovery: set[str],
 ) -> OperatingPoint:
-    """The homotopies after plain Newton failed from the guess ``x``:
-    gmin stepping, then source stepping (see :func:`dc_operating_point`)."""
-    compiled = group.compileds[0]
+    """The homotopies after plain Newton failed from the guess ``x``,
+    each solve a one-member stack: gmin stepping, then source stepping."""
+    (group,) = _group_batch([compiled])
     recovery.add("gmin-stepping")
     for exponent in range(3, 13):
         solution = _newton_one(group, x, 10.0 ** (-exponent), 1.0, force, recovery)
@@ -411,12 +399,6 @@ class _DcGroup:
         )
 
 
-def _single_group(compiled: CompiledCircuit) -> _DcGroup:
-    """The one-member stack of a serial operating point."""
-    template = _dc_template(compiled, kernel.backend_for(compiled.size))
-    return _DcGroup([0], [compiled], [template])
-
-
 def _group_batch(compileds: list[CompiledCircuit]) -> list[_DcGroup]:
     """Partition a batch into template-compatible groups (order kept)."""
     groups: list[list[int]] = []
@@ -542,12 +524,14 @@ def _newton_solve_batch(
 
 def _plain_newton(
     compileds: list[CompiledCircuit],
-    x0s: list[np.ndarray | None] | None = None,
-) -> list[tuple[np.ndarray, np.ndarray | None, set]]:
-    """Stacked plain Newton over a batch (see :func:`dc_operating_points`).
+    x0s: list[np.ndarray],
+    forces: list[dict[str, float] | None],
+) -> list[tuple[np.ndarray | None, set]]:
+    """Stacked plain Newton over a batch from the initial guesses ``x0s``
+    with the ``forces`` pinned (see :func:`dc_operating_points`).
 
-    Returns per member its initial guess, its solution (None where
-    Newton failed) and the recovery tags collected on the way.
+    Returns per member its solution (None where Newton failed) and the
+    recovery tags collected on the way.
     """
     stats = kernel.active()
     out: list = [None] * len(compileds)
@@ -555,81 +539,74 @@ def _plain_newton(
         if stats is not None:
             for _ in group.indices:
                 stats.count_analysis("dc")
-        x0 = np.stack(
-            [
-                np.zeros(group.size)
-                if x0s is None or x0s[i] is None
-                else np.asarray(x0s[i], dtype=float)
-                for i in group.indices
-            ]
+        diags, rhss = zip(
+            *(_dc_inputs(compileds[i], 0.0, 1.0, forces[i]) for i in group.indices)
         )
-        rhs = np.stack(
-            [compiled.source_rhs(t=None, scale=1.0) for compiled in group.compileds]
-        )
-        diag = np.full((len(group.indices), group.num_nodes), GMIN_FLOOR)
         recoveries: list[set] = [set() for _ in group.indices]
-        solutions = _newton_solve_batch(group, x0, diag, rhs, recoveries)
+        solutions = _newton_solve_batch(
+            group,
+            np.array([x0s[i] for i in group.indices]),
+            np.array(diags),
+            np.array(rhss),
+            recoveries,
+        )
         for j, i in enumerate(group.indices):
-            out[i] = (x0[j], solutions[j], recoveries[j])
+            out[i] = (solutions[j], recoveries[j])
     return out
 
 
 def dc_operating_points(
     compileds: list[CompiledCircuit],
     x0s: list[np.ndarray | None] | None = None,
+    forces: list[dict[str, float] | None] | None = None,
 ) -> list[OperatingPoint | Exception]:
-    """Batched :func:`dc_operating_point` over many circuits.
+    """The DC operating points of many circuits, stacked.
 
-    Bitwise-identical to calling :func:`dc_operating_point` per member
-    (from the member's initial guess in ``x0s``, zero where None or
-    absent), and as costly in Newton iterations and analyses: plain
-    Newton runs stacked, and a member it cannot converge climbs the
-    gmin/source-stepping ladder on its own, from the same initial guess
-    and with the recovery tags it has collected.  Failures are
-    *captured per member* — the returned list holds an
-    :class:`OperatingPoint` or the
-    :class:`~repro.errors.ConvergenceError` the serial call would have
-    raised, so one diverging member does not hide the others' results;
+    Each member starts from its initial guess in ``x0s`` (zero where
+    None or absent), perturbed on retry attempts
+    (:func:`_perturb_retry_guess`), with its ``forces`` nodeset pinned.
+    Plain Newton runs stacked, and a member it cannot converge climbs
+    the gmin/source-stepping ladder on its own, from the same initial
+    guess and with the recovery tags it has collected.  Every member's
+    result, Newton iterations and analyses are those of its own
+    one-member stack (:func:`dc_operating_point`).
+
+    Failures are *captured per member* — the returned list holds an
+    :class:`OperatingPoint` or the :class:`~repro.errors.ConvergenceError`
+    (or injected :class:`~repro.errors.SingularMatrixError`) of that
+    member, so one diverging member does not hide the others' results;
     callers re-raise at the member position when they want serial raise
-    semantics.
-
-    Its callers run inside the stacked precompute of
-    :mod:`repro.runtime.batched`, outside any evaluation context with
-    fault injection suspended — no retry perturbation, injected fault
-    or ``force`` pin reaches here.
+    semantics.  The fault hook trips once per member, before its solve.
     """
-    results: list[OperatingPoint | Exception] = []
-    for compiled, (x0, solution, recovery) in zip(
-        compileds, _plain_newton(compileds, x0s)
-    ):
+    count = len(compileds)
+    x0s = x0s or [None] * count
+    forces = forces or [None] * count
+    results: list = [None] * count
+    injector = faults.active()
+    if injector is not None:
+        for i, compiled in enumerate(compileds):
+            try:
+                injector.check_dc(compiled.circuit.name)
+            except (ConvergenceError, SingularMatrixError) as exc:
+                results[i] = exc
+    live = [i for i in range(count) if results[i] is None]
+    starts = [
+        _perturb_retry_guess(
+            np.zeros(compileds[i].size)
+            if x0s[i] is None
+            else np.array(x0s[i], dtype=float)
+        )
+        for i in live
+    ]
+    solved = _plain_newton(
+        [compileds[i] for i in live], starts, [forces[i] for i in live]
+    )
+    for i, x, (solution, recovery) in zip(live, starts, solved):
         if solution is not None:
-            results.append(_finish(compiled, solution, recovery))
+            results[i] = _finish(compileds[i], solution, recovery)
             continue
         try:
-            results.append(_ladder(_single_group(compiled), x0, None, recovery))
+            results[i] = _ladder(compileds[i], x, forces[i], recovery)
         except ConvergenceError as exc:
-            results.append(exc)
-    return results
-
-
-def dc_sweep(
-    compiled: CompiledCircuit,
-    source_name: str,
-    values: np.ndarray,
-) -> list[OperatingPoint]:
-    """Sweep the DC level of one independent source, warm-starting each
-    point.
-
-    Each point solves ``compiled`` with the source set to that level
-    (:meth:`~repro.spice.mna.CompiledCircuit.with_dc_sources`): the
-    circuit is compiled once, and the caller's netlist is never touched.
-    """
-    results: list[OperatingPoint] = []
-    x_prev: np.ndarray | None = None
-    for value in values:
-        point = dc_operating_point(
-            compiled.with_dc_sources({source_name: value}), x0=x_prev
-        )
-        results.append(point)
-        x_prev = point.x
+            results[i] = exc
     return results

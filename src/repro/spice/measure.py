@@ -242,33 +242,22 @@ def find_dc_zero(
     tolerance: float = 1e-7,
     max_iterations: int = 60,
 ) -> float:
-    """Bisection root finder used by offset measurements.
+    """Bisection root finder: :func:`find_dc_zero_many` on one member.
 
-    ``evaluate`` maps a scalar input (e.g. differential input voltage) to a
-    scalar response (e.g. differential output current); the root of the
-    response in ``[lo, hi]`` is returned.
+    ``evaluate`` maps a scalar input (e.g. a gate bias) to a scalar
+    response (e.g. a device current error); the root of the response in
+    ``[lo, hi]`` is returned.  An exception ``evaluate`` raises
+    propagates as is.
+
+    Raises:
+        MeasureError: When the bracket holds no sign change.
     """
-    f_lo = evaluate(lo)
-    f_hi = evaluate(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise MeasureError(
-            f"no sign change in [{lo:.4g}, {hi:.4g}] "
-            f"(f={f_lo:.4g} .. {f_hi:.4g})"
-        )
-    for _ in range(max_iterations):
-        mid = 0.5 * (lo + hi)
-        f_mid = evaluate(mid)
-        if f_mid == 0.0 or (hi - lo) < tolerance:
-            return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    (root,) = find_dc_zero_many(
+        lambda indices, xs: [evaluate(xs[0])], 1, lo, hi, tolerance, max_iterations
+    )
+    if isinstance(root, Exception):
+        raise root
+    return root
 
 
 def find_dc_zero_many(
@@ -279,17 +268,19 @@ def find_dc_zero_many(
     tolerance: float = 1e-7,
     max_iterations: int = 60,
 ) -> list:
-    """Lock-step bisection across many members (see :func:`find_dc_zero`).
+    """Lock-step bisection across many members, the root finder of
+    offset and bias measurements.
 
     ``evaluate_many(indices, xs)`` evaluates member ``indices[j]`` at
     input ``xs[j]`` for all entries at once — the hook where the batched
     solver stack earns its keep — and returns, per entry, the float
-    response or a captured exception.  Each member's bracket updates
-    replay :func:`find_dc_zero`'s arithmetic exactly (including the
-    order of the endpoint evaluations and the zero/tolerance early
-    exits), so the returned roots are bitwise identical to ``count``
-    independent serial calls.  A member whose evaluation raised — or
-    whose bracket holds no sign change — carries the exception in the
+    response or a captured exception.  Every member evaluates both
+    bracket ends, then halves its bracket towards the sign change until
+    the response is exactly zero or the bracket is narrower than
+    ``tolerance``.  Each member's bracket updates depend on its own
+    responses only, so its root is the same in any stack.  A member
+    whose evaluation raised — or whose bracket holds no sign change
+    (:class:`~repro.errors.MeasureError`) — carries the exception in the
     returned list instead of a root.
     """
     results: list = [None] * count

@@ -19,7 +19,7 @@ def test_auto_bias_hits_target_current(tech, cs):
     from repro.primitives import testbenches as tbh
 
     tb = cs.bias_testbench(cs.schematic_circuit())
-    op = tbh.run_op(tb, tech)
+    (op,) = tbh.run_op_many([tb], tech)
     assert abs(op.i("vout")) == pytest.approx(cs.i_target, rel=0.01)
 
 
@@ -67,6 +67,6 @@ def test_follower_rout_near_inverse_gm(tech):
     from repro.primitives import testbenches as tbh
 
     tb = cd.bias_testbench(cd.schematic_circuit())
-    op = tbh.run_op(tb, tech)
+    (op,) = tbh.run_op_many([tb], tech)
     gm = op.mos("dut.M1")["gm"]
     assert ref["rout"] == pytest.approx(1.0 / gm, rel=2.0)

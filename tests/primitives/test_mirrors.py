@@ -79,10 +79,15 @@ def test_cascode_rout_beats_simple(tech):
     from repro.primitives import testbenches as tbh
 
     read = tbh.port_resistance("vout")
-    r_simple = read(
-        *tbh.run_ac(simple.cout_testbench(simple.schematic_circuit()), tech)
+    (simple_run, casc_run) = tbh.run_ac_many(
+        [
+            simple.cout_testbench(simple.schematic_circuit()),
+            casc.cout_testbench(casc.schematic_circuit()),
+        ],
+        tech,
     )
-    r_casc = read(*tbh.run_ac(casc.cout_testbench(casc.schematic_circuit()), tech))
+    r_simple = read(*simple_run)
+    r_casc = read(*casc_run)
     assert r_casc > 3 * r_simple
 
 

@@ -68,3 +68,48 @@ def test_validation(tech):
         PolyResistorPrimitive(tech, value=-1.0)
     with pytest.raises(OptimizationError):
         SpiralInductorPrimitive(tech, value=0.0)
+
+
+#: ``evaluate`` values (hex floats) of the default-valued passives on the
+#: schematic and the 4-segment folding, captured before the passives'
+#: metrics became impedance-probe readers on the shared stacked evaluator.
+_GOLDEN = {
+    MomCapacitorPrimitive: {
+        "schematic": {
+            "capacitance": "0x1.c25c268497663p-44",
+            "frequency": "0x1.69e05e9e3bcbep+50",
+        },
+        "seg4": {
+            "capacitance": "0x1.c25c1f232ba81p-44",
+            "frequency": "0x1.747b790737744p+37",
+        },
+    },
+    PolyResistorPrimitive: {
+        "schematic": {"parasitic_c": "0x0.0p+0", "resistance": "0x1.3880020c49ba6p+13"},
+        "seg4": {
+            "parasitic_c": "0x1.41f015f9d35c8p-97",
+            "resistance": "0x1.39c0020c49ba6p+13",
+        },
+    },
+    SpiralInductorPrimitive: {
+        "schematic": {
+            "inductance": "0x1.12e0be826d695p-30",
+            "q_factor": "0x1.1409e5216a2a5p+15",
+        },
+        "seg4": {
+            "inductance": "0x1.130eac3936737p-30",
+            "q_factor": "0x1.a4dff60175391p+3",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("cls", list(_GOLDEN), ids=lambda cls: cls.family)
+def test_passive_evaluate_golden(tech, cls):
+    prim = cls(tech)
+    (seg4,) = [v for v in prim.variants() if v.segments == 4]
+    duts = {"schematic": prim.schematic_circuit(), "seg4": prim.layout_circuit(seg4)}
+    for label, dut in duts.items():
+        values, sims = prim.evaluate(dut)
+        assert {k: float(v).hex() for k, v in values.items()} == _GOLDEN[cls][label]
+        assert sims == 2

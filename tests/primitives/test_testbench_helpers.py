@@ -9,7 +9,13 @@ from repro.devices.mosfet import MosGeometry
 from repro.errors import MeasureError, NetlistError
 from repro.primitives import testbenches as tbh
 from repro.spice import Circuit, kernel
-from repro.spice.dc import dc_operating_point
+from repro.spice.dc import dc_operating_points
+
+
+def _run_ac(tb, tech):
+    """``(op, ac)`` of one testbench: a one-member stack."""
+    (run,) = tbh.run_ac_many([tb], tech)
+    return run
 
 
 def test_attach_dut_maps_ports_identically(tech, small_dp):
@@ -37,7 +43,7 @@ def test_port_capacitance_of_known_cap(tech):
     tb = Circuit("c")
     tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_capacitor("c1", "a", "0", 7e-15)
-    cap = tbh.port_capacitance("vp")(*tbh.run_ac(tb, tech))
+    cap = tbh.port_capacitance("vp")(*_run_ac(tb, tech))
     assert cap == pytest.approx(7e-15, rel=0.01)
 
 
@@ -45,7 +51,7 @@ def test_port_resistance_of_known_resistor(tech):
     tb = Circuit("r")
     tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_resistor("r1", "a", "0", 3.3e3)
-    res = tbh.port_resistance("vp")(*tbh.run_ac(tb, tech))
+    res = tbh.port_resistance("vp")(*_run_ac(tb, tech))
     assert res == pytest.approx(3.3e3, rel=0.01)
 
 
@@ -56,7 +62,7 @@ def test_port_resistance_of_open_port_raises(tech):
     tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_capacitor("c1", "a", "0", 7e-15)
     with pytest.raises(MeasureError, match="zero real admittance"):
-        tbh.port_resistance("vp")(*tbh.run_ac(tb, tech))
+        tbh.port_resistance("vp")(*_run_ac(tb, tech))
 
 
 def test_port_resistance_negative_reported_as_magnitude(tech):
@@ -65,7 +71,7 @@ def test_port_resistance_negative_reported_as_magnitude(tech):
     tb.add_vsource("vp", "a", "0", 0.0, ac_magnitude=1.0)
     tb.add_vccs("g1", "a", "0", "a", "0", 2e-3)  # pulls current out of a
     tb.add_resistor("stab", "a", "0", 200.0)  # keep DC solvable
-    r = tbh.port_resistance("vp")(*tbh.run_ac(tb, tech))
+    r = tbh.port_resistance("vp")(*_run_ac(tb, tech))
     assert r > 0
 
 
@@ -85,17 +91,17 @@ def test_metric_reader_failure_marks_only_its_member(tech):
     metric = tbh.dc_metric("vb", 1.0, build, read)
     prim = SimpleNamespace(tech=tech)
     members = [1.0, 4.0, 1.5]
-    out = metric.batch_evaluate(prim, members, [{} for _ in members])
-    assert out[0] == metric.evaluate(prim, 1.0, {})
-    assert out[2] == metric.evaluate(prim, 1.5, {})
+    out = metric.evaluate(prim, members, [{} for _ in members])
+    alone = [metric.evaluate(prim, [volts], [{}])[0] for volts in members]
+    assert out[0] == alone[0] == (pytest.approx(0.5), 1)
+    assert out[2] == alone[2] == (pytest.approx(0.75), 1)
     assert isinstance(out[1], MeasureError)
-    with pytest.raises(MeasureError):
-        metric.evaluate(prim, 4.0, {})
+    assert isinstance(alone[1], MeasureError)
 
     # Anything but an evaluation failure is a bug and propagates.
     broken = tbh.dc_metric("vb", 1.0, build, lambda op: op.v("missing"))
     with pytest.raises(NetlistError):
-        broken.batch_evaluate(prim, members, [{} for _ in members])
+        broken.evaluate(prim, members, [{} for _ in members])
 
 
 def test_solve_gate_bias_monotone_increasing(tech):
@@ -115,7 +121,7 @@ def test_solve_gate_bias_monotone_increasing(tech):
         lambda op: abs(op.i("vd")),
         i_target=50e-6,
     )
-    op_check = tbh.run_op(build(v), tech)
+    (op_check,) = tbh.run_op_many([build(v)], tech)
     assert abs(op_check.i("vd")) == pytest.approx(50e-6, rel=0.01)
 
 
@@ -134,8 +140,8 @@ def test_dc_offset_bisection_finds_injected_offset(tech):
     tb.add_vsource("vx", "a", "0")
     tb.add_resistor("r", "a", "0", 1e3)
 
-    root = tbh.dc_offset_bisection(
-        tb, lambda x: {"vx": x - 3e-3}, tech, lambda op: op.v("a"),
+    (root,) = tbh.dc_offset_bisection_many(
+        [tb], lambda x: {"vx": x - 3e-3}, tech, lambda op: op.v("a"),
         lo=-0.05, hi=0.05,
     )
     assert root == pytest.approx(3e-3, abs=1e-6)
@@ -179,6 +185,8 @@ def _ladder_testbench(prim, dut):
 
 
 def test_dc_offset_bisection_many_matches_serial_bitwise(tech, monkeypatch):
+    # A K-member stack against K one-member stacks (a lone offset
+    # measurement is a one-member stack).
     prim, duts = _dp_variants(tech)
     # The last member fails plain Newton at its first point, so the
     # stack hands it to the gmin/source-stepping ladder.
@@ -188,16 +196,19 @@ def test_dc_offset_bisection_many_matches_serial_bitwise(tech, monkeypatch):
     serial_stats = kernel.SolverStats()
     recoveries = []
 
-    def serial_solve(compiled, **kwargs):
-        op = dc_operating_point(compiled, **kwargs)
-        recoveries.append(op.recovery)
-        return op
+    def solve(compileds, **kwargs):
+        ops = dc_operating_points(compileds, **kwargs)
+        recoveries.extend(op.recovery for op in ops)
+        return ops
 
-    monkeypatch.setattr(tbh, "dc_operating_point", serial_solve)
+    monkeypatch.setattr(tbh, "dc_operating_points", solve)
     with kernel.collect(serial_stats):
         serial = [
-            tbh.dc_offset_bisection(tb, prim.input_drive, tech, _dp_response)
+            root
             for tb in tbs
+            for root in tbh.dc_offset_bisection_many(
+                [tb], prim.input_drive, tech, _dp_response
+            )
         ]
     assert ("gmin-stepping", "source-stepping") in recoveries
     stats = kernel.SolverStats()
@@ -207,10 +218,11 @@ def test_dc_offset_bisection_many_matches_serial_bitwise(tech, monkeypatch):
         )
     assert stacked == serial  # bitwise: float equality per member
     # Same starting guesses, so the same Newton trajectories, and the
-    # ladder member costs what its serial solve costs.
+    # ladder member costs what its lone solve costs.
     assert stats.newton_iterations == serial_stats.newton_iterations
     assert stats.analyses == serial_stats.analyses
     assert stats.batch_members > stats.batched_solves > 0
+    assert serial_stats.batch_members == serial_stats.batched_solves
 
 
 def test_dc_offset_bisection_warm_starts_each_solve(tech):

@@ -10,7 +10,9 @@ hit run their serial thunks and the rest still stack).
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from repro.cellgen.generator import WireConfig
 from repro.devices.mosfet import MosGeometry
 from repro.errors import ConvergenceError, LayoutError, MeasureError
 from repro.primitives import PrimitiveLibrary
+from repro.primitives import testbenches as tbh
 from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime
 from repro.runtime import batched as engine
+from repro.runtime import context
 from repro.runtime.faults import FaultSpec, inject
 from repro.spice import Circuit, CompiledCircuit, kernel
 from repro.spice import measure
@@ -36,10 +40,33 @@ BATCH = engine.STACK_WIDTH
 
 @pytest.fixture
 def stack_width(monkeypatch):
-    """Setter for the stacked engine's width (1 = lazy-serial reference)."""
+    """Setter for the stacked engine's width (1 = lazy-serial reference).
+
+    Each call returns a fresh record of the circuits in every DC Newton
+    stack (``"dc"``) and every metric AC sweep stack (``"ac"``) run
+    after it.
+    """
+    newton, sweep = dc_module._newton_solve_batch, tbh.ac_analysis_many
+    record: dict = {}
+
+    def newton_spy(group, x0, *args):
+        record["dc"].append(len(x0))
+        return newton(group, x0, *args)
+
+    def sweep_spy(compileds, *args):
+        if compileds:  # every member of the metric's DC stack failed
+            record["ac"].append(len(compileds))
+        return sweep(compileds, *args)
+
+    monkeypatch.setattr(dc_module, "_newton_solve_batch", newton_spy)
+    # The metric testbenches hold their own binding of the AC entry.
+    monkeypatch.setattr(tbh, "ac_analysis_many", sweep_spy)
 
     def set_width(width):
+        nonlocal record
         monkeypatch.setattr(engine, "STACK_WIDTH", width)
+        record = {"dc": [], "ac": []}
+        return record
 
     return set_width
 
@@ -171,6 +198,36 @@ def test_dc_operating_points_mixed_convergence_captures_failures(
         assert str(got) == ref
 
 
+def test_dc_retry_perturbation_golden(tech):
+    # A retry attempt starts Newton from a perturbed guess; the solution
+    # is pinned bitwise (captured before the serial DC entry became a
+    # one-member stack) and differs from the unperturbed one.
+    compiled = _compiled(_diode_nmos(tech, 50e-6, 2), tech)
+    plain = dc_operating_point(compiled)
+    retry = context.EvalContext(key="golden", attempt=1, perturbation=1e-3)
+    with context.evaluation(retry):
+        op = dc_operating_point(compiled)
+        (stacked,) = dc_operating_points([compiled])
+    assert [float(v).hex() for v in plain.x] == ["0x1.972dab57b747cp-2"]
+    assert [float(v).hex() for v in op.x] == ["0x1.972dab57b747ep-2"]
+    assert op.recovery == ()
+    assert np.array_equal(stacked.x, op.x)
+
+
+def test_dc_fault_hook_trips_once_per_member(tech):
+    # The one DC entry holds the fault hook: a one-member call returns
+    # the injected failure in its place, and the serial entry raises it.
+    compiled = _compiled(_diode_nmos(tech, 50e-6, 2), tech)
+    with inject(FaultSpec(dc_fail_rate=1.0)) as injector:
+        (point,) = dc_operating_points([compiled])
+        assert isinstance(point, ConvergenceError)
+        assert str(point).startswith("injected DC non-convergence for 'dio'")
+        assert injector.counters == {"CONV-DC": 1}
+        with pytest.raises(ConvergenceError, match="injected DC"):
+            dc_operating_point(compiled)
+        assert injector.counters == {"CONV-DC": 2}
+
+
 def _diode_through_resistor(tech, volts):
     c = Circuit("rdio")
     c.add_vsource("v1", "in", "0", volts)
@@ -288,6 +345,12 @@ def test_find_dc_zero_many_bitwise():
     ]
     batched = measure.find_dc_zero_many(evaluate_many, len(roots), -0.5, 0.5)
     assert batched == serial  # bitwise: same bisection arithmetic
+    assert [root.hex() for root in serial] == [
+        "0x1.a9fbc00000000p-7",
+        "-0x1.99999a0000000p-2",
+        "0x1.ffcb940000000p-3",
+        "0x0.0p+0",
+    ]
 
 
 def test_find_dc_zero_many_captures_member_failures():
@@ -308,6 +371,7 @@ def test_find_dc_zero_many_captures_member_failures():
     with pytest.raises(MeasureError) as serial_err:
         measure.find_dc_zero(lambda x: x + 10.0, -0.5, 0.5)
     assert results[0] == measure.find_dc_zero(lambda x: x - 0.1, -0.5, 0.5)
+    assert results[0].hex() == "0x1.9999980000000p-4"
     assert isinstance(results[1], MeasureError)
     assert str(results[1]) == str(serial_err.value)
     assert isinstance(results[2], ValueError)
@@ -332,11 +396,8 @@ def _mos_families() -> list[str]:
 @pytest.mark.parametrize("backend", [kernel.DENSE, kernel.SPARSE], indirect=True)
 @pytest.mark.parametrize("name", _mos_families())
 def test_every_family_evaluates_stacked_bitwise_equal_to_serial(name, backend):
+    # A K-member stack against K one-member stacks (``prim.evaluate``).
     prim = PrimitiveLibrary().create(name, Technology.default(), base_fins=8)
-    # Only the transient delay metrics lack a stacked evaluator.
-    assert [
-        m.name for m in prim.metrics() if m.batch_evaluate is None
-    ] in ([], ["delay"])
     base = prim.variants()[0]
     nets = [net for t in prim.tuning_terminals() for net in t.nets]
     duts = [
@@ -354,15 +415,40 @@ def test_every_family_evaluates_stacked_bitwise_equal_to_serial(name, backend):
     assert stats.batched_solves > 0
 
 
+#: ``prim.evaluate`` values (hex floats) and simulation counts per
+#: backend, family and DUT (the schematic and the ABAB layout of the
+#: first sizing), captured from the serial metric evaluators before the
+#: stacked ones became the only ones.
+_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_serial_evaluate.json").read_text()
+)
+
+
+@pytest.mark.parametrize("backend", [kernel.DENSE, kernel.SPARSE], indirect=True)
+@pytest.mark.parametrize("name", _mos_families())
+def test_every_family_evaluates_golden(name, backend):
+    prim = PrimitiveLibrary().create(name, Technology.default(), base_fins=8)
+    duts = {
+        "schematic": prim.schematic_circuit(),
+        "ABAB": prim.layout_circuit(prim.variants()[0], "ABAB"),
+    }
+    for label, dut in duts.items():
+        values, sims = prim.evaluate(dut)
+        golden = _GOLDEN[backend][name][label]
+        assert {k: float(v).hex() for k, v in values.items()} == golden["values"]
+        assert sims == golden["simulations"]
+
+
 # -- property: shuffled selection sweeps, batched vs serial --------------
 
 
 def _assert_stack_widths(serial: dict, stacked: dict) -> None:
-    """Every solve at width 1 was a one-member stack; at width 8 the
-    stacks held more than one member on average."""
-    assert serial["batched_solves"] > 0
-    assert serial["batch_members"] == serial["batched_solves"]
-    assert stacked["batch_members"] > stacked["batched_solves"]
+    """Every DC Newton and AC sweep stack at width 1 held one circuit;
+    at width 8 the stacks of each held more than one on average (see
+    the ``stack_width`` fixture's records)."""
+    for kind in ("dc", "ac"):
+        assert serial[kind] and set(serial[kind]) == {1}
+        assert sum(stacked[kind]) > len(stacked[kind])
 
 
 @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
@@ -374,15 +460,15 @@ def test_shuffled_selection_batch_matches_serial(shuffle_seed, stack_width):
     def run(width):
         from repro.core.selection import evaluate_options
 
-        stack_width(width)
+        stacks = stack_width(width)
         runtime = EvalRuntime()
         options = evaluate_options(
             _fresh_dp(), variants=variants, runtime=runtime
         )
-        return runtime, options
+        return runtime, options, stacks
 
-    serial_rt, serial = run(1)
-    batch_rt, batched = run(BATCH)
+    serial_rt, serial, serial_stacks = run(1)
+    batch_rt, batched, batch_stacks = run(BATCH)
     assert len(batched) == len(serial)
     for got, ref in zip(batched, serial):
         assert (got.base, got.pattern) == (ref.base, ref.pattern)
@@ -395,9 +481,7 @@ def test_shuffled_selection_batch_matches_serial(shuffle_seed, stack_width):
     assert sorted(batch_rt.cache._entries) == sorted(serial_rt.cache._entries)
     # The fast path actually engaged — this is not serial-vs-serial:
     # every width-1 stack had one member, and width 8 stacked several.
-    _assert_stack_widths(
-        serial_rt.solver_stats.as_dict(), batch_rt.solver_stats.as_dict()
-    )
+    _assert_stack_widths(serial_stacks, batch_stacks)
 
 
 def test_default_optimizer_runs_stacked():
@@ -432,20 +516,20 @@ def _width_invariant_under(spec, seed, run_dir, stack_width, make, optimize):
     Returns the width-1 injector."""
     runs = []
     for width in (1, BATCH):
-        stack_width(width)
+        stacks = stack_width(width)
         with inject(spec, seed=seed) as injector:
             primitive = make()
             report = optimize(primitive, run_dir / str(width))
         journal = (run_dir / str(width) / f"{primitive.name}.jsonl").read_bytes()
-        runs.append((report, injector, journal))
-    (serial, serial_injector, serial_journal) = runs[0]
-    (stacked, stacked_injector, stacked_journal) = runs[1]
+        runs.append((report, injector, journal, stacks))
+    (serial, serial_injector, serial_journal, serial_stacks) = runs[0]
+    (stacked, stacked_injector, stacked_journal, stacked_stacks) = runs[1]
     assert _fingerprint(stacked) == _fingerprint(serial)
     assert stacked.failures.to_dict() == serial.failures.to_dict()
     assert stacked_journal == serial_journal
     assert stacked_injector.counters == serial_injector.counters
     assert stacked_injector.fired == serial_injector.fired
-    _assert_stack_widths(serial.solver_profile, stacked.solver_profile)
+    _assert_stack_widths(serial_stacks, stacked_stacks)
     return serial_injector
 
 
@@ -508,7 +592,7 @@ def _port_and_reconcile_sweep(width, spec, seed, run_dir, stack_width):
     )
     from repro.runtime import SweepJournal
 
-    stack_width(width)
+    stacks = stack_width(width)
     routes = [
         GlobalRouteInfo(
             net="outp", layer="M3", length_nm=2000.0, symmetric_with=("outn",)
@@ -546,7 +630,7 @@ def _port_and_reconcile_sweep(width, spec, seed, run_dir, stack_width):
         "failures": runtime.failures.to_dict(),
         "cache": runtime.cache.stats,
         "faults": (injector.counters, injector.fired),
-        "solver": runtime.solver_stats.as_dict(),
+        "stacks": stacks,
     }
 
 
@@ -561,9 +645,9 @@ def test_port_and_reconcile_sweeps_stack_identically(
         BATCH, spec, fault_seed, tmp_path, stack_width
     )
     assert serial["faults"][1]  # the faults really fired
-    solver = (serial.pop("solver"), stacked.pop("solver"))
+    stacks = (serial.pop("stacks"), stacked.pop("stacks"))
     assert stacked == serial
-    _assert_stack_widths(*solver)
+    _assert_stack_widths(*stacks)
 
 
 # -- call-site exceptions ------------------------------------------------

@@ -51,7 +51,7 @@ def _lazy_serial_uncached(monkeypatch):
     # file about pure journal mechanics: the ``_count_evaluations``
     # instrumentation counts serial simulator calls, which content-cache
     # hits and the stacked engine (whose members run through
-    # ``batch_evaluate`` hooks, not ``primitive.evaluate``) would
+    # ``evaluate_many``, not ``primitive.evaluate``) would
     # legitimately elide (see test_evalcache.py / test_batched.py for
     # the cache- and stack-aware resume guarantees).
     monkeypatch.setattr(engine, "STACK_WIDTH", 1)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.devices.mosfet import MosGeometry
 from repro.errors import NetlistError
-from repro.spice import Circuit, CompiledCircuit, dc_operating_point, dc_sweep
+from repro.spice import Circuit, CompiledCircuit, dc_operating_point
 
 
 def compiled(circuit, tech):
@@ -135,36 +135,6 @@ def test_branch_current_unknown_element(tech):
     op = dc_operating_point(compiled(c, tech))
     with pytest.raises(NetlistError):
         op.i("r1")
-
-
-def test_dc_sweep_monotone(tech):
-    c = Circuit("sweep")
-    c.add_vsource("vg", "g", "0", 0.0)
-    c.add_vsource("vd", "d", "0", 0.8)
-    c.add_mosfet("m1", "d", "g", "0", "0", tech.nmos, MosGeometry(8, 2, 1))
-    cc = compiled(c, tech)
-    points = dc_sweep(cc, "vg", np.linspace(0.0, 0.8, 9))
-    currents = [-p.i("vd") for p in points]
-    assert all(b >= a - 1e-12 for a, b in zip(currents, currents[1:]))
-    assert currents[-1] > 1e-5
-
-
-def test_dc_sweep_restores_source(tech):
-    c = Circuit("sweep2")
-    c.add_vsource("vg", "g", "0", 0.123)
-    c.add_resistor("r", "g", "0", 1e3)
-    cc = compiled(c, tech)
-    dc_sweep(cc, "vg", np.array([0.0, 0.5]))
-    assert c.element("vg").waveform.dc_value == 0.123
-
-
-def test_dc_sweep_requires_source(tech):
-    c = Circuit("sweep3")
-    c.add_vsource("vg", "g", "0", 0.0)
-    c.add_resistor("r", "g", "0", 1e3)
-    cc = compiled(c, tech)
-    with pytest.raises(NetlistError):
-        dc_sweep(cc, "r", np.array([1.0]))
 
 
 def _latch(tech, name):

@@ -152,7 +152,9 @@ def test_with_dc_sources_solves_like_a_fresh_compile(tech, family):
 
     prim = PrimitiveLibrary().create(family, tech, base_fins=8)
     dut = prim.schematic_circuit()
-    compiled = CompiledCircuit(prim._bias_testbench(dut), tech.rules)
+    tb = prim._bias_testbench(dut)
+    levels = {name: tb.element(name).waveform.dc_value for name in ("vinp", "vinn")}
+    compiled = CompiledCircuit(tb, tech.rules)
     rhs = compiled.source_rhs()
     for x in (-0.05, -1.3e-3, 0.0, 7.5e-4, 0.05):
         driven = dc_operating_point(compiled.with_dc_sources(prim.input_drive(x)))
@@ -162,6 +164,8 @@ def test_with_dc_sources_solves_like_a_fresh_compile(tech, family):
         assert np.array_equal(driven.x, fresh.x)
         assert driven.recovery == fresh.recovery
     assert np.array_equal(compiled.source_rhs(), rhs)
+    # The caller's netlist is never touched.
+    assert {n: tb.element(n).waveform.dc_value for n in levels} == levels
 
 
 def test_with_dc_sources_rejects_non_sources(tech):

@@ -349,7 +349,7 @@ def test_fault_gate_at_documented_hooks_is_fine():
         """
         from repro.runtime import faults as injection
 
-        def dc_operating_point(compiled):
+        def dc_operating_points(compileds):
             return injection.active()
 
         class MosPrimitive:
@@ -365,6 +365,22 @@ def test_fault_gate_at_documented_hooks_is_fine():
         """
     )
     assert findings == []
+
+
+def test_fault_gate_in_one_member_dc_entry_is_flagged():
+    # The serial DC entry is a one-member call of dc_operating_points,
+    # which holds the fault hook; a gate in the entry would trip twice.
+    findings = _lint(
+        """
+        from repro.runtime import faults
+
+        def dc_operating_point(compiled):
+            if faults.active() is not None:
+                return None
+            return compiled
+        """
+    )
+    assert [(f.line, f.code) for f in findings] == [(5, "DEV-FAULT")]
 
 
 def test_batch_task_without_spec_is_flagged():

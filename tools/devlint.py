@@ -99,7 +99,7 @@ ENV_ATTRS = frozenset({"environ", "getenv", "putenv"})
 #: value-affecting bypass and the stacked sweep engine's screen.
 FAULT_HOOKS = frozenset(
     {
-        "dc_operating_point",
+        "dc_operating_points",
         "transient",
         "MosPrimitive.evaluate",
         "evaluate_circuit_cached",
