@@ -201,6 +201,60 @@ class ShapeColumns:
             int_columns(flat, 8), int_columns(via_flat, 5),
         )
 
+    def wire_rect(self, index: int) -> Rect:
+        """The rectangle of wire ``index``."""
+        return Rect(*self.wires[W_X0:W_Y1 + 1, index].tolist())
+
+    def via_position(self, index: int) -> Point:
+        """The position of via ``index``."""
+        return Point(*self.vias[V_X:V_Y + 1, index].tolist())
+
+    def net_wires(self, net: str) -> np.ndarray:
+        """The wire columns of the wires on ``net``, in layout order."""
+        net_id = self.nets.index(net) if net in self.nets else -1
+        return self.wires[:, self.wires[W_NET] == net_id]
+
+    def net_vias(self, net: str) -> np.ndarray:
+        """The via columns of the vias on ``net``, in layout order."""
+        net_id = self.nets.index(net) if net in self.nets else -1
+        return self.vias[:, self.vias[V_NET] == net_id]
+
+    def via_landings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which wires each via lands on, as ``(side, wire)`` index pairs.
+
+        Side ``2 * v`` is via ``v``'s lower metal and ``2 * v + 1`` its
+        upper one.  A side lands on every wire of its net on its metal
+        whose closed rectangle holds the via's position.  The
+        point-in-rect test runs per ``(net, layer)`` group: all of a
+        group's landing points against all of its wires at once.
+        """
+        wires, vias = self.wires, self.vias
+        layer_id = {name: i for i, name in enumerate(self.layers)}
+        side_layer = np.array(
+            [[layer_id.get(name, -1) for name in pair] for pair in self.via_layers],
+            dtype=np.int64,
+        ).reshape(-1, 2)[vias[V_PAIR]].reshape(-1)
+        n_layers = len(self.layers)
+        side_key = np.where(
+            side_layer < 0, -1, np.repeat(vias[V_NET], 2) * n_layers + side_layer
+        )
+        wire_key = wires[W_NET] * n_layers + wires[W_LAYER]
+        w_order = np.argsort(wire_key, kind="stable")
+        s_order = np.argsort(side_key, kind="stable")
+        keys = np.unique(side_key[side_key >= 0])
+        w_bounds = [np.searchsorted(wire_key[w_order], keys, side=e) for e in ("left", "right")]
+        s_bounds = [np.searchsorted(side_key[s_order], keys, side=e) for e in ("left", "right")]
+        px, py = np.repeat(vias[V_X], 2), np.repeat(vias[V_Y], 2)
+        x0, y0, x1, y1 = wires[W_X0:W_Y1 + 1]
+        sides, hits = [w_order[:0]], [w_order[:0]]
+        for w_lo, w_hi, s_lo, s_hi in zip(*(b.tolist() for b in w_bounds + s_bounds)):
+            w, side = w_order[w_lo:w_hi], s_order[s_lo:s_hi, None]
+            x, y = px[side], py[side]
+            i, j = np.nonzero((x0[w] <= x) & (x <= x1[w]) & (y0[w] <= y) & (y <= y1[w]))
+            sides.append(side[i, 0])
+            hits.append(w[j])
+        return np.concatenate(sides), np.concatenate(hits)
+
     def shapes(self) -> tuple[list[Wire], list[Via]]:
         """The :class:`Wire` and :class:`Via` records, in layout order."""
         nets, layers, owners, pairs = (

@@ -63,6 +63,8 @@ def run_ac_many(tbs: list[Circuit], tech: Technology) -> list:
     ops = dc_operating_points(compileds)
     out: list = [op if isinstance(op, Exception) else None for op in ops]
     live = [i for i in range(len(tbs)) if out[i] is None]
+    if not live:
+        return out
     acs = ac_analysis_many(
         [compileds[i] for i in live],
         [ops[i] for i in live],

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.runtime import context, faults
-from repro.runtime.evalcache import cache_bypassed
+from repro.runtime.evalcache import analysis_signature, cache_bypassed, content_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.policy import BatchTask, EvalRuntime
@@ -161,6 +161,9 @@ class EvalBatch:
         sim_indices: list[int] = []
         sim_circuits: list[Any] = []
         known: set[str] = set()
+        # A primitive's analysis signature is fixed across the batch:
+        # build it once per primitive, not once per key.
+        signatures: dict[int, dict] = {}
         for i in live:
             spec = tasks[i].batch_spec
             try:
@@ -169,11 +172,13 @@ class EvalBatch:
                 # The serial thunk rebuilds and raises identically at
                 # consumption (e.g. a LayoutError).
                 continue
-            key = (
-                None
-                if bypass
-                else cache.key_for(spec.primitive, circuit, spec.weight_override)
-            )
+            key = None
+            if not bypass:
+                signature = signatures.get(id(spec.primitive))
+                if signature is None:
+                    signature = analysis_signature(spec.primitive)
+                    signatures[id(spec.primitive)] = signature
+                key = content_key(circuit, signature, spec.weight_override)
             self._members[i] = _Member(site, key)
             if key is not None:
                 if key in known or key in cache:

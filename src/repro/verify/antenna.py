@@ -34,35 +34,33 @@ keeps the audit conservative and the implementation total.
 
 from __future__ import annotations
 
-from repro.geometry.layout import Layout
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.geometry.layout import W_LAYER, Layout
 from repro.geometry.shapes import Rect
 from repro.tech.pdk import Technology
 from repro.verify.diagnostics import Report
+from repro.verify.drc import gate_stubs
 from repro.verify.tech import AuditTech
 
 __all__ = ["run_antenna", "gate_areas"]
-
-
-def _overlap_area(a: Rect, b: Rect) -> int:
-    """Intersection area of two rectangles (0 when disjoint)."""
-    w = min(a.x1, b.x1) - max(a.x0, b.x0)
-    h = min(a.y1, b.y1) - max(a.y0, b.y0)
-    if w <= 0 or h <= 0:
-        return 0
-    return w * h
 
 
 def gate_areas(layout: Layout, tech: Technology, audit: AuditTech) -> dict[str, float]:
     """Connected gate area (nm^2) per net, from placements + stub owners.
 
     The gate net of each device is recovered from its ``"<dev>.g"``
-    finger-stub owner tags, so the estimate works on any layout the
-    generator (or a flattening of it) produced, without a netlist.
+    finger-stub owner tags (the last such stub wins), so the estimate
+    works on any layout the generator (or a flattening of it) produced,
+    without a netlist.
     """
-    gate_net: dict[str, str] = {}
-    for wire in layout.wires:
-        if wire.role == "finger_stub" and wire.owner.endswith(".g"):
-            gate_net[wire.owner[: -len(".g")]] = wire.net
+    cols = layout.shape_columns()
+    stub_net, *_, stub_owner = cols.wires[:, gate_stubs(cols)]
+    gate_net = {
+        cols.owners[owner][: -len(".g")]: cols.nets[net]
+        for owner, net in zip(stub_owner.tolist(), stub_net.tolist())
+    }
     per_fin = float(tech.rules.fin_pitch * audit.gate_length_nm)
     areas: dict[str, float] = {}
     for placement in layout.devices:
@@ -81,25 +79,39 @@ def _check_antenna(
 ) -> None:
     """ANT-RATIO per (net with gates, metal layer)."""
     gates = gate_areas(layout, tech, audit)
-    metal: dict[tuple[str, str], float] = {}
-    for wire in layout.wires:
-        key = (wire.net, wire.layer)
-        metal[key] = metal.get(key, 0.0) + wire.rect.area
-    for (net, layer), area in sorted(metal.items()):
-        gate = gates.get(net, 0.0)
+    cols = layout.shape_columns()
+    net, layer, x0, y0, x1, y1, _, _ = cols.wires
+    # Integer areas summing below 2**53: the float sums are exact.  A
+    # zero total can never exceed the ratio, so it is left out.
+    n_layers = len(cols.layers)
+    sums = np.bincount(net * n_layers + layer, weights=(x1 - x0) * (y1 - y0))
+    metal = {
+        (cols.nets[key // n_layers], cols.layers[key % n_layers]): area
+        for key, area in enumerate(sums.tolist()) if area
+    }
+    for (net_name, layer_name), area_nm2 in sorted(metal.items()):
+        gate = gates.get(net_name, 0.0)
         if gate <= 0.0:
             continue
-        ratio = area / gate
+        ratio = area_nm2 / gate
         if ratio > audit.antenna_max_ratio:
             report.flag(
                 "ANT-RATIO",
-                f"{layer} metal of the net collects "
-                f"{area / 1e6:.3f} um^2 against {gate / 1e6:.4f} um^2 "
+                f"{layer_name} metal of the net collects "
+                f"{area_nm2 / 1e6:.3f} um^2 against {gate / 1e6:.4f} um^2 "
                 f"of gate (ratio {ratio:.0f}); the limit is "
                 f"{audit.antenna_max_ratio:.0f}",
                 layout=layout.name,
-                subject=net,
+                subject=net_name,
             )
+
+
+def _window_overlaps(
+    lo: NDArray[np.int64], hi: NDArray[np.int64], edges: NDArray[np.int64]
+) -> NDArray[np.int64]:
+    """``(n, windows)`` overlap lengths of spans with consecutive windows."""
+    overlap = np.minimum(hi[:, None], edges[1:]) - np.maximum(lo[:, None], edges[:-1])
+    return np.maximum(overlap, 0)
 
 
 def _check_density(
@@ -107,55 +119,56 @@ def _check_density(
     audit: AuditTech,
     report: Report,
 ) -> None:
-    """DEN-WINDOW-MAX per window / DEN-WINDOW-MIN per layer."""
-    if not layout.wires:
+    """DEN-WINDOW-MAX per window / DEN-WINDOW-MIN per layer.
+
+    A wire covers ``y-overlap x x-overlap`` of a window, so one integer
+    matrix product gives every window's covered area of a layer, exactly.
+    """
+    cols = layout.shape_columns()
+    wires = cols.wires
+    if not wires.shape[1]:
         return
     box = layout.bbox()
     if box.width <= 0 or box.height <= 0:
         return
     window = audit.density_window_nm
-    by_layer: dict[str, list[Rect]] = {}
-    for wire in layout.wires:
-        by_layer.setdefault(wire.layer, []).append(wire.rect)
     nx = max(1, -(-box.width // window))
     ny = max(1, -(-box.height // window))
-    for layer in sorted(by_layer):
-        limits = audit.layer(layer)
+    x_edges = np.minimum(box.x0 + window * np.arange(nx + 1), box.x1)
+    y_edges = np.minimum(box.y0 + window * np.arange(ny + 1), box.y1)
+    win_area = np.diff(y_edges)[:, None] * np.diff(x_edges)[None, :]
+    layers = wires[W_LAYER]
+    for layer in sorted(np.unique(layers).tolist(), key=cols.layers.__getitem__):
+        name = cols.layers[layer]
+        limits = audit.layer(name)
         if limits is None:
             continue
-        rects = by_layer[layer]
-        total_covered = 0
-        for iy in range(ny):
-            for ix in range(nx):
-                win = Rect(
-                    box.x0 + ix * window,
-                    box.y0 + iy * window,
-                    min(box.x0 + (ix + 1) * window, box.x1),
-                    min(box.y0 + (iy + 1) * window, box.y1),
-                )
-                if win.area <= 0:
-                    continue
-                covered = sum(_overlap_area(r, win) for r in rects)
-                total_covered += covered
-                density = covered / win.area
-                if density > limits.max_density:
-                    report.flag(
-                        "DEN-WINDOW-MAX",
-                        f"{layer} window ({ix}, {iy}) is {density:.1%} "
-                        f"dense; the ceiling is {limits.max_density:.0%}",
-                        layout=layout.name,
-                        subject=layer,
-                        rect=win,
-                    )
-        cell_density = total_covered / box.area
+        _, _, x0, y0, x1, y1, _, _ = wires[:, layers == layer]
+        covered = (
+            _window_overlaps(y0, y1, y_edges).T @ _window_overlaps(x0, x1, x_edges)
+        )
+        density = covered / win_area
+        for iy, ix in np.argwhere(density > limits.max_density).tolist():
+            report.flag(
+                "DEN-WINDOW-MAX",
+                f"{name} window ({ix}, {iy}) is {float(density[iy, ix]):.1%} "
+                f"dense; the ceiling is {limits.max_density:.0%}",
+                layout=layout.name,
+                subject=name,
+                rect=Rect(
+                    int(x_edges[ix]), int(y_edges[iy]),
+                    int(x_edges[ix + 1]), int(y_edges[iy + 1]),
+                ),
+            )
+        cell_density = int(covered.sum()) / box.area
         if cell_density < limits.min_density:
             report.flag(
                 "DEN-WINDOW-MIN",
-                f"{layer} covers {cell_density:.2%} of the cell; the "
+                f"{name} covers {cell_density:.2%} of the cell; the "
                 f"fill floor is {limits.min_density:.1%} — dummy fill "
                 f"is needed at tapeout",
                 layout=layout.name,
-                subject=layer,
+                subject=name,
             )
 
 
@@ -178,7 +191,7 @@ def run_antenna(
     if audit is None:
         audit = AuditTech.for_technology(tech)
     report = Report(target=layout.name)
-    report.checked_shapes = len(layout.wires) + len(layout.devices)
+    report.checked_shapes = layout.shape_columns().wires.shape[1] + len(layout.devices)
     _check_antenna(layout, tech, audit, report)
     _check_density(layout, audit, report)
     return report

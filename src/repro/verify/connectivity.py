@@ -13,128 +13,113 @@ ports merge with the metal under them — and then checks, statically:
   the same conducting plane (``CONN-SHORT``),
 * ports sit on metal of their own net (``CONN-PORT-OPEN``).
 
-The graph reuses the overlap predicates of
-:mod:`repro.geometry.shapes`: same-net wires connect when their closed
-rectangles intersect (touching edges conduct); different-net wires short
-only when open interiors overlap (shared edges are legal abutment).
-Gate-contact stubs occupy their own plane (see
-:func:`repro.verify.drc.is_gate_stub`), so a gate stub crossing a
-source/drain bar is a contact tower, not a short.
+Same-net wires connect when their closed rectangles intersect
+(touching edges conduct); different-net wires short only when open
+interiors overlap (shared edges are legal abutment).  Gate-contact stubs
+occupy their own plane (see :func:`repro.verify.drc.gate_stubs`), so a
+gate stub crossing a source/drain bar is a contact tower, not a short.
+
+Both the graph and the short check read the layout's
+:class:`~repro.geometry.layout.ShapeColumns`: touching and overlapping
+wires come from :func:`~repro.geometry.search.close_pairs`, via landings
+from :meth:`~repro.geometry.layout.ShapeColumns.via_landings`, and the
+islands from one connected-components pass.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.geometry.layout import Layout, Wire
+import numpy as np
+from numpy.typing import NDArray
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from repro.geometry.layout import FINGER_STUB, Layout, ShapeColumns
+from repro.geometry.search import close_pairs, first_seen
 from repro.tech.pdk import Technology
 from repro.verify.diagnostics import Report
-from repro.verify.drc import iter_close_pairs, wire_plane
+from repro.verify.drc import gate_stubs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cellgen.generator import CellSpec
 
 
 class NetGraph:
-    """Union-find over a layout's conducting shapes.
+    """Connected components over a layout's conducting shapes.
 
-    Nodes are wires (by index), vias (by index) and ports (by index).
-    Only same-net shapes are merged — shorts between different nets are
-    detected geometrically, not through the graph — so each net's
-    components are its electrical islands.
+    Nodes are wires (by index), vias (by index) and ports (by index):
+    ``("w", i)``, ``("v", i)``, ``("p", i)``.  Only same-net shapes are
+    joined — shorts between different nets are detected geometrically,
+    not through the graph — so each net's components are its electrical
+    islands: same-net wires on one layer that touch, a via and every
+    wire it lands on, a port and every wire of its net and layer that
+    its rectangle meets.
     """
 
     def __init__(self, layout: Layout):
         self.layout = layout
-        self._parent: dict[tuple[str, int], tuple[str, int]] = {}
-        self._wires_by_net_layer: dict[tuple[str, str], list[int]] = {}
-        # Plain coordinate tuples per wire: the landing/touch scans are
-        # hot and dataclass property access dominates them otherwise.
-        self._coords: list[tuple[int, int, int, int]] = []
-        for index, wire in enumerate(layout.wires):
-            self._wires_by_net_layer.setdefault(
-                (wire.net, wire.layer), []
-            ).append(index)
-            rect = wire.rect
-            self._coords.append((rect.x0, rect.y0, rect.x1, rect.y1))
-        self._build()
-
-    # -- union-find ------------------------------------------------------
+        self.columns = cols = layout.shape_columns()
+        net, layer, x0, y0, x1, y1, _, _ = cols.wires
+        n, m = len(net), cols.vias.shape[1]
+        self._offsets = {"w": 0, "v": n, "p": n + m}
+        touch_a, touch_b = close_pairs(
+            x0, y0, x1, y1, group=first_seen(net * len(cols.layers) + layer)
+        )
+        sides, landings = cols.via_landings()
+        heads, tails = [touch_a, n + sides // 2], [touch_b, landings]
+        net_id = {name: i for i, name in enumerate(cols.nets)}
+        layer_id = {name: i for i, name in enumerate(cols.layers)}
+        for index, port in enumerate(layout.ports):
+            r = port.rect
+            hits = np.flatnonzero(
+                (net == net_id.get(port.net, -1))
+                & (layer == layer_id.get(port.layer, -1))
+                & (x0 <= r.x1) & (r.x0 <= x1) & (y0 <= r.y1) & (r.y0 <= y1)
+            )
+            heads.append(hits)
+            tails.append(np.full(len(hits), n + m + index))
+        head, tail = np.concatenate(heads), np.concatenate(tails)
+        size = n + m + len(layout.ports)
+        graph = coo_matrix(
+            (np.ones(len(head), dtype=np.int8), (head, tail)), shape=(size, size)
+        )
+        count, self._label = connected_components(graph, directed=False)
+        # Each island is named by its lowest wire; one without a wire is
+        # a lone via or port (-1).
+        root = np.full(count, n)
+        np.minimum.at(root, self._label[:n], np.arange(n))
+        self._root = np.where(root < n, root, -1)[self._label]
 
     def find(self, node: tuple[str, int]) -> tuple[str, int]:
-        parent = self._parent
-        parent.setdefault(node, node)
-        root = node
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
+        """The node naming ``node``'s island: its lowest wire.
 
-    def union(self, a: tuple[str, int], b: tuple[str, int]) -> None:
-        self._parent[self.find(a)] = self.find(b)
+        A via or port that touches no wire is its own island, so
+        ``find(("v", i)) == ("v", i)`` means the via conducts nothing.
+        """
+        root = int(self._root[self._offsets[node[0]] + node[1]])
+        return node if root < 0 else ("w", root)
 
-    # -- construction ----------------------------------------------------
-
-    def _build(self) -> None:
-        # Union argument order matters below: the second argument's root
-        # wins, so merged components are always rooted at a *wire* node.
-        # ``find(("v", i)) == ("v", i)`` therefore means "never touched
-        # any wire", which the floating-via/port checks rely on.
-        layout = self.layout
-        coords = self._coords
-        # Same-net wires on the same layer connect where they touch.
-        for indices in self._wires_by_net_layer.values():
-            spans = sorted((coords[i], i) for i in indices)
-            for a, (ca, i) in enumerate(spans):
-                x1a = ca[2]
-                for cb, j in spans[a + 1:]:
-                    if cb[0] > x1a:
-                        break
-                    if cb[1] <= ca[3] and ca[1] <= cb[3]:
-                        self.union(("w", i), ("w", j))
-        # Vias connect the same-net wires they land on, across planes.
-        for v_index, via in enumerate(layout.vias):
-            self.find(("v", v_index))
-            px, py = via.position.x, via.position.y
-            for side in (via.lower_layer, via.upper_layer):
-                for w_index in self._wires_by_net_layer.get(
-                    (via.net, side), ()
-                ):
-                    x0, y0, x1, y1 = coords[w_index]
-                    if x0 <= px <= x1 and y0 <= py <= y1:
-                        self.union(("v", v_index), ("w", w_index))
-        # Ports connect to the metal of their net on their layer.
-        for p_index, port in enumerate(layout.ports):
-            self.find(("p", p_index))
-            rect = port.rect
-            for w_index in self._wires_by_net_layer.get(
-                (port.net, port.layer), ()
-            ):
-                x0, y0, x1, y1 = coords[w_index]
-                if (
-                    x0 <= rect.x1
-                    and rect.x0 <= x1
-                    and y0 <= rect.y1
-                    and rect.y0 <= y1
-                ):
-                    self.union(("p", p_index), ("w", w_index))
-
-    # -- queries ---------------------------------------------------------
+    def landed(self, kind: str) -> NDArray[np.bool_]:
+        """Per via (``"v"``) or port (``"p"``): whether it touches a wire."""
+        start = self._offsets[kind]
+        count = len(self.layout.ports) if kind == "p" else self.columns.vias.shape[1]
+        return np.asarray(self._root[start:start + count] >= 0, dtype=bool)
 
     def wire_indices(self, net: str) -> list[int]:
-        """Indices of all wires on ``net``."""
-        return [
-            i
-            for (n, _layer), idxs in self._wires_by_net_layer.items()
-            if n == net
-            for i in idxs
-        ]
+        """Indices of all wires on ``net``: layer by layer, in order of
+        each layer's first wire on the net, and in layout order within a
+        layer."""
+        net_col, layer, *_ = self.columns.wires
+        nets = self.columns.nets
+        rows = np.flatnonzero(net_col == (nets.index(net) if net in nets else -1))
+        return [int(i) for i in rows[np.lexsort((rows, first_seen(layer[rows])))]]
 
     def net_islands(self, net: str) -> list[set[int]]:
         """The net's wire indices grouped into connected islands."""
-        groups: dict[tuple[str, int], set[int]] = {}
+        groups: dict[int, set[int]] = {}
         for index in self.wire_indices(net):
-            groups.setdefault(self.find(("w", index)), set()).add(index)
+            groups.setdefault(int(self._label[index]), set()).add(index)
         return list(groups.values())
 
     def connected(self, a: tuple[str, int], b: tuple[str, int]) -> bool:
@@ -147,132 +132,134 @@ class NetGraph:
 # ---------------------------------------------------------------------------
 
 
-def _check_shorts(report: Report, layout: Layout) -> None:
-    by_plane: dict[tuple[str, str], list[Wire]] = {}
-    for wire in layout.wires:
-        by_plane.setdefault(wire_plane(wire), []).append(wire)
-    for (layer, _level), wires in by_plane.items():
-        triples = [(0, w.rect, w) for w in wires]
-        for wire_a, wire_b, rect_a, rect_b in iter_close_pairs(triples, 0):
-            if wire_a.net == wire_b.net:
-                continue
-            if rect_a.overlaps(rect_b):
-                report.add(
-                    "CONN-SHORT",
-                    "error",
-                    f"nets {wire_a.net!r} and {wire_b.net!r} short on "
-                    f"{layer}",
-                    subject=f"{wire_a.net}/{wire_b.net}",
-                    rect=rect_a,
-                )
+def _check_shorts(report: Report, cols: ShapeColumns) -> None:
+    net, layer, x0, y0, x1, y1, _, _ = cols.wires
+    plane = first_seen(2 * layer + gate_stubs(cols))
+    a, b = close_pairs(x0, y0, x1, y1, group=plane)
+    shorts = (
+        (net[a] != net[b])
+        & (x0[b] < x1[a]) & (x0[a] < x1[b]) & (y0[b] < y1[a]) & (y0[a] < y1[b])
+    )
+    for i, j in zip(a[shorts].tolist(), b[shorts].tolist()):
+        net_a, net_b = cols.nets[net[i]], cols.nets[net[j]]
+        report.add(
+            "CONN-SHORT",
+            "error",
+            f"nets {net_a!r} and {net_b!r} short on {cols.layers[layer[i]]}",
+            subject=f"{net_a}/{net_b}",
+            rect=cols.wire_rect(i),
+        )
 
 
-def _check_islands(report: Report, layout: Layout, graph: NetGraph) -> None:
-    for net in sorted({w.net for w in layout.wires}):
-        islands = graph.net_islands(net)
-        if len(islands) > 1:
-            sizes = sorted((len(island) for island in islands), reverse=True)
-            smallest = min(islands, key=len)
-            anchor = layout.wires[next(iter(smallest))]
-            report.add(
-                "CONN-FLOAT-NET",
-                "error",
-                f"net {net!r} is split into {len(islands)} disconnected "
-                f"islands (sizes {sizes})",
-                subject=net,
-                rect=anchor.rect,
-            )
+def _check_islands(report: Report, graph: NetGraph) -> None:
+    cols = graph.columns
+    net, *_ = cols.wires
+    # One column per (net, island): a net listed twice is split.
+    islands = np.unique(np.stack([net, graph._label[:len(net)]]), axis=1)
+    split = np.flatnonzero(np.bincount(islands[0], minlength=len(cols.nets)) > 1)
+    for name in sorted(cols.nets[i] for i in split.tolist()):
+        groups = graph.net_islands(name)
+        sizes = sorted((len(island) for island in groups), reverse=True)
+        smallest = min(groups, key=len)
+        report.add(
+            "CONN-FLOAT-NET",
+            "error",
+            f"net {name!r} is split into {len(groups)} disconnected "
+            f"islands (sizes {sizes})",
+            subject=name,
+            rect=cols.wire_rect(next(iter(smallest))),
+        )
 
 
-def _check_vias_float(report: Report, layout: Layout, graph: NetGraph) -> None:
-    for index, via in enumerate(layout.vias):
-        root = graph.find(("v", index))
-        if root == ("v", index):
-            # Never merged with any wire: the via conducts nothing.
-            report.add(
-                "CONN-VIA-FLOAT",
-                "error",
-                f"via on net {via.net!r} "
-                f"({via.lower_layer}-{via.upper_layer}) touches no metal "
-                f"of its net",
-                subject=via.net,
-                location=via.position,
-            )
+def _check_vias_float(report: Report, graph: NetGraph) -> None:
+    cols = graph.columns
+    net, pair, *_ = cols.vias
+    for index in np.flatnonzero(~graph.landed("v")).tolist():
+        lower, upper = cols.via_layers[pair[index]]
+        # Never merged with any wire: the via conducts nothing.
+        report.add(
+            "CONN-VIA-FLOAT",
+            "error",
+            f"via on net {cols.nets[net[index]]!r} ({lower}-{upper}) "
+            f"touches no metal of its net",
+            subject=cols.nets[net[index]],
+            location=cols.via_position(index),
+        )
 
 
 def _check_ports(report: Report, layout: Layout, graph: NetGraph) -> None:
-    for index, port in enumerate(layout.ports):
-        if graph.find(("p", index)) == ("p", index):
-            report.add(
-                "CONN-PORT-OPEN",
-                "error",
-                f"port on net {port.net!r} touches no {port.layer} metal "
-                f"of its net",
-                subject=port.net,
-                rect=port.rect,
-            )
+    for index in np.flatnonzero(~graph.landed("p")).tolist():
+        port = layout.ports[index]
+        report.add(
+            "CONN-PORT-OPEN",
+            "error",
+            f"port on net {port.net!r} touches no {port.layer} metal "
+            f"of its net",
+            subject=port.net,
+            rect=port.rect,
+        )
 
 
 def _check_terminals(
     report: Report, layout: Layout, graph: NetGraph, spec: "CellSpec"
 ) -> None:
-    stubs_by_owner: dict[str, list[int]] = {}
-    for index, wire in enumerate(layout.wires):
-        if wire.role == "finger_stub" and wire.owner:
-            stubs_by_owner.setdefault(wire.owner, []).append(index)
+    cols = graph.columns
+    net, _, _, _, _, _, role, owner = cols.wires
+    stub_owner = np.where(role == FINGER_STUB, owner, -1)
+    # An owner the table lacks takes an id no wire carries.
+    owner_id = {name: i for i, name in enumerate(cols.owners) if name}
     port_index = {port.net: i for i, port in enumerate(layout.ports)}
 
     for dev in spec.devices:
         for terminal in ("d", "g", "s"):
             expected = dev.terminals[terminal]
-            owner = f"{dev.name}.{terminal}"
-            stubs = stubs_by_owner.get(owner, [])
-            if not stubs:
+            name = f"{dev.name}.{terminal}"
+            stubs = np.flatnonzero(stub_owner == owner_id.get(name, len(cols.owners)))
+            if not len(stubs):
                 report.add(
                     "CONN-TERM-MISSING",
                     "error",
-                    f"terminal {owner} has no contact stubs in the layout",
-                    subject=owner,
+                    f"terminal {name} has no contact stubs in the layout",
+                    subject=name,
                 )
                 continue
-            wrong = [
-                i for i in stubs if layout.wires[i].net != expected
-            ]
+            stub_nets = [cols.nets[i] for i in net[stubs].tolist()]
+            wrong = [k for k, stub_net in enumerate(stub_nets) if stub_net != expected]
             if wrong:
-                found = sorted({layout.wires[i].net for i in wrong})
+                found = sorted({stub_nets[k] for k in wrong})
                 report.add(
                     "CONN-TERM-NET",
                     "error",
-                    f"terminal {owner} is wired to net(s) {found}, "
+                    f"terminal {name} is wired to net(s) {found}, "
                     f"schematic says {expected!r}",
-                    subject=owner,
-                    rect=layout.wires[wrong[0]].rect,
+                    subject=name,
+                    rect=cols.wire_rect(stubs[wrong[0]]),
                 )
                 continue
             if expected in port_index:
                 target = ("p", port_index[expected])
                 unreached = [
-                    i for i in stubs if not graph.connected(("w", i), target)
+                    i for i in stubs.tolist() if not graph.connected(("w", i), target)
                 ]
                 if unreached:
                     report.add(
                         "CONN-TERM-UNREACHED",
                         "error",
                         f"{len(unreached)} of {len(stubs)} stubs of "
-                        f"terminal {owner} do not reach the {expected!r} "
+                        f"terminal {name} do not reach the {expected!r} "
                         f"port",
-                        subject=owner,
-                        rect=layout.wires[unreached[0]].rect,
+                        subject=name,
+                        rect=cols.wire_rect(unreached[0]),
                     )
 
-    for net in spec.port_nets:
-        has_wires = any(w.net == net for w in layout.wires)
-        if has_wires and net not in port_index:
+    wired = {cols.nets[i] for i in np.unique(net).tolist()}
+    for port_net in spec.port_nets:
+        if port_net in wired and port_net not in port_index:
             report.add(
                 "CONN-PORT-MISSING",
                 "warning",
-                f"spec port net {net!r} is wired but has no port shape",
-                subject=net,
+                f"spec port net {port_net!r} is wired but has no port shape",
+                subject=port_net,
             )
 
 
@@ -300,14 +287,15 @@ def run_connectivity(
         A :class:`Report` with the violations found.
     """
     del tech  # geometric checks only, kept for signature symmetry
+    graph = NetGraph(layout)
+    cols = graph.columns
     report = Report(target=layout.name)
     report.checked_shapes = (
-        len(layout.wires) + len(layout.vias) + len(layout.ports)
+        cols.wires.shape[1] + cols.vias.shape[1] + len(layout.ports)
     )
-    graph = NetGraph(layout)
-    _check_shorts(report, layout)
-    _check_islands(report, layout, graph)
-    _check_vias_float(report, layout, graph)
+    _check_shorts(report, cols)
+    _check_islands(report, graph)
+    _check_vias_float(report, graph)
     _check_ports(report, layout, graph)
     if spec is not None:
         _check_terminals(report, layout, graph, spec)

@@ -55,7 +55,7 @@ from typing import Mapping
 from repro.cellgen.generator import CellSpec
 from repro.errors import ExtractionError
 from repro.extraction.lde_extract import extract_lde
-from repro.geometry.layout import DevicePlacement, Layout
+from repro.geometry.layout import ROLES, DevicePlacement, Layout
 from repro.pnr.detailed import DetailedRoute
 from repro.tech.pdk import Technology
 from repro.verify.diagnostics import Report
@@ -342,12 +342,13 @@ _MESH_ROLES = ("strap", "strap_jumper", "rail", "route")
 
 def _mesh_profile(layout: Layout, net: str) -> dict[tuple[str, str], int]:
     """Configurable-mesh shape counts per (layer, role) for one net."""
+    cols = layout.shape_columns()
+    _, layer, _, _, _, _, role, _ = cols.net_wires(net)
     profile: dict[tuple[str, str], int] = {}
-    for wire in layout.wires_on_net(net):
-        if wire.role not in _MESH_ROLES:
-            continue
-        key = (wire.layer, wire.role)
-        profile[key] = profile.get(key, 0) + 1
+    for lay, r in zip(layer.tolist(), role.tolist()):
+        if ROLES[r] in _MESH_ROLES:
+            key = (cols.layers[lay], ROLES[r])
+            profile[key] = profile.get(key, 0) + 1
     return profile
 
 

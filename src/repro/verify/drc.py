@@ -1,9 +1,10 @@
 """Design-rule checks over generated layouts.
 
-A pure static-analysis pass: every check walks :class:`~repro.geometry.
-layout.Layout` shapes and tests an invariant derivable from the
-technology's :class:`~repro.tech.rules.DesignRules` and metal stack.  No
-simulation, no extraction.
+A pure static-analysis pass: every check reads a :class:`~repro.geometry.
+layout.Layout` and tests an invariant derivable from the technology's
+:class:`~repro.tech.rules.DesignRules` and metal stack.  No simulation,
+no extraction.  Pair checks take their candidates from
+:func:`~repro.geometry.search.close_pairs`.
 
 Gridded-FinFET invariants checked here:
 
@@ -34,59 +35,29 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.errors import TechnologyError
-from repro.geometry.layout import DevicePlacement, Layout, Wire
-from repro.geometry.shapes import Rect
+from repro.geometry.layout import FINGER_STUB, DevicePlacement, Layout, ShapeColumns
+from repro.geometry.search import close_pairs, first_seen
+from repro.geometry.shapes import Rect, bounding_box
 from repro.tech.pdk import Technology
 from repro.verify.diagnostics import Report
 
 
-def iter_close_pairs(
-    rects: list[tuple[int, Rect, object]], margin: int
-) -> Iterator[tuple[object, object, Rect, Rect]]:
-    """Yield payload pairs whose rectangles come within ``margin`` (nm).
-
-    A plane-sweep over x: rectangles are sorted by ``x0`` and each is
-    compared only against neighbours whose x-extents overlap within the
-    margin, which keeps dense same-layer checks near-linear for the
-    row-structured layouts the generator emits.
-
-    Args:
-        rects: ``(sort_ignored, rect, payload)`` triples.
-        margin: Maximum separation (in both axes) for a pair to be
-            reported; ``0`` reports touching or overlapping pairs only.
-    """
-    items = sorted(rects, key=lambda t: t[1].x0)
-    for i, (_, rect_a, pay_a) in enumerate(items):
-        limit = rect_a.x1 + margin
-        for _, rect_b, pay_b in items[i + 1:]:
-            if rect_b.x0 > limit:
-                break
-            if rect_b.y0 - rect_a.y1 <= margin and rect_a.y0 - rect_b.y1 <= margin:
-                yield pay_a, pay_b, rect_a, rect_b
-
-
-def rect_gap(a: Rect, b: Rect) -> int:
-    """Axis separation between two rectangles (nm); negative on overlap."""
-    dx = max(a.x0 - b.x1, b.x0 - a.x1)
-    dy = max(a.y0 - b.y1, b.y0 - a.y1)
-    return max(dx, dy)
-
-
-def is_gate_stub(wire: Wire) -> bool:
-    """True for gate-contact stubs, which sit on their own conducting plane.
+def gate_stubs(cols: ShapeColumns) -> NDArray[np.bool_]:
+    """Per wire, True for a gate-contact stub.
 
     The generator models gate contacts as ``finger_stub`` wires on
     ``"M1"`` owned by a ``.g`` terminal; physically they are contact
     towers over the gate, one level apart from the source/drain trench
     contacts, so they neither short nor connect to s/d stubs by overlap.
+    A wire's conducting plane is its layer plus this flag.
     """
-    return wire.role == "finger_stub" and wire.owner.endswith(".g")
-
-
-def wire_plane(wire: Wire) -> tuple[str, str]:
-    """The conducting plane a wire occupies: ``(layer, level)``."""
-    return (wire.layer, "gate" if is_gate_stub(wire) else "metal")
+    gate_owner = np.array([o.endswith(".g") for o in cols.owners], dtype=bool)
+    *_, role, owner = cols.wires
+    return np.asarray((role == FINGER_STUB) & gate_owner[owner], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -157,133 +128,126 @@ def _check_device_grid(
             )
 
 
+def _overlapping(rects: list[Rect]) -> Iterator[tuple[int, int]]:
+    """Index pairs of rectangles whose open interiors overlap, in sweep order."""
+    x0, y0, x1, y1 = np.array(
+        [(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=np.int64
+    ).reshape(-1, 4).T
+    for i, j in zip(*(k.tolist() for k in close_pairs(x0, y0, x1, y1))):
+        if rects[i].overlaps(rects[j]):
+            yield i, j
+
+
 def _check_active_overlap(
     report: Report, devices: list[DevicePlacement]
 ) -> None:
-    triples = [(0, d.rect, d) for d in devices]
-    for dev_a, dev_b, rect_a, rect_b in iter_close_pairs(triples, 0):
-        if rect_a.overlaps(rect_b):
-            report.add(
-                "DRC-ACTIVE-OVERLAP",
-                "error",
-                f"active areas of {dev_a.device}[{dev_a.unit_index}] and "
-                f"{dev_b.device}[{dev_b.unit_index}] overlap",
-                subject=dev_a.device,
-                rect=rect_a,
-            )
-
-
-def _check_wires(report: Report, layout: Layout, tech: Technology) -> None:
-    stack = tech.stack
-    by_layer: dict[str, list[Wire]] = {}
-    for wire in layout.wires:
-        try:
-            layer = stack.metal(wire.layer)
-        except TechnologyError:
-            report.add(
-                "DRC-LAYER-UNKNOWN",
-                "error",
-                f"wire on unknown layer {wire.layer!r}",
-                subject=wire.net,
-                rect=wire.rect,
-            )
-            continue
-        if wire.width < layer.min_width:
-            report.add(
-                "DRC-WIRE-WIDTH",
-                "error",
-                f"{wire.layer} wire is {wire.width}nm wide, minimum is "
-                f"{layer.min_width}nm",
-                subject=wire.net,
-                rect=wire.rect,
-            )
-        by_layer.setdefault(wire.layer, []).append(wire)
-
-    # Spacing between routing wires of different nets.  Device-level
-    # finger stubs are excluded: their pitch is the contacted poly pitch,
-    # already enforced by DRC-POLY-PITCH.
-    for name, wires in by_layer.items():
-        layer = stack.metal(name)
-        spacing = layer.pitch - layer.min_width
-        routing = [
-            (0, w.rect, w) for w in wires if w.role != "finger_stub"
-        ]
-        for wire_a, wire_b, rect_a, rect_b in iter_close_pairs(
-            routing, max(spacing - 1, 0)
-        ):
-            if wire_a.net == wire_b.net:
-                continue
-            gap = rect_gap(rect_a, rect_b)
-            if 0 <= gap < spacing:
-                report.add(
-                    "DRC-WIRE-SPACING",
-                    "error",
-                    f"{name} wires on nets {wire_a.net!r} and "
-                    f"{wire_b.net!r} are {gap}nm apart, minimum spacing "
-                    f"is {spacing}nm",
-                    subject=f"{wire_a.net}/{wire_b.net}",
-                    rect=rect_a,
-                )
-
-
-def _check_vias(report: Report, layout: Layout, tech: Technology) -> None:
-    stack = tech.stack
-    # Plain coordinate tuples: the landing scan is the hottest loop in
-    # the whole pass and dataclass property access dominates it.
-    wires_at: dict[tuple[str, str], list[tuple[int, int, int, int]]] = {}
-    for wire in layout.wires:
-        rect = wire.rect
-        wires_at.setdefault((wire.net, wire.layer), []).append(
-            (rect.x0, rect.y0, rect.x1, rect.y1)
+    for i, j in _overlapping([d.rect for d in devices]):
+        dev_a, dev_b = devices[i], devices[j]
+        report.add(
+            "DRC-ACTIVE-OVERLAP",
+            "error",
+            f"active areas of {dev_a.device}[{dev_a.unit_index}] and "
+            f"{dev_b.device}[{dev_b.unit_index}] overlap",
+            subject=dev_a.device,
+            rect=dev_a.rect,
         )
 
-    for via in layout.vias:
-        subject = f"{via.net}:{via.lower_layer}-{via.upper_layer}"
-        try:
-            lower = stack.metal(via.lower_layer)
-            upper = stack.metal(via.upper_layer)
-        except TechnologyError:
+
+def _check_wires(report: Report, cols: ShapeColumns, tech: Technology) -> None:
+    by_name = {metal.name: metal for metal in tech.stack.metals}
+    metals = [by_name.get(name) for name in cols.layers]
+    net, layer, x0, y0, x1, y1, role, _ = cols.wires
+    known = np.array([m is not None for m in metals], dtype=bool)[layer]
+    width = np.minimum(x1 - x0, y1 - y0)
+    min_width = np.array([m.min_width if m else 0 for m in metals])[layer]
+    for i in np.flatnonzero(~known | (width < min_width)).tolist():
+        name, metal = cols.layers[layer[i]], metals[layer[i]]
+        report.add(
+            "DRC-LAYER-UNKNOWN" if metal is None else "DRC-WIRE-WIDTH",
+            "error",
+            f"wire on unknown layer {name!r}" if metal is None else
+            f"{name} wire is {width[i]}nm wide, minimum is {metal.min_width}nm",
+            subject=cols.nets[net[i]],
+            rect=cols.wire_rect(i),
+        )
+
+    # Spacing between routing wires of different nets, layer by layer in
+    # order of first appearance.  Device-level finger stubs are excluded:
+    # their pitch is the contacted poly pitch, already enforced by
+    # DRC-POLY-PITCH.
+    pitch = np.array([m.pitch - m.min_width if m else 0 for m in metals])
+    rows = np.flatnonzero(known & (role != FINGER_STUB))
+    spacing = pitch[layer[rows]]
+    a, b = close_pairs(
+        x0[rows], y0[rows], x1[rows], y1[rows],
+        margin=np.maximum(spacing - 1, 0), group=first_seen(layer)[rows],
+    )
+    a, b, spacing = rows[a], rows[b], spacing[a]
+    gap = np.maximum(
+        np.maximum(x0[a] - x1[b], x0[b] - x1[a]),
+        np.maximum(y0[a] - y1[b], y0[b] - y1[a]),
+    )
+    for k in np.flatnonzero((net[a] != net[b]) & (gap >= 0) & (gap < spacing)).tolist():
+        net_a, net_b = cols.nets[net[a[k]]], cols.nets[net[b[k]]]
+        report.add(
+            "DRC-WIRE-SPACING",
+            "error",
+            f"{cols.layers[layer[a[k]]]} wires on nets {net_a!r} and {net_b!r} "
+            f"are {gap[k]}nm apart, minimum spacing is {spacing[k]}nm",
+            subject=f"{net_a}/{net_b}",
+            rect=cols.wire_rect(a[k]),
+        )
+
+
+def _check_vias(report: Report, cols: ShapeColumns, tech: Technology) -> None:
+    # Per layer pair: the two metal indices (None for an unknown metal).
+    index = {metal.name: metal.index for metal in tech.stack.metals}
+    indices = [(index.get(lower), index.get(upper)) for lower, upper in cols.via_layers]
+    net_id, pair_id, _, _, cuts = cols.vias
+    landed = np.zeros(2 * len(cuts), dtype=bool)
+    landed[cols.via_landings()[0]] = True
+    landed = landed.reshape(-1, 2)
+    odd = np.array(
+        [lo is None or up is None or up - lo != 1 for lo, up in indices], dtype=bool
+    )
+    flagged = odd[pair_id] | (cuts < 1) | ~landed.all(axis=1)
+    for v in np.flatnonzero(flagged).tolist():
+        lower, upper = cols.via_layers[pair_id[v]]
+        net = cols.nets[net_id[v]]
+        subject, position = f"{net}:{lower}-{upper}", cols.via_position(v)
+        lo, up = indices[pair_id[v]]
+        if lo is None or up is None:
             report.add(
                 "DRC-VIA-STACK",
                 "error",
-                f"via references unknown layer pair "
-                f"({via.lower_layer!r}, {via.upper_layer!r})",
+                f"via references unknown layer pair ({lower!r}, {upper!r})",
                 subject=subject,
-                location=via.position,
+                location=position,
             )
             continue
-        if upper.index - lower.index != 1:
+        if up - lo != 1:
             report.add(
                 "DRC-VIA-STACK",
                 "error",
-                f"via joins non-adjacent metals {via.lower_layer} "
-                f"(index {lower.index}) and {via.upper_layer} "
-                f"(index {upper.index})",
+                f"via joins non-adjacent metals {lower} (index {lo}) "
+                f"and {upper} (index {up})",
                 subject=subject,
-                location=via.position,
+                location=position,
             )
-        if via.cuts < 1:
+        if cuts[v] < 1:
             report.add(
-                "DRC-VIA-CUTS",
-                "error",
-                f"via has {via.cuts} cuts, need at least 1",
+                "DRC-VIA-CUTS", "error", f"via has {cuts[v]} cuts, need at least 1",
                 subject=subject,
-                location=via.position,
+                location=position,
             )
-        px, py = via.position.x, via.position.y
-        for side in (via.lower_layer, via.upper_layer):
-            landings = wires_at.get((via.net, side), ())
-            if not any(
-                x0 <= px <= x1 and y0 <= py <= y1
-                for x0, y0, x1, y1 in landings
-            ):
+        for side, name in enumerate((lower, upper)):
+            if not landed[v, side]:
                 report.add(
                     "DRC-VIA-ENCLOSURE",
                     "warning",
-                    f"via is not enclosed by {side} metal on net "
-                    f"{via.net!r}",
+                    f"via is not enclosed by {name} metal on net {net!r}",
                     subject=subject,
-                    location=via.position,
+                    location=position,
                 )
 
 
@@ -318,13 +282,16 @@ def _check_well(report: Report, layout: Layout, tech: Technology) -> None:
             )
 
 
-def _check_ports(report: Report, layout: Layout, tech: Technology) -> None:
+def _check_ports(
+    report: Report, layout: Layout, cols: ShapeColumns, tech: Technology
+) -> None:
     if not layout.ports:
         return
-    core_rects = [d.rect for d in layout.devices] + [w.rect for w in layout.wires]
-    core: Rect | None = None
-    for rect in core_rects:
-        core = rect if core is None else core.union(rect)
+    boxes = [d.rect for d in layout.devices]
+    _, _, x0, y0, x1, y1, _, _ = cols.wires
+    if len(x0):
+        boxes.append(Rect(int(x0.min()), int(y0.min()), int(x1.max()), int(y1.max())))
+    core = bounding_box(boxes) if boxes else None
     for port in layout.ports:
         try:
             tech.stack.metal(port.layer)
@@ -359,17 +326,16 @@ def check_instance_overlaps(report: Report, instances: list) -> None:
     ``instances`` are :class:`~repro.geometry.layout.Instance` records;
     the check runs in parent coordinates via ``placed_bbox``.
     """
-    triples = [(0, inst.placed_bbox(), inst) for inst in instances]
-    for inst_a, inst_b, rect_a, rect_b in iter_close_pairs(triples, 0):
-        if rect_a.overlaps(rect_b):
-            report.add(
-                "DRC-PLACE-OVERLAP",
-                "error",
-                f"placed instances {inst_a.name!r} and {inst_b.name!r} "
-                f"overlap",
-                subject=inst_a.name,
-                rect=rect_a,
-            )
+    rects = [inst.placed_bbox() for inst in instances]
+    for i, j in _overlapping(rects):
+        report.add(
+            "DRC-PLACE-OVERLAP",
+            "error",
+            f"placed instances {instances[i].name!r} and "
+            f"{instances[j].name!r} overlap",
+            subject=instances[i].name,
+            rect=rects[i],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +361,18 @@ def run_drc(
     Returns:
         A :class:`Report` with one violation per broken rule instance.
     """
+    cols = layout.shape_columns()
     report = Report(target=layout.name)
     report.checked_shapes = (
-        len(layout.devices) + len(layout.wires) + len(layout.vias)
+        len(layout.devices) + cols.wires.shape[1] + cols.vias.shape[1]
         + len(layout.ports)
     )
     _check_device_grid(
         report, layout.devices, tech, absolute_grid=absolute_grid
     )
     _check_active_overlap(report, layout.devices)
-    _check_wires(report, layout, tech)
-    _check_vias(report, layout, tech)
+    _check_wires(report, cols, tech)
+    _check_vias(report, cols, tech)
     _check_well(report, layout, tech)
-    _check_ports(report, layout, tech)
+    _check_ports(report, layout, cols, tech)
     return report

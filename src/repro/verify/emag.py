@@ -51,8 +51,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.errors import TechnologyError
-from repro.geometry.layout import Layout, Via, Wire
+from repro.geometry.layout import FINGER_STUB, ROLES, Layout, ShapeColumns, Wire
+from repro.geometry.search import first_seen
 from repro.spice.netlist import is_ground
 from repro.tech.pdk import Technology
 from repro.verify.diagnostics import Report
@@ -68,14 +72,11 @@ __all__ = [
     "check_route_currents",
 ]
 
-#: Wire role emitted for device contact columns.
-_STUB_ROLE = "finger_stub"
-
 #: Series order of mesh roles from the port into the devices, for the
 #: IR path model: current enters on the trunk rails, crosses the row
 #: straps (and their jumpers across the rail region) and descends the
 #: finger stubs.
-_IR_PATH_ROLES = ("rail", "route", "strap_jumper", "strap", _STUB_ROLE)
+_IR_PATH_ROLES = ("rail", "route", "strap_jumper", "strap", "finger_stub")
 
 #: Roles whose taps are distributed along the wire (straps tap the rail
 #: at every row, stubs tap the strap at every column).  A uniformly
@@ -95,13 +96,15 @@ def _density_ma_per_um(amps: float, width_nm: int) -> float:
     return amps * 1e3 / (width_nm * 1e-3)
 
 
-def _terminal_nets(layout: Layout) -> dict[tuple[str, str], str]:
+def _terminal_nets(cols: ShapeColumns) -> dict[tuple[str, str], str]:
     """(device, terminal) -> net, recovered from finger-stub owners."""
+    net, *_, role, owner = cols.wires
+    dotted = np.array(["." in name for name in cols.owners], dtype=bool)
+    stubs = (role == FINGER_STUB) & dotted[owner]
     out: dict[tuple[str, str], str] = {}
-    for wire in layout.wires:
-        if wire.role == _STUB_ROLE and "." in wire.owner:
-            device, _, terminal = wire.owner.rpartition(".")
-            out[(device, terminal)] = wire.net
+    for owner_id, net_id in zip(owner[stubs].tolist(), net[stubs].tolist()):
+        device, _, terminal = cols.owners[owner_id].rpartition(".")
+        out[(device, terminal)] = cols.nets[net_id]
     return out
 
 
@@ -125,7 +128,8 @@ def budget_net_currents(
         )
     inflow: dict[str, float] = {}
     outflow: dict[str, float] = {}
-    for (device, terminal), net in sorted(_terminal_nets(layout).items()):
+    terminals = _terminal_nets(layout.shape_columns())
+    for (device, terminal), net in sorted(terminals.items()):
         amps = device_amps.get(device, 0.0)
         if terminal == "s":
             inflow[net] = inflow.get(net, 0.0) + amps
@@ -137,25 +141,18 @@ def budget_net_currents(
     }
 
 
-def _wire_groups(
-    layout: Layout,
-) -> dict[tuple[str, str, str], list[Wire]]:
-    """Wires grouped by (net, layer, role), insertion-ordered."""
-    groups: dict[tuple[str, str, str], list[Wire]] = {}
-    for wire in layout.wires:
-        groups.setdefault((wire.net, wire.layer, wire.role), []).append(wire)
-    return groups
-
-
-def _via_groups(
-    layout: Layout,
-) -> dict[tuple[str, str, str], list[Via]]:
-    """Vias grouped by (net, lower layer, upper layer)."""
-    groups: dict[tuple[str, str, str], list[Via]] = {}
-    for via in layout.vias:
-        key = (via.net, via.lower_layer, via.upper_layer)
-        groups.setdefault(key, []).append(via)
-    return groups
+def _groups(
+    keys: NDArray[np.int64], *ties: NDArray[np.int64]
+) -> tuple[NDArray[np.int64], NDArray[np.intp], NDArray[np.intp]]:
+    """The distinct key columns, each column's group, and each group's
+    first column in ``(*ties, index)`` order (its worst member)."""
+    # One mixed-radix integer per column makes the grouping a 1-D unique.
+    radix = tuple(keys.max(axis=1) + 1) if keys.shape[1] else (1,) * len(keys)
+    codes = np.ravel_multi_index(tuple(keys), radix)
+    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+    sizes = np.bincount(group, minlength=len(first))
+    order = np.lexsort((*reversed(ties), group))
+    return keys[:, first], group, order[np.cumsum(sizes) - sizes]
 
 
 def _check_wire_em(
@@ -164,29 +161,54 @@ def _check_wire_em(
     audit: AuditTech,
     report: Report,
 ) -> None:
-    """EM-WIRE-DENSITY over every (net, layer, role) wire group."""
-    for (net, layer, role), wires in sorted(_wire_groups(layout).items()):
-        amps = currents.get(net, 0.0)
+    """EM-WIRE-DENSITY over every (net, layer, role) wire group.
+
+    A group's worst member is its narrowest wire (lowest ``(x0, y0)``,
+    then first in layout order, among equals).
+    """
+    cols = layout.shape_columns()
+    net, layer, x0, y0, x1, y1, role, _ = cols.wires
+    width = np.minimum(x1 - x0, y1 - y0)
+    keys, group, worst = _groups(np.stack([net, layer, role]), width, x0, y0)
+    sizes = np.bincount(group)
+    for (net_name, layer_name, role_name), k in sorted(
+        ((cols.nets[n], cols.layers[lay], ROLES[r]), k)
+        for k, (n, lay, r) in enumerate(keys.T.tolist())
+    ):
+        amps = currents.get(net_name, 0.0)
         if amps <= 0.0:
             continue
-        limits = audit.layer(layer)
+        limits = audit.layer(layer_name)
         if limits is None:
             continue
-        share = amps / len(wires)
-        worst = min(wires, key=lambda w: (w.width, w.rect.x0, w.rect.y0))
-        density = _density_ma_per_um(share, worst.width)
+        share = amps / int(sizes[k])
+        narrowest = int(width[worst[k]])
+        density = _density_ma_per_um(share, narrowest)
         if density > limits.em_limit_ma_um:
             report.flag(
                 "EM-WIRE-DENSITY",
-                f"{role} group on {layer} ({len(wires)} wire(s), "
-                f"narrowest {worst.width} nm) carries "
+                f"{role_name} group on {layer_name} ({sizes[k]} wire(s), "
+                f"narrowest {narrowest} nm) carries "
                 f"{_amps_to_ma(share):.3f} mA per wire = "
-                f"{density:.2f} mA/um; the {layer} limit is "
+                f"{density:.2f} mA/um; the {layer_name} limit is "
                 f"{limits.em_limit_ma_um:.2f} mA/um",
                 layout=layout.name,
-                subject=net,
-                rect=worst.rect,
+                subject=net_name,
+                rect=cols.wire_rect(worst[k]),
             )
+
+
+def _via_ladders(cols: ShapeColumns) -> list[tuple[tuple[str, str, str], int, int]]:
+    """Via ladders sorted by (net, lower, upper): key, total cuts, and
+    worst via (lowest ``(x, y)``, then first in layout order)."""
+    net, pair, x, y, cuts = cols.vias
+    keys, group, worst = _groups(np.stack([net, pair]), x, y)
+    totals = np.zeros(keys.shape[1], dtype=np.int64)
+    np.add.at(totals, group, cuts)
+    return sorted(
+        ((cols.nets[n], *cols.via_layers[p]), total, first)
+        for (n, p), total, first in zip(keys.T.tolist(), totals.tolist(), worst.tolist())
+    )
 
 
 def _check_via_em(
@@ -197,7 +219,8 @@ def _check_via_em(
     report: Report,
 ) -> None:
     """EM-VIA-DENSITY over every (net, layer-pair) via ladder."""
-    for (net, lower, upper), vias in sorted(_via_groups(layout).items()):
+    cols = layout.shape_columns()
+    for (net, lower, upper), cuts, worst in _via_ladders(cols):
         amps = currents.get(net, 0.0)
         if amps <= 0.0:
             continue
@@ -208,10 +231,8 @@ def _check_via_em(
         limit = audit.via_limit(via_layer.name)
         if limit is None:
             continue
-        cuts = sum(v.cuts for v in vias)
         per_cut_ma = _amps_to_ma(amps / cuts)
         if per_cut_ma > limit:
-            worst = min(vias, key=lambda v: (v.position.x, v.position.y))
             report.flag(
                 "EM-VIA-DENSITY",
                 f"{via_layer.name} ladder {lower}->{upper} ({cuts} "
@@ -219,12 +240,12 @@ def _check_via_em(
                 f"per-cut limit is {limit:.3f} mA",
                 layout=layout.name,
                 subject=net,
-                location=worst.position,
+                location=cols.via_position(worst),
             )
 
 
 def _group_series_resistance(
-    wires: list[Wire], tech: Technology
+    cols: ShapeColumns, wires: NDArray[np.int64], tech: Technology
 ) -> float:
     """Effective resistance of one parallel wire group (ohm).
 
@@ -233,12 +254,13 @@ def _group_series_resistance(
     single span so taper along the wire is absorbed conservatively.
     """
     worst = 0.0
-    for wire in wires:
-        metal = tech.stack.metal(wire.layer)
+    _, layer, x0, y0, x1, y1, _, _ = wires
+    for lay, w, h in zip(layer.tolist(), (x1 - x0).tolist(), (y1 - y0).tolist()):
+        metal = tech.stack.metal(cols.layers[lay])
         worst = max(
-            worst, metal.wire_resistance(float(wire.length), float(wire.width))
+            worst, metal.wire_resistance(float(max(w, h)), float(min(w, h)))
         )
-    return worst / len(wires)
+    return worst / len(layer)
 
 
 def _check_ir_drop(
@@ -249,37 +271,39 @@ def _check_ir_drop(
     report: Report,
 ) -> None:
     """IR-DROP over every supply (power/ground) net."""
-    wire_groups = _wire_groups(layout)
-    via_groups = _via_groups(layout)
+    cols = layout.shape_columns()
+    nets, *_ = cols.wires
+    ladders = _via_ladders(cols)
     budget_v = audit.ir_drop_frac * tech.vdd
-    for net in sorted({w.net for w in layout.wires}):
+    for net_id in sorted(np.unique(nets).tolist(), key=cols.nets.__getitem__):
+        net = cols.nets[net_id]
         if not (is_ground(net) or net.endswith("!")):
             continue
         amps = currents.get(net, 0.0)
         if amps <= 0.0:
             continue
+        on_net = cols.wires[:, nets == net_id]
+        _, layers, _, _, _, _, roles, _ = on_net
         path_ohm = 0.0
         stages: list[str] = []
         for role in _IR_PATH_ROLES:
-            members: list[Wire] = []
-            for (g_net, _layer, g_role), wires in wire_groups.items():
-                if g_net == net and g_role == role:
-                    members.extend(wires)
-            if not members:
+            rows = np.flatnonzero(roles == ROLES.index(role))
+            if not len(rows):
                 continue
-            stage = _group_series_resistance(members, tech)
+            # Layer by layer, in order of each layer's first such wire.
+            rows = rows[np.lexsort((rows, first_seen(layers[rows])))]
+            stage = _group_series_resistance(cols, on_net[:, rows], tech)
             if role in _DISTRIBUTED_ROLES:
                 stage *= 0.5
             path_ohm += stage
             stages.append(f"{role}={stage:.1f}")
-        for (g_net, lower, upper), vias in sorted(via_groups.items()):
-            if g_net != net:
+        for (ladder_net, lower, upper), cuts, _ in ladders:
+            if ladder_net != net:
                 continue
             try:
                 via_layer = tech.stack.via_between(lower, upper)
             except TechnologyError:
                 continue
-            cuts = sum(v.cuts for v in vias)
             stage = via_layer.array_resistance(cuts)
             path_ohm += stage
             stages.append(f"{via_layer.name}={stage:.1f}")
@@ -327,7 +351,8 @@ def run_emag(
     if audit is None:
         audit = AuditTech.for_technology(tech)
     report = Report(target=layout.name)
-    report.checked_shapes = len(layout.wires) + len(layout.vias)
+    cols = layout.shape_columns()
+    report.checked_shapes = cols.wires.shape[1] + cols.vias.shape[1]
     if currents is None:
         if op is not None:
             currents = op.net_currents()

@@ -41,7 +41,7 @@ comparison.
 from __future__ import annotations
 
 from repro.cellgen.generator import CellSpec
-from repro.geometry.layout import DevicePlacement, Layout
+from repro.geometry.layout import ROLES, DevicePlacement, Layout
 from repro.tech.pdk import Technology
 from repro.verify.constraints import MIRROR_PATTERNS, POSITION_TOL
 from repro.verify.diagnostics import Report
@@ -187,12 +187,13 @@ def _check_mirror_realization(
 
 def _pair_lengths(layout: Layout, net: str) -> dict[tuple[str, str], int]:
     """Summed wire length per (layer, role) for the trunk roles."""
+    cols = layout.shape_columns()
+    _, layer, x0, y0, x1, y1, role, _ = cols.net_wires(net)
     totals: dict[tuple[str, str], int] = {}
-    for wire in layout.wires_on_net(net):
-        if wire.role not in _TRUNK_ROLES:
-            continue
-        key = (wire.layer, wire.role)
-        totals[key] = totals.get(key, 0) + wire.length
+    for lay, r, dx, dy in zip(*(c.tolist() for c in (layer, role, x1 - x0, y1 - y0))):
+        if ROLES[r] in _TRUNK_ROLES:
+            key = (cols.layers[lay], ROLES[r])
+            totals[key] = totals.get(key, 0) + max(dx, dy)
     return totals
 
 
@@ -204,12 +205,14 @@ def _pair_via_cuts(
     Ladders touching the device metal are stub contacts and follow
     diffusion parity, so they are skipped.
     """
+    cols = layout.shape_columns()
+    _, pair_id, _, _, cut_count = cols.net_vias(net)
     totals: dict[tuple[str, str], int] = {}
-    for via in layout.vias_on_net(net):
-        if device_metal in (via.lower_layer, via.upper_layer):
+    for pair, cuts in zip(pair_id.tolist(), cut_count.tolist()):
+        key = cols.via_layers[pair]
+        if device_metal in key:
             continue
-        key = (via.lower_layer, via.upper_layer)
-        totals[key] = totals.get(key, 0) + via.cuts
+        totals[key] = totals.get(key, 0) + cuts
     return totals
 
 

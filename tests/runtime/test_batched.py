@@ -54,8 +54,7 @@ def stack_width(monkeypatch):
         return newton(group, x0, *args)
 
     def sweep_spy(compileds, *args):
-        if compileds:  # every member of the metric's DC stack failed
-            record["ac"].append(len(compileds))
+        record["ac"].append(len(compileds))
         return sweep(compileds, *args)
 
     monkeypatch.setattr(dc_module, "_newton_solve_batch", newton_spy)
@@ -226,6 +225,25 @@ def test_dc_fault_hook_trips_once_per_member(tech):
         with pytest.raises(ConvergenceError, match="injected DC"):
             dc_operating_point(compiled)
         assert injector.counters == {"CONV-DC": 2}
+
+
+def test_ac_sweep_skipped_when_every_operating_point_fails(tech, monkeypatch):
+    # With every member's operating point failed there is nothing to
+    # sweep: the AC entry is not called with an empty stack.
+    calls = []
+    sweep = tbh.ac_analysis_many
+
+    def spy(compileds, *args):
+        calls.append(len(compileds))
+        return sweep(compileds, *args)
+
+    monkeypatch.setattr(tbh, "ac_analysis_many", spy)
+    tbs = [_diode_through_resistor(tech, 0.6), _diode_through_resistor(tech, 0.8)]
+    with inject(FaultSpec(dc_fail_rate=1.0)) as injector:
+        out = tbh.run_ac_many(tbs, tech)
+    assert injector.counters == {"CONV-DC": 2}
+    assert all(isinstance(result, ConvergenceError) for result in out)
+    assert calls == []
 
 
 def _diode_through_resistor(tech, volts):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from repro.geometry import Instance, Layout, Point, Rect, Via, Wire
 from repro.verify import Report, run_drc
-from repro.verify.drc import check_instance_overlaps, rect_gap
+from repro.verify.drc import check_instance_overlaps
 
 
 def test_clean_layout_has_no_drc_errors(dp_layout, tech):
@@ -148,10 +148,24 @@ def test_disjoint_instances_clean(dp_layout):
     assert report.ok
 
 
-def test_rect_gap_signs():
-    assert rect_gap(Rect(0, 0, 10, 10), Rect(20, 0, 30, 10)) == 10
-    assert rect_gap(Rect(0, 0, 10, 10), Rect(10, 0, 20, 10)) == 0
-    assert rect_gap(Rect(0, 0, 10, 10), Rect(5, 5, 20, 20)) < 0
+def test_spacing_gap_signs(tech):
+    # Abutting wires of different nets are 0 nm apart; overlapping ones
+    # are shorts (a connectivity finding), not spacing violations.
+    m2 = tech.stack.metal("M2")
+    spacing = m2.pitch - m2.min_width
+
+    def spacing_messages(y_b):
+        lay = Layout(name="gap", wires=[
+            Wire("a", "M2", Rect(0, 0, 500, 32)),
+            Wire("b", "M2", Rect(0, y_b, 500, y_b + 32)),
+        ])
+        report = run_drc(lay, tech)
+        return [v.message for v in report.violations if v.rule == "DRC-WIRE-SPACING"]
+
+    assert spacing_messages(32 + spacing) == []
+    assert [f"{spacing - 1}nm apart" in m for m in spacing_messages(31 + spacing)] == [True]
+    assert ["0nm apart" in m for m in spacing_messages(32)] == [True]
+    assert spacing_messages(16) == []
 
 
 def test_ports_layout_without_ports_is_fine(tech):

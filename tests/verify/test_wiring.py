@@ -48,6 +48,34 @@ def test_verify_assembly_clean_when_disjoint(dp_layout, tech):
     assert report.ok
 
 
+def test_verification_builds_no_shape_records(dp_primitive, dp_base, tech, monkeypatch):
+    # Verifying a generated cell, and a flattening of it, reads the shape
+    # columns only: no Wire or Via record is built.
+    from repro.geometry import Layout
+    from repro.verify import budget_net_currents
+    from repro.verify.tech import AuditTech
+
+    built = []
+    materialize = Layout._materialize
+
+    def spy(layout):
+        if layout._columns is not None:
+            built.append(layout.name)
+        materialize(layout)
+
+    monkeypatch.setattr(Layout, "_materialize", spy)
+    layout = dp_primitive.generate(dp_base, "ABAB")
+    instances = [
+        Instance("a", layout, Point(0, 0)),
+        Instance("b", layout, Point(layout.width + 1000, 0), flipped_x=True),
+    ]
+    report = verify_assembly("pair", instances, tech)
+    budget_net_currents(layout, AuditTech.for_technology(tech))
+    assert layout.metadata["verification"].checked_shapes > 0
+    assert report.checked_shapes > 0
+    assert built == []
+
+
 def test_verify_assembly_flags_overlap(dp_layout, tech):
     instances = [
         Instance("a", dp_layout, Point(0, 0)),
