@@ -41,7 +41,7 @@ from repro.geometry.layout import W_LAYER, Layout
 from repro.geometry.shapes import Rect
 from repro.tech.pdk import Technology
 from repro.verify.diagnostics import Report
-from repro.verify.drc import gate_stubs
+from repro.verify.emag import terminal_nets
 from repro.verify.tech import AuditTech
 
 __all__ = ["run_antenna", "gate_areas"]
@@ -55,12 +55,8 @@ def gate_areas(layout: Layout, tech: Technology, audit: AuditTech) -> dict[str, 
     works on any layout the generator (or a flattening of it) produced,
     without a netlist.
     """
-    cols = layout.shape_columns()
-    stub_net, *_, stub_owner = cols.wires[:, gate_stubs(cols)]
-    gate_net = {
-        cols.owners[owner][: -len(".g")]: cols.nets[net]
-        for owner, net in zip(stub_owner.tolist(), stub_net.tolist())
-    }
+    terminals = terminal_nets(layout.shape_columns())
+    gate_net = {dev: net for (dev, term), net in terminals.items() if term == "g"}
     per_fin = float(tech.rules.fin_pitch * audit.gate_length_nm)
     areas: dict[str, float] = {}
     for placement in layout.devices:
@@ -111,7 +107,7 @@ def _window_overlaps(
 ) -> NDArray[np.int64]:
     """``(n, windows)`` overlap lengths of spans with consecutive windows."""
     overlap = np.minimum(hi[:, None], edges[1:]) - np.maximum(lo[:, None], edges[:-1])
-    return np.maximum(overlap, 0)
+    return np.asarray(np.maximum(overlap, 0), dtype=np.int64)
 
 
 def _check_density(
@@ -125,8 +121,7 @@ def _check_density(
     matrix product gives every window's covered area of a layer, exactly.
     """
     cols = layout.shape_columns()
-    wires = cols.wires
-    if not wires.shape[1]:
+    if not cols.wires.shape[1]:
         return
     box = layout.bbox()
     if box.width <= 0 or box.height <= 0:
@@ -137,13 +132,13 @@ def _check_density(
     x_edges = np.minimum(box.x0 + window * np.arange(nx + 1), box.x1)
     y_edges = np.minimum(box.y0 + window * np.arange(ny + 1), box.y1)
     win_area = np.diff(y_edges)[:, None] * np.diff(x_edges)[None, :]
-    layers = wires[W_LAYER]
+    layers = cols.wires[W_LAYER]
     for layer in sorted(np.unique(layers).tolist(), key=cols.layers.__getitem__):
         name = cols.layers[layer]
         limits = audit.layer(name)
         if limits is None:
             continue
-        _, _, x0, y0, x1, y1, _, _ = wires[:, layers == layer]
+        _, _, x0, y0, x1, y1, _, _ = cols.wires[:, layers == layer]
         covered = (
             _window_overlaps(y0, y1, y_edges).T @ _window_overlaps(x0, x1, x_edges)
         )

@@ -32,8 +32,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.geometry.layout import FINGER_STUB, Layout, ShapeColumns
 from repro.geometry.search import close_pairs, first_seen
@@ -43,6 +41,24 @@ from repro.verify.drc import gate_stubs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cellgen.generator import CellSpec
+
+
+def _islands(
+    size: int, head: NDArray[np.int64], tail: NDArray[np.int64]
+) -> NDArray[np.int64]:
+    """Each node's connected component, named by its lowest node: per
+    edge, hook the higher root to the lower, then pointer-jump, until
+    every edge's ends share a root."""
+    label = np.arange(size)
+    while True:
+        a, b = label[head], label[tail]
+        if np.array_equal(a, b):
+            return label
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while not np.array_equal(label, label[label]):
+            label = label[label]
 
 
 class NetGraph:
@@ -79,17 +95,11 @@ class NetGraph:
             )
             heads.append(hits)
             tails.append(np.full(len(hits), n + m + index))
-        head, tail = np.concatenate(heads), np.concatenate(tails)
-        size = n + m + len(layout.ports)
-        graph = coo_matrix(
-            (np.ones(len(head), dtype=np.int8), (head, tail)), shape=(size, size)
+        # Wires are numbered first, so an island with a wire is named by
+        # its lowest wire.
+        self._label = _islands(
+            n + m + len(layout.ports), np.concatenate(heads), np.concatenate(tails)
         )
-        count, self._label = connected_components(graph, directed=False)
-        # Each island is named by its lowest wire; one without a wire is
-        # a lone via or port (-1).
-        root = np.full(count, n)
-        np.minimum.at(root, self._label[:n], np.arange(n))
-        self._root = np.where(root < n, root, -1)[self._label]
 
     def find(self, node: tuple[str, int]) -> tuple[str, int]:
         """The node naming ``node``'s island: its lowest wire.
@@ -97,14 +107,14 @@ class NetGraph:
         A via or port that touches no wire is its own island, so
         ``find(("v", i)) == ("v", i)`` means the via conducts nothing.
         """
-        root = int(self._root[self._offsets[node[0]] + node[1]])
-        return node if root < 0 else ("w", root)
+        root = int(self._label[self._offsets[node[0]] + node[1]])
+        return ("w", root) if root < self._offsets["v"] else node
 
     def landed(self, kind: str) -> NDArray[np.bool_]:
         """Per via (``"v"``) or port (``"p"``): whether it touches a wire."""
         start = self._offsets[kind]
         count = len(self.layout.ports) if kind == "p" else self.columns.vias.shape[1]
-        return np.asarray(self._root[start:start + count] >= 0, dtype=bool)
+        return np.asarray(self._label[start:start + count] < self._offsets["v"])
 
     def wire_indices(self, net: str) -> list[int]:
         """Indices of all wires on ``net``: layer by layer, in order of

@@ -204,9 +204,7 @@ def _check_vias(report: Report, cols: ShapeColumns, tech: Technology) -> None:
     index = {metal.name: metal.index for metal in tech.stack.metals}
     indices = [(index.get(lower), index.get(upper)) for lower, upper in cols.via_layers]
     net_id, pair_id, _, _, cuts = cols.vias
-    landed = np.zeros(2 * len(cuts), dtype=bool)
-    landed[cols.via_landings()[0]] = True
-    landed = landed.reshape(-1, 2)
+    landed = np.isin(np.arange(2 * len(cuts)), cols.via_landings()[0]).reshape(-1, 2)
     odd = np.array(
         [lo is None or up is None or up - lo != 1 for lo, up in indices], dtype=bool
     )

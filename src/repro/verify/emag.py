@@ -96,7 +96,7 @@ def _density_ma_per_um(amps: float, width_nm: int) -> float:
     return amps * 1e3 / (width_nm * 1e-3)
 
 
-def _terminal_nets(cols: ShapeColumns) -> dict[tuple[str, str], str]:
+def terminal_nets(cols: ShapeColumns) -> dict[tuple[str, str], str]:
     """(device, terminal) -> net, recovered from finger-stub owners."""
     net, *_, role, owner = cols.wires
     dotted = np.array(["." in name for name in cols.owners], dtype=bool)
@@ -128,7 +128,7 @@ def budget_net_currents(
         )
     inflow: dict[str, float] = {}
     outflow: dict[str, float] = {}
-    terminals = _terminal_nets(layout.shape_columns())
+    terminals = terminal_nets(layout.shape_columns())
     for (device, terminal), net in sorted(terminals.items()):
         amps = device_amps.get(device, 0.0)
         if terminal == "s":
@@ -161,11 +161,8 @@ def _check_wire_em(
     audit: AuditTech,
     report: Report,
 ) -> None:
-    """EM-WIRE-DENSITY over every (net, layer, role) wire group.
-
-    A group's worst member is its narrowest wire (lowest ``(x0, y0)``,
-    then first in layout order, among equals).
-    """
+    """EM-WIRE-DENSITY over every (net, layer, role) wire group; its
+    worst member is the narrowest, then lowest ``(x0, y0)``, wire."""
     cols = layout.shape_columns()
     net, layer, x0, y0, x1, y1, role, _ = cols.wires
     width = np.minimum(x1 - x0, y1 - y0)
