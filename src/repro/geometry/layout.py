@@ -242,8 +242,9 @@ class ShapeColumns:
         w_order = np.argsort(wire_key, kind="stable")
         s_order = np.argsort(side_key, kind="stable")
         keys = np.unique(side_key[side_key >= 0])
-        w_bounds = [np.searchsorted(wire_key[w_order], keys, side=e) for e in ("left", "right")]
-        s_bounds = [np.searchsorted(side_key[s_order], keys, side=e) for e in ("left", "right")]
+        ends = ("left", "right")
+        w_bounds = [np.searchsorted(wire_key[w_order], keys, side=e) for e in ends]
+        s_bounds = [np.searchsorted(side_key[s_order], keys, side=e) for e in ends]
         px, py = np.repeat(vias[V_X], 2), np.repeat(vias[V_Y], 2)
         x0, y0, x1, y1 = wires[W_X0:W_Y1 + 1]
         sides, hits = [w_order[:0]], [w_order[:0]]

@@ -19,10 +19,10 @@ single simulation.  Four engines share one rule registry
 :func:`verify_layout` runs the geometric engines (plus the constraint
 analyzer whenever a :class:`~repro.cellgen.generator.CellSpec` is
 given); :func:`verify_circuit` runs ERC on a netlist.  The geometric
-engines read wires and vias as :class:`~repro.geometry.layout
-.ShapeColumns`, so verifying a generated or flattened layout builds no
-``Wire``/``Via`` record; a ``Rect`` is made only for a violation.  Known deviations
-are suppressed explicitly through a ``.reprolint.toml`` waiver file
+engines read :class:`~repro.geometry.layout.ShapeColumns`, so verifying
+a generated or flattened layout builds no ``Wire``/``Via`` record; a
+``Rect`` is made only for a violation.  Known deviations are suppressed
+explicitly through a ``.reprolint.toml`` waiver file
 (:class:`~repro.verify.rules.WaiverSet`), never by disabling rules.
 
 It is wired in at four call sites: the cell generator verifies every
