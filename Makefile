@@ -48,9 +48,8 @@ lint:
 # random.* (DEV-RANDOM), wall-clock in cache/journal paths
 # (DEV-WALLCLOCK), bare set iteration (DEV-SET-ORDER), per-member
 # np.linalg.solve in batch loops (DEV-BATCH-SOLVE), environment
-# reads (DEV-ENV), fault-injector gates outside the documented
-# hooks (DEV-FAULT) and BatchTask calls without a batch_spec=, whose
-# evaluations never stack (DEV-BATCH-TASK).
+# reads (DEV-ENV) and fault-injector gates outside the documented
+# hooks (DEV-FAULT).
 devlint:
 	python tools/devlint.py src/repro tools
 

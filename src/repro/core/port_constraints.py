@@ -20,7 +20,6 @@ from repro.core.cost import layout_cost
 from repro.core.tuning import SweepPoint
 from repro.errors import OptimizationError
 from repro.runtime import BatchSpec, BatchTask, EvalRuntime
-from repro.runtime.evalcache import EvalCache, evaluate_circuit_cached
 from repro.spice.netlist import Circuit
 from repro.tech.pdk import Technology
 
@@ -174,7 +173,6 @@ def route_point_task(
     n: int,
     weight_override: dict[str, float] | None = None,
     *,
-    cache: EvalCache,
     key_prefix: str = "port",
 ) -> BatchTask:
     """The :class:`~repro.runtime.BatchTask` costing one (port, wire
@@ -183,36 +181,23 @@ def route_point_task(
     Used by the port sweep (``key_prefix="port"``) and by the flow's
     reconcile gap re-simulations (``key_prefix="recon"``), so both fan
     out identically and share content-cache entries for identical
-    wrapped netlists.  The attached :class:`~repro.runtime.BatchSpec`
-    stacks the points' simulations (:mod:`repro.runtime.batched`):
-    ``build`` wraps the DUT with the route, ``finish`` assembles the
-    payload as the serial thunk does.
+    wrapped netlists.  Its :class:`~repro.runtime.BatchSpec` wraps the
+    DUT with the route (``build``) and assembles the point's payload
+    (``finish``).
     """
-
-    def build():
-        return attach_route(dut, route, primitive.tech, n), None
-
-    def thunk() -> dict:
-        wrapped, _ = build()
-        values, sims, cache_key = evaluate_circuit_cached(
-            primitive, wrapped, cache, weight_override
-        )
-        return _route_point(primitive, values, sims, cache_key, weight_override)
-
     return BatchTask(
         key=f"{key_prefix}:{primitive.name}:{route.net}:{n}",
-        thunk=thunk,
-        validate=_point_error,
-        to_payload=lambda point: point,
-        from_payload=_point_from_payload,
-        batch_spec=BatchSpec(
+        spec=BatchSpec(
             primitive=primitive,
-            build=build,
+            build=lambda: (attach_route(dut, route, primitive.tech, n), None),
             finish=lambda _site, values, sims, cache_key: _route_point(
                 primitive, values, sims, cache_key, weight_override
             ),
             weight_override=weight_override,
         ),
+        validate=_point_error,
+        to_payload=lambda point: point,
+        from_payload=_point_from_payload,
     )
 
 
@@ -238,9 +223,7 @@ def derive_port_constraint(
     simulations = 0
 
     tasks = [
-        route_point_task(
-            primitive, dut, route, n, weight_override, cache=runtime.cache
-        )
+        route_point_task(primitive, dut, route, n, weight_override)
         for n in range(1, max_wires + 1)
     ]
     batch = runtime.evaluate_batch(tasks, stage="port_constraints")

@@ -19,8 +19,8 @@ from repro.core.cost import CostBreakdown, layout_cost
 from repro.devices.mosfet import MosGeometry
 from repro.errors import LayoutError, OptimizationError
 from repro.geometry.layout import Layout
-from repro.runtime import BatchSpec, BatchTask, EvalRuntime
-from repro.runtime.evalcache import EvalCache, evaluate_circuit_cached
+from repro.runtime import BatchSpec, BatchTask, EvalRuntime, evaluate_spec
+from repro.runtime.evalcache import EvalCache
 
 
 @dataclass
@@ -130,60 +130,20 @@ def restore_option(
     )
 
 
-def evaluate_option(
-    primitive,
-    base: MosGeometry,
-    pattern: str,
-    wires: WireConfig | None = None,
-    weight_override: dict[str, float] | None = None,
-    cache: EvalCache | None = None,
-) -> LayoutOption:
-    """Generate, extract and score a single layout option (through
-    ``cache``, or a fresh cache when called standalone)."""
-    wires = wires or WireConfig()
-    if cache is None:
-        cache = EvalCache()
-    # Sweep evaluations skip per-variant verification (the optimizer
-    # verifies the options it emits, not every scored candidate).
-    layout = primitive.generate(base, pattern, wires, verify=False)
-    circuit = primitive.extract(layout, base).build_circuit()
-    values, sims, cache_key = evaluate_circuit_cached(
-        primitive, circuit, cache, weight_override
-    )
-    breakdown = layout_cost(primitive, values, weight_override=weight_override)
-    return LayoutOption(
-        base=base,
-        pattern=pattern,
-        layout=layout,
-        values=values,
-        breakdown=breakdown,
-        simulations=sims,
-        wires=wires,
-        cache_key=cache_key,
-    )
-
-
-def option_task(
-    stage_tag: str,
+def option_spec(
     primitive,
     base: MosGeometry,
     pattern: str,
     wires: WireConfig,
     weight_override: dict[str, float] | None,
-    cache: EvalCache,
-) -> BatchTask:
-    """The :class:`~repro.runtime.BatchTask` evaluating one layout option.
-
-    Shared by the selection sweep and the tuning sweeps so both fan out
-    through the same batch machinery with identical keys and payloads.
-    The attached :class:`~repro.runtime.BatchSpec` decomposes the
-    evaluation for the stacked engine (:mod:`repro.runtime.batched`):
+) -> BatchSpec:
+    """The :class:`~repro.runtime.BatchSpec` of one layout option:
     ``build`` is the layout → extract → netlist pipeline, ``finish``
-    reassembles the :class:`LayoutOption` from measured values exactly
-    as :func:`evaluate_option` would.
-    """
+    assembles the :class:`LayoutOption` from the measured values."""
 
     def build():
+        # Sweep evaluations skip per-variant verification (the optimizer
+        # verifies the options it emits, not every scored candidate).
         layout = primitive.generate(base, pattern, wires, verify=False)
         circuit = primitive.extract(layout, base).build_circuit()
         return circuit, layout
@@ -203,21 +163,50 @@ def option_task(
             cache_key=cache_key,
         )
 
+    return BatchSpec(
+        primitive=primitive,
+        build=build,
+        finish=finish,
+        weight_override=weight_override,
+    )
+
+
+def evaluate_option(
+    primitive,
+    base: MosGeometry,
+    pattern: str,
+    wires: WireConfig | None = None,
+    weight_override: dict[str, float] | None = None,
+    cache: EvalCache | None = None,
+) -> LayoutOption:
+    """Generate, extract and score a single layout option (through
+    ``cache``, or a fresh cache when called standalone)."""
+    spec = option_spec(
+        primitive, base, pattern, wires or WireConfig(), weight_override
+    )
+    return evaluate_spec(spec, cache if cache is not None else EvalCache())
+
+
+def option_task(
+    stage_tag: str,
+    primitive,
+    base: MosGeometry,
+    pattern: str,
+    wires: WireConfig,
+    weight_override: dict[str, float] | None,
+) -> BatchTask:
+    """The :class:`~repro.runtime.BatchTask` evaluating one layout option.
+
+    Shared by the selection sweep and the tuning sweeps so both fan out
+    through the same batch machinery with identical keys and payloads.
+    """
     return BatchTask(
         key=option_key(stage_tag, base, pattern, wires),
-        thunk=lambda: evaluate_option(
-            primitive, base, pattern, wires, weight_override, cache=cache
-        ),
+        spec=option_spec(primitive, base, pattern, wires, weight_override),
         validate=option_error,
         to_payload=option_payload,
         from_payload=lambda payload: restore_option(
             primitive, payload, base, pattern, wires, weight_override
-        ),
-        batch_spec=BatchSpec(
-            primitive=primitive,
-            build=build,
-            finish=finish,
-            weight_override=weight_override,
         ),
     )
 
@@ -266,7 +255,6 @@ def evaluate_options(
                     pattern,
                     wires or WireConfig(),
                     weight_override,
-                    cache=runtime.cache,
                 )
             )
     batch = runtime.evaluate_batch(tasks, stage="selection")

@@ -171,7 +171,6 @@ def tune_option(
                 option.pattern,
                 candidate,
                 weight_override,
-                cache=runtime.cache,
             )
             for candidate in candidates
         ]

@@ -576,7 +576,6 @@ class HierarchicalFlow:
                             dut,
                             info,
                             wires,
-                            cache=runtime.cache,
                             key_prefix="recon",
                         )
                     )

@@ -404,14 +404,6 @@ class Layout:
         """Bounding-box width / height."""
         return self.bbox().aspect_ratio
 
-    def wires_on_net(self, net: str) -> list[Wire]:
-        """All wire shapes belonging to ``net``."""
-        return [w for w in self.wires if w.net == net]
-
-    def vias_on_net(self, net: str) -> list[Via]:
-        """All vias belonging to ``net``."""
-        return [v for v in self.vias if v.net == net]
-
     def port(self, net: str) -> Port:
         """The port for ``net`` (first if several)."""
         for port in self.ports:

@@ -277,9 +277,9 @@ class MosPrimitive(ABC):
         evaluation (its later metrics are not measured).
 
         It skips the ``BAD-METRIC`` hook: the stacked engine calls it
-        with fault injection suspended, after screening every evaluation
-        an injected fault would hit off to its serial thunk (which runs
-        :meth:`evaluate`).
+        with fault injection suspended, after screening off every
+        evaluation an injected fault would hit (those run
+        :meth:`evaluate` at consumption).
         """
         values: list[dict[str, float]] = [{} for _ in duts]
         sims = [0] * len(duts)

@@ -12,13 +12,12 @@ See ``docs/robustness.md`` for the failure-code catalog and the
 degradation ladder.
 """
 
-from repro.runtime.batched import BatchSpec
+from repro.runtime.batched import BatchSpec, evaluate_spec
 from repro.runtime.checkpoint import SweepJournal
 from repro.runtime.evalcache import (
     EvalCache,
     analysis_signature,
     content_key,
-    evaluate_circuit_cached,
 )
 from repro.runtime.failures import (
     BAD_METRIC,
@@ -54,7 +53,7 @@ __all__ = [
     "analysis_signature",
     "classify_failure",
     "content_key",
-    "evaluate_circuit_cached",
+    "evaluate_spec",
     "graceful_shutdown",
     "inject",
     "is_eval_failure",

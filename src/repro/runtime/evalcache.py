@@ -44,9 +44,10 @@ bypasses keep cached runs equivalent to uncached ones:
   the uncached run would see.  When a
   :class:`~repro.runtime.faults.FaultInjector` whose spec
   :attr:`~repro.runtime.faults.FaultSpec.affects_values` is active
-  (:func:`cache_bypassed`, read by the serial path and the stacked
-  engine alike) the cache is bypassed entirely; such fault-injected
-  runs behave identically with and without a cache.
+  (:func:`cache_bypassed`, read by
+  :func:`~repro.runtime.batched.evaluate_spec` and the stacked engine's
+  precompute) the cache is bypassed entirely; such fault-injected runs
+  behave identically with and without a cache.
 * **Non-finite results** — a poisoned evaluation (NaN metrics) is never
   stored: retries with perturbed guesses must re-simulate, not replay
   the poison.
@@ -204,10 +205,10 @@ def content_key(
 class CacheStats:
     """Hit/miss accounting for one :class:`EvalCache`.
 
-    ``hits``/``stored`` are deterministic for a given logical run (they
-    track the consumed evaluation sequence, which is identical for any
-    stack width); ``misses`` additionally counts lookups whose evaluation
-    later failed and is reported for diagnostics only.
+    Every field is deterministic for a given logical run and identical
+    for any stack width: each consumed evaluation attempt makes one
+    lookup (none when the cache is bypassed).  ``misses`` includes the
+    lookups of attempts that later failed.
 
     Every :meth:`EvalCache.get` call counts exactly one ``lookups`` and
     exactly one of ``hits``/``misses``, so ``hits + misses == lookups``
@@ -295,29 +296,3 @@ def cache_bypassed(injector: faults.FaultInjector | None) -> bool:
     """Whether evaluations under ``injector`` skip the cache (it is
     value-affecting; see the module docstring)."""
     return injector is not None and injector.spec.affects_values
-
-
-def evaluate_circuit_cached(
-    primitive,
-    circuit: Circuit,
-    cache: EvalCache,
-    weight_override: dict[str, float] | None = None,
-) -> tuple[dict[str, float], int, str | None]:
-    """Run ``primitive.evaluate(circuit)`` through the content cache.
-
-    Returns ``(values, simulations, content_key)``; a cache hit costs 0
-    simulations.  ``content_key`` is None when the cache is bypassed
-    because a *value-affecting* fault injector is active (injected
-    solver/metric faults key on evaluation keys, so serving content hits
-    would change which faults fire; see the module docstring).
-    """
-    if cache_bypassed(faults.active()):
-        values, sims = primitive.evaluate(circuit)
-        return values, sims, None
-    key = cache.key_for(primitive, circuit, weight_override)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit["values"], 0, key
-    values, sims = primitive.evaluate(circuit)
-    cache.put(key, values, sims)
-    return values, sims, key

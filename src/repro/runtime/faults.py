@@ -22,10 +22,10 @@ injector is installed):
   (poisons one measured value with NaN).
 
 Two readers trip nothing: the cache bypass in
-:func:`repro.runtime.evalcache.evaluate_circuit_cached` and the stacked
-engine's screen (:class:`repro.runtime.batched.EvalBatch`), which sends
-what :meth:`FaultInjector.fires_first` flags to its serial thunk and
-stacks the rest.  ``DEV-FAULT`` (``tools/devlint.py``) keeps
+:func:`repro.runtime.batched.evaluate_spec` and the stacked engine's
+screen (:class:`repro.runtime.batched.EvalBatch`), which leaves what
+:meth:`FaultInjector.fires_first` flags to be evaluated at consumption
+and stacks the rest.  ``DEV-FAULT`` (``tools/devlint.py``) keeps
 :func:`active` to these five sites.
 """
 

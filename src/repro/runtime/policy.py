@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 from repro.errors import MeasureError
 from repro.runtime import context
-from repro.runtime.batched import EvalBatch
+from repro.runtime.batched import BatchSpec, EvalBatch
 from repro.runtime.checkpoint import STATUS_OK, SweepJournal
 from repro.runtime.evalcache import EvalCache
 from repro.runtime.failures import (
@@ -65,23 +65,20 @@ STAGE_FAILURE_CEILING = 0.5
 
 @dataclass
 class BatchTask:
-    """One evaluation of a batch — the arguments of one
-    :meth:`EvalRuntime.evaluate` call, captured as data.
+    """One evaluation of a batch: its journal key, the
+    :class:`~repro.runtime.batched.BatchSpec` that describes it, and the
+    result hooks of :meth:`EvalRuntime.evaluate`.
 
-    ``batch_spec`` (a :class:`~repro.runtime.batched.BatchSpec`, when the
-    call site can describe the evaluation as build-circuit + simulate +
-    finish) opts the task into the vectorized multi-variant fast path of
-    :class:`~repro.runtime.batched.EvalBatch`; tasks without one always
-    run their ``thunk`` serially.
+    :class:`~repro.runtime.batched.EvalBatch` stacks the simulations of
+    same-pattern specs and runs every consumed attempt through
+    :func:`~repro.runtime.batched.evaluate_spec`.
     """
 
     key: str
-    thunk: Callable[[], Any]
+    spec: BatchSpec
     validate: Callable[[Any], str | None] | None = None
     to_payload: Callable[[Any], dict] | None = None
     from_payload: Callable[[dict], Any] | None = None
-    retries: int | None = None
-    batch_spec: Any | None = None
 
 
 class EvalRuntime:
@@ -96,9 +93,7 @@ class EvalRuntime:
         failures: FailureLog to record into (a fresh one by default).
         cache: Content-addressed evaluation cache to share
             (:class:`~repro.runtime.evalcache.EvalCache`; a fresh one by
-            default).  Call sites read it via :attr:`cache` to route
-            circuit evaluations through :func:`~repro.runtime.evalcache
-            .evaluate_circuit_cached`.
+            default), through which every batch evaluation runs.
     """
 
     def __init__(
@@ -268,7 +263,7 @@ class EvalRuntime:
 
         The caller must :meth:`~EvalBatch.consume` results in the same
         order a serial loop would evaluate them, and may stop early.
-        Tasks that carry batch specs run on the stacked engine of
+        Live tasks run on the stacked engine of
         :mod:`repro.runtime.batched` (byte-identical results; see
         docs/performance.md); the rest, and every task of a batch too
         small to stack, evaluate lazily at consumption.

@@ -56,13 +56,6 @@ def test_empty_layout_bbox_raises():
         Layout(name="empty").bbox()
 
 
-def test_wires_and_vias_on_net():
-    lay = make_layout()
-    assert len(lay.wires_on_net("out")) == 2
-    assert len(lay.vias_on_net("out")) == 1
-    assert lay.wires_on_net("zz") == []
-
-
 def test_port_lookup():
     lay = make_layout()
     assert lay.port("out").layer == "M2"

@@ -39,10 +39,10 @@ def test_extracted_capacitance_matches_geometry(tech, small_dp, pattern, wires):
     listed_all = extract_all_nets(listed, tech)
     for net in nets:
         manual = 0.0
-        for wire in layout.wires_on_net(net):
+        for wire in (w for w in layout.wires if w.net == net):
             layer = tech.stack.metal(wire.layer)
             manual += layer.wire_capacitance(wire.length, wire.width)
-        for via in layout.vias_on_net(net):
+        for via in (v for v in layout.vias if v.net == net):
             manual += tech.stack.via_between(
                 via.lower_layer, via.upper_layer
             ).capacitance

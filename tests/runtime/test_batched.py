@@ -4,13 +4,14 @@ The stacked sweep engine (``STACK_WIDTH`` variants per stack) produces
 bitwise-identical metrics, journals, cache traffic and reports to the
 lazy-serial reference (``STACK_WIDTH = 1``) — for any variant order,
 and under the fault-injection seed matrix (where members a fault would
-hit run their serial thunks and the rest still stack).
+hit are evaluated alone at consumption and the rest still stack).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from repro.primitives import testbenches as tbh
 from repro.runtime import BatchSpec, BatchTask, EvalBatch, EvalRuntime
 from repro.runtime import batched as engine
 from repro.runtime import context
+from repro.runtime.evalcache import CacheStats
 from repro.runtime.faults import FaultSpec, inject
 from repro.spice import Circuit, CompiledCircuit, kernel
 from repro.spice import measure
@@ -566,7 +568,8 @@ def test_batched_report_identical_under_faults(
     spec, fault_seed, stack_width, tmp_path
 ):
     # Members a fault would hit on their first attempt are screened off
-    # to their serial thunks; the rest stack.  Nothing observable moves.
+    # to be evaluated alone at consumption; the rest stack.  Nothing
+    # observable moves.
     injector = _width_invariant_under(
         spec,
         fault_seed,
@@ -628,9 +631,7 @@ def _port_and_reconcile_sweep(width, spec, seed, run_dir, stack_width):
         ]
         batch = runtime.evaluate_batch(
             [
-                route_point_task(
-                    prim, dut, route, n, cache=runtime.cache, key_prefix="recon"
-                )
+                route_point_task(prim, dut, route, n, key_prefix="recon")
                 for route in routes
                 for n in (7, 8, 2)
             ],
@@ -685,18 +686,6 @@ def _assert_layout_error_propagates(runtime, batch):
     assert not runtime.failures
 
 
-def test_layout_error_propagates_at_consume():
-    runtime = EvalRuntime()
-    tasks = [
-        BatchTask(key="ok", thunk=lambda: 1.0),
-        BatchTask(key="bad", thunk=_layout_error),
-        BatchTask(key="ok2", thunk=lambda: 2.0),
-    ]
-    batch = runtime.evaluate_batch(tasks, stage="spec")
-    assert type(batch) is EvalBatch
-    _assert_layout_error_propagates(runtime, batch)
-
-
 class _EchoCircuit:
     """Netlist stand-in holding one value; content-keyable like a
     :class:`~repro.spice.netlist.Circuit`."""
@@ -724,35 +713,78 @@ class _StackedStub:
         self.stacks.append(values)
         return [({"v": value}, 1) for value in values]
 
+    def evaluate(self, circuit):
+        (outcome,) = self.evaluate_many([circuit])
+        return outcome
 
-def test_stacked_build_layout_error_propagates_at_consume():
-    primitive = _StackedStub()
 
-    def task(key, value, build):
-        return BatchTask(
-            key=key,
-            thunk=lambda: value,
-            batch_spec=BatchSpec(
-                primitive=primitive,
-                build=build,
-                finish=lambda site, values, sims, key: values["v"],
-            ),
-        )
+def _echo_spec(primitive, value):
+    return BatchSpec(
+        primitive=primitive,
+        build=lambda: (_EchoCircuit(value), None),
+        finish=lambda site, values, sims, key: values["v"],
+    )
 
-    runtime = EvalRuntime()
-    tasks = [
-        task("ok", 1.0, lambda: (_EchoCircuit(1.0), None)),
+
+def _echo_tasks(primitive):
+    """Two echo tasks around one whose build raises a LayoutError."""
+    return [
+        BatchTask(key="ok", spec=_echo_spec(primitive, 1.0)),
         BatchTask(
             key="bad",
-            thunk=_layout_error,
-            batch_spec=BatchSpec(
+            spec=BatchSpec(
                 primitive=primitive, build=_layout_error, finish=_layout_error
             ),
         ),
-        task("ok2", 2.0, lambda: (_EchoCircuit(2.0), None)),
+        BatchTask(key="ok2", spec=_echo_spec(primitive, 2.0)),
     ]
-    batch = runtime.evaluate_batch(tasks, stage="spec")
+
+
+def test_layout_error_propagates_at_consume(monkeypatch):
+    # A lazy batch builds every task at consumption, so the LayoutError
+    # is raised there, between its siblings' one-member evaluations.
+    monkeypatch.setattr(engine, "STACK_WIDTH", 1)
+    primitive = _StackedStub()
+    runtime = EvalRuntime()
+    batch = runtime.evaluate_batch(_echo_tasks(primitive), stage="spec")
+    assert type(batch) is EvalBatch
+    assert primitive.stacks == []
+    _assert_layout_error_propagates(runtime, batch)
+    assert primitive.stacks == [[1.0], [2.0]]
+
+
+def test_stacked_build_layout_error_propagates_at_consume():
+    primitive = _StackedStub()
+    runtime = EvalRuntime()
+    batch = runtime.evaluate_batch(_echo_tasks(primitive), stage="spec")
     assert type(batch) is EvalBatch
     # The members whose build succeeded ran as one stack.
     assert primitive.stacks == [[1.0, 2.0]]
     _assert_layout_error_propagates(runtime, batch)
+
+
+def test_unmaterialized_hit_looks_up_once_at_any_width(monkeypatch):
+    # Two tasks of one content whose metric is NaN: the first result is
+    # never stored, so the second task's predicted cache hit does not
+    # come true at width 8.  Each consumed attempt still makes one
+    # lookup, so nothing of the cache's accounting depends on the width.
+    def run(width):
+        monkeypatch.setattr(engine, "STACK_WIDTH", width)
+        primitive = _StackedStub()
+        runtime = EvalRuntime(retries=0)
+        tasks = [
+            BatchTask(
+                key=key,
+                spec=_echo_spec(primitive, math.nan),
+                validate=lambda v: "non-finite" if math.isnan(v) else None,
+            )
+            for key in ("a", "b")
+        ]
+        batch = runtime.evaluate_batch(tasks, stage="spec")
+        results = [batch.consume(i) for i in range(len(batch))]
+        return results, runtime.failures.to_dict(), runtime.cache.stats
+
+    serial, stacked = run(1), run(BATCH)
+    assert stacked == serial
+    assert serial[0] == [None, None]
+    assert serial[2] == CacheStats(lookups=2, misses=2)

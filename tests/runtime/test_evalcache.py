@@ -14,7 +14,8 @@ from repro import PrimitiveOptimizer, Technology
 from repro.cellgen.generator import WireConfig
 from repro.devices.mosfet import MosGeometry
 from repro.primitives import DifferentialPair, PrimitiveLibrary
-from repro.runtime import EvalCache, analysis_signature, evaluate_circuit_cached
+from repro.core.selection import evaluate_option
+from repro.runtime import EvalCache, analysis_signature
 from repro.runtime import evalcache
 from repro.runtime.faults import FaultSpec, inject
 from repro.spice import Circuit
@@ -142,12 +143,12 @@ def test_golden_key_float_subclass_and_shared_card():
 
 def test_repeat_evaluation_hits_and_skips_simulation(prim):
     cache = EvalCache()
-    values1, sims1, key1 = evaluate_circuit_cached(prim, _circuit(prim), cache)
-    assert sims1 > 0
-    values2, sims2, key2 = evaluate_circuit_cached(prim, _circuit(prim), cache)
-    assert sims2 == 0
-    assert key1 == key2
-    assert values2 == values1
+    first = evaluate_option(prim, MosGeometry(8, 4, 3), "ABAB", cache=cache)
+    assert first.simulations > 0
+    again = evaluate_option(prim, MosGeometry(8, 4, 3), "ABAB", cache=cache)
+    assert again.simulations == 0
+    assert again.cache_key == first.cache_key
+    assert again.values == first.values
     assert cache.stats.hits == 1
     assert cache.stats.stored == 1
 
@@ -159,9 +160,9 @@ def test_value_affecting_injector_bypasses_cache(prim):
     assert FaultSpec(bad_metric_rate=0.1).affects_values
     assert not FaultSpec().affects_values
     with inject(FaultSpec(dc_fail_rate=1e-9)):
-        values, sims, key = evaluate_circuit_cached(prim, _circuit(prim), cache)
-    assert sims > 0
-    assert key is None
+        option = evaluate_option(prim, MosGeometry(8, 4, 3), "ABAB", cache=cache)
+    assert option.simulations > 0
+    assert option.cache_key is None
     assert len(cache) == 0
     assert cache.stats.stored == 0
 

@@ -381,38 +381,3 @@ def test_fault_gate_in_one_member_dc_entry_is_flagged():
         """
     )
     assert [(f.line, f.code) for f in findings] == [(5, "DEV-FAULT")]
-
-
-def test_batch_task_without_spec_is_flagged():
-    findings = _lint(
-        """
-        from repro import runtime
-        from repro.runtime import BatchTask
-
-        def point_task(key, thunk):
-            return BatchTask(key=key, thunk=thunk, validate=None)
-
-        def other_task(key, thunk):
-            return runtime.BatchTask(key, thunk)
-        """
-    )
-    assert [(f.line, f.code) for f in findings] == [
-        (6, "DEV-BATCH-TASK"),
-        (9, "DEV-BATCH-TASK"),
-    ]
-    assert "batch_spec=" in findings[0].message
-
-
-def test_batch_task_with_spec_is_fine_and_suppressible():
-    findings = _lint(
-        """
-        from repro.runtime import BatchSpec, BatchTask
-
-        def option_task(key, thunk, spec_args, fields):
-            stacked = BatchTask(key, thunk, batch_spec=BatchSpec(*spec_args))
-            forwarded = BatchTask(key, thunk, **fields)
-            serial = BatchTask(key, thunk)  # devlint: ok
-            return stacked, forwarded, serial
-        """
-    )
-    assert findings == []

@@ -4,10 +4,10 @@
 The repository promises byte-deterministic artifacts: journals resume,
 evaluation caches hash their keys, and `repro verify/ingest --format
 json` output must be identical across runs.
-Seven source-level hazards quietly break that promise — or, for
-``DEV-BATCH-SOLVE``, ``DEV-FAULT`` and ``DEV-BATCH-TASK``, the
-performance and test contracts next to it — and this tool flags them
-with a small AST walk (stdlib only, no third-party deps):
+Six source-level hazards quietly break that promise — or, for
+``DEV-BATCH-SOLVE`` and ``DEV-FAULT``, the performance and test
+contracts next to it — and this tool flags them with a small AST walk
+(stdlib only, no third-party deps):
 
 * ``DEV-RANDOM`` — a call to the *module-level* :mod:`random` API
   (``random.random()``, ``random.shuffle()``, a bare ``shuffle()``
@@ -33,7 +33,8 @@ with a small AST walk (stdlib only, no third-party deps):
   the stacked entry points).  Looping per-member dense
   solves is exactly what the stacked ``(K, N, N)`` fast path exists to
   replace; stack the systems into one call, or mask the members, and
-  route deliberate serial fallbacks through the member's thunk.
+  route deliberate serial fallbacks through the member's own
+  one-member solve.
 * ``DEV-ENV`` — any ``os.environ`` / ``os.getenv`` / ``os.putenv``
   reference, or importing one of them ``from os``.  An environment
   variable is an execution knob no report records and no flag shows;
@@ -43,10 +44,6 @@ with a small AST walk (stdlib only, no third-party deps):
   fault hooks in :data:`FAULT_HOOKS`.  A gate on the injector elsewhere
   forks the execution path under injection, so fault runs would stop
   testing the path production runs.
-* ``DEV-BATCH-TASK`` — a ``BatchTask(...)`` call that passes no
-  ``batch_spec=``.  Such a task never reaches the stacked sweep engine
-  (:mod:`repro.runtime.batched`): every one of its evaluations solves
-  serially, however many same-pattern siblings share its batch.
 
 A finding can be suppressed for one line with a trailing
 ``# devlint: ok`` comment (reviewed, understood, deliberate).
@@ -102,7 +99,7 @@ FAULT_HOOKS = frozenset(
         "dc_operating_points",
         "transient",
         "MosPrimitive.evaluate",
-        "evaluate_circuit_cached",
+        "evaluate_spec",
         "EvalBatch._precompute",
     }
 )
@@ -133,13 +130,6 @@ def _is_numpy_linalg_solve(func: ast.expr) -> bool:
         and isinstance(func.value.value, ast.Name)
         and func.value.value.id in ("np", "numpy")
     )
-
-
-def _is_batch_task(func: ast.expr) -> bool:
-    """True for ``BatchTask`` / ``<module>.BatchTask`` references."""
-    if isinstance(func, ast.Name):
-        return func.id == "BatchTask"
-    return isinstance(func, ast.Attribute) and func.attr == "BatchTask"
 
 
 def _is_set_expression(node: ast.expr) -> bool:
@@ -336,15 +326,6 @@ class _Checker(ast.NodeVisitor):
                 "injector only at a hook (" + ", ".join(sorted(FAULT_HOOKS))
                 + ")",
             )
-        if _is_batch_task(func) and not any(
-            kw.arg in ("batch_spec", None) for kw in node.keywords
-        ):
-            self._flag(
-                node, "DEV-BATCH-TASK",
-                "BatchTask without batch_spec= keeps every evaluation of "
-                "its batch serial; describe the evaluation as a BatchSpec "
-                "(build -> simulate -> finish) so it stacks",
-            )
         if (
             _is_numpy_linalg_solve(func)
             and self._loop_depth > 0
@@ -355,7 +336,7 @@ class _Checker(ast.NodeVisitor):
                 "per-member np.linalg.solve in a batch loop defeats the "
                 "stacked (K, N, N) fast path; stack the systems or mask "
                 "the members, and route deliberate serial fallbacks "
-                "through the member's thunk",
+                "through the member's own one-member solve",
             )
         self.generic_visit(node)
 
